@@ -109,11 +109,12 @@ fn bench_vtime(c: &mut Criterion) {
 }
 
 /// Observability-log emission: ~1k spans with a message edge each, the
-/// per-event cost every traced run pays. `iter_with_large_drop` keeps the
-/// recorder teardown out of the timed region.
+/// per-event cost every traced run pays. One recorder lives per iteration
+/// (its teardown is timed with it), so `peak_bytes` is one recorder's
+/// working set rather than every iteration's output held at once.
 fn bench_obs_emit(c: &mut Criterion) {
     c.bench_function("obs/span_edge_emit_1k", |b| {
-        b.iter_with_large_drop(|| {
+        b.iter(|| {
             let mut r = ObsRecorder::new(4);
             for i in 0..1024u64 {
                 let node = (i % 4) as usize;

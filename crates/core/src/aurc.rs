@@ -19,6 +19,7 @@ use ncp2_sim::{Category, Cycles, ProcOp, ProcReply};
 
 use crate::interval::IntervalAnnouncement;
 use crate::msg::Msg;
+use crate::observe::ProtocolEvent;
 use crate::page::{page_of, PageId};
 use crate::span::SpanKind;
 use crate::system::{AurcMode, InsertOutcome, Simulation, Wait};
@@ -140,19 +141,21 @@ impl Simulation {
             ProcOp::Read { addr, .. } | ProcOp::Write { addr, .. } => (addr, ()),
             _ => unreachable!(),
         };
-        #[cfg(feature = "verify")]
-        {
-            let bytes = match op {
-                ProcOp::Read { bytes, .. } | ProcOp::Write { bytes, .. } => bytes,
-                _ => 0,
-            };
-            self.emit(crate::observe::ProtocolEvent::Access {
+        let bytes = match op {
+            ProcOp::Read { bytes, .. } | ProcOp::Write { bytes, .. } => bytes,
+            _ => 0,
+        };
+        let now = self.nodes[pid].time;
+        self.sinks.note(
+            now,
+            pid,
+            ProtocolEvent::Access {
                 pid,
                 addr,
                 bytes,
                 write,
-            });
-        }
+            },
+        );
         self.charge_mem(pid, addr, write);
         let page = page_of(addr, self.params.page_bytes);
         let page_bytes = self.params.page_bytes;
@@ -166,9 +169,9 @@ impl Simulation {
             lp.take_prefetched_unused()
         };
         if was_prefetched {
-            self.nodes[pid].stats.prefetch_hits += 1;
             let now = self.nodes[pid].time;
-            self.obs_prefetch_used(pid, page, now);
+            self.sinks
+                .note(now, pid, ProtocolEvent::PrefetchUsed { pid, page });
         }
         let reply = {
             let buf = self.master_page(page);
@@ -229,27 +232,29 @@ impl Simulation {
         let msg = Msg::AurcUpdate { page, from: pid };
         // This bypasses `dispatch` (updates carry their own horizon
         // bookkeeping), so the send is reported here.
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::MsgSent {
-            src: pid,
-            dst,
-            kind: msg.kind(),
-            demand: !msg.is_prefetch(),
-        });
         let bytes = msg.bytes(self.params.page_bytes, self.params.page_words());
         let params = self.params.clone();
         let tr = self.net.transfer_timed(t, pid, dst, bytes, &params);
-        self.ts_count(crate::timeseries::TsCounter::Messages, t, 1);
-        self.ts_count(crate::timeseries::TsCounter::MessageBytes, t, bytes);
-        self.obs_flight(pid, dst, msg.kind(), bytes, false, t, tr.start, tr.arrival);
-        self.obs_edge(
+        self.sinks.note(
+            t,
+            pid,
+            ProtocolEvent::MsgSent {
+                src: pid,
+                dst,
+                kind: msg.kind(),
+                demand: !msg.is_prefetch(),
+                bytes,
+                wire: Some(tr),
+            },
+        );
+        self.sinks.obs_edge(
             crate::span::EdgeKind::Msg(msg.kind()),
             pid,
             t,
             dst,
             tr.arrival,
             0,
-            self.obs_last_span(pid),
+            self.sinks.obs_last_span(pid),
         );
         let arrival = tr.arrival;
         self.nodes[pid].out_horizon[dst] = self.nodes[pid].out_horizon[dst].max(arrival);
@@ -258,7 +263,6 @@ impl Simulation {
             ncp2_sim::Priority::Normal,
             crate::system::Ev::Msg { dst, msg },
         );
-        self.nodes[pid].stats.au_updates += 1;
     }
 
     /// Release-time write-cache flush (the paper's flush timestamps): every
@@ -275,8 +279,8 @@ impl Simulation {
     fn aurc_start_fetch(&mut self, pid: usize, page: PageId, target: usize, prefetch: bool) {
         if !prefetch {
             let now = self.nodes[pid].time;
-            self.record(now, pid, crate::trace::TraceKind::Fault { page });
-            self.nodes[pid].stats.faults += 1;
+            self.sinks
+                .note(now, pid, ProtocolEvent::Fault { pid, page });
             self.advance(
                 pid,
                 self.params.interrupt,
@@ -347,10 +351,8 @@ impl Simulation {
             .mem
             .cache
             .invalidate_page(base, params.page_bytes);
-        self.record(t, dst, crate::trace::TraceKind::PageFetched { page });
-        self.nodes[dst].stats.page_fetches += 1;
-        self.ts_count(crate::timeseries::TsCounter::PageFetches, t, 1);
-        self.ts_page(page, 1, 0, 0);
+        self.sinks
+            .note(t, dst, ProtocolEvent::PageFetched { pid: dst, page });
         let joined = {
             let lp = self.nodes[dst].aurc_pages.get_or_default(page);
             if prefetch {
@@ -368,20 +370,18 @@ impl Simulation {
             }
         };
         if prefetch {
-            self.record(
+            // The transfer itself was already attributed by the page fetch
+            // reported above.
+            self.sinks.note(
                 mem_end,
                 dst,
-                crate::trace::TraceKind::PrefetchCompleted { page },
+                ProtocolEvent::PrefetchCompleted {
+                    pid: dst,
+                    page,
+                    joined,
+                    transfer: false,
+                },
             );
-            // The transfer itself was already attributed by the page-fetch
-            // site above; this only counts the completed prefetch.
-            self.nodes[dst].stats.prefetch_fills += 1;
-            self.ts_count(crate::timeseries::TsCounter::PrefetchFills, mem_end, 1);
-            self.obs_prefetch_done(dst, page, mem_end);
-            if joined {
-                // Zero prefetch-to-use distance: a fault was already waiting.
-                self.obs_prefetch_used(dst, page, mem_end);
-            }
         }
         if joined {
             debug_assert!(
@@ -394,7 +394,15 @@ impl Simulation {
             } else {
                 crate::span::EdgeKind::FaultFill
             };
-            self.obs_edge(ekind, dst, t, dst, mem_end, 0, self.obs_last_span(dst));
+            self.sinks.obs_edge(
+                ekind,
+                dst,
+                t,
+                dst,
+                mem_end,
+                0,
+                self.sinks.obs_last_span(dst),
+            );
             self.schedule_wake(dst, mem_end);
         }
     }
@@ -458,21 +466,28 @@ impl Simulation {
                     lp.set_referenced(false);
                     (had, lp.take_prefetched_unused())
                 };
-                if was_prefetched {
-                    self.nodes[pid].stats.useless_prefetches += 1;
-                }
-                if had_copy {
-                    self.nodes[pid].stats.invalidations += 1;
-                    self.ts_count(crate::timeseries::TsCounter::Invalidations, c, 1);
-                    self.ts_page(page, 0, 0, 1);
-                }
+                self.sinks.note(
+                    c,
+                    pid,
+                    ProtocolEvent::NoticeRecorded {
+                        pid,
+                        owner: ann.owner,
+                        id: ann.id,
+                        page,
+                        invalidated: had_copy,
+                        wasted_prefetch: was_prefetched,
+                    },
+                );
             }
         }
-        #[cfg(feature = "verify")]
-        {
-            let vt = self.nodes[pid].vt.clone();
-            self.emit(crate::observe::ProtocolEvent::AnnsProcessed { pid, vt });
-        }
+        self.sinks.note(
+            c,
+            pid,
+            ProtocolEvent::AnnsProcessed {
+                pid,
+                vt: &self.nodes[pid].vt,
+            },
+        );
         c
     }
 
@@ -506,10 +521,8 @@ impl Simulation {
             if self.shed_prefetch(pid, page, c) {
                 continue;
             }
-            self.record(c, pid, crate::trace::TraceKind::PrefetchIssued { page });
-            self.obs_prefetch_issued(pid, page, c);
-            self.nodes[pid].stats.prefetches += 1;
-            self.ts_count(crate::timeseries::TsCounter::PrefetchIssued, c, 1);
+            self.sinks
+                .note(c, pid, ProtocolEvent::PrefetchIssued { pid, page });
             c += self.params.messaging_overhead;
             let msg = Msg::AurcPageReq {
                 page,

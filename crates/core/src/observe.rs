@@ -1,28 +1,45 @@
-//! Protocol-event observation: the hook surface behind the `verify` feature.
+//! The observation bus: one typed fact per protocol action, fanned out to
+//! every consumer.
 //!
-//! When `ncp2-core` is compiled with the `verify` feature, [`Simulation`]
-//! carries an optional boxed [`Observer`] and reports every semantically
-//! interesting protocol step to it as a [`ProtocolEvent`]: shared-memory
-//! accesses, synchronization operations, interval closures, write-notice
-//! recording, diff creation/application and message send/delivery. The
-//! `ncp2-verify` crate implements an observer that shadow-checks the
-//! protocol invariants of the paper (diff completeness per §3.2, write-notice
-//! coverage and vector-time monotonicity per the §2 LRC model, message
-//! conservation) and runs a vector-clock happens-before race detector over
-//! the observed accesses.
+//! Each protocol site reports what happened exactly once, as a
+//! [`ProtocolEvent`] passed to `Sinks::note` together with the simulated
+//! cycle and the node it belongs to. The sinks are:
 //!
-//! Without the feature, none of the emission sites compile — the hooks cost
-//! literally zero cycles and zero bytes. With the feature but no attached
-//! observer, each site is a `None` check.
+//! * the **oracle** — an attached [`Observer`] (the `ncp2-verify` crate
+//!   shadow-checks the paper's invariants: diff completeness per §3.2,
+//!   write-notice coverage and vector-time monotonicity per the §2 LRC
+//!   model, message and frame conservation, happens-before race freedom);
+//! * the **trace** — [`ProtocolEvent::trace_rows`] maps a fact to its
+//!   protocol-timeline rows when `SysParams::trace` is set;
+//! * the **aggregates** — the [`NodeStats`] counters that count facts, and
+//!   the [`FaultStats`](crate::FaultStats) counters a time series mirrors,
+//!   tallied per node and folded into the run at finish;
+//! * the **span recorder** ([`crate::span::ObsRecorder::note`]) — message
+//!   flights, controller occupancy, prefetch issue/use bookkeeping, barrier
+//!   epochs;
+//! * the **time series** ([`crate::timeseries::TsRecorder::note`]) —
+//!   windowed counters, occupancy, per-link series and hot-spot tables.
 //!
-//! [`Simulation`]: crate::Simulation
+//! The oracle is compiled in by the `verify` feature, the span and
+//! time-series recorders by `obs`; each is armed at runtime by
+//! `attach_observer`, `enable_obs` and `enable_timeseries`. Whatever is off
+//! costs one branch per fact. Processor spans (paired with breakdown
+//! charging in `advance`/`charge_mem`/`interrupt_proc`), dependency edges
+//! (`obs_edge(…, obs_last_span(…))`) and single-sink gauges keep their own
+//! `Sinks` helpers; they are not facts.
 
 use std::fmt;
 
+pub use ncp2_net::Transfer;
 use ncp2_sim::ops::{BarrierId, LockId};
+use ncp2_sim::{Category, Cycles, SvcClass};
 
 use crate::diff::Diff;
 use crate::page::{PageBuf, PageId};
+use crate::span::{CtrlCmd, EdgeKind, Engine, SpanId, SpanKind};
+use crate::stats::{NodeStats, RunResult};
+use crate::timeseries::{TsCounter, TsGauge};
+use crate::trace::TraceEvent;
 use crate::vtime::{IntervalId, VectorTime};
 
 /// Message classification used for conservation accounting (one entry per
@@ -76,13 +93,17 @@ impl crate::msg::Msg {
     }
 }
 
-/// One observable protocol step. Events for a given processor are emitted in
-/// that processor's program order; lock-chain and barrier-episode transfers
-/// respect the underlying happens-before order (a release is always emitted
-/// before the acquire it grants, and every arrival of a barrier episode is
-/// emitted before any completion of that episode).
-#[derive(Debug, Clone)]
-pub enum ProtocolEvent {
+/// One protocol fact, reported once at the site where it happens and fanned
+/// out to every sink (see the [module docs](self)). Events for a given
+/// processor are emitted in that processor's program order; lock-chain and
+/// barrier-episode transfers respect the underlying happens-before order (a
+/// release is always emitted before the acquire it grants, and every arrival
+/// of a barrier episode is emitted before any completion of that episode).
+///
+/// Payloads are borrowed from the simulation for the duration of the report,
+/// so reporting a diff or a page copy never clones it.
+#[derive(Debug, Clone, Copy)]
+pub enum ProtocolEvent<'a> {
     /// A shared-memory access performed on a valid page.
     Access {
         /// Accessing processor.
@@ -94,12 +115,15 @@ pub enum ProtocolEvent {
         /// Write or read.
         write: bool,
     },
-    /// A lock acquire completed (write notices already processed).
+    /// A lock acquire completed (write notices already processed); reported
+    /// at the cycle the acquirer wakes.
     LockAcquired {
         /// Acquiring processor.
         pid: usize,
         /// The lock.
         lock: LockId,
+        /// Cycle the grant reached the acquirer.
+        granted: Cycles,
     },
     /// A lock release began (before the grant is passed on).
     LockReleased {
@@ -108,6 +132,25 @@ pub enum ProtocolEvent {
         /// The lock.
         lock: LockId,
     },
+    /// The lock manager forwarded an acquire, moving the grant token to a
+    /// different node than its last owner.
+    LockMigrated {
+        /// The lock.
+        lock: LockId,
+        /// The token's last owner.
+        from: usize,
+        /// The acquirer it moves to.
+        to: usize,
+    },
+    /// A processor blocked on a lock woke with the grant.
+    LockWaitEnded {
+        /// The woken processor.
+        pid: usize,
+        /// The lock.
+        lock: LockId,
+        /// Cycles stalled (service work overlapped with the wait excluded).
+        stall: Cycles,
+    },
     /// A processor arrived at a barrier (after closing its interval).
     BarrierArrived {
         /// Arriving processor.
@@ -115,12 +158,20 @@ pub enum ProtocolEvent {
         /// The barrier.
         barrier: BarrierId,
     },
-    /// A processor observed the barrier release.
+    /// A processor observed the barrier release (notices processed);
+    /// reported at the cycle it wakes.
     BarrierCompleted {
         /// Released processor.
         pid: usize,
         /// The barrier.
         barrier: BarrierId,
+        /// Cycle the release reached the processor.
+        released: Cycles,
+    },
+    /// A processor blocked at a barrier woke: its next barrier epoch begins.
+    BarrierWaitEnded {
+        /// The woken processor.
+        pid: usize,
     },
     /// A writing interval closed at a release point.
     IntervalClosed {
@@ -129,11 +180,11 @@ pub enum ProtocolEvent {
         /// The new interval id (`vt[pid]` after the bump).
         id: IntervalId,
         /// The owner's vector time after the bump.
-        vt: VectorTime,
+        vt: &'a VectorTime,
         /// Pages dirtied during the interval.
-        pages: Vec<PageId>,
+        pages: &'a [PageId],
     },
-    /// A write notice was recorded and its page invalidated at `pid`.
+    /// A write notice was applied at `pid` (its page is invalid there now).
     NoticeRecorded {
         /// The processor applying the notice.
         pid: usize,
@@ -143,6 +194,10 @@ pub enum ProtocolEvent {
         id: IntervalId,
         /// The page named by the notice.
         page: PageId,
+        /// The notice invalidated a valid copy.
+        invalidated: bool,
+        /// The copy was a completed prefetch nobody had used.
+        wasted_prefetch: bool,
     },
     /// A batch of interval announcements finished processing at `pid`
     /// (acquire or barrier release).
@@ -150,7 +205,22 @@ pub enum ProtocolEvent {
         /// The processor whose vector time advanced.
         pid: usize,
         /// Its vector time after processing.
-        vt: VectorTime,
+        vt: &'a VectorTime,
+    },
+    /// An access found its page invalid and began collecting diffs or
+    /// fetching the page.
+    Fault {
+        /// Faulting processor.
+        pid: usize,
+        /// Faulting page.
+        page: PageId,
+    },
+    /// A whole page arrived (TreadMarks overflow path or AURC fetch).
+    PageFetched {
+        /// The receiving processor.
+        pid: usize,
+        /// The page.
+        page: PageId,
     },
     /// A diff was created (twin comparison or dirty-bit DMA gather).
     DiffCreated {
@@ -161,9 +231,9 @@ pub enum ProtocolEvent {
         /// The owner interval it belongs to.
         interval: IntervalId,
         /// The diff itself.
-        diff: Diff,
+        diff: &'a Diff,
         /// The owner's page contents at creation time.
-        data: PageBuf,
+        data: &'a PageBuf,
     },
     /// A collected set of diffs (and possibly a whole page) was applied.
     DiffsApplied {
@@ -171,10 +241,58 @@ pub enum ProtocolEvent {
         pid: usize,
         /// The page updated.
         page: PageId,
-        /// `(owner, interval)` of every diff actually applied.
-        applied: Vec<(usize, IntervalId)>,
+        /// Every diff actually applied, in application order.
+        diffs: &'a [Diff],
+        /// Modified words the diffs carried in total.
+        words: u64,
         /// The page contents after application.
-        data: PageBuf,
+        data: &'a PageBuf,
+    },
+    /// An acquire-time prefetch was issued.
+    PrefetchIssued {
+        /// Issuing processor.
+        pid: usize,
+        /// Target page.
+        page: PageId,
+    },
+    /// A prefetch finished installing its page.
+    PrefetchCompleted {
+        /// The prefetching processor.
+        pid: usize,
+        /// The page.
+        page: PageId,
+        /// A fault was already waiting for it (zero prefetch-to-use
+        /// distance).
+        joined: bool,
+        /// The fill is a page delivery of its own in the hot-spot table
+        /// (TreadMarks fills, which may be diffs). AURC fills are whole
+        /// pages already reported as [`ProtocolEvent::PageFetched`].
+        transfer: bool,
+    },
+    /// An access consumed a completed prefetch (a fault avoided).
+    PrefetchUsed {
+        /// Accessing processor.
+        pid: usize,
+        /// The page.
+        page: PageId,
+    },
+    /// The degradation policy shed a prefetch under congestion.
+    PrefetchShed {
+        /// Issuing processor.
+        pid: usize,
+        /// The page whose prefetch was shed.
+        page: PageId,
+    },
+    /// The protocol controller ran a command; the fact's time is its start.
+    ControllerCommand {
+        /// The controller's node.
+        node: usize,
+        /// The engine that ran it.
+        engine: Engine,
+        /// The command class.
+        cmd: CtrlCmd,
+        /// Cycle the command finished.
+        end: Cycles,
     },
     /// A protocol message left a node.
     MsgSent {
@@ -186,6 +304,13 @@ pub enum ProtocolEvent {
         kind: MsgKind,
         /// Demand (normal-priority) transaction, as opposed to a prefetch.
         demand: bool,
+        /// Wire size in bytes.
+        bytes: u64,
+        /// Its crossing of the mesh (injection is the fact's own cycle), or
+        /// `None` when the hardened transport carries the message: it joins
+        /// the link's unacked frames here and every physical copy is
+        /// reported as [`ProtocolEvent::FrameSent`].
+        wire: Option<Transfer>,
     },
     /// A protocol message reached its receiver's handler.
     MsgDelivered {
@@ -207,6 +332,14 @@ pub enum ProtocolEvent {
         seq: u64,
         /// Transmission attempt (0 = original send).
         attempt: u32,
+        /// Class of the message the frame carries.
+        kind: MsgKind,
+        /// Demand (normal-priority) transaction.
+        demand: bool,
+        /// Wire size in bytes.
+        bytes: u64,
+        /// The copy's crossing of the mesh.
+        wire: Transfer,
     },
     /// A transport frame arrived in order and its message was delivered.
     FrameAccepted {
@@ -242,6 +375,52 @@ pub enum ProtocolEvent {
         seq: u64,
         /// Transmission attempt lost.
         attempt: u32,
+    },
+    /// A cumulative acknowledgement was injected (`src` acknowledges the
+    /// frames it received from `dst`).
+    AckSent {
+        /// The acknowledging receiver.
+        src: usize,
+        /// The sender it acknowledges.
+        dst: usize,
+        /// Wire size in bytes.
+        bytes: u64,
+    },
+    /// A cumulative ack retired unacknowledged frames of link `src -> dst`.
+    FramesAcked {
+        /// Sender of the frames.
+        src: usize,
+        /// Their receiver.
+        dst: usize,
+        /// Frames retired.
+        frames: u64,
+    },
+    /// A frame's ack timer expired and the transport retransmitted it.
+    Retransmit {
+        /// Sender.
+        src: usize,
+        /// Destination.
+        dst: usize,
+        /// Link-local sequence number.
+        seq: u64,
+        /// Attempt number after the bump (1 = first retransmission).
+        attempt: u32,
+    },
+    /// The service workload dequeued a request.
+    SvcDequeue {
+        /// Serving processor.
+        pid: usize,
+        /// Backlog (arrived, not yet served) at this node after the dequeue.
+        depth: u64,
+    },
+    /// The service workload completed a request.
+    SvcReply {
+        /// Serving processor.
+        pid: usize,
+        /// Request class.
+        class: SvcClass,
+        /// Open-loop response time in cycles (completion minus arrival).
+        response: Cycles,
     },
 }
 
@@ -389,6 +568,271 @@ pub trait Observer {
     /// Called once after the run completes; returns everything found broken.
     fn finish(&mut self) -> Vec<Violation> {
         Vec::new()
+    }
+}
+
+/// Per-node tallies of the counted facts: the windowed counters' totals plus
+/// the [`NodeStats`] counters no time series mirrors. Folded into the run's
+/// aggregates at finish, so an aggregate and its time series are charged by
+/// the same fact.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    counters: [u64; TsCounter::COUNT],
+    faults: u64,
+    prefetch_hits: u64,
+    useless_prefetches: u64,
+    au_updates: u64,
+}
+
+impl Tally {
+    fn note(&mut self, ev: &ProtocolEvent<'_>) {
+        ev.counts(0, |c, _, n| self.counters[c as usize] += n);
+        match *ev {
+            ProtocolEvent::Fault { .. } => self.faults += 1,
+            ProtocolEvent::PrefetchUsed { .. } => self.prefetch_hits += 1,
+            ProtocolEvent::NoticeRecorded {
+                wasted_prefetch: true,
+                ..
+            } => self.useless_prefetches += 1,
+            ProtocolEvent::MsgSent {
+                kind: MsgKind::AurcUpdate,
+                ..
+            } => self.au_updates += 1,
+            _ => {}
+        }
+    }
+
+    fn counter(&self, c: TsCounter) -> u64 {
+        self.counters[c as usize]
+    }
+
+    /// Writes the tallied counters into a node's aggregates.
+    fn fold(&self, s: &mut NodeStats) {
+        s.page_fetches = self.counter(TsCounter::PageFetches);
+        s.diffs_created = self.counter(TsCounter::DiffsCreated);
+        s.diffs_applied = self.counter(TsCounter::DiffsApplied);
+        s.diff_bytes_created = self.counter(TsCounter::DiffBytesCreated);
+        s.diff_bytes_applied = self.counter(TsCounter::DiffBytesApplied);
+        s.invalidations = self.counter(TsCounter::Invalidations);
+        s.lock_acquires = self.counter(TsCounter::LockAcquires);
+        s.barriers = self.counter(TsCounter::Barriers);
+        s.prefetches = self.counter(TsCounter::PrefetchIssued);
+        s.prefetch_fills = self.counter(TsCounter::PrefetchFills);
+        s.faults = self.faults;
+        s.prefetch_hits = self.prefetch_hits;
+        s.useless_prefetches = self.useless_prefetches;
+        s.au_updates = self.au_updates;
+    }
+}
+
+/// Every consumer of the fact stream, in one place. [`Sinks::note`] fans a
+/// fact out to the oracle, the trace, the aggregates, the span recorder and
+/// the time series; it and the span/gauge/edge helpers below are the only
+/// code that consults the feature-gated recorders. A recorder compiled out
+/// (feature off) or not armed costs one branch per fact.
+pub(crate) struct Sinks {
+    /// Protocol trace rows; `Some` when `SysParams::trace` is set.
+    trace: Option<Vec<TraceEvent>>,
+    tally: Vec<Tally>,
+    /// Shadow checker (`verify` feature only).
+    #[cfg(feature = "verify")]
+    observer: Option<Box<dyn Observer>>,
+    /// Span/flight/engine recorder (`obs` feature only).
+    #[cfg(feature = "obs")]
+    obs: Option<crate::span::ObsRecorder>,
+    /// Windowed time-series recorder (`obs` feature only).
+    #[cfg(feature = "obs")]
+    ts: Option<crate::timeseries::TsRecorder>,
+}
+
+impl Sinks {
+    /// Sinks for `nprocs` nodes: aggregates always, the trace on request,
+    /// every recorder disarmed.
+    pub(crate) fn new(nprocs: usize, trace: bool) -> Self {
+        Sinks {
+            trace: trace.then(Vec::new),
+            tally: vec![Tally::default(); nprocs],
+            #[cfg(feature = "verify")]
+            observer: None,
+            #[cfg(feature = "obs")]
+            obs: None,
+            #[cfg(feature = "obs")]
+            ts: None,
+        }
+    }
+
+    /// Attaches the oracle (dropped without the `verify` feature).
+    #[cfg_attr(not(feature = "verify"), allow(unused_variables))]
+    pub(crate) fn attach_observer(&mut self, observer: Box<dyn Observer>) {
+        #[cfg(feature = "verify")]
+        {
+            self.observer = Some(observer);
+        }
+    }
+
+    /// Arms the span recorder (a no-op without the `obs` feature).
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    pub(crate) fn enable_obs(&mut self, nprocs: usize) {
+        #[cfg(feature = "obs")]
+        {
+            self.obs = Some(crate::span::ObsRecorder::new(nprocs));
+        }
+    }
+
+    /// Arms the time-series recorder (a no-op without the `obs` feature).
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    pub(crate) fn enable_timeseries(&mut self, nprocs: usize, width: Cycles) {
+        #[cfg(feature = "obs")]
+        {
+            self.ts = Some(crate::timeseries::TsRecorder::new(nprocs, width));
+        }
+    }
+
+    /// Reports one fact that happened at cycle `t` on `node`.
+    pub(crate) fn note(&mut self, t: Cycles, node: usize, ev: ProtocolEvent<'_>) {
+        #[cfg(feature = "verify")]
+        if let Some(o) = self.observer.as_mut() {
+            o.on_event(&ev);
+        }
+        if let Some(trace) = self.trace.as_mut() {
+            for kind in ev.trace_rows() {
+                trace.push(TraceEvent {
+                    time: t,
+                    node,
+                    kind,
+                });
+            }
+        }
+        self.tally[node].note(&ev);
+        #[cfg(feature = "obs")]
+        if let Some(r) = self.obs.as_mut() {
+            r.note(t, node, &ev);
+        }
+        #[cfg(feature = "obs")]
+        if let Some(r) = self.ts.as_mut() {
+            r.note(t, node, &ev);
+        }
+    }
+
+    /// Records one conserved processor span (see [`crate::span::Span`]).
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    pub(crate) fn span(
+        &mut self,
+        node: usize,
+        kind: SpanKind,
+        cat: Category,
+        start: Cycles,
+        dur: Cycles,
+    ) {
+        #[cfg(feature = "obs")]
+        if let Some(r) = self.obs.as_mut() {
+            r.span(node, kind, cat, start, dur);
+        }
+    }
+
+    /// Records one span charged off the node's own timeline (see
+    /// [`crate::span::Span::detached`]).
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    pub(crate) fn span_detached(
+        &mut self,
+        node: usize,
+        kind: SpanKind,
+        cat: Category,
+        start: Cycles,
+        dur: Cycles,
+    ) {
+        #[cfg(feature = "obs")]
+        if let Some(r) = self.obs.as_mut() {
+            r.span_detached(node, kind, cat, start, dur);
+        }
+    }
+
+    /// Samples gauge `g` at value `v`; the window keeps the peak.
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    pub(crate) fn gauge(&mut self, g: TsGauge, t: Cycles, v: u64) {
+        #[cfg(feature = "obs")]
+        if let Some(r) = self.ts.as_mut() {
+            r.gauge(g, t, v);
+        }
+    }
+
+    /// The most recent span recorded on `node` — the anchor every dependency
+    /// edge must reference (enforced by the `xtask lint` edge-site rule and
+    /// by [`crate::span::ObsRecorder::edge`] dropping unanchored edges).
+    #[cfg(feature = "obs")]
+    pub(crate) fn obs_last_span(&self, node: usize) -> SpanId {
+        self.obs
+            .as_ref()
+            .map(|r| r.last_span(node))
+            .unwrap_or(SpanId::NONE)
+    }
+
+    #[cfg(not(feature = "obs"))]
+    #[inline(always)]
+    pub(crate) fn obs_last_span(&self, _node: usize) -> SpanId {
+        SpanId::NONE
+    }
+
+    /// Records one typed dependency edge.
+    #[cfg(feature = "obs")]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn obs_edge(
+        &mut self,
+        kind: EdgeKind,
+        src_node: usize,
+        src_time: Cycles,
+        dst_node: usize,
+        dst_time: Cycles,
+        work: Cycles,
+        src_span: SpanId,
+    ) {
+        if let Some(r) = self.obs.as_mut() {
+            r.edge(kind, src_node, src_time, dst_node, dst_time, work, src_span);
+        }
+    }
+
+    #[cfg(not(feature = "obs"))]
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn obs_edge(
+        &mut self,
+        _kind: EdgeKind,
+        _src_node: usize,
+        _src_time: Cycles,
+        _dst_node: usize,
+        _dst_time: Cycles,
+        _work: Cycles,
+        _src_span: SpanId,
+    ) {
+    }
+
+    /// Folds every sink into the finished run: the tallied aggregates, the
+    /// trace, the span and time-series logs, and the oracle's findings plus
+    /// any span-conservation failure.
+    pub(crate) fn finish(self, run: &mut RunResult) {
+        for (tally, stats) in self.tally.iter().zip(&mut run.nodes) {
+            tally.fold(stats);
+        }
+        let total = |c: TsCounter| self.tally.iter().map(|t| t.counter(c)).sum();
+        run.fault.frames_sent = total(TsCounter::FramesSent);
+        run.fault.retransmits = total(TsCounter::Retransmits);
+        run.fault.prefetch_shed = total(TsCounter::PrefetchShed);
+        run.trace = self.trace.unwrap_or_default();
+        #[cfg(feature = "verify")]
+        if let Some(mut o) = self.observer {
+            run.violations = o.finish();
+        }
+        #[cfg(feature = "obs")]
+        {
+            run.obs = self.obs.map(|r| r.into_log());
+            run.ts = self.ts.map(|r| r.into_log(run.total_cycles));
+        }
+        if let Some(log) = &run.obs {
+            for (node, detail) in log.conservation_errors(&run.nodes) {
+                run.violations
+                    .push(Violation::SpanConservation { node, detail });
+            }
+        }
     }
 }
 

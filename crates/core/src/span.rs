@@ -24,9 +24,10 @@
 //! it closes; the epoch advances at the wake that ends the wait.
 //!
 //! The types here are always compiled (so [`RunResult`](crate::RunResult)
-//! can carry an `Option<ObsLog>` unconditionally); only the recording sites
-//! inside the simulation are gated behind the `obs` feature, mirroring the
-//! `verify` hook pattern.
+//! can carry an `Option<ObsLog>` unconditionally); the recorder is armed
+//! inside the simulation only under the `obs` feature. Spans and edges are
+//! recorded directly by the charge helpers and edge sites; everything else
+//! arrives as reported protocol facts ([`ObsRecorder::note`]).
 //!
 //! [`Breakdown`]: ncp2_sim::Breakdown
 
@@ -35,7 +36,7 @@ use std::collections::HashMap;
 use ncp2_sim::{Category, Cycles};
 use serde::{Deserialize, Serialize};
 
-use crate::observe::MsgKind;
+use crate::observe::{MsgKind, ProtocolEvent};
 use crate::stats::NodeStats;
 
 /// What a conserved processor span was spent on. The kind is finer than the
@@ -541,14 +542,7 @@ impl ObsRecorder {
     }
 
     /// Records one controller-engine occupancy interval.
-    pub fn engine(
-        &mut self,
-        node: usize,
-        engine: Engine,
-        cmd: CtrlCmd,
-        start: Cycles,
-        end: Cycles,
-    ) {
+    fn engine(&mut self, node: usize, engine: Engine, cmd: CtrlCmd, start: Cycles, end: Cycles) {
         if end <= start {
             return;
         }
@@ -563,7 +557,7 @@ impl ObsRecorder {
 
     /// Records one message flight.
     #[allow(clippy::too_many_arguments)]
-    pub fn flight(
+    fn flight(
         &mut self,
         src: usize,
         dst: usize,
@@ -589,20 +583,20 @@ impl ObsRecorder {
     /// Notes that `node` issued a prefetch of `page` at time `t`; the
     /// anchoring span is captured now so the eventual issue→first-use edge
     /// references the activity that issued it.
-    pub fn prefetch_issued(&mut self, node: usize, page: u64, t: Cycles) {
+    fn prefetch_issued(&mut self, node: usize, page: u64, t: Cycles) {
         let sid = self.last_span(node);
         self.prefetch_issue.insert((node, page), (t, sid));
     }
 
     /// Notes that a prefetch of `page` completed at `node` at time `t`.
-    pub fn prefetch_done(&mut self, node: usize, page: u64, t: Cycles) {
+    fn prefetch_done(&mut self, node: usize, page: u64, t: Cycles) {
         self.prefetch_done.insert((node, page), t);
     }
 
     /// Notes that an access at `node` consumed a completed prefetch of
     /// `page` at time `t`; records the completion-to-use distance and the
     /// issue→first-use dependency edge.
-    pub fn prefetch_used(&mut self, node: usize, page: u64, t: Cycles) {
+    fn prefetch_used(&mut self, node: usize, page: u64, t: Cycles) {
         if let Some(done) = self.prefetch_done.remove(&(node, page)) {
             // overflow: use time can precede completion under reordered event
             // delivery; clamp the distance to zero rather than panic.
@@ -613,8 +607,47 @@ impl ObsRecorder {
         }
     }
 
+    /// Records what one reported fact at cycle `t` on `node` contributes:
+    /// message flights, controller occupancy, prefetch issue/completion/use
+    /// bookkeeping and barrier epochs.
+    pub fn note(&mut self, t: Cycles, node: usize, ev: &ProtocolEvent<'_>) {
+        use ProtocolEvent as E;
+        match *ev {
+            E::MsgSent {
+                src,
+                dst,
+                kind,
+                demand,
+                bytes,
+                wire: Some(w),
+            }
+            | E::FrameSent {
+                src,
+                dst,
+                kind,
+                demand,
+                bytes,
+                wire: w,
+                ..
+            } => self.flight(src, dst, kind, bytes, !demand, t, w.start, w.arrival),
+            E::ControllerCommand {
+                engine, cmd, end, ..
+            } => self.engine(node, engine, cmd, t, end),
+            E::PrefetchIssued { page, .. } => self.prefetch_issued(node, page, t),
+            E::PrefetchCompleted { page, joined, .. } => {
+                self.prefetch_done(node, page, t);
+                if joined {
+                    self.prefetch_used(node, page, t);
+                }
+            }
+            E::PrefetchUsed { page, .. } => self.prefetch_used(node, page, t),
+            E::BarrierWaitEnded { .. } => self.epoch_advance(node),
+            _ => {}
+        }
+    }
+
     /// Advances `node`'s barrier epoch.
-    pub fn epoch_advance(&mut self, node: usize) {
+    fn epoch_advance(&mut self, node: usize) {
         if let Some(e) = self.cur_epoch.get_mut(node) {
             *e += 1;
         }

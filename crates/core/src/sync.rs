@@ -14,9 +14,11 @@ use ncp2_sim::{Category, Cycles};
 
 use crate::interval::{AnnList, IntervalAnnouncement};
 use crate::msg::Msg;
+use crate::observe::ProtocolEvent;
 use crate::protocol::Protocol;
 use crate::span::SpanKind;
 use crate::system::{BarrierState, Simulation, Wait};
+use crate::timeseries::TsGauge;
 use crate::vtime::VectorTime;
 
 impl Simulation {
@@ -41,8 +43,9 @@ impl Simulation {
     }
 
     pub(crate) fn op_unlock(&mut self, pid: usize, lock: LockId) {
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::LockReleased { pid, lock });
+        let now = self.nodes[pid].time;
+        self.sinks
+            .note(now, pid, ProtocolEvent::LockReleased { pid, lock });
         if matches!(self.protocol, Protocol::Aurc { .. }) {
             self.aurc_flush_wcache(pid, Category::Synch);
         }
@@ -65,8 +68,9 @@ impl Simulation {
             self.aurc_flush_wcache(pid, Category::Synch);
         }
         self.close_interval(pid);
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::BarrierArrived { pid, barrier });
+        let now = self.nodes[pid].time;
+        self.sinks
+            .note(now, pid, ProtocolEvent::BarrierArrived { pid, barrier });
         let anns = self.nodes[pid]
             .store
             .missing_for(&self.nodes[pid].last_barrier_vt.clone());
@@ -112,13 +116,17 @@ impl Simulation {
                 }
             }
         }
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::IntervalClosed {
+        let now = self.nodes[pid].time;
+        self.sinks.note(
+            now,
             pid,
-            id,
-            vt: self.nodes[pid].vt.clone(),
-            pages: pages.clone(),
-        });
+            ProtocolEvent::IntervalClosed {
+                pid,
+                id,
+                vt: &self.nodes[pid].vt,
+                pages: &pages,
+            },
+        );
         let ann = IntervalAnnouncement {
             owner: pid,
             id,
@@ -167,7 +175,15 @@ impl Simulation {
             self.lock_last.insert(lock, acquirer);
             // The grant token leaves `last` for a different node: an owner
             // migration, the expensive case the hot-spot table counts.
-            self.ts_lock(lock as u64, 0, 0, 1);
+            self.sinks.note(
+                c,
+                manager,
+                ProtocolEvent::LockMigrated {
+                    lock,
+                    from: last,
+                    to: acquirer,
+                },
+            );
             let msg = Msg::LockForward { lock, acquirer, vt };
             let mut tc = c;
             self.send_msg(&mut tc, manager, last, msg, Category::Ipc, true);
@@ -202,7 +218,7 @@ impl Simulation {
                 q.push_back((acquirer, vt));
                 q.len() as u64
             };
-            self.ts_gauge(crate::timeseries::TsGauge::LockWaiters, c, depth);
+            self.sinks.gauge(TsGauge::LockWaiters, c, depth);
         }
     }
 
@@ -254,32 +270,28 @@ impl Simulation {
             matches!(self.nodes[acquirer].wait, Wait::Lock { lock: l } if l == lock),
             "grant for a lock {lock} processor {acquirer} is not waiting on"
         );
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::LockAcquired {
-            pid: acquirer,
-            lock,
-        });
         let mut end = self.process_anns(acquirer, &anns, t);
         end = self.issue_prefetches(acquirer, end);
         self.nodes[acquirer].held_locks.insert(lock);
         self.nodes[acquirer].owned_locks.insert(lock);
-        self.nodes[acquirer].stats.lock_acquires += 1;
-        self.ts_count(crate::timeseries::TsCounter::LockAcquires, t, 1);
-        self.ts_lock(lock as u64, 0, 1, 0);
         let wake = end.max(update_horizon);
-        self.record(
+        self.sinks.note(
             wake,
             acquirer,
-            crate::trace::TraceKind::LockAcquired { lock },
+            ProtocolEvent::LockAcquired {
+                pid: acquirer,
+                lock,
+                granted: t,
+            },
         );
-        self.obs_edge(
+        self.sinks.obs_edge(
             crate::span::EdgeKind::LockGrant,
             acquirer,
             t,
             acquirer,
             wake,
             0,
-            self.obs_last_span(acquirer),
+            self.sinks.obs_last_span(acquirer),
         );
         self.schedule_wake(acquirer, wake);
     }
@@ -319,11 +331,7 @@ impl Simulation {
         bs.horizons[from] = horizons;
         bs.arrived += 1;
         let arrived = bs.arrived;
-        self.ts_gauge(
-            crate::timeseries::TsGauge::BarrierWaiters,
-            c,
-            arrived as u64,
-        );
+        self.sinks.gauge(TsGauge::BarrierWaiters, c, arrived as u64);
         if arrived < n {
             return;
         }
@@ -359,6 +367,7 @@ impl Simulation {
         &mut self,
         pid: usize,
         t: Cycles,
+        barrier: BarrierId,
         vt: VectorTime,
         anns: std::sync::Arc<AnnList>,
         update_horizon: Cycles,
@@ -379,18 +388,24 @@ impl Simulation {
         nd.store.gc_covered(&vt);
         nd.last_barrier_vt = vt;
         end = self.issue_prefetches(pid, end);
-        self.nodes[pid].stats.barriers += 1;
-        self.ts_count(crate::timeseries::TsCounter::Barriers, t, 1);
         let wake = end.max(update_horizon);
-        self.record(wake, pid, crate::trace::TraceKind::BarrierReleased);
-        self.obs_edge(
+        self.sinks.note(
+            wake,
+            pid,
+            ProtocolEvent::BarrierCompleted {
+                pid,
+                barrier,
+                released: t,
+            },
+        );
+        self.sinks.obs_edge(
             crate::span::EdgeKind::BarrierRelease,
             pid,
             t,
             pid,
             wake,
             0,
-            self.obs_last_span(pid),
+            self.sinks.obs_last_span(pid),
         );
         self.schedule_wake(pid, wake);
     }

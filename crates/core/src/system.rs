@@ -22,11 +22,13 @@ use crate::controller::Controller;
 use crate::diff::DiffList;
 use crate::interval::IntervalStore;
 use crate::msg::Msg;
+use crate::observe::{ProtocolEvent, Sinks};
 use crate::page::{page_of, PageBuf, PageId, PageState};
 use crate::protocol::Protocol;
-use crate::span::{CtrlCmd, EdgeKind, Engine, SpanId, SpanKind};
+use crate::span::{CtrlCmd, EdgeKind, Engine, SpanKind};
 use crate::stats::{NodeStats, RunResult};
 use crate::table::{DiffTable, FlatMap, IdSet};
+use crate::timeseries::TsGauge;
 use crate::vtime::{IntervalId, VectorTime};
 
 /// Back-end events.
@@ -53,7 +55,7 @@ pub(crate) enum Ev {
         /// Injection time at the sender (for the delivery dependency edge).
         sent_at: Cycles,
         /// Sender span anchoring the delivery edge.
-        anchor: SpanId,
+        anchor: crate::span::SpanId,
     },
     /// A cumulative acknowledgement for link `src → dst` arrives back at
     /// `src`: every frame with sequence number below `cum` is delivered.
@@ -379,26 +381,17 @@ pub struct Simulation {
     pub(crate) aurc_modes: FlatMap<AurcMode>,
     pub(crate) done: usize,
     pub(crate) seq: bool,
-    pub(crate) trace: Vec<crate::trace::TraceEvent>,
     /// Open-loop service counters, lazily created by the first
     /// [`ProcOp::Svc`] lifecycle marker (stays `None` for the closed-loop
     /// kernels, so their results are bit-for-bit unchanged).
     pub(crate) svc: Option<crate::stats::SvcStats>,
-    /// Shadow checker receiving protocol events (`verify` feature only).
-    #[cfg(feature = "verify")]
-    pub(crate) observer: Option<Box<dyn crate::observe::Observer>>,
+    /// Every consumer of the reported protocol facts: oracle, trace,
+    /// aggregates, span recorder and time series.
+    pub(crate) sinks: Sinks,
     /// Mutation hook for oracle self-tests: when armed, exactly one foreign
     /// write notice is silently discarded during announcement processing.
     #[cfg(feature = "verify")]
     pub(crate) drop_notice_armed: bool,
-    /// Span/flight/engine recorder (`obs` feature only, armed via
-    /// [`Simulation::enable_obs`]).
-    #[cfg(feature = "obs")]
-    pub(crate) obs: Option<crate::span::ObsRecorder>,
-    /// Windowed time-series recorder (`obs` feature only, armed via
-    /// [`Simulation::enable_timeseries`]).
-    #[cfg(feature = "obs")]
-    pub(crate) ts: Option<crate::timeseries::TsRecorder>,
     /// Hardened-transport state (`fault` feature only, engaged via
     /// [`Simulation::attach_fault_plan`] with an active plan; `None` means
     /// every message takes the legacy exactly-once path).
@@ -432,16 +425,10 @@ impl Simulation {
             aurc_modes: FlatMap::new(),
             done: 0,
             seq: n == 1,
-            trace: Vec::new(),
             svc: None,
-            #[cfg(feature = "verify")]
-            observer: None,
+            sinks: Sinks::new(n, params.trace),
             #[cfg(feature = "verify")]
             drop_notice_armed: false,
-            #[cfg(feature = "obs")]
-            obs: None,
-            #[cfg(feature = "obs")]
-            ts: None,
             #[cfg(feature = "fault")]
             fault: None,
             #[cfg(all(feature = "fault", feature = "verify"))]
@@ -454,13 +441,9 @@ impl Simulation {
     /// Attaches a shadow observer that receives every protocol event; its
     /// findings land in [`RunResult::violations`]. Only effective when
     /// `ncp2-core` is built with the `verify` feature — without it the
-    /// observer is dropped and the simulation carries no hooks at all.
-    #[allow(unused_variables)]
+    /// observer is dropped.
     pub fn attach_observer(&mut self, observer: Box<dyn crate::observe::Observer>) {
-        #[cfg(feature = "verify")]
-        {
-            self.observer = Some(observer);
-        }
+        self.sinks.attach_observer(observer);
     }
 
     /// Arms the oracle-test mutation: the next foreign write notice processed
@@ -475,349 +458,20 @@ impl Simulation {
     /// timeline lands in [`RunResult::obs`] and its conservation invariant
     /// (per-node, per-category span time equals the node's `Breakdown`) is
     /// checked at [`RunResult::violations`]. Only effective when `ncp2-core`
-    /// is built with the `obs` feature — without it this is a no-op and every
-    /// recording site compiles away, exactly like the `verify` hooks.
+    /// is built with the `obs` feature — without it this is a no-op.
     pub fn enable_obs(&mut self) {
-        #[cfg(feature = "obs")]
-        {
-            self.obs = Some(crate::span::ObsRecorder::new(self.params.nprocs));
-        }
+        self.sinks.enable_obs(self.params.nprocs);
     }
 
     /// Arms windowed time-series recording over simulated time; the finished
     /// series lands in [`RunResult::ts`]. The window width comes from
     /// [`SysParams::ts_window`] (`0` auto-picks, doubling as the run grows).
     /// Only effective when `ncp2-core` is built with the `obs` feature —
-    /// without it this is a no-op and every recording site compiles away,
-    /// exactly like the `verify` hooks.
+    /// without it this is a no-op.
     pub fn enable_timeseries(&mut self) {
-        #[cfg(feature = "obs")]
-        {
-            self.ts = Some(crate::timeseries::TsRecorder::new(
-                self.params.nprocs,
-                self.params.ts_window,
-            ));
-        }
+        self.sinks
+            .enable_timeseries(self.params.nprocs, self.params.ts_window);
     }
-
-    // ----- obs recording (compiled away without the `obs` feature) --------
-
-    /// Records one conserved processor span.
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_span(
-        &mut self,
-        node: usize,
-        kind: SpanKind,
-        cat: Category,
-        start: Cycles,
-        dur: Cycles,
-    ) {
-        if let Some(r) = self.obs.as_mut() {
-            r.span(node, kind, cat, start, dur);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_span(
-        &mut self,
-        _node: usize,
-        _kind: SpanKind,
-        _cat: Category,
-        _start: Cycles,
-        _dur: Cycles,
-    ) {
-    }
-
-    /// Records one controller-engine occupancy interval.
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_engine(
-        &mut self,
-        node: usize,
-        engine: Engine,
-        cmd: CtrlCmd,
-        start: Cycles,
-        end: Cycles,
-    ) {
-        if let Some(r) = self.obs.as_mut() {
-            r.engine(node, engine, cmd, start, end);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_engine(
-        &mut self,
-        _node: usize,
-        _engine: Engine,
-        _cmd: CtrlCmd,
-        _start: Cycles,
-        _end: Cycles,
-    ) {
-    }
-
-    /// Records one message flight.
-    #[cfg(feature = "obs")]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn obs_flight(
-        &mut self,
-        src: usize,
-        dst: usize,
-        kind: crate::observe::MsgKind,
-        bytes: u64,
-        prefetch: bool,
-        inject: Cycles,
-        start: Cycles,
-        arrival: Cycles,
-    ) {
-        if let Some(r) = self.obs.as_mut() {
-            r.flight(src, dst, kind, bytes, prefetch, inject, start, arrival);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn obs_flight(
-        &mut self,
-        _src: usize,
-        _dst: usize,
-        _kind: crate::observe::MsgKind,
-        _bytes: u64,
-        _prefetch: bool,
-        _inject: Cycles,
-        _start: Cycles,
-        _arrival: Cycles,
-    ) {
-    }
-
-    /// Notes a completed prefetch (for prefetch-to-use distances).
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_prefetch_done(&mut self, node: usize, page: PageId, t: Cycles) {
-        if let Some(r) = self.obs.as_mut() {
-            r.prefetch_done(node, page, t);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_prefetch_done(&mut self, _node: usize, _page: PageId, _t: Cycles) {}
-
-    /// Notes an access consuming a completed prefetch.
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_prefetch_used(&mut self, node: usize, page: PageId, t: Cycles) {
-        if let Some(r) = self.obs.as_mut() {
-            r.prefetch_used(node, page, t);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_prefetch_used(&mut self, _node: usize, _page: PageId, _t: Cycles) {}
-
-    /// Advances a node's barrier epoch.
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_epoch(&mut self, node: usize) {
-        if let Some(r) = self.obs.as_mut() {
-            r.epoch_advance(node);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_epoch(&mut self, _node: usize) {}
-
-    /// Records one span charged off the node's own timeline (see
-    /// [`crate::span::Span::detached`]).
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_span_detached(
-        &mut self,
-        node: usize,
-        kind: SpanKind,
-        cat: Category,
-        start: Cycles,
-        dur: Cycles,
-    ) {
-        if let Some(r) = self.obs.as_mut() {
-            r.span_detached(node, kind, cat, start, dur);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_span_detached(
-        &mut self,
-        _node: usize,
-        _kind: SpanKind,
-        _cat: Category,
-        _start: Cycles,
-        _dur: Cycles,
-    ) {
-    }
-
-    /// The most recent span recorded on `node` — the anchor every dependency
-    /// edge must reference (enforced by the `xtask lint` edge-site rule and
-    /// by [`crate::span::ObsRecorder::edge`] dropping unanchored edges).
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_last_span(&self, node: usize) -> SpanId {
-        self.obs
-            .as_ref()
-            .map(|r| r.last_span(node))
-            .unwrap_or(SpanId::NONE)
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_last_span(&self, _node: usize) -> SpanId {
-        SpanId::NONE
-    }
-
-    /// Records one typed dependency edge.
-    #[cfg(feature = "obs")]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn obs_edge(
-        &mut self,
-        kind: EdgeKind,
-        src_node: usize,
-        src_time: Cycles,
-        dst_node: usize,
-        dst_time: Cycles,
-        work: Cycles,
-        src_span: SpanId,
-    ) {
-        if let Some(r) = self.obs.as_mut() {
-            r.edge(kind, src_node, src_time, dst_node, dst_time, work, src_span);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn obs_edge(
-        &mut self,
-        _kind: EdgeKind,
-        _src_node: usize,
-        _src_time: Cycles,
-        _dst_node: usize,
-        _dst_time: Cycles,
-        _work: Cycles,
-        _src_span: SpanId,
-    ) {
-    }
-
-    /// Notes an issued prefetch (anchors the eventual issue→first-use edge).
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_prefetch_issued(&mut self, node: usize, page: PageId, t: Cycles) {
-        if let Some(r) = self.obs.as_mut() {
-            r.prefetch_issued(node, page, t);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_prefetch_issued(&mut self, _node: usize, _page: PageId, _t: Cycles) {}
-
-    // ----- time-series recording (compiled away without `obs`) ------------
-
-    /// Charges `n` events of counter `c` into the window holding cycle `t`.
-    #[cfg(feature = "obs")]
-    pub(crate) fn ts_count(&mut self, c: crate::timeseries::TsCounter, t: Cycles, n: u64) {
-        if let Some(r) = self.ts.as_mut() {
-            r.count(c, t, n);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn ts_count(&mut self, _c: crate::timeseries::TsCounter, _t: Cycles, _n: u64) {}
-
-    /// Samples gauge `g` at value `v`; the window keeps the peak.
-    #[cfg(feature = "obs")]
-    pub(crate) fn ts_gauge(&mut self, g: crate::timeseries::TsGauge, t: Cycles, v: u64) {
-        if let Some(r) = self.ts.as_mut() {
-            r.gauge(g, t, v);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn ts_gauge(&mut self, _g: crate::timeseries::TsGauge, _t: Cycles, _v: u64) {}
-
-    /// Notes a retransmission on link `src -> dst` (global counter plus the
-    /// per-link series). Only the hardened transport retransmits, so the
-    /// hook has no callers without the `fault` feature.
-    #[cfg(feature = "obs")]
-    #[cfg_attr(not(feature = "fault"), allow(dead_code))]
-    pub(crate) fn ts_retransmit(&mut self, src: usize, dst: usize, t: Cycles) {
-        if let Some(r) = self.ts.as_mut() {
-            r.retransmit(src, dst, t);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    #[cfg_attr(not(feature = "fault"), allow(dead_code))]
-    pub(crate) fn ts_retransmit(&mut self, _src: usize, _dst: usize, _t: Cycles) {}
-
-    /// Notes a transport frame entering (`up`) or leaving flight on link
-    /// `src -> dst`. Flight is a hardened-transport notion, so the hook has
-    /// no callers without the `fault` feature.
-    #[cfg(feature = "obs")]
-    #[cfg_attr(not(feature = "fault"), allow(dead_code))]
-    pub(crate) fn ts_flight(&mut self, src: usize, dst: usize, t: Cycles, up: bool) {
-        if let Some(r) = self.ts.as_mut() {
-            r.flight(src, dst, t, up);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    #[cfg_attr(not(feature = "fault"), allow(dead_code))]
-    pub(crate) fn ts_flight(&mut self, _src: usize, _dst: usize, _t: Cycles, _up: bool) {}
-
-    /// Charges controller busy cycles `[start, end)` to `node`'s occupancy
-    /// series, clipped across window boundaries.
-    #[cfg(feature = "obs")]
-    pub(crate) fn ts_ctrl_span(&mut self, node: usize, start: Cycles, end: Cycles) {
-        if let Some(r) = self.ts.as_mut() {
-            r.span(node, start, end);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn ts_ctrl_span(&mut self, _node: usize, _start: Cycles, _end: Cycles) {}
-
-    /// Accumulates page hot-spot attribution.
-    #[cfg(feature = "obs")]
-    pub(crate) fn ts_page(&mut self, page: PageId, transfers: u64, diff_bytes: u64, invals: u64) {
-        if let Some(r) = self.ts.as_mut() {
-            r.page(page, transfers, diff_bytes, invals);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn ts_page(
-        &mut self,
-        _page: PageId,
-        _transfers: u64,
-        _diff_bytes: u64,
-        _invals: u64,
-    ) {
-    }
-
-    /// Accumulates lock hot-spot attribution.
-    #[cfg(feature = "obs")]
-    pub(crate) fn ts_lock(&mut self, lock: u64, wait: Cycles, acquires: u64, migrations: u64) {
-        if let Some(r) = self.ts.as_mut() {
-            r.lock(lock, wait, acquires, migrations);
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn ts_lock(&mut self, _lock: u64, _wait: Cycles, _acquires: u64, _migrations: u64) {}
 
     /// Degradation-policy stub: without the `fault` feature (or without an
     /// attached plan — see `transport.rs`) no prefetch is ever shed.
@@ -825,14 +479,6 @@ impl Simulation {
     #[inline(always)]
     pub(crate) fn shed_prefetch(&mut self, _pid: usize, _page: PageId, _now: Cycles) -> bool {
         false
-    }
-
-    /// Forwards one event to the attached observer, if any.
-    #[cfg(feature = "verify")]
-    pub(crate) fn emit(&mut self, ev: crate::observe::ProtocolEvent) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.on_event(&ev);
-        }
     }
 
     /// Runs `body` on every simulated processor to completion and returns
@@ -869,7 +515,7 @@ impl Simulation {
                     // invariant: peek returned Some just above
                     let ev = self.queue.pop().expect("peeked event");
                     let depth = self.queue.len() as u64;
-                    self.ts_gauge(crate::timeseries::TsGauge::QueueDepth, ev.time, depth);
+                    self.sinks.gauge(TsGauge::QueueDepth, ev.time, depth);
                     self.handle_event(ev.time, ev.payload, &harness);
                 }
                 (Some((pid, _)), None) => self.step_proc(pid, &harness),
@@ -901,46 +547,26 @@ impl Simulation {
         for nd in &mut self.nodes {
             nd.stats.controller_busy = nd.ctrl.busy();
         }
-        #[cfg(feature = "verify")]
-        let mut violations = self
-            .observer
-            .take()
-            .map(|mut obs| obs.finish())
-            .unwrap_or_default();
-        #[cfg(not(feature = "verify"))]
-        let mut violations: Vec<crate::observe::Violation> = Vec::new();
-        let nodes: Vec<NodeStats> = self.nodes.iter().map(|nd| nd.stats).collect();
-        #[cfg(feature = "obs")]
-        let obs = self.obs.take().map(|r| r.into_log());
-        #[cfg(not(feature = "obs"))]
-        let obs: Option<crate::span::ObsLog> = None;
-        #[cfg(feature = "obs")]
-        let ts = self.ts.take().map(|r| r.into_log(total));
-        #[cfg(not(feature = "obs"))]
-        let ts: Option<crate::timeseries::TsLog> = None;
-        if let Some(log) = &obs {
-            for (node, detail) in log.conservation_errors(&nodes) {
-                violations.push(crate::observe::Violation::SpanConservation { node, detail });
-            }
-        }
         #[cfg(feature = "fault")]
         let fault = self.fault.as_ref().map(|c| c.stats).unwrap_or_default();
         #[cfg(not(feature = "fault"))]
         let fault = crate::stats::FaultStats::default();
-        RunResult {
-            violations,
+        let mut run = RunResult {
+            violations: Vec::new(),
             protocol: self.protocol.label().to_string(),
             nprocs: self.params.nprocs,
             total_cycles: total,
-            nodes,
+            nodes: self.nodes.iter().map(|nd| nd.stats).collect(),
             net: self.net.stats(),
             checksum: 0,
-            trace: std::mem::take(&mut self.trace),
-            obs,
+            trace: Vec::new(),
+            obs: None,
             fault,
-            ts,
+            ts: None,
             svc: self.svc.take(),
-        }
+        };
+        self.sinks.finish(&mut run);
+        run
     }
 
     // ----- processor stepping -------------------------------------------
@@ -1012,8 +638,8 @@ impl Simulation {
                 let svc = self.svc.get_or_insert_with(Default::default);
                 svc.dequeues += 1;
                 svc.queue_peak = svc.queue_peak.max(depth);
-                self.record(now, pid, crate::trace::TraceKind::SvcDequeue { depth });
-                self.ts_gauge(crate::timeseries::TsGauge::SvcQueueDepth, now, depth);
+                self.sinks
+                    .note(now, pid, ProtocolEvent::SvcDequeue { pid, depth });
                 ProcReply::Ack
             }
             ncp2_sim::SvcOp::Reply { class, response } => {
@@ -1024,10 +650,14 @@ impl Simulation {
                     ncp2_sim::SvcClass::Session => svc.sessions += 1,
                 }
                 svc.response.observe(response);
-                self.record(
+                self.sinks.note(
                     now,
                     pid,
-                    crate::trace::TraceKind::SvcReply { class, response },
+                    ProtocolEvent::SvcReply {
+                        pid,
+                        class,
+                        response,
+                    },
                 );
                 ProcReply::Ack
             }
@@ -1075,7 +705,7 @@ impl Simulation {
         let start = nd.time;
         nd.time += c;
         nd.stats.breakdown.add(cat, c);
-        self.obs_span(pid, kind, cat, start, c);
+        self.sinks.span(pid, kind, cat, start, c);
     }
 
     /// Runs the hardware timing of one data reference and charges the
@@ -1096,8 +726,9 @@ impl Simulation {
         nd.time = out.done;
         nd.stats.breakdown.add(Category::Busy, hit_cycles);
         nd.stats.breakdown.add(Category::Other, other);
-        self.obs_span(pid, SpanKind::MemHit, Category::Busy, now, hit_cycles);
-        self.obs_span(
+        self.sinks
+            .span(pid, SpanKind::MemHit, Category::Busy, now, hit_cycles);
+        self.sinks.span(
             pid,
             SpanKind::MemStall,
             Category::Other,
@@ -1127,7 +758,7 @@ impl Simulation {
                 let start = nd.time;
                 nd.time += dur;
                 nd.stats.breakdown.add(cat, dur);
-                self.obs_span(pid, kind, cat, start, dur);
+                self.sinks.span(pid, kind, cat, start, dur);
             }
             ProcStatus::Blocked => {
                 // Overlapped with the wait; the span (reclassified to IPC)
@@ -1139,76 +770,57 @@ impl Simulation {
                 // Charged at the requester's event time: the node's own
                 // timeline already ended, so the span would puncture the
                 // per-node tiling the dependency graph is built on.
-                self.obs_span_detached(pid, kind, cat, now, dur);
+                self.sinks.span_detached(pid, kind, cat, now, dur);
             }
         }
         now + dur
     }
 
-    /// Records a protocol trace event when tracing is enabled.
-    pub(crate) fn record(&mut self, time: Cycles, node: usize, kind: crate::trace::TraceKind) {
-        if self.params.trace {
-            self.trace
-                .push(crate::trace::TraceEvent { time, node, kind });
-        }
-    }
-
     /// Schedules delivery of `msg` leaving `src` at `t`.
     pub(crate) fn dispatch(&mut self, t: Cycles, src: usize, dst: usize, msg: Msg) {
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::MsgSent {
-            src,
-            dst,
-            kind: msg.kind(),
-            demand: !msg.is_prefetch(),
-        });
+        let (kind, demand) = (msg.kind(), !msg.is_prefetch());
         let bytes = msg.bytes(self.params.page_bytes, self.params.page_words());
-        self.record(
-            t,
-            src,
-            crate::trace::TraceKind::MsgSent {
-                dst,
-                bytes,
-                prefetch: msg.is_prefetch(),
-            },
-        );
         // With an active fault plan the hardened transport carries every
         // inter-node message (sequence numbers, acks, retransmission);
         // loopback sends stay on the legacy path — no wire, no faults.
         #[cfg(feature = "fault")]
-        if self.fault.is_some() && src != dst {
+        let transported = self.fault.is_some() && src != dst;
+        #[cfg(not(feature = "fault"))]
+        let transported = false;
+        let params = self.params.clone();
+        let wire = (!transported).then(|| self.net.transfer_timed(t, src, dst, bytes, &params));
+        self.sinks.note(
+            t,
+            src,
+            ProtocolEvent::MsgSent {
+                src,
+                dst,
+                kind,
+                demand,
+                bytes,
+                wire,
+            },
+        );
+        let Some(wire) = wire else {
+            #[cfg(feature = "fault")]
             self.transport_send(t, src, dst, msg);
             return;
-        }
-        let prio = if msg.is_prefetch() {
-            Priority::Low
-        } else {
-            Priority::Normal
         };
-        let params = self.params.clone();
-        let tr = self.net.transfer_timed(t, src, dst, bytes, &params);
-        self.ts_count(crate::timeseries::TsCounter::Messages, t, 1);
-        self.ts_count(crate::timeseries::TsCounter::MessageBytes, t, bytes);
-        self.obs_flight(
-            src,
-            dst,
-            msg.kind(),
-            bytes,
-            msg.is_prefetch(),
-            t,
-            tr.start,
-            tr.arrival,
-        );
-        self.obs_edge(
-            EdgeKind::Msg(msg.kind()),
+        self.sinks.obs_edge(
+            EdgeKind::Msg(kind),
             src,
             t,
             dst,
-            tr.arrival,
+            wire.arrival,
             0,
-            self.obs_last_span(src),
+            self.sinks.obs_last_span(src),
         );
-        self.queue.push(tr.arrival, prio, Ev::Msg { dst, msg });
+        let prio = if demand {
+            Priority::Normal
+        } else {
+            Priority::Low
+        };
+        self.queue.push(wire.arrival, prio, Ev::Msg { dst, msg });
     }
 
     /// Sends a message with the setup performed by the **protocol
@@ -1220,8 +832,8 @@ impl Simulation {
         self.dispatch(end, src, dst, msg);
     }
 
-    /// Notes a controller command: one `ControllerCommand` trace event plus
-    /// an engine-occupancy interval for the obs timeline.
+    /// Reports a controller command run over `[start, end)` plus its
+    /// dependency edge.
     pub(crate) fn note_ctrl(
         &mut self,
         node: usize,
@@ -1230,21 +842,24 @@ impl Simulation {
         start: Cycles,
         end: Cycles,
     ) {
-        self.record(
+        self.sinks.note(
             start,
             node,
-            crate::trace::TraceKind::ControllerCommand { cmd },
+            ProtocolEvent::ControllerCommand {
+                node,
+                engine,
+                cmd,
+                end,
+            },
         );
-        self.obs_engine(node, engine, cmd, start, end);
-        self.ts_ctrl_span(node, start, end);
-        self.obs_edge(
+        self.sinks.obs_edge(
             EdgeKind::Ctrl(cmd),
             node,
             start,
             node,
             end,
             0,
-            self.obs_last_span(node),
+            self.sinks.obs_last_span(node),
         );
     }
 
@@ -1301,10 +916,10 @@ impl Simulation {
             Wait::Lock { .. } => SpanKind::LockStall,
             Wait::Barrier => SpanKind::BarrierStall,
         };
-        let was_barrier = matches!(self.nodes[pid].wait, Wait::Barrier);
-        let lock_wait = match self.nodes[pid].wait {
-            Wait::Lock { lock } => Some(lock),
-            _ => None,
+        let (lock_wait, barrier_wait) = match self.nodes[pid].wait {
+            Wait::Lock { lock } => (Some(lock), false),
+            Wait::Barrier => (None, true),
+            _ => (None, false),
         };
         let (wait_start, stall, reclass);
         {
@@ -1323,23 +938,23 @@ impl Simulation {
             nd.status = ProcStatus::Runnable;
             nd.wait = Wait::None;
         }
-        self.obs_span(pid, stall_kind, cat, wait_start, stall);
-        self.obs_span(
+        self.sinks.span(pid, stall_kind, cat, wait_start, stall);
+        self.sinks.span(
             pid,
             SpanKind::Service,
             Category::Ipc,
             wait_start + stall,
             reclass,
         );
-        if was_barrier {
+        if let Some(lock) = lock_wait {
+            // The full stall is attributed to the lock whose grant ended it.
+            self.sinks
+                .note(t, pid, ProtocolEvent::LockWaitEnded { pid, lock, stall });
+        } else if barrier_wait {
             // The barrier wait belongs to the epoch it closes; the next
             // epoch begins with the processor's release.
-            self.obs_epoch(pid);
-        }
-        if let Some(lock) = lock_wait {
-            // The full stall is attributed to the window where the grant
-            // arrived — the moment the contention resolved.
-            self.ts_lock(lock as u64, stall, 0, 0);
+            self.sinks
+                .note(t, pid, ProtocolEvent::BarrierWaitEnded { pid });
         }
         // invariant: a processor only blocks with its faulting op recorded
         let op = self.nodes[pid].pending_op.expect("wake without pending op");
@@ -1361,12 +976,15 @@ impl Simulation {
     }
 
     pub(crate) fn handle_msg(&mut self, dst: usize, t: Cycles, msg: Msg) {
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::MsgDelivered {
+        self.sinks.note(
+            t,
             dst,
-            kind: msg.kind(),
-            demand: !msg.is_prefetch(),
-        });
+            ProtocolEvent::MsgDelivered {
+                dst,
+                kind: msg.kind(),
+                demand: !msg.is_prefetch(),
+            },
+        );
         match msg {
             Msg::LockReq { lock, acquirer, vt } => self.on_lock_req(dst, t, lock, acquirer, vt),
             Msg::LockForward { lock, acquirer, vt } => {
@@ -1389,12 +1007,7 @@ impl Simulation {
                 vt,
                 anns,
                 update_horizon,
-            } => {
-                let _ = barrier; // consumed by the verify hook below
-                #[cfg(feature = "verify")]
-                self.emit(crate::observe::ProtocolEvent::BarrierCompleted { pid: dst, barrier });
-                self.on_barrier_release(dst, t, vt, anns, update_horizon)
-            }
+            } => self.on_barrier_release(dst, t, barrier, vt, anns, update_horizon),
             Msg::DiffReq {
                 page,
                 intervals,
@@ -1478,10 +1091,21 @@ impl Simulation {
 
     /// Lazily materializes node `pid`'s copy of `page`.
     pub(crate) fn tm_page(&mut self, pid: usize, page: PageId) -> &mut TmPage {
+        self.tm_page_and_sinks(pid, page).0
+    }
+
+    /// [`Self::tm_page`] alongside the sinks, so a fact can borrow the page
+    /// while it is reported.
+    pub(crate) fn tm_page_and_sinks(
+        &mut self,
+        pid: usize,
+        page: PageId,
+    ) -> (&mut TmPage, &mut Sinks) {
         let (pb, pw) = (self.params.page_bytes, self.params.page_words());
-        self.nodes[pid]
+        let tp = self.nodes[pid]
             .pages
-            .get_or_insert_with(page, || TmPage::new(pb, pw))
+            .get_or_insert_with(page, || TmPage::new(pb, pw));
+        (tp, &mut self.sinks)
     }
 
     /// Lazily materializes the AURC master copy of `page`.

@@ -21,11 +21,13 @@
 //!   totals and per-lock wait-cycle/acquire/owner-migration totals.
 //!
 //! Sampling is **charge-driven, not clock-driven**: the recorder never
-//! schedules events of its own, it is only poked from the same call sites
-//! that bump the end-of-run aggregates. That makes it inert by construction
-//! (no simulated timing changes) and gives the conservation law the test
-//! suite holds it to: for every counter, the sum of window deltas equals the
-//! final aggregate exactly, at any window width.
+//! schedules events of its own; it is one sink of the reported protocol
+//! facts ([`ProtocolEvent`]). That makes it inert by construction (no
+//! simulated timing changes) and gives the conservation law the test suite
+//! holds it to: [`ProtocolEvent::counts`] is the one table saying which
+//! counters a fact charges, and both this recorder and the end-of-run
+//! aggregates are fed from it, so for every counter the sum of window deltas
+//! equals the final aggregate exactly, at any window width.
 //!
 //! **Window model.** The width is either fixed ([`SysParams::ts_window`]
 //! &gt; 0) or auto-picked: the recorder starts at [`TS_BASE_WIDTH`] and, when
@@ -36,9 +38,8 @@
 //! the max. Totals are therefore invariant to the width the run ends at.
 //!
 //! The types here are always compiled (so [`RunResult`](crate::RunResult)
-//! can carry an `Option<TsLog>` unconditionally); the recording sites inside
-//! the simulation are gated behind the `obs` feature, mirroring the
-//! [`span`](crate::span) pattern.
+//! can carry an `Option<TsLog>` unconditionally); the recorder itself is
+//! only armed inside the simulation under the `obs` feature.
 //!
 //! [`SysParams::ts_window`]: ncp2_sim::SysParams
 
@@ -46,6 +47,7 @@ use std::collections::BTreeMap;
 
 use ncp2_sim::Cycles;
 
+use crate::observe::ProtocolEvent;
 use crate::page::PageId;
 
 /// Default window width (cycles) the auto mode starts from.
@@ -133,6 +135,52 @@ impl TsCounter {
             TsCounter::FramesSent => "frames_sent",
             TsCounter::Messages => "messages",
             TsCounter::MessageBytes => "message_bytes",
+        }
+    }
+}
+
+impl ProtocolEvent<'_> {
+    /// The windowed counters this fact charges, as `(counter, cycle,
+    /// amount)`: the one table behind both the time series and the
+    /// end-of-run aggregates. Most facts charge at their own cycle `t`;
+    /// lock and barrier completions charge where the grant or release
+    /// arrived.
+    pub(crate) fn counts(&self, t: Cycles, mut charge: impl FnMut(TsCounter, Cycles, u64)) {
+        use ProtocolEvent as E;
+        match *self {
+            E::PageFetched { .. } => charge(TsCounter::PageFetches, t, 1),
+            E::DiffCreated { diff, .. } => {
+                charge(TsCounter::DiffsCreated, t, 1);
+                charge(TsCounter::DiffBytesCreated, t, 4 * diff.word_count());
+            }
+            E::DiffsApplied { diffs, words, .. } => {
+                charge(TsCounter::DiffsApplied, t, diffs.len() as u64);
+                charge(TsCounter::DiffBytesApplied, t, 4 * words);
+            }
+            E::NoticeRecorded {
+                invalidated: true, ..
+            } => charge(TsCounter::Invalidations, t, 1),
+            E::LockAcquired { granted, .. } => charge(TsCounter::LockAcquires, granted, 1),
+            E::BarrierCompleted { released, .. } => charge(TsCounter::Barriers, released, 1),
+            E::PrefetchIssued { .. } => charge(TsCounter::PrefetchIssued, t, 1),
+            E::PrefetchCompleted { .. } => charge(TsCounter::PrefetchFills, t, 1),
+            E::PrefetchShed { .. } => charge(TsCounter::PrefetchShed, t, 1),
+            E::Retransmit { .. } => charge(TsCounter::Retransmits, t, 1),
+            E::FrameSent { bytes, .. } => {
+                charge(TsCounter::FramesSent, t, 1);
+                charge(TsCounter::Messages, t, 1);
+                charge(TsCounter::MessageBytes, t, bytes);
+            }
+            E::MsgSent {
+                bytes,
+                wire: Some(_),
+                ..
+            }
+            | E::AckSent { bytes, .. } => {
+                charge(TsCounter::Messages, t, 1);
+                charge(TsCounter::MessageBytes, t, bytes);
+            }
+            _ => {}
         }
     }
 }
@@ -362,9 +410,48 @@ impl TsRecorder {
         *slot = (*slot).max(v);
     }
 
-    /// A retransmission fired on link `src -> dst` at cycle `t`.
-    pub fn retransmit(&mut self, src: usize, dst: usize, t: Cycles) {
-        self.count(TsCounter::Retransmits, t, 1);
+    /// Charges one reported fact at cycle `t` on `node`.
+    pub fn note(&mut self, t: Cycles, node: usize, ev: &ProtocolEvent<'_>) {
+        use ProtocolEvent as E;
+        ev.counts(t, |c, at, n| self.count(c, at, n));
+        match *ev {
+            E::PageFetched { page, .. }
+            | E::PrefetchCompleted {
+                page,
+                transfer: true,
+                ..
+            } => self.page(page, 1, 0, 0),
+            E::DiffCreated { page, diff, .. } => self.page(page, 0, 4 * diff.word_count(), 0),
+            E::DiffsApplied { page, words, .. } => self.page(page, 0, 4 * words, 0),
+            E::NoticeRecorded {
+                page,
+                invalidated: true,
+                ..
+            } => self.page(page, 0, 0, 1),
+            E::LockAcquired { lock, .. } => self.lock(lock.into(), 0, 1, 0),
+            E::LockMigrated { lock, .. } => self.lock(lock.into(), 0, 0, 1),
+            E::LockWaitEnded { lock, stall, .. } => self.lock(lock.into(), stall, 0, 0),
+            E::ControllerCommand { end, .. } => self.span(node, t, end),
+            E::SvcDequeue { depth, .. } => self.gauge(TsGauge::SvcQueueDepth, t, depth),
+            E::Retransmit { src, dst, .. } => self.link_retransmit(src, dst, t),
+            E::MsgSent {
+                src,
+                dst,
+                wire: None,
+                ..
+            } => self.flight(src, dst, t, true),
+            E::FramesAcked { src, dst, frames } => {
+                for _ in 0..frames {
+                    self.flight(src, dst, t, false);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A retransmission fired on link `src -> dst` at cycle `t` (the
+    /// per-link series; the `Retransmits` counter is charged separately).
+    fn link_retransmit(&mut self, src: usize, dst: usize, t: Cycles) {
         let w = self.window(t);
         let series = self.link_retx.entry((src, dst)).or_default();
         if series.len() <= w {
@@ -590,7 +677,16 @@ mod tests {
         let mut r = TsRecorder::new(2, 100);
         r.flight(0, 1, 5, true);
         r.flight(0, 1, 40, true);
-        r.retransmit(0, 1, 120);
+        r.note(
+            120,
+            0,
+            &ProtocolEvent::Retransmit {
+                src: 0,
+                dst: 1,
+                seq: 0,
+                attempt: 1,
+            },
+        );
         r.flight(0, 1, 130, false);
         let log = r.into_log(1000);
         let infl = &log.link_inflight[&(0, 1)];

@@ -1,17 +1,21 @@
-//! Optional protocol event tracing.
+//! Optional protocol event tracing: the trace sink of the fact stream.
 //!
-//! When [`ncp2_sim::SysParams::trace`] is set, the simulation records one
-//! [`TraceEvent`] per protocol-level action (message injections, faults,
-//! page fetches, diff creation/application, lock grants, barrier releases,
-//! prefetch issues/completions, controller commands). The trace is returned
-//! on [`crate::RunResult::trace`] and renders to CSV for timeline inspection
-//! — the moral equivalent of the protocol traces the paper's back end
-//! produced for debugging. The same event stream feeds the `ncp2-obs`
-//! Perfetto exporter, so CSV and Perfetto views always agree.
+//! When [`ncp2_sim::SysParams::trace`] is set, every reported
+//! [`ProtocolEvent`] that has a row in the protocol timeline becomes a
+//! [`TraceEvent`] ([`ProtocolEvent::trace_rows`] is the whole mapping):
+//! message injections, faults, page fetches, diff creation/application, lock
+//! grants, barrier releases, prefetch issues/completions/sheds, controller
+//! commands, transport retransmissions and duplicates, and service
+//! dequeues/replies. The trace is returned on [`crate::RunResult::trace`]
+//! and renders to CSV for timeline inspection — the moral equivalent of the
+//! protocol traces the paper's back end produced for debugging. The same
+//! rows feed the `ncp2-obs` Perfetto exporter, so CSV and Perfetto views
+//! always agree.
 
 use ncp2_sim::Cycles;
 use serde::{Deserialize, Serialize};
 
+use crate::observe::{MsgKind, ProtocolEvent};
 use crate::span::CtrlCmd;
 
 /// What happened.
@@ -112,6 +116,77 @@ pub enum TraceKind {
         /// Open-loop response time in cycles (completion minus arrival).
         response: Cycles,
     },
+}
+
+impl ProtocolEvent<'_> {
+    /// The trace rows this fact renders as: none, one, or for a
+    /// retransmission the expired ack timer followed by the resend.
+    pub fn trace_rows(&self) -> impl Iterator<Item = TraceKind> {
+        let timeout = match *self {
+            ProtocolEvent::Retransmit { dst, seq, .. } => {
+                Some(TraceKind::RetransmitTimeout { dst, seq })
+            }
+            _ => None,
+        };
+        timeout.into_iter().chain(self.trace_kind())
+    }
+
+    /// The fact's main trace row, if it has one. Automatic updates are not
+    /// traced: AURC emits one per write-cache line.
+    fn trace_kind(&self) -> Option<TraceKind> {
+        use ProtocolEvent as E;
+        Some(match *self {
+            E::MsgSent {
+                kind: MsgKind::AurcUpdate,
+                ..
+            } => return None,
+            E::MsgSent {
+                dst, bytes, demand, ..
+            } => TraceKind::MsgSent {
+                dst,
+                bytes,
+                prefetch: !demand,
+            },
+            E::Fault { page, .. } => TraceKind::Fault { page },
+            E::PageFetched { page, .. } => TraceKind::PageFetched { page },
+            E::DiffCreated { page, diff, .. } => TraceKind::DiffCreated {
+                page,
+                words: diff.word_count(),
+            },
+            E::DiffsApplied { diffs: [], .. } => return None,
+            E::DiffsApplied { page, words, .. } => TraceKind::DiffApplied { page, words },
+            E::LockAcquired { lock, .. } => TraceKind::LockAcquired { lock },
+            E::BarrierCompleted { .. } => TraceKind::BarrierReleased,
+            E::PrefetchIssued { page, .. } => TraceKind::PrefetchIssued { page },
+            E::PrefetchCompleted { page, .. } => TraceKind::PrefetchCompleted { page },
+            E::PrefetchShed { page, .. } => TraceKind::PrefetchShed { page },
+            E::ControllerCommand { cmd, .. } => TraceKind::ControllerCommand { cmd },
+            E::Retransmit {
+                dst, seq, attempt, ..
+            } => TraceKind::Retransmit { dst, seq, attempt },
+            E::FrameDuplicate { src, seq, .. } => TraceKind::DuplicateDropped { src, seq },
+            E::SvcDequeue { depth, .. } => TraceKind::SvcDequeue { depth },
+            E::SvcReply {
+                class, response, ..
+            } => TraceKind::SvcReply { class, response },
+            E::Access { .. }
+            | E::LockReleased { .. }
+            | E::LockMigrated { .. }
+            | E::LockWaitEnded { .. }
+            | E::BarrierArrived { .. }
+            | E::BarrierWaitEnded { .. }
+            | E::IntervalClosed { .. }
+            | E::NoticeRecorded { .. }
+            | E::AnnsProcessed { .. }
+            | E::PrefetchUsed { .. }
+            | E::MsgDelivered { .. }
+            | E::FrameSent { .. }
+            | E::FrameAccepted { .. }
+            | E::FrameDropped { .. }
+            | E::AckSent { .. }
+            | E::FramesAcked { .. } => return None,
+        })
+    }
 }
 
 /// One timestamped protocol event at one node.

@@ -36,6 +36,7 @@ use ncp2_sim::{Category, Cycles, Priority};
 
 use crate::controller::Controller;
 use crate::msg::{Msg, MSG_HEADER_BYTES};
+use crate::observe::ProtocolEvent;
 use crate::page::PageId;
 use crate::protocol::Protocol;
 use crate::span::{CtrlCmd, EdgeKind, Engine, SpanId, SpanKind};
@@ -144,7 +145,7 @@ impl Simulation {
     /// Hands `msg` to the transport: assigns the link's next sequence
     /// number, remembers it for retransmission and sends the first attempt.
     pub(crate) fn transport_send(&mut self, t: Cycles, src: usize, dst: usize, msg: Msg) {
-        let anchor = self.obs_last_span(src);
+        let anchor = self.sinks.obs_last_span(src);
         // invariant: dispatch() only routes here with the transport attached
         let ctx = self.fault.as_mut().expect("transport without fault ctx");
         let tx = ctx.tx.entry((src, dst)).or_default();
@@ -158,7 +159,6 @@ impl Simulation {
                 anchor,
             },
         );
-        self.ts_flight(src, dst, t, true);
         self.send_frame(t, src, dst, seq, 0, msg, anchor);
     }
 
@@ -180,10 +180,11 @@ impl Simulation {
     ) {
         let params = self.params.clone();
         let bytes = msg.bytes(params.page_bytes, params.page_words());
-        let prio = if msg.is_prefetch() {
-            Priority::Low
-        } else {
+        let (kind, demand) = (msg.kind(), !msg.is_prefetch());
+        let prio = if demand {
             Priority::Normal
+        } else {
+            Priority::Low
         };
         let (lost, copies) = {
             // invariant: only reachable with the transport attached
@@ -210,29 +211,20 @@ impl Simulation {
             // The duplicate copy always arrives intact: its purpose is to
             // stress receive-side suppression, not to double the loss rate.
             let copy_lost = lost && copy == 0;
-            if let Some(ctx) = self.fault.as_mut() {
-                ctx.stats.frames_sent += 1;
-            }
-            self.ts_count(crate::timeseries::TsCounter::FramesSent, t, 1);
-            #[cfg(feature = "verify")]
-            self.emit(crate::observe::ProtocolEvent::FrameSent {
-                src,
-                dst,
-                seq,
-                attempt,
-            });
             let tr = self.net.transfer_timed(t, src, dst, bytes, &params);
-            self.ts_count(crate::timeseries::TsCounter::Messages, t, 1);
-            self.ts_count(crate::timeseries::TsCounter::MessageBytes, t, bytes);
-            self.obs_flight(
-                src,
-                dst,
-                msg.kind(),
-                bytes,
-                msg.is_prefetch(),
+            self.sinks.note(
                 t,
-                tr.start,
-                tr.arrival,
+                src,
+                ProtocolEvent::FrameSent {
+                    src,
+                    dst,
+                    seq,
+                    attempt,
+                    kind,
+                    demand,
+                    bytes,
+                    wire: tr,
+                },
             );
             self.queue.push(
                 tr.arrival,
@@ -311,13 +303,16 @@ impl Simulation {
                     .stats
                     .drops_injected += 1;
             }
-            #[cfg(feature = "verify")]
-            self.emit(crate::observe::ProtocolEvent::FrameDropped {
-                src,
+            self.sinks.note(
+                t,
                 dst,
-                seq,
-                attempt,
-            });
+                ProtocolEvent::FrameDropped {
+                    src,
+                    dst,
+                    seq,
+                    attempt,
+                },
+            );
             return;
         }
         #[cfg(feature = "verify")]
@@ -351,17 +346,15 @@ impl Simulation {
         };
         match verdict {
             FrameVerdict::Duplicate => {
-                #[cfg(feature = "verify")]
-                self.emit(crate::observe::ProtocolEvent::FrameDuplicate {
-                    src,
-                    dst,
-                    seq,
-                    attempt,
-                });
-                self.record(
+                self.sinks.note(
                     t,
                     dst,
-                    crate::trace::TraceKind::DuplicateDropped { src, seq },
+                    ProtocolEvent::FrameDuplicate {
+                        src,
+                        dst,
+                        seq,
+                        attempt,
+                    },
                 );
                 let done =
                     self.interrupt_proc(dst, t, ack_oh, Category::Ipc, SpanKind::DuplicateDropped);
@@ -412,16 +405,18 @@ impl Simulation {
             debug_assert_eq!(rx.next_expected, seq, "out-of-order delivery");
             rx.next_expected = seq + 1;
         }
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::FrameAccepted {
-            src,
+        self.sinks.note(
+            t,
             dst,
-            seq,
-            attempt,
-        });
-        #[cfg(not(feature = "verify"))]
-        let _ = attempt;
-        self.obs_edge(EdgeKind::Msg(msg.kind()), src, sent_at, dst, t, 0, anchor);
+            ProtocolEvent::FrameAccepted {
+                src,
+                dst,
+                seq,
+                attempt,
+            },
+        );
+        self.sinks
+            .obs_edge(EdgeKind::Msg(msg.kind()), src, sent_at, dst, t, 0, anchor);
         self.handle_msg(dst, t, msg);
     }
 
@@ -437,8 +432,15 @@ impl Simulation {
         };
         // The ack occupies the wire either way; a lost ack just never fires.
         let tr = self.net.transfer_timed(t, dst, src, ACK_BYTES, &params);
-        self.ts_count(crate::timeseries::TsCounter::Messages, t, 1);
-        self.ts_count(crate::timeseries::TsCounter::MessageBytes, t, ACK_BYTES);
+        self.sinks.note(
+            t,
+            dst,
+            ProtocolEvent::AckSent {
+                src: dst,
+                dst: src,
+                bytes: ACK_BYTES,
+            },
+        );
         if !lost {
             self.queue
                 .push(tr.arrival, Priority::Normal, Ev::Ack { src, dst, cum });
@@ -462,9 +464,15 @@ impl Simulation {
             }
             retired
         };
-        for _ in 0..retired {
-            self.ts_flight(src, dst, t, false);
-        }
+        self.sinks.note(
+            t,
+            src,
+            ProtocolEvent::FramesAcked {
+                src,
+                dst,
+                frames: retired,
+            },
+        );
         let ack_oh = self.params.ack_overhead;
         self.interrupt_proc(src, t, ack_oh, Category::Ipc, SpanKind::MsgSetup);
     }
@@ -497,7 +505,6 @@ impl Simulation {
                         e.attempt <= MAX_RETX_ATTEMPTS,
                         "frame {src}->{dst} seq {seq} exhausted {MAX_RETX_ATTEMPTS} attempts"
                     );
-                    ctx.stats.retransmits += 1;
                     let bucket = ((e.attempt - 1) as usize).min(crate::stats::RETX_BUCKETS - 1);
                     ctx.stats.retx_by_attempt[bucket] += 1;
                     Some((e.attempt, e.msg.clone(), e.anchor))
@@ -507,16 +514,11 @@ impl Simulation {
         let Some((next_attempt, msg, anchor)) = resend else {
             return;
         };
-        self.ts_retransmit(src, dst, t);
-        self.record(
+        self.sinks.note(
             t,
             src,
-            crate::trace::TraceKind::RetransmitTimeout { dst, seq },
-        );
-        self.record(
-            t,
-            src,
-            crate::trace::TraceKind::Retransmit {
+            ProtocolEvent::Retransmit {
+                src,
                 dst,
                 seq,
                 attempt: next_attempt,
@@ -558,15 +560,8 @@ impl Simulation {
             }
         };
         if shed {
-            self.fault
-                .as_mut()
-                // invariant: `shed == true` implies the ctx matched `Some`
-                // in the policy match above.
-                .expect("shed without fault ctx")
-                .stats
-                .prefetch_shed += 1;
-            self.record(now, pid, crate::trace::TraceKind::PrefetchShed { page });
-            self.ts_count(crate::timeseries::TsCounter::PrefetchShed, now, 1);
+            self.sinks
+                .note(now, pid, ProtocolEvent::PrefetchShed { pid, page });
         }
         shed
     }
@@ -598,15 +593,18 @@ impl Simulation {
             ctx.stats.frames_drained += leftovers.len() as u64;
         }
         leftovers.sort_unstable();
+        let end = self.nodes.iter().map(|nd| nd.time).max().unwrap_or(0);
         for (src, dst, seq, attempt) in leftovers {
-            let _ = (src, dst, seq, attempt);
-            #[cfg(feature = "verify")]
-            self.emit(crate::observe::ProtocolEvent::FrameDropped {
-                src,
+            self.sinks.note(
+                end,
                 dst,
-                seq,
-                attempt,
-            });
+                ProtocolEvent::FrameDropped {
+                    src,
+                    dst,
+                    seq,
+                    attempt,
+                },
+            );
         }
     }
 }

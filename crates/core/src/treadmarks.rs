@@ -20,6 +20,7 @@ use crate::controller::Controller;
 use crate::diff::{Diff, DiffList};
 use crate::interval::{IntervalAnnouncement, IvlList};
 use crate::msg::Msg;
+use crate::observe::ProtocolEvent;
 use crate::page::{page_of, word_index, PageBuf, PageId, PageState};
 use crate::span::{CtrlCmd, Engine, SpanKind};
 use crate::system::{FaultWait, PrefetchState, Simulation, Wait};
@@ -68,19 +69,21 @@ impl Simulation {
             ProcOp::Write { addr, .. } => (addr, true),
             _ => unreachable!(),
         };
-        #[cfg(feature = "verify")]
-        {
-            let bytes = match op {
-                ProcOp::Read { bytes, .. } | ProcOp::Write { bytes, .. } => bytes,
-                _ => 0,
-            };
-            self.emit(crate::observe::ProtocolEvent::Access {
+        let bytes = match op {
+            ProcOp::Read { bytes, .. } | ProcOp::Write { bytes, .. } => bytes,
+            _ => 0,
+        };
+        let now = self.nodes[pid].time;
+        self.sinks.note(
+            now,
+            pid,
+            ProtocolEvent::Access {
                 pid,
                 addr,
                 bytes,
                 write,
-            });
-        }
+            },
+        );
         self.charge_mem(pid, addr, write);
         let page = page_of(addr, self.params.page_bytes);
         let (page_bytes, hw) = (self.params.page_bytes, self.mode().hw_diffs());
@@ -114,9 +117,9 @@ impl Simulation {
             self.nodes[pid].cur_dirty.push(page);
         }
         if was_prefetched {
-            self.nodes[pid].stats.prefetch_hits += 1;
             let now = self.nodes[pid].time;
-            self.obs_prefetch_used(pid, page, now);
+            self.sinks
+                .note(now, pid, ProtocolEvent::PrefetchUsed { pid, page });
         }
         reply
     }
@@ -188,20 +191,7 @@ impl Simulation {
             }
             let diff = Diff::from_dirty_vec(page, pid, open, &tp.data, &tp.dirty);
             tp.dirty.clear();
-            #[cfg(feature = "verify")]
-            {
-                let ev = crate::observe::ProtocolEvent::DiffCreated {
-                    pid,
-                    page,
-                    interval: open,
-                    diff: diff.clone(),
-                    data: tp.data.clone(),
-                };
-                self.emit(ev);
-            }
-            let words = diff.word_count();
-            self.tm_store_diff(pid, diff);
-            self.record(t, pid, crate::trace::TraceKind::DiffCreated { page, words });
+            let words = self.tm_store_diff(t, pid, diff);
             let cpu = Controller::dma_cost(&params, words);
             let (s, e) = self.nodes[pid].ctrl.run(t, cpu);
             self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
@@ -209,36 +199,15 @@ impl Simulation {
             let (_, _me) = self.nodes[pid].mem.dram.resource.reserve(s, gather);
             let (_, _pe) = self.nodes[pid].mem.pci.burst(s, words.max(1), &params);
             self.nodes[pid].stats.diff_create_cycles += cpu;
-            self.nodes[pid].stats.diffs_created += 1;
-            self.nodes[pid].stats.diff_bytes_created += 4 * words;
-            self.ts_count(crate::timeseries::TsCounter::DiffsCreated, t, 1);
-            self.ts_count(crate::timeseries::TsCounter::DiffBytesCreated, t, 4 * words);
-            self.ts_page(page, 0, 4 * words, 0);
             t + Controller::issue_cost(&params)
         } else {
             let Some((tivl, twin)) = self.tm_page(pid, page).twin.take() else {
                 return t;
             };
-            let data = self.tm_page(pid, page).data.clone();
-            let diff = Diff::from_twin(page, pid, tivl, &data, &twin);
-            #[cfg(feature = "verify")]
-            self.emit(crate::observe::ProtocolEvent::DiffCreated {
-                pid,
-                page,
-                interval: tivl,
-                diff: diff.clone(),
-                data: data.clone(),
-            });
-            let words = diff.word_count();
-            self.tm_store_diff(pid, diff);
-            self.record(t, pid, crate::trace::TraceKind::DiffCreated { page, words });
+            let diff = Diff::from_twin(page, pid, tivl, &self.tm_page(pid, page).data, &twin);
+            self.tm_store_diff(t, pid, diff);
             let cpu = Controller::sw_diff_scan(&params);
             self.nodes[pid].stats.diff_create_cycles += cpu;
-            self.nodes[pid].stats.diffs_created += 1;
-            self.nodes[pid].stats.diff_bytes_created += 4 * words;
-            self.ts_count(crate::timeseries::TsCounter::DiffsCreated, t, 1);
-            self.ts_count(crate::timeseries::TsCounter::DiffBytesCreated, t, 4 * words);
-            self.ts_page(page, 0, 4 * words, 0);
             if mode.offload() {
                 let (s, e) = self.nodes[pid].ctrl.run(t, cpu);
                 self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
@@ -259,17 +228,29 @@ impl Simulation {
         }
     }
 
-    /// Inserts a diff into the owner's store, merging with an earlier diff
-    /// for the same (page, interval) if an invalidation forced one early.
-    fn tm_store_diff(&mut self, pid: usize, diff: Diff) {
-        let key = (diff.page, diff.interval);
-        let nd = &mut self.nodes[pid];
-        nd.diffs.merge_or_insert(diff);
-        // invariant: the diff being stored was created from this page entry
-        let tp = nd.pages.get_mut(key.0).expect("page exists");
-        if !tp.own_intervals.contains(&key.1) {
-            tp.own_intervals.push(key.1);
+    /// Reports a diff just created from `pid`'s copy at `t` and inserts it
+    /// into the owner's store, merging with an earlier diff for the same
+    /// (page, interval) if an invalidation forced one early. Returns the
+    /// words it carries.
+    fn tm_store_diff(&mut self, t: Cycles, pid: usize, diff: Diff) -> u64 {
+        let (page, interval, words) = (diff.page, diff.interval, diff.word_count());
+        let (tp, sinks) = self.tm_page_and_sinks(pid, page);
+        sinks.note(
+            t,
+            pid,
+            ProtocolEvent::DiffCreated {
+                pid,
+                page,
+                interval,
+                diff: &diff,
+                data: &tp.data,
+            },
+        );
+        if !tp.own_intervals.contains(&interval) {
+            tp.own_intervals.push(interval);
         }
+        self.nodes[pid].diffs.merge_or_insert(diff);
+        words
     }
 
     /// Interval-close bookkeeping for the dirtied pages (called by
@@ -291,19 +272,6 @@ impl Simulation {
                 }
                 let diff = Diff::from_dirty_vec(page, pid, id, &tp.data, &tp.dirty);
                 tp.dirty.clear();
-                #[cfg(feature = "verify")]
-                {
-                    let ev = crate::observe::ProtocolEvent::DiffCreated {
-                        pid,
-                        page,
-                        interval: id,
-                        diff: diff.clone(),
-                        data: tp.data.clone(),
-                    };
-                    self.emit(ev);
-                }
-                let words = diff.word_count();
-                self.tm_store_diff(pid, diff);
                 self.advance(
                     pid,
                     Controller::issue_cost(&params),
@@ -311,11 +279,7 @@ impl Simulation {
                     SpanKind::MsgSetup,
                 );
                 let now = self.nodes[pid].time;
-                self.record(
-                    now,
-                    pid,
-                    crate::trace::TraceKind::DiffCreated { page, words },
-                );
+                let words = self.tm_store_diff(now, pid, diff);
                 let cpu = Controller::dma_cost(&params, words);
                 let (s, e) = self.nodes[pid].ctrl.run(now, cpu);
                 self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
@@ -323,15 +287,6 @@ impl Simulation {
                 let (_, _me) = self.nodes[pid].mem.dram.resource.reserve(s, gather);
                 let (_, _pe) = self.nodes[pid].mem.pci.burst(s, words.max(1), &params);
                 self.nodes[pid].stats.diff_create_cycles += cpu;
-                self.nodes[pid].stats.diffs_created += 1;
-                self.nodes[pid].stats.diff_bytes_created += 4 * words;
-                self.ts_count(crate::timeseries::TsCounter::DiffsCreated, now, 1);
-                self.ts_count(
-                    crate::timeseries::TsCounter::DiffBytesCreated,
-                    now,
-                    4 * words,
-                );
-                self.ts_page(page, 0, 4 * words, 0);
             } else {
                 // Write-protect so the next interval's writes re-fault and
                 // settle this twin lazily.
@@ -351,8 +306,8 @@ impl Simulation {
     /// Begins diff collection for an invalid page; blocks the processor.
     fn tm_start_fault(&mut self, pid: usize, page: PageId) {
         let now = self.nodes[pid].time;
-        self.record(now, pid, crate::trace::TraceKind::Fault { page });
-        self.nodes[pid].stats.faults += 1;
+        self.sinks
+            .note(now, pid, ProtocolEvent::Fault { pid, page });
         self.advance(
             pid,
             self.params.interrupt,
@@ -577,26 +532,10 @@ impl Simulation {
             // fault handler twinned earlier in the same interval
             .expect("twin for lazy diff");
         debug_assert_eq!(tivl, ivl, "twin interval mismatch");
-        let data = self.tm_page(dst, page).data.clone();
-        let diff = Diff::from_twin(page, dst, tivl, &data, &twin);
-        #[cfg(feature = "verify")]
-        self.emit(crate::observe::ProtocolEvent::DiffCreated {
-            pid: dst,
-            page,
-            interval: tivl,
-            diff: diff.clone(),
-            data: data.clone(),
-        });
-        let words = diff.word_count();
-        self.tm_store_diff(dst, diff);
-        self.record(t, dst, crate::trace::TraceKind::DiffCreated { page, words });
+        let diff = Diff::from_twin(page, dst, tivl, &self.tm_page(dst, page).data, &twin);
+        self.tm_store_diff(t, dst, diff);
         let cpu = Controller::sw_diff_scan(&params);
         self.nodes[dst].stats.diff_create_cycles += cpu;
-        self.nodes[dst].stats.diffs_created += 1;
-        self.nodes[dst].stats.diff_bytes_created += 4 * words;
-        self.ts_count(crate::timeseries::TsCounter::DiffsCreated, t, 1);
-        self.ts_count(crate::timeseries::TsCounter::DiffBytesCreated, t, 4 * words);
-        self.ts_page(page, 0, 4 * words, 0);
         if self.mode().offload() {
             let (s, e) = self.nodes[dst].ctrl.run(t, cpu);
             self.note_ctrl(dst, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
@@ -659,14 +598,14 @@ impl Simulation {
         let requested = std::mem::take(&mut self.tm_page(dst, page).pending);
         let (end, cpu) =
             self.tm_apply_collected(dst, page, got_diffs, got_page, ready_at, &requested, false);
-        self.obs_edge(
+        self.sinks.obs_edge(
             crate::span::EdgeKind::FaultFill,
             dst,
             t,
             dst,
             end,
             cpu,
-            self.obs_last_span(dst),
+            self.sinks.obs_last_span(dst),
         );
         self.schedule_wake(dst, end);
     }
@@ -711,26 +650,26 @@ impl Simulation {
             &ps.requested,
             true,
         );
-        self.record(
+        self.sinks.note(
             end,
             dst,
-            crate::trace::TraceKind::PrefetchCompleted { page },
+            ProtocolEvent::PrefetchCompleted {
+                pid: dst,
+                page,
+                joined: ps.joined,
+                transfer: true,
+            },
         );
-        self.nodes[dst].stats.prefetch_fills += 1;
-        self.ts_count(crate::timeseries::TsCounter::PrefetchFills, end, 1);
-        self.ts_page(page, 1, 0, 0);
-        self.obs_prefetch_done(dst, page, end);
         if ps.joined {
             // Zero prefetch-to-use distance: a fault was already waiting.
-            self.obs_prefetch_used(dst, page, end);
-            self.obs_edge(
+            self.sinks.obs_edge(
                 crate::span::EdgeKind::PrefetchFill,
                 dst,
                 t,
                 dst,
                 end,
                 cpu,
-                self.obs_last_span(dst),
+                self.sinks.obs_last_span(dst),
             );
             self.schedule_wake(dst, end);
         } else {
@@ -776,10 +715,8 @@ impl Simulation {
             diffs.retain(|d| d.owner == pid || !pvt.covers_interval(d.owner, d.interval));
             self.tm_page(pid, page).data.copy_from(data);
             mem_words += params.page_words();
-            self.record(start, pid, crate::trace::TraceKind::PageFetched { page });
-            self.nodes[pid].stats.page_fetches += 1;
-            self.ts_count(crate::timeseries::TsCounter::PageFetches, start, 1);
-            self.ts_page(page, 1, 0, 0);
+            self.sinks
+                .note(start, pid, ProtocolEvent::PageFetched { pid, page });
         }
         diffs.sort_by_key(|d| (self.vt_sum(pid, d.owner, d.interval), d.owner, d.interval));
         let mut cpu: Cycles = 0;
@@ -812,40 +749,19 @@ impl Simulation {
             };
             tp.was_referenced = false;
         }
-        #[cfg(feature = "verify")]
-        {
-            let applied: Vec<(usize, IntervalId)> =
-                diffs.iter().map(|d| (d.owner, d.interval)).collect();
-            let data = self.tm_page(pid, page).data.clone();
-            self.emit(crate::observe::ProtocolEvent::DiffsApplied {
+        let (tp, sinks) = self.tm_page_and_sinks(pid, page);
+        sinks.note(
+            start,
+            pid,
+            ProtocolEvent::DiffsApplied {
                 pid,
                 page,
-                applied,
-                data,
-            });
-        }
-        if !diffs.is_empty() {
-            let words: u64 = diffs.iter().map(|d| d.word_count()).sum();
-            self.record(
-                start,
-                pid,
-                crate::trace::TraceKind::DiffApplied { page, words },
-            );
-        }
-        self.nodes[pid].stats.diffs_applied += diffs.len() as u64;
+                diffs: &diffs,
+                words: apply_words,
+                data: &tp.data,
+            },
+        );
         self.nodes[pid].stats.diff_apply_cycles += cpu;
-        self.nodes[pid].stats.diff_bytes_applied += 4 * apply_words;
-        self.ts_count(
-            crate::timeseries::TsCounter::DiffsApplied,
-            start,
-            diffs.len() as u64,
-        );
-        self.ts_count(
-            crate::timeseries::TsCounter::DiffBytesApplied,
-            start,
-            4 * apply_words,
-        );
-        self.ts_page(page, 0, 4 * apply_words, 0);
         // The controller (or NI) wrote main memory: the processor snoop
         // invalidates its stale cache lines.
         let base = page * params.page_bytes;
@@ -935,29 +851,29 @@ impl Simulation {
                     }
                     (was_valid, was_prefetched)
                 };
-                if was_prefetched {
-                    self.nodes[pid].stats.useless_prefetches += 1;
-                }
-                if was_valid {
-                    self.nodes[pid].stats.invalidations += 1;
-                    self.ts_count(crate::timeseries::TsCounter::Invalidations, c, 1);
-                    self.ts_page(page, 0, 0, 1);
-                }
-                #[cfg(feature = "verify")]
-                self.emit(crate::observe::ProtocolEvent::NoticeRecorded {
+                self.sinks.note(
+                    c,
                     pid,
-                    owner: ann.owner,
-                    id: ann.id,
-                    page,
-                });
+                    ProtocolEvent::NoticeRecorded {
+                        pid,
+                        owner: ann.owner,
+                        id: ann.id,
+                        page,
+                        invalidated: was_valid,
+                        wasted_prefetch: was_prefetched,
+                    },
+                );
                 c += params.list_processing;
             }
         }
-        #[cfg(feature = "verify")]
-        {
-            let vt = self.nodes[pid].vt.clone();
-            self.emit(crate::observe::ProtocolEvent::AnnsProcessed { pid, vt });
-        }
+        self.sinks.note(
+            c,
+            pid,
+            ProtocolEvent::AnnsProcessed {
+                pid,
+                vt: &self.nodes[pid].vt,
+            },
+        );
         c
     }
 
@@ -995,10 +911,8 @@ impl Simulation {
             if self.shed_prefetch(pid, page, c) {
                 continue;
             }
-            self.record(c, pid, crate::trace::TraceKind::PrefetchIssued { page });
-            self.obs_prefetch_issued(pid, page, c);
-            self.nodes[pid].stats.prefetches += 1;
-            self.ts_count(crate::timeseries::TsCounter::PrefetchIssued, c, 1);
+            self.sinks
+                .note(c, pid, ProtocolEvent::PrefetchIssued { pid, page });
             let pending = self.tm_page(pid, page).pending.clone();
             let requests = self.tm_build_requests(pid, page, &pending, true);
             let outstanding = requests.len();

@@ -232,12 +232,21 @@ pub fn default_check_assertions() -> Vec<Assertion> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncp2_core::TsRecorder;
+    use ncp2_core::{ProtocolEvent, TsRecorder};
 
     fn log_with_retx(at: &[u64]) -> TsLog {
         let mut rec = TsRecorder::new(1, 100);
         for &t in at {
-            rec.retransmit(0, 1, t);
+            rec.note(
+                t,
+                0,
+                &ProtocolEvent::Retransmit {
+                    src: 0,
+                    dst: 1,
+                    seq: 0,
+                    attempt: 1,
+                },
+            );
             rec.count(TsCounter::Retransmits, t, 1);
         }
         rec.into_log(1_000)

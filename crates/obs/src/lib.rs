@@ -4,8 +4,8 @@
 //! feature (see [`ncp2_core::span`]) and turns it into artifacts a human (or
 //! a CI gate) can read:
 //!
-//! * [`hist::LogHistogram`] — HDR-style log-bucketed latency histograms with
-//!   deterministic quantiles;
+//! * [`LogHistogram`] — HDR-style log-bucketed latency histograms with
+//!   deterministic quantiles (re-exported from [`ncp2_core::hist`]);
 //! * [`report::MetricsReport`] — a per-run summary (breakdown categories,
 //!   protocol counters, histogram percentiles, per-barrier-epoch timeline)
 //!   with a byte-deterministic JSON encoding;
@@ -33,15 +33,14 @@
 //! runs of the same configuration produce byte-identical output.
 //!
 //! Depending on this crate enables `ncp2-core`'s `obs` feature for the
-//! consumer (the recording sites compile in); recording still costs nothing
-//! until [`Simulation::enable_obs`](ncp2_core::Simulation::enable_obs) is
-//! called.
+//! consumer (the span and time-series recorders compile in); recording
+//! stays off until [`Simulation::enable_obs`](ncp2_core::Simulation::enable_obs)
+//! is called.
 
 pub mod assertions;
 pub mod critpath;
 pub mod diff;
 pub mod graph;
-pub mod hist;
 pub mod hotspot;
 pub mod json;
 pub mod perfetto;
@@ -52,8 +51,8 @@ pub use assertions::{default_check_assertions, evaluate_all, Assertion, Firing};
 pub use critpath::{critical_path, slack, what_if, CritPath, CritSegment, Scenario, WhatIf};
 pub use diff::{compare, parse_bench, write_bench, Regression};
 pub use graph::ExecGraph;
-pub use hist::LogHistogram;
 pub use hotspot::{render_hotspots, render_node_table, top_locks, top_pages};
+pub use ncp2_core::hist::LogHistogram;
 pub use perfetto::perfetto_json;
 pub use report::{HistSummary, HostPhase, MetricsReport};
 pub use timeseries::TimelineReport;

@@ -359,12 +359,21 @@ mod tests {
 
     #[test]
     fn time_series_counter_tracks_sample_every_window() {
-        use ncp2_core::{TsCounter, TsRecorder};
+        use ncp2_core::{ProtocolEvent, TsCounter, TsRecorder};
         let mut rec = TsRecorder::new(2, 100);
         rec.count(TsCounter::PageFetches, 50, 3);
         rec.count(TsCounter::PageFetches, 250, 5);
         rec.span(0, 0, 100);
-        rec.retransmit(0, 1, 150);
+        rec.note(
+            150,
+            0,
+            &ProtocolEvent::Retransmit {
+                src: 0,
+                dst: 1,
+                seq: 0,
+                attempt: 1,
+            },
+        );
         let mut r = empty_run();
         r.ts = Some(rec.into_log(300));
         let doc = perfetto_json(&r);

@@ -8,11 +8,11 @@
 //! same run always serializes to the same bytes — `ci.sh` and the golden
 //! tests rely on that.
 
+use ncp2_core::hist::LogHistogram;
 use ncp2_core::span::{CtrlCmd, SpanKind};
 use ncp2_core::RunResult;
 use ncp2_sim::Category;
 
-use crate::hist::LogHistogram;
 use crate::json::{esc, JVal};
 
 /// Quantile summary of one latency histogram.

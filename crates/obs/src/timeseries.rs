@@ -175,7 +175,7 @@ impl TimelineReport {
 mod tests {
     use super::*;
     use crate::json::parse;
-    use ncp2_core::TsRecorder;
+    use ncp2_core::{ProtocolEvent, TsRecorder};
 
     fn sample() -> TimelineReport {
         let mut rec = TsRecorder::new(2, 100);
@@ -183,7 +183,16 @@ mod tests {
         rec.count(TsCounter::Messages, 150, 7);
         rec.gauge(TsGauge::QueueDepth, 120, 5);
         rec.span(1, 50, 180);
-        rec.retransmit(0, 1, 110);
+        rec.note(
+            110,
+            0,
+            &ProtocolEvent::Retransmit {
+                src: 0,
+                dst: 1,
+                seq: 0,
+                attempt: 1,
+            },
+        );
         rec.flight(0, 1, 10, true);
         rec.page(42, 3, 128, 1);
         rec.page(7, 1, 4096, 0);

@@ -125,7 +125,7 @@ impl RaceDetector {
                     self.access_word(pid, word, write);
                 }
             }
-            ProtocolEvent::LockAcquired { pid, lock } => {
+            ProtocolEvent::LockAcquired { pid, lock, .. } => {
                 if let Some(lc) = self.locks.get(&lock) {
                     self.vc[pid].merge(lc);
                 }
@@ -153,7 +153,7 @@ impl RaceDetector {
                 ep.acc.merge(&self.vc[pid]);
                 ep.arrivals += 1;
             }
-            ProtocolEvent::BarrierCompleted { pid, barrier } => {
+            ProtocolEvent::BarrierCompleted { pid, barrier, .. } => {
                 let Some(q) = self.barriers.get_mut(&barrier) else {
                     return;
                 };
@@ -405,13 +405,13 @@ impl VerifyOracle {
         &mut self,
         pid: usize,
         page: PageId,
-        applied_ivs: &[(usize, IntervalId)],
+        diffs: &[ncp2_core::Diff],
         data: &PageBuf,
     ) {
         let mut dups: Vec<(usize, IntervalId)> = Vec::new();
         {
             let seen = self.applied.entry((pid, page)).or_default();
-            for &(owner, interval) in applied_ivs {
+            for (owner, interval) in diffs.iter().map(|d| (d.owner, d.interval)) {
                 // A whole-page fetch legitimately re-applies the node's own
                 // concurrent diffs on top of the shipped copy.
                 if owner == pid {
@@ -527,6 +527,7 @@ impl Observer for VerifyOracle {
                 owner,
                 id,
                 page,
+                ..
             } => {
                 self.seen_notices.insert((*pid, *owner, *id, *page));
             }
@@ -541,9 +542,10 @@ impl Observer for VerifyOracle {
             ProtocolEvent::DiffsApplied {
                 pid,
                 page,
-                applied,
+                diffs,
                 data,
-            } => self.on_diffs_applied(*pid, *page, applied, data),
+                ..
+            } => self.on_diffs_applied(*pid, *page, diffs, data),
             ProtocolEvent::MsgSent { kind, demand, .. } => {
                 *self.sent.entry((*kind, *demand)).or_insert(0) += 1;
             }
@@ -555,6 +557,7 @@ impl Observer for VerifyOracle {
                 dst,
                 seq,
                 attempt,
+                ..
             } => {
                 *self.frames.entry((*src, *dst, *seq, *attempt)).or_insert(0) += 1;
             }
@@ -604,12 +607,29 @@ mod tests {
         )
     }
 
-    fn access(pid: usize, addr: u64, write: bool) -> ProtocolEvent {
+    fn access(pid: usize, addr: u64, write: bool) -> ProtocolEvent<'static> {
         ProtocolEvent::Access {
             pid,
             addr,
             bytes: 4,
             write,
+        }
+    }
+
+    fn frame_sent(src: usize, dst: usize, seq: u64, attempt: u32) -> ProtocolEvent<'static> {
+        let wire = ncp2_core::observe::Transfer {
+            start: 0,
+            arrival: 0,
+        };
+        ProtocolEvent::FrameSent {
+            src,
+            dst,
+            seq,
+            attempt,
+            kind: MsgKind::DiffReq,
+            demand: true,
+            bytes: 64,
+            wire,
         }
     }
 
@@ -628,10 +648,18 @@ mod tests {
     #[test]
     fn lock_ordered_accesses_are_clean() {
         let mut o = oracle();
-        o.on_event(&ProtocolEvent::LockAcquired { pid: 0, lock: 1 });
+        o.on_event(&ProtocolEvent::LockAcquired {
+            pid: 0,
+            lock: 1,
+            granted: 0,
+        });
         o.on_event(&access(0, 64, true));
         o.on_event(&ProtocolEvent::LockReleased { pid: 0, lock: 1 });
-        o.on_event(&ProtocolEvent::LockAcquired { pid: 1, lock: 1 });
+        o.on_event(&ProtocolEvent::LockAcquired {
+            pid: 1,
+            lock: 1,
+            granted: 0,
+        });
         o.on_event(&access(1, 64, true));
         o.on_event(&ProtocolEvent::LockReleased { pid: 1, lock: 1 });
         assert!(o.finish().is_empty());
@@ -645,7 +673,11 @@ mod tests {
             o.on_event(&ProtocolEvent::BarrierArrived { pid, barrier: 0 });
         }
         for pid in 0..4 {
-            o.on_event(&ProtocolEvent::BarrierCompleted { pid, barrier: 0 });
+            o.on_event(&ProtocolEvent::BarrierCompleted {
+                pid,
+                barrier: 0,
+                released: 0,
+            });
         }
         for pid in 0..4 {
             o.on_event(&access(pid, 128, false));
@@ -662,17 +694,29 @@ mod tests {
         }
         // ...processor 0 completes and races ahead to the next episode of
         // the same barrier id before the others complete episode 1.
-        o.on_event(&ProtocolEvent::BarrierCompleted { pid: 0, barrier: 0 });
+        o.on_event(&ProtocolEvent::BarrierCompleted {
+            pid: 0,
+            barrier: 0,
+            released: 0,
+        });
         o.on_event(&access(0, 256, true));
         o.on_event(&ProtocolEvent::BarrierArrived { pid: 0, barrier: 0 });
         for pid in 1..4 {
-            o.on_event(&ProtocolEvent::BarrierCompleted { pid, barrier: 0 });
+            o.on_event(&ProtocolEvent::BarrierCompleted {
+                pid,
+                barrier: 0,
+                released: 0,
+            });
         }
         for pid in 1..4 {
             o.on_event(&ProtocolEvent::BarrierArrived { pid, barrier: 0 });
         }
         for pid in 0..4 {
-            o.on_event(&ProtocolEvent::BarrierCompleted { pid, barrier: 0 });
+            o.on_event(&ProtocolEvent::BarrierCompleted {
+                pid,
+                barrier: 0,
+                released: 0,
+            });
         }
         // The pre-episode-2 write by P0 is ordered before everyone's
         // post-episode-2 reads.
@@ -721,8 +765,8 @@ mod tests {
             pid: 0,
             page: 5,
             interval: 1,
-            diff,
-            data: data.clone(),
+            diff: &diff,
+            data: &data,
         });
         let v = o.finish();
         assert!(
@@ -743,8 +787,8 @@ mod tests {
             pid: 0,
             page: 5,
             interval: 1,
-            diff: d1,
-            data: data.clone(),
+            diff: &d1,
+            data: &data,
         });
         // Second interval continues from the first's contents.
         let twin2 = data.clone();
@@ -754,8 +798,8 @@ mod tests {
             pid: 0,
             page: 5,
             interval: 2,
-            diff: d2,
-            data: data.clone(),
+            diff: &d2,
+            data: &data,
         });
         assert!(o.finish().is_empty());
     }
@@ -768,8 +812,8 @@ mod tests {
         o.on_event(&ProtocolEvent::IntervalClosed {
             pid: 0,
             id: 1,
-            vt: vt0.clone(),
-            pages: vec![3, 4],
+            vt: &vt0,
+            pages: &[3, 4],
         });
         // P1 comes to cover (0,1) but only records the notice for page 3.
         o.on_event(&ProtocolEvent::NoticeRecorded {
@@ -777,10 +821,12 @@ mod tests {
             owner: 0,
             id: 1,
             page: 3,
+            invalidated: true,
+            wasted_prefetch: false,
         });
         let mut vt1 = VectorTime::new(4);
         vt1.observe(0, 1);
-        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: vt1 });
+        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: &vt1 });
         let v = o.finish();
         assert!(
             v.iter().any(|x| matches!(
@@ -804,23 +850,22 @@ mod tests {
         o.on_event(&ProtocolEvent::IntervalClosed {
             pid: 0,
             id: 1,
-            vt: vt0.clone(),
-            pages: vec![3],
+            vt: &vt0,
+            pages: &[3],
         });
         o.on_event(&ProtocolEvent::NoticeRecorded {
             pid: 1,
             owner: 0,
             id: 1,
             page: 3,
+            invalidated: true,
+            wasted_prefetch: false,
         });
         let mut vt1 = VectorTime::new(4);
         vt1.observe(0, 1);
-        o.on_event(&ProtocolEvent::AnnsProcessed {
-            pid: 1,
-            vt: vt1.clone(),
-        });
+        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: &vt1 });
         // Processing further (empty) batches must not re-flag anything.
-        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: vt1 });
+        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: &vt1 });
         assert!(o.finish().is_empty());
     }
 
@@ -829,9 +874,9 @@ mod tests {
         let mut o = oracle();
         let mut vt = VectorTime::new(4);
         vt.observe(2, 5);
-        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt });
+        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: &vt });
         let lower = VectorTime::new(4);
-        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: lower });
+        o.on_event(&ProtocolEvent::AnnsProcessed { pid: 1, vt: &lower });
         let v = o.finish();
         assert!(
             v.iter()
@@ -848,8 +893,8 @@ mod tests {
         o.on_event(&ProtocolEvent::IntervalClosed {
             pid: 0,
             id: 2,
-            vt,
-            pages: vec![1],
+            vt: &vt,
+            pages: &[1],
         });
         let v = o.finish();
         assert!(
@@ -867,6 +912,8 @@ mod tests {
             dst: 1,
             kind: MsgKind::DiffReq,
             demand: true,
+            bytes: 64,
+            wire: None,
         });
         // Delivered, but the reply never goes out.
         o.on_event(&ProtocolEvent::MsgDelivered {
@@ -891,6 +938,8 @@ mod tests {
                 dst: 1,
                 kind,
                 demand,
+                bytes: 64,
+                wire: None,
             });
             o.on_event(&ProtocolEvent::MsgDelivered {
                 dst: 1,
@@ -913,6 +962,8 @@ mod tests {
             dst: 1,
             kind: MsgKind::DiffReq,
             demand: false,
+            bytes: 64,
+            wire: None,
         });
         // Never delivered: the run ended first. Prefetches may die in the
         // queue without breaking conservation.
@@ -923,12 +974,14 @@ mod tests {
     fn duplicate_foreign_diff_application_is_flagged() {
         let mut o = oracle();
         let data = PageBuf::new(4096);
+        let foreign = [Diff::from_twin(7, 0, 3, &data, &data)];
         for _ in 0..2 {
             o.on_event(&ProtocolEvent::DiffsApplied {
                 pid: 1,
                 page: 7,
-                applied: vec![(0, 3)],
-                data: data.clone(),
+                diffs: &foreign,
+                words: 0,
+                data: &data,
             });
         }
         let v = o.finish();
@@ -950,12 +1003,14 @@ mod tests {
     fn own_diff_reapplication_is_legal() {
         let mut o = oracle();
         let data = PageBuf::new(4096);
+        let own = [Diff::from_twin(7, 1, 3, &data, &data)];
         for _ in 0..2 {
             o.on_event(&ProtocolEvent::DiffsApplied {
                 pid: 1,
                 page: 7,
-                applied: vec![(1, 3)],
-                data: data.clone(),
+                diffs: &own,
+                words: 0,
+                data: &data,
             });
         }
         assert!(o.finish().is_empty());
@@ -964,12 +1019,7 @@ mod tests {
     #[test]
     fn silently_lost_frame_breaks_frame_conservation() {
         let mut o = oracle();
-        o.on_event(&ProtocolEvent::FrameSent {
-            src: 0,
-            dst: 1,
-            seq: 4,
-            attempt: 0,
-        });
+        o.on_event(&frame_sent(0, 1, 4, 0));
         // No terminal fate: the frame vanished between the wire and the
         // receive window. The ledger must flag it.
         let v = o.finish();
@@ -991,12 +1041,7 @@ mod tests {
         // straggler drained at end of run. All fates accounted — clean.
         let frame = |seq, attempt| (0usize, 1usize, seq as u64, attempt as u32);
         let send = |o: &mut VerifyOracle, (src, dst, seq, attempt)| {
-            o.on_event(&ProtocolEvent::FrameSent {
-                src,
-                dst,
-                seq,
-                attempt,
-            });
+            o.on_event(&frame_sent(src, dst, seq, attempt));
         };
         send(&mut o, frame(0, 0));
         o.on_event(&ProtocolEvent::FrameDropped {
