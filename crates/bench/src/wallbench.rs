@@ -4,10 +4,11 @@
 //! Where `ncp2-obs` accounts for *simulated* cycles, this suite measures the
 //! *host* cost of the implementation's known hot paths: diff create/apply,
 //! bit-vector scans, vector-clock merges, span/edge emission, router hops,
-//! transport resequencing under retransmission, and cache-key hashing. Every
-//! bench runs through the in-tree criterion stand-in, which reports the
-//! median of K samples and — when `ncp2-prof`'s counting allocator is
-//! installed (the `prof` feature) — exact per-iteration allocation counts.
+//! transport resequencing under retransmission, cache-key hashing, and
+//! front-end op handoffs. Every bench runs through the in-tree criterion
+//! stand-in, which reports the median of K samples and — when `ncp2-prof`'s
+//! counting allocator is installed (the `prof` feature) — exact
+//! per-iteration allocation counts.
 //!
 //! The suite lives in the library (not the binary) so `wall_bench` stays a
 //! thin driver; keeping it out of `benches/` lets the engine's `--prof`
@@ -279,6 +280,41 @@ fn bench_svc_arrivals(c: &mut Criterion) {
     });
 }
 
+/// Front-end handoffs: 4 workload threads issue 1,000 ops each, served
+/// round robin. Ack-only `Compute` ops run ahead in batches; `Read` ops are
+/// one blocking handoff each. Thread spawn and join are timed with them.
+fn bench_proc_handoff(c: &mut Criterion) {
+    use ncp2::sim::{ProcHarness, ProcOp, ProcReply};
+    const PROCS: usize = 4;
+    const OPS: u64 = 1_000;
+    let serve = |op: ProcOp| {
+        let h = ProcHarness::spawn(PROCS, move |_, port| {
+            for _ in 0..OPS {
+                port.call(op);
+            }
+            port.call(ProcOp::Finish);
+        });
+        for _ in 0..OPS {
+            for pid in 0..PROCS {
+                let op = h.next_op(pid);
+                if op.returns_value() {
+                    h.reply(pid, ProcReply::Value(0));
+                }
+            }
+        }
+        for pid in 0..PROCS {
+            black_box(h.next_op(pid));
+        }
+        h.join();
+    };
+    c.bench_function("sim/proc_handoff_ack_4", |b| {
+        b.iter(|| serve(ProcOp::Compute(1)))
+    });
+    c.bench_function("sim/proc_handoff_value_4", |b| {
+        b.iter(|| serve(ProcOp::Read { addr: 0, bytes: 4 }))
+    });
+}
+
 /// Registers the whole suite on `c`, in gate order. This is the single
 /// source of truth for what `BENCH_WALL.json` covers.
 pub fn register_all(c: &mut Criterion) {
@@ -291,4 +327,5 @@ pub fn register_all(c: &mut Criterion) {
     bench_transport_resequence(c);
     bench_cache_key(c);
     bench_svc_arrivals(c);
+    bench_proc_handoff(c);
 }

@@ -571,27 +571,26 @@ impl Simulation {
 
     // ----- processor stepping -------------------------------------------
 
+    /// Executes processor `pid`'s next op. Only value replies reach the
+    /// workload (the harness drops `Ack`s): every other op was acknowledged
+    /// when the workload issued it.
     fn step_proc(&mut self, pid: usize, harness: &ProcHarness) {
         let op = harness.next_op(pid);
         match op {
-            ProcOp::Compute(c) => {
-                self.advance(pid, c, Category::Busy, SpanKind::Compute);
-                harness.reply(pid, ProcReply::Ack);
-            }
+            ProcOp::Compute(c) => self.advance(pid, c, Category::Busy, SpanKind::Compute),
             ProcOp::Read { .. } | ProcOp::Write { .. } => {
                 self.nodes[pid].pending_op = Some(op);
                 if let Some(reply) = self.access(pid, op) {
                     self.nodes[pid].pending_op = None;
                     harness.reply(pid, reply);
                 }
-                // else: blocked; replied at wake.
+                // else: blocked; retried at wake.
             }
             ProcOp::Lock(l) => {
                 self.nodes[pid].pending_op = Some(op);
                 if self.seq {
                     self.advance(pid, 10, Category::Synch, SpanKind::SyncOp);
                     self.nodes[pid].pending_op = None;
-                    harness.reply(pid, ProcReply::Ack);
                 } else {
                     self.op_lock(pid, l);
                 }
@@ -602,14 +601,12 @@ impl Simulation {
                 } else {
                     self.op_unlock(pid, l);
                 }
-                harness.reply(pid, ProcReply::Ack);
             }
             ProcOp::Barrier(b) => {
                 self.nodes[pid].pending_op = Some(op);
                 if self.seq {
                     self.advance(pid, 10, Category::Synch, SpanKind::SyncOp);
                     self.nodes[pid].pending_op = None;
-                    harness.reply(pid, ProcReply::Ack);
                 } else {
                     self.op_barrier(pid, b);
                 }
@@ -617,7 +614,6 @@ impl Simulation {
             ProcOp::Finish => {
                 self.nodes[pid].status = ProcStatus::Done;
                 self.done += 1;
-                harness.reply(pid, ProcReply::Ack);
             }
             ProcOp::Svc(svc_op) => {
                 let reply = self.svc_op(pid, svc_op);
@@ -967,10 +963,7 @@ impl Simulation {
                     harness.reply(pid, reply);
                 }
             }
-            ProcOp::Lock(_) | ProcOp::Barrier(_) => {
-                self.nodes[pid].pending_op = None;
-                harness.reply(pid, ProcReply::Ack);
-            }
+            ProcOp::Lock(_) | ProcOp::Barrier(_) => self.nodes[pid].pending_op = None,
             other => unreachable!("unexpected pending op {other:?}"),
         }
     }

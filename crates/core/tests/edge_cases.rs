@@ -228,3 +228,20 @@ fn reacquire_shortcut_preserves_coherence() {
         port.call(ProcOp::Finish);
     });
 }
+
+/// A workload that panics with writes still queued in its port must make
+/// the run panic (naming the dead processor), not hang waiting for ops
+/// that never arrive.
+#[test]
+#[should_panic(expected = "died before Finish")]
+fn workload_panic_after_buffered_writes_fails_the_run() {
+    Simulation::new(params(2), Protocol::TreadMarks(OverlapMode::Base)).run(|pid, port| {
+        w32(&port, 4 * pid as u64, 1);
+        w32(&port, 4 * pid as u64 + 64, 2);
+        if pid == 1 {
+            panic!("workload bug");
+        }
+        port.call(ProcOp::Barrier(0));
+        port.call(ProcOp::Finish);
+    });
+}

@@ -83,11 +83,12 @@ pub enum SvcOp {
 }
 
 impl ProcOp {
-    /// Whether this operation can block the issuing processor on remote
-    /// state (everything except pure computation, `Finish`, and the
-    /// zero-time service-plane markers).
-    pub fn may_block(&self) -> bool {
-        !matches!(self, ProcOp::Compute(_) | ProcOp::Finish | ProcOp::Svc(_))
+    /// Whether this operation returns a value the workload can use: a
+    /// shared read or a clock read. This is the one place that decides
+    /// whether [`crate::ProcPort::call`] waits for the back end; every other
+    /// op is acknowledged when issued.
+    pub fn returns_value(&self) -> bool {
+        matches!(self, ProcOp::Read { .. } | ProcOp::Svc(SvcOp::Now))
     }
 }
 
@@ -120,26 +121,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn blocking_classification() {
-        assert!(!ProcOp::Compute(5).may_block());
-        assert!(!ProcOp::Finish.may_block());
-        assert!(ProcOp::Read { addr: 0, bytes: 4 }.may_block());
-        assert!(ProcOp::Write {
-            addr: 0,
-            bytes: 4,
-            value: 1
+    fn value_classification() {
+        let ops = [
+            (ProcOp::Compute(5), false),
+            (ProcOp::Read { addr: 0, bytes: 4 }, true),
+            (
+                ProcOp::Write {
+                    addr: 0,
+                    bytes: 4,
+                    value: 1,
+                },
+                false,
+            ),
+            (ProcOp::Lock(0), false),
+            (ProcOp::Unlock(0), false),
+            (ProcOp::Barrier(0), false),
+            (ProcOp::Finish, false),
+            (ProcOp::Svc(SvcOp::Now), true),
+            (ProcOp::Svc(SvcOp::Dequeue { depth: 3 }), false),
+            (
+                ProcOp::Svc(SvcOp::Reply {
+                    class: SvcClass::Get,
+                    response: 100,
+                }),
+                false,
+            ),
+        ];
+        for (op, value) in ops {
+            assert_eq!(op.returns_value(), value, "{op:?}");
         }
-        .may_block());
-        assert!(ProcOp::Lock(0).may_block());
-        assert!(ProcOp::Unlock(0).may_block());
-        assert!(ProcOp::Barrier(0).may_block());
-        assert!(!ProcOp::Svc(SvcOp::Now).may_block());
-        assert!(!ProcOp::Svc(SvcOp::Dequeue { depth: 3 }).may_block());
-        assert!(!ProcOp::Svc(SvcOp::Reply {
-            class: SvcClass::Get,
-            response: 100
-        })
-        .may_block());
     }
 
     #[test]

@@ -1,14 +1,26 @@
-//! Rendezvous front end: real Rust workload threads driving simulated
+//! Run-ahead front end: real Rust workload threads driving simulated
 //! processors.
 //!
 //! Each simulated computation processor is an OS thread executing actual
-//! workload code. Every [`ProcOp`] is a blocking round trip into the back
-//! end, which replies only once the operation has completed in simulated
-//! time. Because the back end resumes exactly one processor at a time (the
-//! one with the smallest local clock), the simulation is fully deterministic
-//! despite using threads: there is never more than one runnable workload
-//! thread whose effects the back end observes concurrently.
+//! workload code. Its [`ProcPort`] turns the workload's operations into one
+//! ordered op stream for the back end:
+//!
+//! * an op that returns no value (see [`ProcOp::returns_value`]) joins a
+//!   thread-local batch and is acknowledged at once;
+//! * the batch goes to the back end in one channel send when the workload
+//!   issues a value-returning op (which ends the batch; the port then waits
+//!   for that single reply), issues [`ProcOp::Finish`], or has queued
+//!   [`ProcPort::BATCH_CAP`] ops.
+//!
+//! The back end drains each processor's stream in issue order and resumes
+//! exactly one processor at a time (the one with the smallest local clock).
+//! A workload's next op can depend only on values it waited for, so the back
+//! end sees the same per-processor op sequence however far a thread runs
+//! ahead, and the simulation is fully deterministic despite using threads.
+//! A thread runs ahead at most to its next value-returning op, and at most
+//! a few batches beyond what the back end has taken.
 
+use std::cell::{Cell, RefCell};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -27,6 +39,15 @@ pub enum ProcStatus {
     Done,
 }
 
+/// Batches a workload thread may have sent that the back end has not yet
+/// taken. A thread with a full stream waits, so one processor's run-ahead
+/// holds at most `(STREAM_BATCHES + 2) * BATCH_CAP` ops: the stream, the
+/// batch being drained and the batch being filled.
+const STREAM_BATCHES: usize = 4;
+
+/// A value reply, carrying the drained batch buffer back for reuse.
+type ValueReply = (u64, Vec<ProcOp>);
+
 /// Workload-side handle: issues operations and receives replies.
 ///
 /// Handed to the workload closure by [`ProcHarness::spawn`]; workloads
@@ -34,51 +55,86 @@ pub enum ProcStatus {
 /// [`ProcPort::call`] directly.
 #[derive(Debug)]
 pub struct ProcPort {
-    op_tx: SyncSender<ProcOp>,
-    reply_rx: Receiver<ProcReply>,
+    /// Ops issued but not yet sent, in issue order.
+    batch: RefCell<Vec<ProcOp>>,
+    op_tx: SyncSender<Vec<ProcOp>>,
+    reply_rx: Receiver<ValueReply>,
 }
 
 impl ProcPort {
-    /// Issues one operation and blocks until the back end completes it.
+    /// Most ops one batch holds; a full batch is sent without waiting for a
+    /// value-returning op.
+    pub const BATCH_CAP: usize = 1024;
+
+    /// Issues one operation.
+    ///
+    /// An op that returns no value is queued and answered with
+    /// [`ProcReply::Ack`] at once. A value-returning op is sent with the
+    /// queue ahead of it, and the call blocks until the back end completes
+    /// it.
     ///
     /// # Panics
     ///
     /// Panics if the back end has gone away (simulation aborted).
     pub fn call(&self, op: ProcOp) -> ProcReply {
-        self.op_tx.send(op).expect("simulation back end terminated");
-        self.reply_rx
-            .recv()
-            .expect("simulation back end terminated")
+        let mut batch = self.batch.borrow_mut();
+        batch.push(op);
+        if op.returns_value() {
+            self.send(&mut batch);
+            let (value, buf) = self
+                .reply_rx
+                .recv()
+                .expect("simulation back end terminated");
+            *batch = buf;
+            return ProcReply::Value(value);
+        }
+        if op == ProcOp::Finish || batch.len() >= Self::BATCH_CAP {
+            self.send(&mut batch);
+        }
+        ProcReply::Ack
+    }
+
+    fn send(&self, batch: &mut Vec<ProcOp>) {
+        self.op_tx
+            .send(std::mem::take(batch))
+            .expect("simulation back end terminated");
     }
 }
 
-/// Back-end side of one processor's channel pair.
+/// Back-end side of one processor's op stream.
 #[derive(Debug)]
-struct ProcChannel {
-    op_rx: Receiver<ProcOp>,
-    reply_tx: SyncSender<ProcReply>,
+struct Lane {
+    op_rx: Receiver<Vec<ProcOp>>,
+    reply_tx: SyncSender<ValueReply>,
+    /// The batch being drained.
+    batch: RefCell<Vec<ProcOp>>,
+    /// Index in `batch` of the next op to hand out.
+    next: Cell<usize>,
 }
 
-/// Owns the workload threads and the per-processor rendezvous channels.
+/// Owns the workload threads and the per-processor op streams.
 ///
 /// ```
 /// use ncp2_sim::{ProcHarness, ProcOp, ProcReply};
 ///
 /// let harness = ProcHarness::spawn(2, |pid, port| {
 ///     port.call(ProcOp::Compute(10 * (pid as u64 + 1)));
+///     let v = port.call(ProcOp::Read { addr: 0, bytes: 4 }).value();
+///     port.call(ProcOp::Compute(v));
 ///     port.call(ProcOp::Finish);
 /// });
 /// for pid in 0..2 {
 ///     assert!(matches!(harness.next_op(pid), ProcOp::Compute(_)));
-///     harness.reply(pid, ProcReply::Ack);
+///     assert!(matches!(harness.next_op(pid), ProcOp::Read { .. }));
+///     harness.reply(pid, ProcReply::Value(7));
+///     assert_eq!(harness.next_op(pid), ProcOp::Compute(7));
 ///     assert_eq!(harness.next_op(pid), ProcOp::Finish);
-///     harness.reply(pid, ProcReply::Ack);
 /// }
 /// harness.join();
 /// ```
 #[derive(Debug)]
 pub struct ProcHarness {
-    channels: Vec<ProcChannel>,
+    lanes: Vec<Lane>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -86,62 +142,93 @@ impl ProcHarness {
     /// Spawns `n` workload threads, each running `body(pid, port)`.
     ///
     /// The body **must** end by issuing [`ProcOp::Finish`] (and may not issue
-    /// anything afterwards); the back end replies to it so the thread can
-    /// unwind cleanly.
+    /// anything afterwards); that sends its last batch.
     pub fn spawn<F>(n: usize, body: F) -> Self
     where
         F: Fn(ProcId, ProcPort) + Send + Sync + 'static,
     {
         let body = Arc::new(body);
-        let mut channels = Vec::with_capacity(n);
+        let mut lanes = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         for pid in 0..n {
-            // Capacity 1 lets a thread pre-compute and post its next op
-            // without waiting for the back end to be ready to receive it.
-            let (op_tx, op_rx) = sync_channel(1);
+            let (op_tx, op_rx) = sync_channel(STREAM_BATCHES);
             let (reply_tx, reply_rx) = sync_channel(1);
-            channels.push(ProcChannel { op_rx, reply_tx });
+            lanes.push(Lane {
+                op_rx,
+                reply_tx,
+                batch: RefCell::new(Vec::new()),
+                next: Cell::new(0),
+            });
             let body = Arc::clone(&body);
+            let port = ProcPort {
+                batch: RefCell::new(Vec::new()),
+                op_tx,
+                reply_rx,
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("ncp2-proc-{pid}"))
-                .spawn(move || body(pid, ProcPort { op_tx, reply_rx }))
+                .spawn(move || body(pid, port))
                 .expect("failed to spawn workload thread");
             threads.push(handle);
         }
-        ProcHarness { channels, threads }
+        ProcHarness { lanes, threads }
     }
 
     /// Number of simulated processors.
     pub fn len(&self) -> usize {
-        self.channels.len()
+        self.lanes.len()
     }
 
     /// Whether the harness drives zero processors.
     pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
+        self.lanes.is_empty()
     }
 
-    /// Receives the next operation from processor `pid`, blocking until the
-    /// workload thread produces one.
+    /// Returns the next operation of processor `pid`, in issue order,
+    /// blocking until the workload thread sends its next batch when the
+    /// current one is drained.
     ///
     /// # Panics
     ///
     /// Panics if the workload thread has panicked or exited without
     /// issuing [`ProcOp::Finish`].
     pub fn next_op(&self, pid: ProcId) -> ProcOp {
-        self.channels[pid]
-            .op_rx
-            .recv()
-            .unwrap_or_else(|_| panic!("workload thread {pid} died before Finish"))
+        let lane = &self.lanes[pid];
+        let mut batch = lane.batch.borrow_mut();
+        let mut next = lane.next.get();
+        if next == batch.len() {
+            *batch = lane
+                .op_rx
+                .recv()
+                .unwrap_or_else(|_| panic!("workload thread {pid} died before Finish"));
+            next = 0;
+        }
+        lane.next.set(next + 1);
+        batch[next]
     }
 
-    /// Completes processor `pid`'s pending operation.
+    /// Completes processor `pid`'s pending value-returning operation.
+    ///
+    /// [`ProcReply::Ack`] is ignored: the port acknowledged the op when it
+    /// was issued.
     pub fn reply(&self, pid: ProcId, reply: ProcReply) {
-        // A send can only fail after Finish was acknowledged; that would be a
+        let ProcReply::Value(value) = reply else {
+            return;
+        };
+        let lane = &self.lanes[pid];
+        let mut batch = lane.batch.borrow_mut();
+        // A value-returning op ends its batch, so the batch is drained.
+        debug_assert!(
+            lane.next.get() == batch.len() && batch.last().is_some_and(ProcOp::returns_value),
+            "value reply to processor {pid} without a pending value op"
+        );
+        let mut buf = std::mem::take(&mut *batch);
+        buf.clear();
+        lane.next.set(0);
+        // A send can only fail after the workload exited; that would be a
         // back-end protocol bug.
-        self.channels[pid]
-            .reply_tx
-            .send(reply)
+        lane.reply_tx
+            .send((value, buf))
             .unwrap_or_else(|_| panic!("workload thread {pid} no longer listening"));
     }
 
@@ -151,7 +238,7 @@ impl ProcHarness {
     ///
     /// Panics if any workload thread panicked.
     pub fn join(self) {
-        drop(self.channels);
+        drop(self.lanes);
         for (pid, t) in self.threads.into_iter().enumerate() {
             if let Err(e) = t.join() {
                 std::panic::panic_any(format!("workload thread {pid} panicked: {e:?}"));
@@ -163,6 +250,7 @@ impl ProcHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn round_trip_many_ops() {
@@ -191,6 +279,7 @@ mod tests {
                         *count += 1;
                     }
                     ProcOp::Finish => {
+                        // Dropped: only value replies are sent.
                         harness.reply(pid, ProcReply::Ack);
                         *count = 101;
                         done += 1;
@@ -203,19 +292,25 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_does_not_deadlock() {
-        // The workload posts its next op before the back end asks for it.
-        let harness = ProcHarness::spawn(1, |_, port| {
-            port.call(ProcOp::Compute(1));
-            port.call(ProcOp::Compute(2));
+    fn ack_only_ops_do_not_rendezvous() {
+        // The workload fills the stream (three full batches and its Finish),
+        // then signals, all before the back end takes a single op.
+        let (posted_tx, posted_rx) = sync_channel(1);
+        let n = ((STREAM_BATCHES - 1) * ProcPort::BATCH_CAP) as u64;
+        let harness = ProcHarness::spawn(1, move |_, port| {
+            for i in 0..n {
+                assert_eq!(port.call(ProcOp::Compute(i)), ProcReply::Ack);
+            }
             port.call(ProcOp::Finish);
+            posted_tx.send(()).expect("test waits for the signal");
         });
-        assert_eq!(harness.next_op(0), ProcOp::Compute(1));
-        harness.reply(0, ProcReply::Ack);
-        assert_eq!(harness.next_op(0), ProcOp::Compute(2));
-        harness.reply(0, ProcReply::Ack);
+        posted_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("workload waited on an Ack-only op");
+        for i in 0..n {
+            assert_eq!(harness.next_op(0), ProcOp::Compute(i));
+        }
         assert_eq!(harness.next_op(0), ProcOp::Finish);
-        harness.reply(0, ProcReply::Ack);
         harness.join();
     }
 }
