@@ -14,6 +14,11 @@ done
 cargo clippy -q -p ncp2-net -- -D warnings
 cargo xtask lint --scan-only --json > target/lint_report.json
 cargo build --release
+# hostbench/ (the pinned host benchmark) is its own cargo workspace linking
+# ncp2-bench by path, so `cargo test` never compiles it: check it here so a
+# harness change cannot break the benchmark unnoticed.
+cargo check --release --offline --locked --manifest-path hostbench/Cargo.toml \
+    --target-dir target/hostbench-check
 cargo test -q
 
 # Observability smoke: one observed run must pass its own conservation /

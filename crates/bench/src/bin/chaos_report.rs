@@ -29,9 +29,11 @@
 //! cargo run --release --bin chaos_report -- --check --quiet
 //! ```
 
-use ncp2::prelude::*;
-use ncp2_bench::engine::{tier1_workloads, Engine, Grid, Job, RunRecord};
-use ncp2_bench::harness::{protocol_from_label, ALL_MODE_LABELS};
+use std::process::ExitCode;
+
+use ncp2_bench::engine::{tier1_workloads, Grid, Job, RunRecord};
+use ncp2_bench::gate::{self, Gate};
+use ncp2_bench::harness::{protocol_from_label, Opts, ALL_MODE_LABELS};
 use ncp2_fault::{FaultPlan, LinkWindow};
 
 /// Fault seed for both modes; fixed so runs are reproducible by default.
@@ -41,99 +43,8 @@ const CHAOS_SEED: u64 = 0xC4A05;
 /// total cycles at the `--check` drop rate (1%).
 const MAX_SLOWDOWN: f64 = 3.0;
 
-struct Args {
-    mode: String,
-    rates: Vec<u16>,
-    nprocs: usize,
-    seed: u64,
-    jobs: Option<usize>,
-    no_cache: bool,
-    quiet: bool,
-    prof: bool,
-    check: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: chaos_report [--mode LABEL] [--rates P,P,...] [--nprocs N] [--seed S]\n\
-         \x20                  [--jobs N] [--no-cache] [--quiet] [--prof] [--check]\n\
-         rates are frame-drop permille (0..=500); modes: {}",
-        ALL_MODE_LABELS.join(", ")
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        mode: "I+P+D".into(),
-        rates: vec![0, 5, 10, 20],
-        nprocs: 4,
-        seed: CHAOS_SEED,
-        jobs: None,
-        no_cache: false,
-        quiet: false,
-        prof: false,
-        check: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--mode" => a.mode = args.next().unwrap_or_else(|| usage()),
-            "--rates" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                a.rates = spec
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if a.rates.is_empty() || a.rates.iter().any(|&r| r > 500) {
-                    usage();
-                }
-            }
-            "--nprocs" => {
-                a.nprocs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--seed" => {
-                a.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--jobs" => {
-                a.jobs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--no-cache" => a.no_cache = true,
-            "--quiet" => a.quiet = true,
-            "--prof" => a.prof = true,
-            "--check" => a.check = true,
-            _ => usage(),
-        }
-    }
-    a
-}
-
-fn engine(a: &Args) -> Engine {
-    let mut e = Engine::new();
-    if let Some(jobs) = a.jobs {
-        e = e.with_jobs(jobs);
-    }
-    if a.no_cache {
-        e = e.no_cache();
-    }
-    if a.quiet {
-        e = e.silent();
-    }
-    if a.prof {
-        e = e.with_prof();
-    }
-    e
-}
+/// Flags beyond the engine flags.
+const FLAGS: [&str; 5] = ["--mode", "--rates", "--nprocs", "--seed", "--check"];
 
 /// The sweep plan: pure frame loss at `rate` permille. Rate 0 is inactive
 /// (legacy path) and serves as the fault-free baseline column.
@@ -177,50 +88,43 @@ fn retx_histogram(r: &RunRecord) -> String {
 }
 
 /// Sweep mode: apps x drop rates under one protocol, inflation vs rate 0.
-fn sweep(a: &Args) -> bool {
-    let protocol = protocol_from_label(&a.mode).unwrap_or_else(|| {
-        eprintln!(
-            "unknown mode '{}'; known: {}",
-            a.mode,
-            ALL_MODE_LABELS.join(", ")
-        );
-        std::process::exit(2);
-    });
-    let params = SysParams::default().with_nprocs(a.nprocs);
+fn sweep(o: &Opts) -> ExitCode {
+    let (mode, protocol) = o.mode_or("I+P+D");
+    let rates = o.rates.clone().unwrap_or(vec![0, 5, 10, 20]);
+    let (params, seed) = (o.params(4), o.seed.unwrap_or(CHAOS_SEED));
     let mut grid = Grid::new();
     for (name, spec) in tier1_workloads() {
-        for &rate in &a.rates {
+        for &rate in &rates {
             grid.add(Job {
-                label: format!("{name}/{}/drop{rate}", a.mode),
-                params: params.clone(),
-                protocol,
-                workload: spec.clone(),
-                obs: false,
-                fault: drop_plan(a.seed, rate),
-                verify: false,
-                timeseries: false,
+                fault: drop_plan(seed, rate),
+                ..Job::new(
+                    format!("{name}/{mode}/drop{rate}"),
+                    params.clone(),
+                    protocol,
+                    spec.clone(),
+                )
             });
         }
     }
-    let records = engine(a).run(&grid);
+    let records = o.engine().run(&grid);
 
     println!(
-        "chaos sweep: mode {}, nprocs {}, seed {:#x}, rates {:?} permille",
-        a.mode, a.nprocs, a.seed, a.rates
+        "chaos sweep: mode {mode}, nprocs {}, seed {seed:#x}, rates {rates:?} permille",
+        params.nprocs
     );
     println!(
         "{:<8} {:>5}  {:>14} {:>8} {:>8} {:>6} {:>6}  retx_by_attempt",
         "app", "rate", "cycles", "infl", "retx", "drops", "shed"
     );
-    let mut ok = true;
-    let per_app = a.rates.len();
+    let mut gate = Gate::default();
+    let per_app = rates.len();
     for (app_idx, chunk) in records.chunks(per_app).enumerate() {
         // Records come back in grid order: rates grouped per app, and the
         // first rate in the default list (0) is the baseline. When the user
         // passes a custom rate list, inflation is relative to its first entry.
         let base_cycles = chunk[0].result.total_cycles.max(1);
         let (app_name, _) = tier1_workloads()[app_idx].clone();
-        for (rate, rec) in a.rates.iter().zip(chunk) {
+        for (rate, rec) in rates.iter().zip(chunk) {
             let f = &rec.result.fault;
             println!(
                 "{:<8} {:>4}‰  {:>14} {:>7.3}x {:>8} {:>6} {:>6}  {}",
@@ -233,57 +137,40 @@ fn sweep(a: &Args) -> bool {
                 f.prefetch_shed,
                 retx_histogram(rec)
             );
-            if !rec.result.violations.is_empty() {
-                eprintln!(
-                    "{}: {} oracle violation(s)",
-                    rec.result.protocol,
-                    rec.result.violations.len()
-                );
-                ok = false;
-            }
+            let violations = rec.result.violations.len();
+            gate.ensure(violations == 0, || {
+                format!("{}: {violations} oracle violation(s)", rec.result.protocol)
+            });
         }
     }
-    ok
+    gate.exit_code()
 }
 
 /// `--check` mode: the CI chaos gate (see the module docs for the criteria).
-fn check(a: &Args) -> bool {
-    let params = SysParams::default().with_nprocs(a.nprocs);
-    let plan = chaos_plan(a.seed);
+fn check(o: &Opts) -> ExitCode {
+    let params = o.params(4);
+    let plan = chaos_plan(o.seed.unwrap_or(CHAOS_SEED));
     let mut grid = Grid::new();
     let mut names = Vec::new();
     for label in ALL_MODE_LABELS {
         // invariant: every ALL_MODE_LABELS entry is a known label.
         let protocol = protocol_from_label(label).expect("known mode label");
         for (name, spec) in tier1_workloads() {
-            names.push(format!("{name}/{label}"));
+            let name = format!("{name}/{label}");
+            let job = Job {
+                verify: true,
+                timeseries: true,
+                ..Job::new(&name, params.clone(), protocol, spec)
+            };
             // Faulted run first, fault-free twin second: the pairing below
             // walks the records two at a time in grid order.
-            grid.add(Job {
-                label: format!("{name}/{label}/chaos"),
-                params: params.clone(),
-                protocol,
-                workload: spec.clone(),
-                obs: false,
-                fault: plan.clone(),
-                verify: true,
-                timeseries: true,
-            });
-            grid.add(Job {
-                label: format!("{name}/{label}/clean"),
-                params: params.clone(),
-                protocol,
-                workload: spec,
-                obs: false,
-                fault: FaultPlan::none(),
-                verify: true,
-                timeseries: true,
-            });
+            gate::add_twins(&mut grid, job, &plan, ["chaos", "clean"]);
+            names.push(name);
         }
     }
-    let records = engine(a).run(&grid);
+    let records = o.engine().run(&grid);
 
-    let mut ok = true;
+    let mut gate = Gate::default();
     let assertions = ncp2_obs::default_check_assertions();
     let (mut injected, mut retransmits, mut firings) = (0u64, 0u64, 0usize);
     for (name, pair) in names.iter().zip(records.chunks(2)) {
@@ -297,39 +184,22 @@ fn check(a: &Args) -> bool {
         let clean_ts = clean.ts.as_ref().expect("check jobs record a time series");
         firings += ncp2_obs::evaluate_all(&assertions, chaos_ts).len();
         for f in ncp2_obs::evaluate_all(&assertions, clean_ts) {
-            eprintln!(
+            gate.fail(format!(
                 "{name} (clean): assertion '{}' fired on a fault-free run \
                  (windows {}..={}, cycles {}..{})",
                 f.assertion, f.first_window, f.last_window, f.start_cycle, f.end_cycle
-            );
-            ok = false;
+            ));
         }
-        if chaos.checksum != clean.checksum {
-            eprintln!(
-                "{name}: checksum diverged under faults ({:#x} != {:#x})",
-                chaos.checksum, clean.checksum
-            );
-            ok = false;
-        }
-        for (kind, r) in [("chaos", chaos), ("clean", clean)] {
-            if !r.violations.is_empty() {
-                eprintln!(
-                    "{name} ({kind}): {} oracle violation(s)",
-                    r.violations.len()
-                );
-                ok = false;
-            }
-        }
+        gate::twins(&mut gate, name, chaos, clean);
         let slowdown = chaos.total_cycles as f64 / clean.total_cycles.max(1) as f64;
-        if slowdown > MAX_SLOWDOWN {
-            eprintln!(
+        gate.ensure(slowdown <= MAX_SLOWDOWN, || {
+            format!(
                 "{name}: degradation unbounded: {slowdown:.2}x > {MAX_SLOWDOWN}x \
                  ({} vs {} cycles)",
                 chaos.total_cycles, clean.total_cycles
-            );
-            ok = false;
-        }
-        if !a.quiet {
+            )
+        });
+        if !o.quiet {
             println!(
                 "{name}: checksum ok, {:>4} retx, {:>4} injected, {slowdown:.2}x",
                 chaos.fault.retransmits,
@@ -337,36 +207,32 @@ fn check(a: &Args) -> bool {
             );
         }
     }
-    if injected == 0 {
-        eprintln!("chaos gate injected no faults at all — the plan is not being exercised");
-        ok = false;
-    }
-    if retransmits == 0 {
-        eprintln!("chaos gate triggered no retransmissions — the transport is not being exercised");
-        ok = false;
-    }
-    if firings == 0 {
-        eprintln!(
-            "chaos gate fired no window assertions anywhere — the time-series \
-             recorder is not seeing the faults"
-        );
-        ok = false;
-    }
-    if ok {
-        println!(
+    gate.ensure(injected > 0, || {
+        "chaos gate injected no faults at all — the plan is not being exercised".into()
+    });
+    gate.ensure(retransmits > 0, || {
+        "chaos gate triggered no retransmissions — the transport is not being exercised".into()
+    });
+    gate.ensure(firings > 0, || {
+        "chaos gate fired no window assertions anywhere — the time-series \
+         recorder is not seeing the faults"
+            .into()
+    });
+    gate.verdict(|| {
+        format!(
             "chaos check passed: {} runs, {injected} faults injected, {retransmits} \
              retransmissions, {firings} assertion firings (faulted runs only), \
              checksums equal, zero violations, slowdown <= {MAX_SLOWDOWN}x",
             records.len()
-        );
-    }
-    ok
+        )
+    })
 }
 
-fn main() {
-    let a = parse_args();
-    let ok = if a.check { check(&a) } else { sweep(&a) };
-    if !ok {
-        std::process::exit(1);
+fn main() -> ExitCode {
+    let o = Opts::parse_with(&FLAGS, &[]);
+    if o.check {
+        check(&o)
+    } else {
+        sweep(&o)
     }
 }

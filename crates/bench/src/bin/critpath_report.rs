@@ -25,12 +25,12 @@
 //! not persist, so it always executes fresh; the measured ablation runs are
 //! plain grid points and hit the cache unless `--no-cache` is given.
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 
 use ncp2::prelude::*;
-use ncp2_bench::engine::{tier1_workloads, Engine, Grid, Job};
-use ncp2_bench::harness::protocol_from_label;
-use ncp2_fault::FaultPlan;
+use ncp2_bench::engine::{tier1_workloads, Grid, Job};
+use ncp2_bench::gate::Gate;
+use ncp2_bench::harness::{protocol_from_label, write_file, Opts, TIER1_APPS};
 use ncp2_obs::json::esc;
 use ncp2_obs::{critical_path, what_if, CritPath, ExecGraph, Scenario, WhatIf};
 
@@ -52,69 +52,8 @@ const SCENARIO_MODE: [(Scenario, Option<&str>); 4] = [
 const OVERSHOOT: f64 = 1.05;
 const CAPTURE: f64 = 0.3;
 
-struct Args {
-    app: Option<String>,
-    nprocs: usize,
-    jobs: Option<usize>,
-    no_cache: bool,
-    quiet: bool,
-    prof: bool,
-    check: bool,
-    out: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: critpath_report [--app NAME] [--nprocs N] [--jobs N] [--no-cache]\n\
-         \x20                      [--quiet] [--prof] [--check] [--out FILE]\n\
-         apps: {} (default: all)",
-        tier1_workloads()
-            .iter()
-            .map(|(n, _)| *n)
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        app: None,
-        nprocs: 4,
-        jobs: None,
-        no_cache: false,
-        quiet: false,
-        prof: false,
-        check: false,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--app" => a.app = Some(args.next().unwrap_or_else(|| usage())),
-            "--nprocs" => {
-                a.nprocs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--jobs" => {
-                a.jobs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--no-cache" => a.no_cache = true,
-            "--quiet" => a.quiet = true,
-            "--prof" => a.prof = true,
-            "--check" => a.check = true,
-            "--out" => a.out = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            _ => usage(),
-        }
-    }
-    a
-}
+/// Flags beyond the engine flags.
+const FLAGS: [&str; 4] = ["--app", "--nprocs", "--check", "--out"];
 
 /// One app's complete analysis: the Base run, its critical path, the
 /// what-if predictions and the measured ablation totals.
@@ -127,66 +66,31 @@ struct AppAnalysis {
     measured: Vec<(String, u64)>,
 }
 
-fn analyze(a: &Args) -> Vec<AppAnalysis> {
+fn analyze(o: &Opts) -> Vec<AppAnalysis> {
     let apps: Vec<_> = tier1_workloads()
         .into_iter()
-        .filter(|(n, _)| {
-            a.app
-                .as_deref()
-                .is_none_or(|want| want.eq_ignore_ascii_case(n))
-        })
+        .filter(|(n, _)| o.only_app.as_deref().is_none_or(|want| want == *n))
         .collect();
-    if apps.is_empty() {
-        eprintln!("unknown app '{}'", a.app.as_deref().unwrap_or(""));
-        usage();
-    }
-
-    let params = SysParams::default().with_nprocs(a.nprocs);
+    let params = o.params(4);
     let mut grid = Grid::new();
     // Per app: one observed+traced Base run (never cached — the graph needs
     // the raw log), then the measured ablations as plain cacheable points.
     for (name, spec) in &apps {
         let mut obs_params = params.clone();
         obs_params.trace = true;
+        let base = Protocol::TreadMarks(OverlapMode::Base);
         grid.add(Job {
-            label: format!("{name}/Base"),
-            params: obs_params,
-            protocol: Protocol::TreadMarks(OverlapMode::Base),
-            workload: spec.clone(),
             obs: true,
-            fault: FaultPlan::none(),
-            verify: false,
-            timeseries: false,
+            ..Job::new(format!("{name}/Base"), obs_params, base, spec.clone())
         });
         for mode in MEASURED_MODES {
-            grid.add(Job {
-                label: format!("{name}/{mode}"),
-                params: params.clone(),
-                // invariant: every MEASURED_MODES entry is a known label.
-                protocol: protocol_from_label(mode).expect("known mode label"),
-                workload: spec.clone(),
-                obs: false,
-                fault: FaultPlan::none(),
-                verify: false,
-                timeseries: false,
-            });
+            // invariant: every MEASURED_MODES entry is a known label.
+            let protocol = protocol_from_label(mode).expect("known mode label");
+            let label = format!("{name}/{mode}");
+            grid.add(Job::new(label, params.clone(), protocol, spec.clone()));
         }
     }
-
-    let mut engine = Engine::new();
-    if let Some(jobs) = a.jobs {
-        engine = engine.with_jobs(jobs);
-    }
-    if a.no_cache {
-        engine = engine.no_cache();
-    }
-    if a.quiet {
-        engine = engine.silent();
-    }
-    if a.prof {
-        engine = engine.with_prof();
-    }
-    let mut records = engine.run(&grid).into_iter();
+    let mut records = o.engine().run(&grid).into_iter();
 
     let mut out = Vec::new();
     for (name, _) in &apps {
@@ -325,18 +229,17 @@ fn to_json(analyses: &[AppAnalysis]) -> String {
 /// `I+D` ablation — respects the documented accuracy bound. (`perfect_fill`
 /// is a documented upper bound on `P` and the paper has no `D`-only mode,
 /// so the other scenarios are informational.)
-fn check(analyses: &[AppAnalysis]) -> bool {
-    let mut ok = true;
+fn check(analyses: &[AppAnalysis]) -> ExitCode {
+    let mut gate = Gate::default();
     for an in analyses {
         let total = an.base.total_cycles;
         let sum: u64 = an.path.segments.iter().map(|s| s.end - s.start).sum();
-        if sum != total {
-            eprintln!(
+        gate.ensure(sum == total, || {
+            format!(
                 "check: {}: critical path length {sum} != total {total}",
                 an.name
-            );
-            ok = false;
-        }
+            )
+        });
         // The prediction-accuracy bound is a closed-loop validation: it
         // assumes removing overhead from the critical path shortens the
         // run. The open-loop Svc run ends no earlier than its last arrival,
@@ -354,46 +257,39 @@ fn check(analyses: &[AppAnalysis]) -> bool {
         let mt = measured_total(an, "I+D").expect("I+D is always measured");
         let predicted = total as f64 / w.new_total as f64;
         let measured = total as f64 / mt as f64;
-        if predicted > measured * OVERSHOOT {
-            eprintln!(
+        gate.ensure(predicted <= measured * OVERSHOOT, || {
+            format!(
                 "check: {}: diffs_offload_free prediction {predicted:.3} over-promises vs \
                  measured I+D {measured:.3}",
                 an.name
-            );
-            ok = false;
-        }
-        if predicted - 1.0 < CAPTURE * (measured - 1.0) {
-            eprintln!(
+            )
+        });
+        gate.ensure(predicted - 1.0 >= CAPTURE * (measured - 1.0), || {
+            format!(
                 "check: {}: diffs_offload_free prediction {predicted:.3} captures < {CAPTURE} \
                  of the measured I+D gain ({measured:.3})",
                 an.name
-            );
-            ok = false;
-        }
+            )
+        });
     }
-    if ok {
-        println!("check passed: conservation holds, predictions within the documented bound");
-    }
-    ok
+    gate.verdict(|| {
+        "check passed: conservation holds, predictions within the documented bound".into()
+    })
 }
 
-fn main() {
-    let a = parse_args();
-    let analyses = analyze(&a);
+fn main() -> ExitCode {
+    let o = Opts::parse_with(&FLAGS, &TIER1_APPS);
+    let analyses = analyze(&o);
     for an in &analyses {
         println!("{}", render(an));
     }
-    if let Some(path) = &a.out {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, to_json(&analyses)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
+    if let Some(path) = &o.out {
+        write_file(path, &to_json(&analyses));
         println!("wrote {}", path.display());
     }
-    if a.check && !check(&analyses) {
-        std::process::exit(1);
+    if o.check {
+        check(&analyses)
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -14,7 +14,7 @@
 
 use ncp2::prelude::*;
 use ncp2_bench::engine::{scale_grid, scale_workloads, Grid, SCALE_NPROCS};
-use ncp2_bench::harness::Opts;
+use ncp2_bench::harness::{Opts, APP_NAMES};
 use ncp2_obs::{critical_path, ExecGraph};
 
 /// The `--scale` sweep: 2..=256 processors x scale workloads x {Base, I+P+D}.
@@ -82,7 +82,7 @@ fn run_scale(opts: &Opts) {
 }
 
 fn main() {
-    let opts = Opts::parse();
+    let opts = Opts::parse_with(&["--app", "--paper-size", "--scale"], &APP_NAMES);
     if opts.scale {
         run_scale(&opts);
         return;

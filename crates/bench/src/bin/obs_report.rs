@@ -18,140 +18,38 @@
 //! cargo run --release --bin obs_report -- --bench bench_new.json --jobs 4
 //! ```
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 
 use ncp2::prelude::*;
-use ncp2_bench::engine::{tier1_grid, Engine, Grid, Job, RunRecord, WorkloadSpec};
-use ncp2_bench::harness::{protocol_from_label, ALL_MODE_LABELS};
-use ncp2_fault::FaultPlan;
+use ncp2_bench::engine::{tier1_grid, Grid, Job, RunRecord, WorkloadSpec};
+use ncp2_bench::gate::{self, Gate};
+use ncp2_bench::harness::{write_file, Opts, TIER1_APPS};
 use ncp2_obs::report::parse_metrics;
 use ncp2_obs::{perfetto_json, write_bench, MetricsReport};
 
-struct Args {
-    app: String,
-    mode: String,
-    nprocs: usize,
-    top_k: usize,
-    paper_size: bool,
-    out_dir: Option<PathBuf>,
-    selfcheck: bool,
-    bench: Option<PathBuf>,
-    jobs: Option<usize>,
-    no_cache: bool,
-    quiet: bool,
-    prof: bool,
-}
+/// Flags beyond the engine flags.
+const FLAGS: [&str; 8] = [
+    "--app",
+    "--mode",
+    "--nprocs",
+    "--top-k",
+    "--paper-size",
+    "--out-dir",
+    "--selfcheck",
+    "--bench",
+];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: obs_report [--app NAME] [--mode LABEL] [--nprocs N] [--top-k K]\n\
-         \x20                 [--paper-size] [--out-dir DIR] [--selfcheck] [--bench FILE]\n\
-         \x20                 [--jobs N] [--no-cache] [--quiet] [--prof]\n\
-         top-k bounds the per-node table (0 = every node); modes: {}",
-        ALL_MODE_LABELS.join(", ")
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        app: "TSP".into(),
-        mode: "I+P+D".into(),
-        nprocs: SysParams::default().nprocs,
-        top_k: 16,
-        paper_size: false,
-        out_dir: None,
-        selfcheck: false,
-        bench: None,
-        jobs: None,
-        no_cache: false,
-        quiet: false,
-        prof: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--app" => a.app = args.next().unwrap_or_else(|| usage()),
-            "--mode" => a.mode = args.next().unwrap_or_else(|| usage()),
-            "--nprocs" => {
-                a.nprocs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--top-k" => {
-                a.top_k = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--paper-size" => a.paper_size = true,
-            "--out-dir" => a.out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--selfcheck" => a.selfcheck = true,
-            "--bench" => a.bench = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--jobs" => {
-                a.jobs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--no-cache" => a.no_cache = true,
-            "--quiet" => a.quiet = true,
-            "--prof" => a.prof = true,
-            _ => usage(),
-        }
-    }
-    const APPS: [&str; 7] = ["TSP", "Water", "Radix", "Barnes", "Em3d", "Ocean", "Svc"];
-    match APPS.iter().find(|n| n.eq_ignore_ascii_case(&a.app)) {
-        Some(canonical) => a.app = canonical.to_string(),
-        None => {
-            eprintln!("unknown app '{}'; known: {}", a.app, APPS.join(", "));
-            std::process::exit(2);
-        }
-    }
-    a
-}
-
-fn engine(a: &Args) -> Engine {
-    let mut e = Engine::new();
-    if let Some(jobs) = a.jobs {
-        e = e.with_jobs(jobs);
-    }
-    if a.no_cache {
-        e = e.no_cache();
-    }
-    if a.quiet {
-        e = e.silent();
-    }
-    if a.prof {
-        e = e.with_prof();
-    }
-    e
-}
-
-/// The job for one observed run at the given size, with protocol tracing on
-/// so the Perfetto export carries instant events too. (Trace jobs always
-/// execute fresh — the cache does not persist raw timelines.)
-fn observed_job(app: &str, mode: &str, nprocs: usize, paper_size: bool) -> Job {
-    let protocol = protocol_from_label(mode).unwrap_or_else(|| {
-        eprintln!(
-            "unknown mode '{mode}'; known: {}",
-            ALL_MODE_LABELS.join(", ")
-        );
-        std::process::exit(2);
-    });
-    let mut params = SysParams::default().with_nprocs(nprocs);
+/// The job for one observed run, with protocol tracing on so the Perfetto
+/// export carries instant events too. (Trace jobs always execute fresh —
+/// the cache does not persist raw timelines.)
+fn observed_job(o: &Opts) -> Job {
+    let (app, (mode, protocol)) = (o.app_or("TSP"), o.mode_or("I+P+D"));
+    let mut params = o.params(SysParams::default().nprocs);
     params.trace = true;
+    let spec = WorkloadSpec::named(app, o.paper_size);
     Job {
-        label: format!("{app}/{mode}"),
-        params,
-        protocol,
-        workload: WorkloadSpec::named(app, paper_size),
         obs: true,
-        fault: FaultPlan::none(),
-        verify: false,
-        timeseries: false,
+        ..Job::new(format!("{app}/{mode}"), params, protocol, spec)
     }
 }
 
@@ -160,10 +58,10 @@ fn observed_job(app: &str, mode: &str, nprocs: usize, paper_size: bool) -> Job {
 /// broad enough that a protocol-wide slowdown cannot hide. Runs through the
 /// parallel engine with the cache forced off: the baseline file must always
 /// reflect the code as built, never a stale cached result.
-fn bench_reports(a: &Args) -> Vec<MetricsReport> {
+fn bench_reports(o: &Opts) -> Vec<MetricsReport> {
     const BENCH_MODES: [&str; 3] = ["Base", "I+P+D", "AURC+P"];
     let grid = tier1_grid(&BENCH_MODES);
-    let records = engine(a).no_cache().run(&grid);
+    let records = o.engine().no_cache().run(&grid);
     records
         .into_iter()
         .map(|rec| {
@@ -173,33 +71,20 @@ fn bench_reports(a: &Args) -> Vec<MetricsReport> {
         .collect()
 }
 
-fn write_file(path: &std::path::Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
+fn main() -> ExitCode {
+    let o = Opts::parse_with(&FLAGS, &TIER1_APPS);
 
-fn main() {
-    let a = parse_args();
-
-    if let Some(bench_path) = &a.bench {
-        let reports = bench_reports(&a);
+    if let Some(bench_path) = &o.bench {
+        let reports = bench_reports(&o);
         write_file(bench_path, &write_bench(&reports));
         println!("wrote {} runs to {}", reports.len(), bench_path.display());
-        return;
+        return ExitCode::SUCCESS;
     }
 
     let run_observed = || -> RunRecord {
         let mut grid = Grid::new();
-        grid.add(observed_job(&a.app, &a.mode, a.nprocs, a.paper_size));
-        engine(&a)
+        grid.add(observed_job(&o));
+        o.engine()
             .silent()
             .run(&grid)
             .pop()
@@ -216,77 +101,60 @@ fn main() {
     // Per-node breakdown, hottest (most overhead) nodes first; anything past
     // the top K collapses into one summed row so 256-node runs stay legible.
     println!();
-    print!("{}", ncp2_obs::render_node_table(&r.nodes, a.top_k));
+    print!(
+        "{}",
+        ncp2_obs::render_node_table(&r.nodes, o.top_k.unwrap_or(16))
+    );
 
-    let mut failed = false;
-    if !r.violations.is_empty() {
-        eprintln!("violations: {:#?}", r.violations);
-        failed = true;
-    }
+    let mut gate = Gate::default();
+    gate.ensure(r.violations.is_empty(), || {
+        format!("violations: {:#?}", r.violations)
+    });
 
-    if let Some(dir) = &a.out_dir {
-        let metrics = report.to_json();
-        let trace = perfetto_json(r);
-        let csv = ncp2::core::trace_csv(&r.trace);
-        write_file(&dir.join("metrics.json"), &metrics);
-        write_file(&dir.join("trace.json"), &trace);
-        write_file(&dir.join("trace.csv"), &csv);
+    if let Some(dir) = &o.out_dir {
+        write_file(&dir.join("metrics.json"), &report.to_json());
+        write_file(&dir.join("trace.json"), &perfetto_json(r));
+        write_file(&dir.join("trace.csv"), &ncp2::core::trace_csv(&r.trace));
         println!(
             "\nwrote metrics.json, trace.json, trace.csv to {}",
             dir.display()
         );
     }
 
-    if a.selfcheck {
-        // 1. Conservation must have held (violations would have tripped above,
-        //    but check the report's own flag too).
-        if !report.conservation_ok {
-            eprintln!("selfcheck: span-conservation invariant FAILED");
-            failed = true;
-        }
-        // 2. Determinism: a second identical run must produce byte-identical
-        //    metrics and Perfetto exports. (Trace jobs never hit the cache,
-        //    so this genuinely re-simulates.)
-        let rec2 = run_observed();
-        // invariant: observed_job sets obs, so the record carries a report.
-        let report2 = rec2.report.expect("observed job carries a report");
-        // Host-phase attribution is wall-clock data and legitimately differs
-        // between runs; the determinism contract covers everything simulated.
-        let sim_only = |r: &MetricsReport| {
-            let mut r = r.clone();
-            r.host.clear();
-            r.to_json()
-        };
-        if sim_only(&report2) != sim_only(&report) {
-            eprintln!("selfcheck: metrics.json differs between identical runs");
-            failed = true;
-        }
-        if perfetto_json(&rec2.result) != perfetto_json(r) {
-            eprintln!("selfcheck: trace.json differs between identical runs");
-            failed = true;
-        }
-        // 3. The deterministic JSON must parse back to the same report.
-        match parse_metrics(&report.to_json()) {
-            Ok(parsed) => {
-                if parsed.total_cycles != report.total_cycles
-                    || parsed.name != report.name
-                    || !parsed.conservation_ok
-                {
-                    eprintln!("selfcheck: parsed metrics disagree with the report");
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("selfcheck: metrics.json does not parse: {e}");
-                failed = true;
-            }
-        }
-        if !failed {
-            println!("\nselfcheck passed: conservation ok, exports deterministic");
-        }
+    if !o.selfcheck {
+        return gate.exit_code();
     }
-
-    if failed {
-        std::process::exit(1);
+    // 1. Conservation must have held (violations would have tripped above,
+    //    but check the report's own flag too).
+    gate.ensure(report.conservation_ok, || {
+        "selfcheck: span-conservation invariant FAILED".into()
+    });
+    // 2. Determinism: a second identical run must produce byte-identical
+    //    metrics and Perfetto exports. (Trace jobs never hit the cache, so
+    //    this genuinely re-simulates.)
+    let rec2 = run_observed();
+    // invariant: observed_job sets obs, so the record carries a report.
+    let report2 = rec2.report.expect("observed job carries a report");
+    // Host-phase attribution is wall-clock data and legitimately differs
+    // between runs; the determinism contract covers everything simulated.
+    let sim_only = |r: &MetricsReport| {
+        let mut r = r.clone();
+        r.host.clear();
+        r.to_json()
+    };
+    let (metrics, metrics2) = (sim_only(&report), sim_only(&report2));
+    gate::parity(&mut gate, "selfcheck: metrics.json", &metrics, &metrics2);
+    let (trace, trace2) = (perfetto_json(r), perfetto_json(&rec2.result));
+    gate::parity(&mut gate, "selfcheck: trace.json", &trace, &trace2);
+    // 3. The deterministic JSON must parse back to the same report.
+    match parse_metrics(&report.to_json()) {
+        Ok(parsed) => gate.ensure(
+            parsed.total_cycles == report.total_cycles
+                && parsed.name == report.name
+                && parsed.conservation_ok,
+            || "selfcheck: parsed metrics disagree with the report".into(),
+        ),
+        Err(e) => gate.fail(format!("selfcheck: metrics.json does not parse: {e}")),
     }
+    gate.verdict(|| "\nselfcheck passed: conservation ok, exports deterministic".into())
 }

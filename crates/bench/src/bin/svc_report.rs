@@ -35,11 +35,12 @@
 //! cargo run --release --bin svc_report -- --check --quiet --out-dir target/svc
 //! ```
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 
 use ncp2::prelude::*;
-use ncp2_bench::engine::{Engine, Grid, Job, RunRecord, WorkloadSpec};
-use ncp2_bench::harness::{protocol_from_label, ALL_MODE_LABELS};
+use ncp2_bench::engine::{Grid, Job, RunRecord, WorkloadSpec};
+use ncp2_bench::gate::{self, Gate};
+use ncp2_bench::harness::{protocol_from_label, write_file, Opts, ALL_MODE_LABELS};
 use ncp2_fault::FaultPlan;
 
 /// Default sweep gaps: comfortably under-loaded down to near saturation.
@@ -59,103 +60,8 @@ const CHECK_SEED: u64 = 0x5E4C;
 /// Faulted p99 must stay within this multiple of the clean twin's p99.
 const MAX_TAIL_INFLATION: f64 = 4.0;
 
-struct Args {
-    gaps: Vec<u64>,
-    nprocs: usize,
-    out_dir: Option<PathBuf>,
-    jobs: Option<usize>,
-    no_cache: bool,
-    quiet: bool,
-    prof: bool,
-    check: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: svc_report [--gaps G,G,...] [--nprocs N] [--out-dir DIR]\n\
-         \x20                 [--jobs N] [--no-cache] [--quiet] [--prof] [--check]\n\
-         gaps are mean inter-arrival gaps in simulated cycles (smaller = higher load)"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        gaps: SWEEP_GAPS.to_vec(),
-        nprocs: 4,
-        out_dir: None,
-        jobs: None,
-        no_cache: false,
-        quiet: false,
-        prof: false,
-        check: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--gaps" => {
-                let spec = args.next().unwrap_or_else(|| usage());
-                a.gaps = spec
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if a.gaps.is_empty() || a.gaps.contains(&0) {
-                    usage();
-                }
-            }
-            "--nprocs" => {
-                a.nprocs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--out-dir" => a.out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--jobs" => {
-                a.jobs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--no-cache" => a.no_cache = true,
-            "--quiet" => a.quiet = true,
-            "--prof" => a.prof = true,
-            "--check" => a.check = true,
-            _ => usage(),
-        }
-    }
-    a
-}
-
-fn engine(a: &Args) -> Engine {
-    let mut e = Engine::new();
-    if let Some(jobs) = a.jobs {
-        e = e.with_jobs(jobs);
-    }
-    if a.no_cache {
-        e = e.no_cache();
-    }
-    if a.quiet {
-        e = e.silent();
-    }
-    if a.prof {
-        e = e.with_prof();
-    }
-    e
-}
-
-fn write_file(path: &std::path::Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
+/// Flags beyond the engine flags.
+const FLAGS: [&str; 4] = ["--gaps", "--nprocs", "--out-dir", "--check"];
 
 /// Response-time quantiles of one cell, whichever way the record carries
 /// them: fresh (and `--check`) runs expose `RunResult::svc` directly;
@@ -219,22 +125,22 @@ fn report_doc(gaps: &[u64], records: &[RunRecord]) -> String {
 }
 
 /// Builds the mode × gap grid in a fixed order (modes outer, gaps inner).
-fn sweep_grid(a: &Args, verify: bool, obs: bool) -> Grid {
-    let params = SysParams::default().with_nprocs(a.nprocs);
+fn sweep_grid(params: &SysParams, gaps: &[u64], verify: bool, obs: bool) -> Grid {
     let mut grid = Grid::new();
     for label in ALL_MODE_LABELS {
         // invariant: every ALL_MODE_LABELS entry is a known label.
         let protocol = protocol_from_label(label).expect("known mode label");
-        for &gap in &a.gaps {
+        for &gap in gaps {
+            let spec = WorkloadSpec::Svc(Svc::default().at_mean_gap(gap));
             grid.add(Job {
-                label: format!("Svc/{label}/gap{gap}"),
-                params: params.clone(),
-                protocol,
-                workload: WorkloadSpec::Svc(Svc::default().at_mean_gap(gap)),
                 obs,
-                fault: FaultPlan::none(),
                 verify,
-                timeseries: false,
+                ..Job::new(
+                    format!("Svc/{label}/gap{gap}"),
+                    params.clone(),
+                    protocol,
+                    spec,
+                )
             });
         }
     }
@@ -257,119 +163,84 @@ fn print_table(gaps: &[u64], records: &[RunRecord]) {
 }
 
 /// Sweep mode: modes × gaps, tail table, optional JSON export.
-fn sweep(a: &Args) -> bool {
-    let records = engine(a).run(&sweep_grid(a, false, true));
+fn sweep(o: &Opts) -> ExitCode {
+    let gaps = o.gaps.clone().unwrap_or(SWEEP_GAPS.to_vec());
+    let params = o.params(4);
+    let records = o.engine().run(&sweep_grid(&params, &gaps, false, true));
     println!(
-        "svc rate sweep: nprocs {}, {} requests/run, gaps {:?} cycles",
-        a.nprocs,
+        "svc rate sweep: nprocs {}, {} requests/run, gaps {gaps:?} cycles",
+        params.nprocs,
         Svc::default().requests,
-        a.gaps
     );
-    print_table(&a.gaps, &records);
-    if let Some(dir) = &a.out_dir {
-        write_file(&dir.join("svc_report.json"), &report_doc(&a.gaps, &records));
+    print_table(&gaps, &records);
+    if let Some(dir) = &o.out_dir {
+        write_file(&dir.join("svc_report.json"), &report_doc(&gaps, &records));
         println!("wrote svc_report.json to {}", dir.display());
     }
-    true
+    ExitCode::SUCCESS
 }
 
 /// `--check` mode: the CI tail-latency gate (see the module docs).
-fn check(a: &Args) -> bool {
-    // The gate pins its own loads and never touches the cache.
-    let a = &Args {
-        gaps: CHECK_GAPS.to_vec(),
-        nprocs: a.nprocs,
-        out_dir: a.out_dir.clone(),
-        jobs: a.jobs,
-        no_cache: true,
-        quiet: a.quiet,
-        prof: a.prof,
-        check: true,
-    };
-    let params = SysParams::default().with_nprocs(a.nprocs);
+fn check(o: &Opts) -> ExitCode {
+    let params = o.params(4);
     // The sweep cells run the oracle; svc stats come straight off the
-    // results (the gate never touches the cache).
+    // results (the gate pins its own loads and never touches the cache).
     let build_grid = || {
-        let mut grid = sweep_grid(a, true, false);
+        let mut grid = sweep_grid(&params, &CHECK_GAPS, true, false);
         // The twin pair: I+P+D at the moderate load, 1% frame drop vs
-        // fault-free — faulted first, clean second, appended after the
-        // sweep cells.
+        // fault-free, appended after the sweep cells.
         let protocol = protocol_from_label("I+P+D").expect("known mode label");
         let spec = WorkloadSpec::Svc(Svc::default().at_mean_gap(CHECK_GAPS[1]));
-        grid.add(Job {
-            label: "Svc/I+P+D/drop1pct".into(),
-            params: params.clone(),
-            protocol,
-            workload: spec.clone(),
-            obs: false,
-            fault: FaultPlan {
-                seed: CHECK_SEED,
-                drop_permille: CHECK_DROP_PERMILLE,
-                ..FaultPlan::none()
-            },
+        let job = Job {
             verify: true,
-            timeseries: false,
-        });
-        grid.add(Job {
-            label: "Svc/I+P+D/clean-twin".into(),
-            params: params.clone(),
-            protocol,
-            workload: spec,
-            obs: false,
-            fault: FaultPlan::none(),
-            verify: true,
-            timeseries: false,
-        });
+            ..Job::new("Svc/I+P+D", params.clone(), protocol, spec)
+        };
+        let plan = FaultPlan {
+            seed: CHECK_SEED,
+            drop_permille: CHECK_DROP_PERMILLE,
+            ..FaultPlan::none()
+        };
+        gate::add_twins(&mut grid, job, &plan, ["drop1pct", "clean-twin"]);
         grid
     };
 
     let sweep_cells = ALL_MODE_LABELS.len() * CHECK_GAPS.len();
     let run_once = |jobs: usize| -> (Vec<RunRecord>, String) {
-        let mut e = Engine::new().with_jobs(jobs).no_cache();
-        if a.quiet {
-            e = e.silent();
-        }
-        if a.prof {
-            e = e.with_prof();
-        }
-        let records = e.run(&build_grid());
+        let records = o.engine().with_jobs(jobs).no_cache().run(&build_grid());
         let doc = report_doc(&CHECK_GAPS, &records[..sweep_cells]);
         (records, doc)
     };
 
     let (records, doc) = run_once(1);
-    let mut ok = true;
+    let mut gate = Gate::default();
 
     // 1. Every run is oracle-silent, and the checksum is the same in every
     //    cell: the service state machine is protocol- and load-invariant.
     let expect_ck = records[0].result.checksum;
     for rec in &records {
         let r = &rec.result;
-        if !r.violations.is_empty() {
-            eprintln!(
+        gate.ensure(r.violations.is_empty(), || {
+            format!(
                 "check: {}: {} oracle violation(s)",
                 r.protocol,
                 r.violations.len()
-            );
-            ok = false;
-        }
-        if r.checksum != expect_ck {
-            eprintln!(
+            )
+        });
+        gate.ensure(r.checksum == expect_ck, || {
+            format!(
                 "check: checksum drift: {:#x} != {:#x}",
                 r.checksum, expect_ck
-            );
-            ok = false;
-        }
+            )
+        });
         let (completed, ..) = tail(rec);
-        if completed != Svc::default().requests {
-            eprintln!(
+        gate.ensure(completed == Svc::default().requests, || {
+            format!(
                 "check: lost requests: served {completed} of {}",
                 Svc::default().requests
-            );
-            ok = false;
-        }
+            )
+        });
     }
-    if !a.quiet {
+    if !o.quiet {
         print_table(&CHECK_GAPS, &records[..sweep_cells]);
     }
 
@@ -386,55 +257,53 @@ fn check(a: &Args) -> bool {
     let hot = CHECK_GAPS.len() - 1;
     let (_, _, _, p99_base, _) = tail(cell("Base", hot));
     let (_, _, _, p99_ipd, _) = tail(cell("I+P+D", hot));
-    if p99_ipd >= p99_base {
-        eprintln!(
+    gate.ensure(p99_ipd < p99_base, || {
+        format!(
             "check: overlap does not help the tail: p99(I+P+D) = {p99_ipd} >= \
              p99(Base) = {p99_base} at mean_gap {}",
             CHECK_GAPS[hot]
-        );
-        ok = false;
-    }
+        )
+    });
 
     // 3. The faulted twin: same memory, bounded tail.
     let (faulted, clean) = (&records[sweep_cells], &records[sweep_cells + 1]);
-    if faulted.result.checksum != clean.result.checksum {
-        eprintln!(
-            "check: checksum diverged under 1% drop ({:#x} != {:#x})",
-            faulted.result.checksum, clean.result.checksum
-        );
-        ok = false;
-    }
-    if faulted.result.fault.injected() == 0 {
-        eprintln!("check: the drop plan injected no faults — the twin is not being exercised");
-        ok = false;
-    }
+    gate::twins(
+        &mut gate,
+        "check: drop twin",
+        &faulted.result,
+        &clean.result,
+    );
+    gate.ensure(faulted.result.fault.injected() > 0, || {
+        "check: the drop plan injected no faults — the twin is not being exercised".into()
+    });
     let (_, _, _, p99_faulted, _) = tail(faulted);
     let (_, _, _, p99_clean, _) = tail(clean);
     let inflation = p99_faulted as f64 / p99_clean.max(1) as f64;
-    if inflation > MAX_TAIL_INFLATION {
-        eprintln!(
+    gate.ensure(inflation <= MAX_TAIL_INFLATION, || {
+        format!(
             "check: tail inflation unbounded under 1% drop: {inflation:.2}x > \
              {MAX_TAIL_INFLATION}x ({p99_faulted} vs {p99_clean} cycles p99)"
-        );
-        ok = false;
-    }
+        )
+    });
 
     // 4. Byte-determinism across worker counts: the artifact built from a
     //    single-worker pass must equal the eight-worker pass exactly.
     let (_, doc8) = run_once(8);
-    if doc8 != doc {
-        eprintln!("check: svc_report.json differs between --jobs 1 and --jobs 8");
-        ok = false;
-    }
+    gate::parity(
+        &mut gate,
+        "check: svc_report.json (--jobs 1 vs --jobs 8)",
+        &doc,
+        &doc8,
+    );
 
-    if let Some(dir) = &a.out_dir {
+    if let Some(dir) = &o.out_dir {
         write_file(&dir.join("svc_report.json"), &doc);
-        if !a.quiet {
+        if !o.quiet {
             println!("wrote svc_report.json to {}", dir.display());
         }
     }
-    if ok {
-        println!(
+    gate.verdict(|| {
+        format!(
             "svc check passed: {} cells oracle-silent, checksum {:#x} invariant, \
              p99(I+P+D) {p99_ipd} < p99(Base) {p99_base} at mean_gap {}, drop-twin \
              inflation {inflation:.2}x <= {MAX_TAIL_INFLATION}x, export deterministic \
@@ -442,15 +311,15 @@ fn check(a: &Args) -> bool {
             records.len(),
             expect_ck,
             CHECK_GAPS[hot]
-        );
-    }
-    ok
+        )
+    })
 }
 
-fn main() {
-    let a = parse_args();
-    let ok = if a.check { check(&a) } else { sweep(&a) };
-    if !ok {
-        std::process::exit(1);
+fn main() -> ExitCode {
+    let o = Opts::parse_with(&FLAGS, &[]);
+    if o.check {
+        check(&o)
+    } else {
+        sweep(&o)
     }
 }

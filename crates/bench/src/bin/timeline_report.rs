@@ -21,11 +21,12 @@
 //! cargo run --release --bin timeline_report -- --check --quiet --out-dir /tmp/timeline
 //! ```
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 
 use ncp2::prelude::*;
-use ncp2_bench::engine::{tier1_workloads, Engine, Grid, Job, WorkloadSpec};
-use ncp2_bench::harness::{protocol_from_label, ALL_MODE_LABELS};
+use ncp2_bench::engine::{tier1_workloads, Grid, Job, RunRecord, WorkloadSpec};
+use ncp2_bench::gate::{self, Gate};
+use ncp2_bench::harness::{protocol_from_label, write_file, Opts, TIER1_APPS};
 use ncp2_fault::{FaultPlan, Window};
 use ncp2_obs::{render_hotspots, Assertion, Firing, TimelineReport};
 
@@ -46,128 +47,20 @@ const CHECK_WINDOW: u64 = 8_192;
 /// The `--check` assertion: two consecutive windows with retransmissions.
 const CHECK_ASSERTION: &str = "retransmits > 0 for 2";
 
-struct Args {
-    app: String,
-    mode: String,
-    nprocs: usize,
-    window: u64,
-    top_k: usize,
-    asserts: Vec<Assertion>,
-    out_dir: Option<PathBuf>,
-    jobs: Option<usize>,
-    no_cache: bool,
-    quiet: bool,
-    prof: bool,
-    check: bool,
-}
+/// Flags beyond the engine flags.
+const FLAGS: [&str; 8] = [
+    "--app",
+    "--mode",
+    "--nprocs",
+    "--window",
+    "--top-k",
+    "--assert",
+    "--out-dir",
+    "--check",
+];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: timeline_report [--app NAME] [--mode LABEL] [--nprocs N] [--window W]\n\
-         \x20                      [--top-k K] [--assert EXPR]... [--out-dir DIR]\n\
-         \x20                      [--jobs N] [--no-cache] [--quiet] [--prof] [--check]\n\
-         window is the width in cycles (0 = auto); top-k 0 prints full tables;\n\
-         assertions: 'SERIES OP N for K' or 'monotone SERIES for K'; modes: {}",
-        ALL_MODE_LABELS.join(", ")
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        app: "TSP".into(),
-        mode: "I+P+D".into(),
-        nprocs: SysParams::default().nprocs,
-        window: 0,
-        top_k: 16,
-        asserts: Vec::new(),
-        out_dir: None,
-        jobs: None,
-        no_cache: false,
-        quiet: false,
-        prof: false,
-        check: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--app" => a.app = args.next().unwrap_or_else(|| usage()),
-            "--mode" => a.mode = args.next().unwrap_or_else(|| usage()),
-            "--nprocs" => {
-                a.nprocs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--window" => {
-                a.window = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--top-k" => {
-                a.top_k = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--assert" => {
-                let expr = args.next().unwrap_or_else(|| usage());
-                match Assertion::parse(&expr) {
-                    Ok(asrt) => a.asserts.push(asrt),
-                    Err(e) => {
-                        eprintln!("bad assertion: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--out-dir" => a.out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--jobs" => {
-                a.jobs = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--no-cache" => a.no_cache = true,
-            "--quiet" => a.quiet = true,
-            "--prof" => a.prof = true,
-            "--check" => a.check = true,
-            _ => usage(),
-        }
-    }
-    a
-}
-
-fn engine(a: &Args) -> Engine {
-    let mut e = Engine::new();
-    if let Some(jobs) = a.jobs {
-        e = e.with_jobs(jobs);
-    }
-    if a.no_cache {
-        e = e.no_cache();
-    }
-    if a.quiet {
-        e = e.silent();
-    }
-    if a.prof {
-        e = e.with_prof();
-    }
-    e
-}
-
-fn write_file(path: &std::path::Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-}
+/// Default rows per hot-spot table.
+const TOP_K: usize = 16;
 
 fn firings_json(firings: &[Firing], base: usize) -> String {
     let p = " ".repeat(base);
@@ -195,41 +88,31 @@ fn print_firings(firings: &[Firing]) {
 
 /// One run with the time-series recorder on. Time-series jobs bypass the
 /// result cache, so this always re-simulates.
-fn timeline_run(a: &Args) -> TimelineReport {
-    let protocol = protocol_from_label(&a.mode).unwrap_or_else(|| {
-        eprintln!(
-            "unknown mode '{}'; known: {}",
-            a.mode,
-            ALL_MODE_LABELS.join(", ")
-        );
-        std::process::exit(2);
-    });
-    let mut params = SysParams::default().with_nprocs(a.nprocs);
-    params.ts_window = a.window;
+fn timeline_run(o: &Opts) -> TimelineReport {
+    let (app, (mode, protocol)) = (o.app_or("TSP"), o.mode_or("I+P+D"));
+    let mut params = o.params(SysParams::default().nprocs);
+    params.ts_window = o.window.unwrap_or(0);
     let mut grid = Grid::new();
+    let spec = WorkloadSpec::named(app, false);
     grid.add(Job {
-        label: format!("{}/{}", a.app, a.mode),
-        params,
-        protocol,
-        workload: WorkloadSpec::named(&a.app, false),
-        obs: false,
-        fault: FaultPlan::none(),
-        verify: false,
         timeseries: true,
+        ..Job::new(format!("{app}/{mode}"), params, protocol, spec)
     });
-    let rec = engine(a)
+    let rec = o
+        .engine()
         .silent()
         .run(&grid)
         .pop()
         // invariant: run() returns exactly one record per job.
         .expect("one job in, one record out");
     // invariant: the job sets `timeseries`, so the result carries a log.
-    TimelineReport::from_run(&format!("{}/{}", a.app, a.mode), &rec.result, a.top_k)
+    let top_k = o.top_k.unwrap_or(TOP_K);
+    TimelineReport::from_run(&format!("{app}/{mode}"), &rec.result, top_k)
         .expect("time-series job carries a log")
 }
 
-fn report(a: &Args) -> bool {
-    let rep = timeline_run(a);
+fn report(o: &Opts) -> ExitCode {
+    let rep = timeline_run(o);
     println!(
         "{}: {} cycles, {} windows x {} cycles",
         rep.name,
@@ -237,12 +120,12 @@ fn report(a: &Args) -> bool {
         rep.log.windows.len(),
         rep.log.width
     );
-    print!("{}", render_hotspots(&rep.log, a.top_k));
+    print!("{}", render_hotspots(&rep.log, o.top_k.unwrap_or(TOP_K)));
 
-    let firings = ncp2_obs::evaluate_all(&a.asserts, &rep.log);
+    let firings = ncp2_obs::evaluate_all(&o.asserts, &rep.log);
     print_firings(&firings);
 
-    if let Some(dir) = &a.out_dir {
+    if let Some(dir) = &o.out_dir {
         write_file(&dir.join("timeline_report.json"), &rep.to_json());
         write_file(&dir.join("timeline_report.csv"), &rep.to_csv());
         println!(
@@ -250,11 +133,11 @@ fn report(a: &Args) -> bool {
             dir.display()
         );
     }
-    if !firings.is_empty() {
-        eprintln!("{} assertion firing(s)", firings.len());
-        return false;
-    }
-    true
+    let mut gate = Gate::default();
+    gate.ensure(firings.is_empty(), || {
+        format!("{} assertion firing(s)", firings.len())
+    });
+    gate.exit_code()
 }
 
 /// The two `--check` workloads: a closed-loop kernel and the open-loop
@@ -262,11 +145,9 @@ fn report(a: &Args) -> bool {
 /// traffic, and both fault-free twins must stay silent.
 const CHECK_APPS: [&str; 2] = ["TSP", "Svc"];
 
-/// The `--check` smoke (see the module docs): the assertion engine must fire
-/// inside an injected fault window and stay silent on the fault-free twin,
-/// for both a closed-loop kernel and the open-loop service workload, and
-/// the archived JSON must be byte-identical across reruns.
-fn check(a: &Args) -> bool {
+/// The `--check` grid: per check app, the congested run, then its
+/// fault-free twin.
+fn check_grid(o: &Opts) -> Grid {
     let plan = FaultPlan {
         seed: CHECK_SEED,
         congestion: vec![Window {
@@ -276,174 +157,148 @@ fn check(a: &Args) -> bool {
         }],
         ..FaultPlan::none()
     };
-    let specs: Vec<(&str, WorkloadSpec)> = CHECK_APPS
-        .iter()
-        .map(|&app| {
-            tier1_workloads()
-                .into_iter()
-                .find(|(n, _)| *n == app)
-                // invariant: the tier-1 table contains every check app.
-                .expect("tier-1 table contains the check apps")
-        })
-        .collect();
     let protocol = protocol_from_label("I+P+D").expect("known mode label");
-    let mut params = SysParams::default().with_nprocs(a.nprocs);
+    let mut params = o.params(SysParams::default().nprocs);
     params.ts_window = CHECK_WINDOW;
+    let mut grid = Grid::new();
+    for app in CHECK_APPS {
+        let (_, spec) = tier1_workloads()
+            .into_iter()
+            .find(|(n, _)| *n == app)
+            // invariant: the tier-1 table contains every check app.
+            .expect("tier-1 table contains the check apps");
+        let job = Job {
+            verify: true,
+            timeseries: true,
+            ..Job::new(format!("{app}/I+P+D"), params.clone(), protocol, spec)
+        };
+        gate::add_twins(&mut grid, job, &plan, ["congested", "clean"]);
+    }
+    grid
+}
 
-    let build_grid = || {
-        let mut grid = Grid::new();
-        for (app, spec) in &specs {
-            // Congested run first, fault-free twin second: the analysis
-            // below walks the records two at a time in grid order.
-            grid.add(Job {
-                label: format!("{app}/I+P+D/congested"),
-                params: params.clone(),
-                protocol,
-                workload: spec.clone(),
-                obs: false,
-                fault: plan.clone(),
-                verify: true,
-                timeseries: true,
-            });
-            grid.add(Job {
-                label: format!("{app}/I+P+D/clean"),
-                params: params.clone(),
-                protocol,
-                workload: spec.clone(),
-                obs: false,
-                fault: FaultPlan::none(),
-                verify: true,
-                timeseries: true,
-            });
-        }
-        grid
-    };
-    let records = engine(a).run(&build_grid());
+/// The archived `--check` artifact: per check app, the assertion's firings
+/// on the congested run and on its clean twin, and both timelines.
+fn check_doc(records: &[RunRecord], top_k: usize) -> String {
     let assertion = Assertion::parse(CHECK_ASSERTION).expect("built-in assertion");
-    let horizon = CHECK_FAULT_END + 2 * SysParams::default().retransmit_timeout;
-
-    let mut ok = true;
-    let mut total_firings = 0;
-    let mut chaos_jsons = Vec::new();
     let mut doc = String::from("{\n");
     doc.push_str(&format!("  \"assertion\": \"{CHECK_ASSERTION}\",\n"));
     doc.push_str("  \"apps\": [\n");
-    for (i, (app, _)) in specs.iter().enumerate() {
-        let (chaos, clean) = (&records[2 * i].result, &records[2 * i + 1].result);
-        // invariant: both check jobs set `timeseries`, so both carry a log.
-        let chaos_rep = TimelineReport::from_run(&format!("{app}/I+P+D/congested"), chaos, a.top_k)
-            .expect("ts log");
-        let clean_rep = TimelineReport::from_run(&format!("{app}/I+P+D/clean"), clean, a.top_k)
-            .expect("ts log");
+    for (i, (app, pair)) in CHECK_APPS.iter().zip(records.chunks(2)).enumerate() {
+        let congested = timeline(app, "congested", &pair[0], top_k);
+        let clean = timeline(app, "clean", &pair[1], top_k);
+        let comma = if i + 1 == CHECK_APPS.len() { "" } else { "," };
+        doc.push_str(&format!("    {{\n      \"app\": \"{app}\",\n"));
+        doc.push_str(&format!(
+            "      \"firings\": {},\n",
+            firings_json(&assertion.evaluate(&congested.log), 6).trim_start()
+        ));
+        doc.push_str(&format!(
+            "      \"clean_firings\": {},\n",
+            firings_json(&assertion.evaluate(&clean.log), 6).trim_start()
+        ));
+        doc.push_str(&format!(
+            "      \"congested\": {},\n",
+            congested.to_json_indented(6).trim_start()
+        ));
+        doc.push_str(&format!(
+            "      \"clean\": {}\n    }}{comma}\n",
+            clean.to_json_indented(6).trim_start()
+        ));
+    }
+    doc.push_str("  ]\n}\n");
+    doc
+}
 
+/// The timeline of one `--check` run.
+fn timeline(app: &str, kind: &str, rec: &RunRecord, top_k: usize) -> TimelineReport {
+    // invariant: both check jobs set `timeseries`, so both carry a log.
+    TimelineReport::from_run(&format!("{app}/I+P+D/{kind}"), &rec.result, top_k)
+        .expect("check jobs record a time series")
+}
+
+/// The `--check` smoke (see the module docs): the assertion engine must fire
+/// inside an injected fault window and stay silent on the fault-free twin,
+/// for both a closed-loop kernel and the open-loop service workload, and
+/// the archived JSON must be byte-identical across reruns.
+fn check(o: &Opts) -> ExitCode {
+    let top_k = o.top_k.unwrap_or(TOP_K);
+    let records = o.engine().run(&check_grid(o));
+    let assertion = Assertion::parse(CHECK_ASSERTION).expect("built-in assertion");
+    let horizon = CHECK_FAULT_END + 2 * SysParams::default().retransmit_timeout;
+
+    let mut gate = Gate::default();
+    let mut total_firings = 0;
+    for (app, pair) in CHECK_APPS.iter().zip(records.chunks(2)) {
+        let name = format!("check: {app}");
         // 1. The faulted run fires, and the firing overlaps the injected
         //    window (extended by one timeout: frames sent at the very end of
         //    the window time out at most one RTO later).
-        let firings = assertion.evaluate(&chaos_rep.log);
+        let firings = assertion.evaluate(&timeline(app, "congested", &pair[0], top_k).log);
         if firings.is_empty() {
-            eprintln!("check: {app}: '{CHECK_ASSERTION}' did not fire under the congestion plan");
-            ok = false;
-        } else if !firings.iter().any(|f| f.start_cycle < horizon) {
-            eprintln!(
-                "check: {app}: no firing overlaps the injected fault window [0, {CHECK_FAULT_END}) \
-                 (+{} cycles of timeout slack)",
-                horizon - CHECK_FAULT_END
-            );
-            ok = false;
+            gate.fail(format!(
+                "{name}: '{CHECK_ASSERTION}' did not fire under the congestion plan"
+            ));
+        } else {
+            gate.ensure(firings.iter().any(|f| f.start_cycle < horizon), || {
+                format!(
+                    "{name}: no firing overlaps the injected fault window \
+                     [0, {CHECK_FAULT_END}) (+{} cycles of timeout slack)",
+                    horizon - CHECK_FAULT_END
+                )
+            });
         }
         total_firings += firings.len();
-        if !a.quiet {
+        if !o.quiet {
             print_firings(&firings);
         }
 
         // 2. The fault-free twin is silent.
-        let clean_firings = assertion.evaluate(&clean_rep.log);
+        let clean_firings = assertion.evaluate(&timeline(app, "clean", &pair[1], top_k).log);
         if !clean_firings.is_empty() {
-            eprintln!(
-                "check: {app}: '{CHECK_ASSERTION}' fired {} time(s) on the fault-free twin",
+            gate.fail(format!(
+                "{name}: '{CHECK_ASSERTION}' fired {} time(s) on the fault-free twin",
                 clean_firings.len()
-            );
+            ));
             print_firings(&clean_firings);
-            ok = false;
         }
 
         // 3. Memory stays correct under the plan, and the oracle agrees.
-        if chaos.checksum != clean.checksum {
-            eprintln!(
-                "check: {app}: checksum diverged under congestion ({:#x} != {:#x})",
-                chaos.checksum, clean.checksum
-            );
-            ok = false;
-        }
-        if !chaos.violations.is_empty() || !clean.violations.is_empty() {
-            eprintln!(
-                "check: {app}: {} oracle violation(s)",
-                chaos.violations.len() + clean.violations.len()
-            );
-            ok = false;
-        }
-
-        // The archived artifact: per-app assertion verdicts plus both
-        // timelines.
-        let comma = if i + 1 == specs.len() { "" } else { "," };
-        doc.push_str(&format!("    {{\n      \"app\": \"{app}\",\n"));
-        doc.push_str(&format!(
-            "      \"firings\": {},\n",
-            firings_json(&firings, 6).trim_start()
-        ));
-        doc.push_str(&format!(
-            "      \"clean_firings\": {},\n",
-            firings_json(&clean_firings, 6).trim_start()
-        ));
-        doc.push_str(&format!(
-            "      \"congested\": {},\n",
-            chaos_rep.to_json_indented(6).trim_start()
-        ));
-        doc.push_str(&format!(
-            "      \"clean\": {}\n    }}{comma}\n",
-            clean_rep.to_json_indented(6).trim_start()
-        ));
-        chaos_jsons.push(chaos_rep.to_json());
+        gate::twins(&mut gate, &name, &pair[0].result, &pair[1].result);
     }
-    doc.push_str("  ]\n}\n");
 
     // 4. Byte-determinism: a fresh rerun of the same grid must reproduce the
     //    artifact exactly (time-series jobs never hit the cache, so this
     //    genuinely re-simulates).
-    let records2 = engine(a).silent().run(&build_grid());
-    for (i, (app, _)) in specs.iter().enumerate() {
-        let rerun = TimelineReport::from_run(
-            &format!("{app}/I+P+D/congested"),
-            &records2[2 * i].result,
-            a.top_k,
-        )
-        .expect("ts log");
-        if rerun.to_json() != chaos_jsons[i] {
-            eprintln!("check: {app}: timeline JSON differs between identical runs");
-            ok = false;
-        }
-    }
+    let doc = check_doc(&records, top_k);
+    let rerun = o.engine().silent().run(&check_grid(o));
+    gate::parity(
+        &mut gate,
+        "check: timeline_report.json",
+        &doc,
+        &check_doc(&rerun, top_k),
+    );
 
-    if let Some(dir) = &a.out_dir {
+    if let Some(dir) = &o.out_dir {
         write_file(&dir.join("timeline_report.json"), &doc);
-        if !a.quiet {
+        if !o.quiet {
             println!("wrote timeline_report.json to {}", dir.display());
         }
     }
-    if ok {
-        println!(
+    gate.verdict(|| {
+        format!(
             "timeline check passed: '{CHECK_ASSERTION}' fired {total_firings} time(s) inside \
              the fault window across {} workloads, clean twins silent, export deterministic",
-            specs.len()
-        );
-    }
-    ok
+            CHECK_APPS.len()
+        )
+    })
 }
 
-fn main() {
-    let a = parse_args();
-    let ok = if a.check { check(&a) } else { report(&a) };
-    if !ok {
-        std::process::exit(1);
+fn main() -> ExitCode {
+    let o = Opts::parse_with(&FLAGS, &TIER1_APPS);
+    if o.check {
+        check(&o)
+    } else {
+        report(&o)
     }
 }

@@ -225,6 +225,26 @@ pub struct Job {
 }
 
 impl Job {
+    /// A plain run: not observed, fault-free, no oracle, no time series.
+    /// Set those with struct-update syntax (`Job { verify: true, ..job }`).
+    pub fn new(
+        label: impl Into<String>,
+        params: SysParams,
+        protocol: Protocol,
+        workload: WorkloadSpec,
+    ) -> Job {
+        Job {
+            label: label.into(),
+            params,
+            protocol,
+            workload,
+            obs: false,
+            fault: FaultPlan::none(),
+            verify: false,
+            timeseries: false,
+        }
+    }
+
     /// Content hash identifying this job's result: equal keys ⇔ identical
     /// simulations (see the module docs for the exact scheme).
     pub fn cache_key(&self) -> u64 {
@@ -294,16 +314,12 @@ impl Grid {
         app: &str,
         paper_size: bool,
     ) -> usize {
-        self.add(Job {
-            label: format!("{app}/{}", protocol.label()),
-            params: params.clone(),
+        self.add(Job::new(
+            format!("{app}/{}", protocol.label()),
+            params.clone(),
             protocol,
-            workload: WorkloadSpec::named(app, paper_size),
-            obs: false,
-            fault: FaultPlan::none(),
-            verify: false,
-            timeseries: false,
-        })
+            WorkloadSpec::named(app, paper_size),
+        ))
     }
 
     /// Adds an observed (metrics-report-carrying) protocol run.
@@ -314,32 +330,21 @@ impl Grid {
         app: &str,
         paper_size: bool,
     ) -> usize {
-        self.add(Job {
-            label: format!("{app}/{}", protocol.label()),
-            params: params.clone(),
-            protocol,
-            workload: WorkloadSpec::named(app, paper_size),
-            obs: true,
-            fault: FaultPlan::none(),
-            verify: false,
-            timeseries: false,
-        })
+        let at = self.run(params, protocol, app, paper_size);
+        self.jobs[at].obs = true;
+        at
     }
 
     /// Adds the 1-processor, protocol-free sequential baseline of an app
     /// (TreadMarks Base on one node — no remote party exists, so no
     /// protocol activity occurs).
     pub fn sequential(&mut self, params: &SysParams, app: &str, paper_size: bool) -> usize {
-        self.add(Job {
-            label: format!("{app}/seq"),
-            params: params.clone().with_nprocs(1),
-            protocol: Protocol::TreadMarks(OverlapMode::Base),
-            workload: WorkloadSpec::named(app, paper_size),
-            obs: false,
-            fault: FaultPlan::none(),
-            verify: false,
-            timeseries: false,
-        })
+        self.add(Job::new(
+            format!("{app}/seq"),
+            params.clone().with_nprocs(1),
+            Protocol::TreadMarks(OverlapMode::Base),
+            WorkloadSpec::named(app, paper_size),
+        ))
     }
 
     /// Adds the full `apps × protocols` product in row-major (app-outer)
@@ -462,14 +467,14 @@ pub fn scale_grid(nprocs: &[usize], mode_labels: &[&str], only_app: Option<&str>
                     continue;
                 }
                 grid.add(Job {
-                    label: format!("{name}/{label}@{np}"),
-                    params: params.clone(),
-                    protocol,
-                    workload: spec,
                     obs: true,
-                    fault: FaultPlan::none(),
                     verify: true,
-                    timeseries: false,
+                    ..Job::new(
+                        format!("{name}/{label}@{np}"),
+                        params.clone(),
+                        protocol,
+                        spec,
+                    )
                 });
             }
         }
@@ -491,14 +496,8 @@ pub fn tier1_grid(mode_labels: &[&str]) -> Grid {
             .unwrap_or_else(|| panic!("unknown mode label {label}"));
         for (name, spec) in tier1_workloads() {
             grid.add(Job {
-                label: format!("{name}/{label}"),
-                params: params.clone(),
-                protocol,
-                workload: spec,
                 obs: true,
-                fault: FaultPlan::none(),
-                verify: false,
-                timeseries: false,
+                ..Job::new(format!("{name}/{label}"), params.clone(), protocol, spec)
             });
         }
     }

@@ -4,10 +4,11 @@
 //! declare their runs as a [`engine::Grid`] and execute it on the parallel
 //! [`engine::Engine`] (work-queue over `std::thread`, one fresh simulation
 //! per grid point, content-hashed result caching under `results/cache/`).
-//! Shared CLI plumbing lives in [`harness`]; the cache file format in
-//! [`cache`]. Criterion micro-benchmarks live in `benches/`.
+//! The shared command-line parser lives in [`harness`], the CI gates'
+//! verdict plumbing in [`gate`], and the cache file format in [`cache`].
 
 pub mod cache;
 pub mod engine;
+pub mod gate;
 pub mod harness;
 pub mod wallbench;

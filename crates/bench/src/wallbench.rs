@@ -249,14 +249,13 @@ fn bench_transport_resequence(c: &mut Criterion) {
 /// Content-hash cache-key derivation over a fully populated job.
 fn bench_cache_key(c: &mut Criterion) {
     let job = Job {
-        label: "Ocean/I+P+D".into(),
-        params: SysParams::default().with_nprocs(8),
-        protocol: Protocol::TreadMarks(OverlapMode::IPD),
-        workload: WorkloadSpec::named("Ocean", false),
         obs: true,
-        fault: FaultPlan::none(),
-        verify: false,
-        timeseries: false,
+        ..Job::new(
+            "Ocean/I+P+D",
+            SysParams::default().with_nprocs(8),
+            Protocol::TreadMarks(OverlapMode::IPD),
+            WorkloadSpec::named("Ocean", false),
+        )
     };
     c.bench_function("cache/job_key_hash", |b| {
         b.iter(|| black_box(&job).cache_key())
