@@ -15,10 +15,17 @@ cargo clippy -q -p ncp2-net -- -D warnings
 cargo xtask lint --scan-only --json > target/lint_report.json
 cargo build --release
 # hostbench/ (the pinned host benchmark) is its own cargo workspace linking
-# ncp2-bench by path, so `cargo test` never compiles it: check it here so a
-# harness change cannot break the benchmark unnoticed.
-cargo check --release --offline --locked --manifest-path hostbench/Cargo.toml \
+# ncp2-bench by path, so `cargo test` never compiles it: build it here so a
+# harness change cannot break the benchmark unnoticed, and run the tier-1
+# grid once. Its checks are exact: the pinned simulated cycles, all 112
+# checksums and a silent oracle (bench-diff below allows 5% drift). The
+# `--seconds` value is required but unused when `--iterations` is given.
+cargo build --release --offline --locked --manifest-path hostbench/Cargo.toml \
     --target-dir target/hostbench-check
+target/hostbench-check/release/ncp2-hostbench --workload tier1-grid --seed 0 \
+    --seconds 1 --iterations 1 --trace 0 --work-dir target/hostbench-work \
+    > target/hostbench_grid.out
+tail -n 1 target/hostbench_grid.out | grep -q '"correct": true'
 cargo test -q
 
 # Observability smoke: one observed run must pass its own conservation /

@@ -281,22 +281,36 @@ fn bench_svc_arrivals(c: &mut Criterion) {
 
 /// Front-end handoffs: 4 workload threads issue 1,000 ops each, served
 /// round robin. Ack-only `Compute` ops run ahead in batches; `Read` ops are
-/// one blocking handoff each. Thread spawn and join are timed with them.
+/// one blocking handoff each, unless the port holds a copy of their page:
+/// in the served variant the second read of the page fetches a copy and
+/// the rest are answered on the workload thread. Thread spawn and join are
+/// timed with them.
 fn bench_proc_handoff(c: &mut Criterion) {
-    use ncp2::sim::{ProcHarness, ProcOp, ProcReply};
+    use ncp2::sim::{ProcHarness, ProcOp, ProcPort, ProcReply};
     const PROCS: usize = 4;
     const OPS: u64 = 1_000;
-    let serve = |op: ProcOp| {
-        let h = ProcHarness::spawn(PROCS, move |_, port| {
+    const PAGE: u64 = 4096;
+    let page = vec![0u8; PAGE as usize];
+    let serve = |op: ProcOp, cached: bool| {
+        let body = move |_, port: ProcPort| {
             for _ in 0..OPS {
                 port.call(op);
             }
             port.call(ProcOp::Finish);
-        });
+        };
+        let h = if cached {
+            ProcHarness::spawn_with_pages(PROCS, PAGE, body)
+        } else {
+            ProcHarness::spawn(PROCS, body)
+        };
         for _ in 0..OPS {
             for pid in 0..PROCS {
-                let op = h.next_op(pid);
-                if op.returns_value() {
+                if !h.next_op(pid).returns_value() {
+                    continue;
+                }
+                if h.wants_page(pid) {
+                    h.reply_page(pid, 0, &page);
+                } else {
                     h.reply(pid, ProcReply::Value(0));
                 }
             }
@@ -306,11 +320,15 @@ fn bench_proc_handoff(c: &mut Criterion) {
         }
         h.join();
     };
+    let read = ProcOp::Read { addr: 0, bytes: 4 };
     c.bench_function("sim/proc_handoff_ack_4", |b| {
-        b.iter(|| serve(ProcOp::Compute(1)))
+        b.iter(|| serve(ProcOp::Compute(1), false))
     });
     c.bench_function("sim/proc_handoff_value_4", |b| {
-        b.iter(|| serve(ProcOp::Read { addr: 0, bytes: 4 }))
+        b.iter(|| serve(read, false))
+    });
+    c.bench_function("sim/proc_handoff_served_4", |b| {
+        b.iter(|| serve(read, true))
     });
 }
 

@@ -7,7 +7,9 @@
 //! handles the earliest pending event, whichever comes first — so a run is
 //! a deterministic function of (parameters, protocol, workload).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use ncp2_mem::NodeMemory;
 use ncp2_net::Network;
@@ -366,6 +368,52 @@ pub(crate) struct BarrierState {
     pub horizons: Vec<Vec<Cycles>>,
 }
 
+/// Runnable processors ordered by `(clock, pid)`: a min-heap updated
+/// lazily. Clocks never go back, so an entry's key may lag its processor's
+/// clock but never lead it; [`RunQueue::min`] re-keys lagging entries and
+/// drops those of processors that stopped being runnable. Each processor
+/// has at most one entry, and every runnable one has one.
+struct RunQueue {
+    heap: BinaryHeap<Reverse<(Cycles, usize)>>,
+    queued: Vec<bool>,
+}
+
+impl RunQueue {
+    /// All `n` processors, runnable at clock 0.
+    fn new(n: usize) -> Self {
+        RunQueue {
+            heap: (0..n).map(|pid| Reverse((0, pid))).collect(),
+            queued: vec![true; n],
+        }
+    }
+
+    /// The runnable processor with the smallest `(clock, pid)`, and its
+    /// clock.
+    fn min(&mut self, nodes: &[Node]) -> Option<(usize, Cycles)> {
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse((key, pid)) = *top;
+            let nd = &nodes[pid];
+            if nd.status != ProcStatus::Runnable {
+                PeekMut::pop(top);
+                self.queued[pid] = false;
+            } else if nd.time != key {
+                debug_assert!(nd.time > key, "clock of {pid} went back");
+                *top = Reverse((nd.time, pid));
+            } else {
+                return Some((pid, key));
+            }
+        }
+        None
+    }
+
+    /// Gives `pid` an entry again after a wake, unless it still has one.
+    fn push(&mut self, pid: usize, nodes: &[Node]) {
+        if !std::mem::replace(&mut self.queued[pid], true) {
+            self.heap.push(Reverse((nodes[pid].time, pid)));
+        }
+    }
+}
+
 /// The complete simulated machine for one run.
 pub struct Simulation {
     pub(crate) params: SysParams,
@@ -495,16 +543,15 @@ impl Simulation {
     where
         F: Fn(usize, ncp2_sim::ProcPort) + Send + Sync + 'static,
     {
-        let harness = ProcHarness::spawn(self.params.nprocs, body);
         let n = self.params.nprocs;
+        let harness = if self.ships_pages() {
+            ProcHarness::spawn_with_pages(n, self.params.page_bytes, body)
+        } else {
+            ProcHarness::spawn(n, body)
+        };
+        let mut runq = RunQueue::new(n);
         while self.done < n {
-            let next_proc = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(_, nd)| nd.status == ProcStatus::Runnable)
-                .min_by_key(|(pid, nd)| (nd.time, *pid))
-                .map(|(pid, nd)| (pid, nd.time));
+            let next_proc = runq.min(&self.nodes);
             // `peek` memoizes the minimum event's position inside the
             // calendar queue, so the `pop` in the arms below reuses the scan
             // instead of repeating it.
@@ -516,7 +563,14 @@ impl Simulation {
                     let ev = self.queue.pop().expect("peeked event");
                     let depth = self.queue.len() as u64;
                     self.sinks.gauge(TsGauge::QueueDepth, ev.time, depth);
+                    let woken = match ev.payload {
+                        Ev::Wake { pid } => Some(pid),
+                        _ => None,
+                    };
                     self.handle_event(ev.time, ev.payload, &harness);
+                    if let Some(pid) = woken {
+                        runq.push(pid, &self.nodes);
+                    }
                 }
                 (Some((pid, _)), None) => self.step_proc(pid, &harness),
                 (None, None) => {
@@ -535,6 +589,15 @@ impl Simulation {
         }
         harness.join();
         self.finish()
+    }
+
+    /// Whether read replies may carry page copies for the workload thread
+    /// to serve later reads from (see `ncp2_sim::proc`). Under TreadMarks a
+    /// page a node holds changes only through the node's own writes,
+    /// faults and acquires. AURC's master data plane changes under other
+    /// nodes' writes at any time, and the sequential run gains nothing.
+    fn ships_pages(&self) -> bool {
+        !self.seq && matches!(self.protocol, Protocol::TreadMarks(_))
     }
 
     fn finish(mut self) -> RunResult {
@@ -580,11 +643,24 @@ impl Simulation {
             ProcOp::Compute(c) => self.advance(pid, c, Category::Busy, SpanKind::Compute),
             ProcOp::Read { .. } | ProcOp::Write { .. } => {
                 self.nodes[pid].pending_op = Some(op);
-                if let Some(reply) = self.access(pid, op) {
-                    self.nodes[pid].pending_op = None;
-                    harness.reply(pid, reply);
+                self.complete_access(pid, op, harness);
+            }
+            ProcOp::ServedRead { addr, bytes, value } => {
+                // Replayed as the read it stands for, so cycles, spans and
+                // bookkeeping are those of a round-trip read.
+                let replayed = self.access(pid, ProcOp::Read { addr, bytes });
+                if replayed != Some(ProcReply::Value(value)) {
+                    let got = match replayed {
+                        Some(ProcReply::Value(v)) => format!("returns {v:#x}"),
+                        _ => "blocks".to_string(),
+                    };
+                    // invariant: a page a node holds changes only through its
+                    // own writes and acquires, so its port's copy matches
+                    panic!(
+                        "served read cross-check failed: processor {pid} was served \
+                         {value:#x} at {addr:#x}, but the read it stands for {got}"
+                    );
                 }
-                // else: blocked; retried at wake.
             }
             ProcOp::Lock(l) => {
                 self.nodes[pid].pending_op = Some(op);
@@ -657,6 +733,25 @@ impl Simulation {
                 );
                 ProcReply::Ack
             }
+        }
+    }
+
+    /// Runs `pid`'s pending read or write and, when it completes, answers
+    /// it: with a copy of the page read when the port asked for one. A
+    /// blocked access is retried at wake.
+    fn complete_access(&mut self, pid: usize, op: ProcOp, harness: &ProcHarness) {
+        let Some(reply) = self.access(pid, op) else {
+            return;
+        };
+        self.nodes[pid].pending_op = None;
+        match (op, reply) {
+            (ProcOp::Read { addr, .. }, ProcReply::Value(value)) if harness.wants_page(pid) => {
+                let page = page_of(addr, self.params.page_bytes);
+                // invariant: the read just completed on this node's copy
+                let tp = self.nodes[pid].pages.get(page).expect("read page exists");
+                harness.reply_page(pid, value, tp.data.bytes());
+            }
+            _ => harness.reply(pid, reply),
         }
     }
 
@@ -955,14 +1050,9 @@ impl Simulation {
         // invariant: a processor only blocks with its faulting op recorded
         let op = self.nodes[pid].pending_op.expect("wake without pending op");
         match op {
-            ProcOp::Read { .. } | ProcOp::Write { .. } => {
-                // The access retries; it may block again (e.g. new notices
-                // arrived for the page while a prefetch was in flight).
-                if let Some(reply) = self.access(pid, op) {
-                    self.nodes[pid].pending_op = None;
-                    harness.reply(pid, reply);
-                }
-            }
+            // The access retries; it may block again (e.g. new notices
+            // arrived for the page while a prefetch was in flight).
+            ProcOp::Read { .. } | ProcOp::Write { .. } => self.complete_access(pid, op, harness),
             ProcOp::Lock(_) | ProcOp::Barrier(_) => self.nodes[pid].pending_op = None,
             other => unreachable!("unexpected pending op {other:?}"),
         }

@@ -5,8 +5,8 @@
 //! the Table-1 system parameters, a seeded RNG, execution-time breakdown
 //! accounting, and the *run-ahead front end* that lets real Rust workload
 //! threads drive the simulated computation processors as ordered op
-//! streams, blocking only on shared reads and clock reads (the role Mint
-//! played in the paper).
+//! streams, blocking only on clock reads and on shared reads of pages they
+//! hold no copy of (the role Mint played in the paper).
 //!
 //! The back end (protocol simulation) lives in `ncp2-core`; it consumes these
 //! primitives. A minimal use of the engine:

@@ -27,6 +27,11 @@ pub enum ProcOp {
     Read { addr: u64, bytes: u8 },
     /// Shared-memory write; `value` holds the raw little-endian bits.
     Write { addr: u64, bytes: u8, value: u64 },
+    /// A [`ProcOp::Read`] the workload thread's port answered from its
+    /// page cache; `value` is what it returned. Posted by
+    /// [`crate::ProcPort::call`], never by workloads: the back end replays
+    /// it as the read it stands for and checks that it yields `value`.
+    ServedRead { addr: u64, bytes: u8, value: u64 },
     /// Acquire a DSM lock.
     Lock(LockId),
     /// Release a DSM lock.
@@ -84,9 +89,10 @@ pub enum SvcOp {
 
 impl ProcOp {
     /// Whether this operation returns a value the workload can use: a
-    /// shared read or a clock read. This is the one place that decides
-    /// whether [`crate::ProcPort::call`] waits for the back end; every other
-    /// op is acknowledged when issued.
+    /// shared read or a clock read. These are the ops the back end must
+    /// answer with [`ProcReply::Value`]; every other op is acknowledged when
+    /// issued. A read whose page the port holds is answered by the port
+    /// instead and reaches the back end as [`ProcOp::ServedRead`].
     pub fn returns_value(&self) -> bool {
         matches!(self, ProcOp::Read { .. } | ProcOp::Svc(SvcOp::Now))
     }
@@ -127,6 +133,14 @@ mod tests {
             (ProcOp::Read { addr: 0, bytes: 4 }, true),
             (
                 ProcOp::Write {
+                    addr: 0,
+                    bytes: 4,
+                    value: 1,
+                },
+                false,
+            ),
+            (
+                ProcOp::ServedRead {
                     addr: 0,
                     bytes: 4,
                     value: 1,
