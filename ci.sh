@@ -91,3 +91,9 @@ cargo run --release --features prof --bin obs_report -- \
 cargo run --release --features prof --bin wall_bench -- \
     --fast --save-baseline "$OBS_OUT/wall_report.json"
 cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json" --update
+
+# Allocation gate: with the counting allocator in, pooling must still cut
+# Ocean@64's steady-state event-loop allocations, and the pooled count may
+# not exceed its recorded ceiling. The plain `cargo test` above builds
+# without the allocator, where this test only checks the counters are off.
+cargo test --release --features prof -p ncp2-bench --test arena_inert

@@ -5,7 +5,8 @@
 //! mode with pooling off and on and demand byte-identical simulated output
 //! — the same shape as the `--prof` and fault-plan inertness guarantees —
 //! and, when the counting allocator is compiled in (`--features prof`),
-//! prove the pools actually pay for themselves on the Ocean hot path.
+//! prove the pools still cut allocations on the Ocean hot path and that the
+//! pooled count does not grow.
 
 use std::sync::Mutex;
 
@@ -71,6 +72,12 @@ fn ocean64(params: &SysParams, iters: usize) -> (RunResult, u64) {
     (r, a1 - a0)
 }
 
+/// Pooled allocations per Ocean@64 iteration measured before payloads were
+/// shared (2,281–2,282 over four runs; the count varies by one or two). Sharing
+/// removed most of what the pools used to recycle, so the pooled count may
+/// not exceed this.
+const POOLED_ALLOCS_PER_ITER_CEILING: u64 = 2_282;
+
 #[test]
 fn pooling_cuts_ocean_hot_path_allocations() {
     let _guard = POOLING.lock().unwrap();
@@ -107,9 +114,14 @@ fn pooling_cuts_ocean_hot_path_allocations() {
             "ocean@64 marginal allocs/iter: pooling off = {marginal_off}, on = {marginal_on}"
         );
         assert!(
-            marginal_off >= 5 * marginal_on,
-            "pooling must cut steady-state event-loop allocations >= 5x per \
-             Ocean@64 iteration: off = {marginal_off}/iter, on = {marginal_on}/iter"
+            marginal_on < marginal_off,
+            "pooling must cut steady-state event-loop allocations per Ocean@64 \
+             iteration: off = {marginal_off}/iter, on = {marginal_on}/iter"
+        );
+        assert!(
+            marginal_on <= POOLED_ALLOCS_PER_ITER_CEILING,
+            "pooled steady-state event-loop allocations per Ocean@64 iteration grew: \
+             {marginal_on}/iter, ceiling {POOLED_ALLOCS_PER_ITER_CEILING}/iter"
         );
     } else {
         // Without the counting allocator the counters are zero stubs.

@@ -15,6 +15,8 @@
 //! wait for the home's per-page horizon (the paper's flush/lock timestamp
 //! comparison).
 
+use std::sync::Arc;
+
 use ncp2_sim::{Category, Cycles, ProcOp, ProcReply};
 
 use crate::interval::IntervalAnnouncement;
@@ -431,7 +433,7 @@ impl Simulation {
     pub(crate) fn aurc_process_anns(
         &mut self,
         pid: usize,
-        anns: &[IntervalAnnouncement],
+        anns: &[Arc<IntervalAnnouncement>],
         t: Cycles,
     ) -> Cycles {
         let params = self.params.clone();
@@ -441,7 +443,7 @@ impl Simulation {
                 continue;
             }
             self.nodes[pid].vt.observe(ann.owner, ann.id);
-            self.nodes[pid].store.record(ann.clone());
+            self.nodes[pid].store.record(Arc::clone(ann));
             if ann.owner == pid {
                 continue;
             }

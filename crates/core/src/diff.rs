@@ -6,6 +6,8 @@
 //! dirty-word bit vector already identifies modified words and the DMA
 //! engine gathers them directly.
 
+use std::sync::Arc;
+
 use crate::bitvec::DirtyVec;
 use crate::page::{PageBuf, PageId};
 use crate::vtime::IntervalId;
@@ -38,8 +40,9 @@ pub struct Diff {
     /// Interval (of the writing processor) the diff covers.
     pub interval: IntervalId,
     /// `(word index, new value)` pairs in increasing index order. Pooled
-    /// storage (see [`crate::pool`]): diffs are created, shipped and dropped
-    /// constantly on the hot path.
+    /// storage (see [`crate::pool`]), sized exactly at creation: a stored
+    /// diff lives for the rest of the run, and growing the list by doubling
+    /// would reallocate at every doubling.
     words: Vec<(u32, u32)>,
 }
 
@@ -72,12 +75,18 @@ impl Diff {
         current: &PageBuf,
         twin: &PageBuf,
     ) -> Self {
-        let mut words = crate::pool::take_words();
-        words.extend(
+        // The count is unknown until the scan ends: gather into recycled
+        // scratch, then copy out once at the exact size.
+        let mut scratch = crate::pool::take_words();
+        scratch.extend(
             current
                 .words_differing(twin)
                 .map(|i| (i as u32, current.word(i))),
         );
+        let mut words = crate::pool::take_words();
+        words.reserve_exact(scratch.len());
+        words.extend_from_slice(&scratch);
+        crate::pool::put_words(scratch);
         Diff {
             page,
             owner,
@@ -96,6 +105,7 @@ impl Diff {
         dirty: &DirtyVec,
     ) -> Self {
         let mut words = crate::pool::take_words();
+        words.reserve_exact(dirty.count() as usize);
         words.extend(dirty.iter_set().map(|i| (i as u32, current.word(i))));
         Diff {
             page,
@@ -159,12 +169,12 @@ impl Diff {
     }
 }
 
-/// A pooled list of diffs — the payload of diff replies and the
+/// A pooled list of shared diffs — the payload of diff replies and the
 /// accumulator a faulting node collects them in. The backing storage
-/// recycles through [`crate::pool`]; clearing it drops each diff, whose
-/// word list is pooled in turn.
+/// recycles through [`crate::pool`]; the diffs are handles to the copies
+/// their writers store, so a reply copies no diff.
 #[derive(Debug, PartialEq, Eq)]
-pub struct DiffList(Vec<Diff>);
+pub struct DiffList(Vec<Arc<Diff>>);
 
 impl Default for DiffList {
     fn default() -> Self {
@@ -187,14 +197,14 @@ impl Drop for DiffList {
 }
 
 impl std::ops::Deref for DiffList {
-    type Target = [Diff];
-    fn deref(&self) -> &[Diff] {
+    type Target = [Arc<Diff>];
+    fn deref(&self) -> &[Arc<Diff>] {
         &self.0
     }
 }
 
 impl std::ops::DerefMut for DiffList {
-    fn deref_mut(&mut self) -> &mut [Diff] {
+    fn deref_mut(&mut self) -> &mut [Arc<Diff>] {
         &mut self.0
     }
 }
@@ -206,18 +216,18 @@ impl DiffList {
     }
 
     /// Appends one diff.
-    pub fn push(&mut self, diff: Diff) {
+    pub fn push(&mut self, diff: Arc<Diff>) {
         self.0.push(diff);
     }
 
     /// Moves every diff out, leaving the container empty (and still
     /// pool-backed).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Diff> {
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Arc<Diff>> {
         self.0.drain(..)
     }
 
     /// Keeps only the diffs matching `keep`, preserving order.
-    pub fn retain(&mut self, keep: impl FnMut(&Diff) -> bool) {
+    pub fn retain(&mut self, keep: impl FnMut(&Arc<Diff>) -> bool) {
         self.0.retain(keep);
     }
 }

@@ -7,6 +7,7 @@
 //! (§2 of the paper).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::page::PageId;
 use crate::vtime::{IntervalId, VectorTime};
@@ -24,6 +25,10 @@ pub struct Notice {
 
 /// A full interval announcement as shipped on lock-grant and barrier
 /// messages: identity, timestamp and the pages it dirtied.
+///
+/// Built once, when its interval closes, and never changed afterwards:
+/// every store that learns it and every message that carries it holds an
+/// `Arc` handle to the same allocation instead of a copy.
 #[derive(Debug, PartialEq, Eq)]
 pub struct IntervalAnnouncement {
     /// Processor that created the interval.
@@ -34,28 +39,6 @@ pub struct IntervalAnnouncement {
     pub vt: VectorTime,
     /// Pages dirtied during the interval.
     pub pages: Vec<PageId>,
-}
-
-impl Clone for IntervalAnnouncement {
-    fn clone(&self) -> Self {
-        // Announcements are cloned onto every lock grant and barrier
-        // broadcast (O(n) copies per barrier); the page list is recycled
-        // through the thread-local pool.
-        let mut pages = crate::pool::take_ids();
-        pages.extend_from_slice(&self.pages);
-        IntervalAnnouncement {
-            owner: self.owner,
-            id: self.id,
-            vt: self.vt.clone(),
-            pages,
-        }
-    }
-}
-
-impl Drop for IntervalAnnouncement {
-    fn drop(&mut self) {
-        crate::pool::put_ids(std::mem::take(&mut self.pages));
-    }
 }
 
 impl IntervalAnnouncement {
@@ -75,12 +58,13 @@ impl IntervalAnnouncement {
     }
 }
 
-/// A pooled list of interval announcements — the payload of lock grants
-/// and barrier traffic, and the result type of [`IntervalStore`] queries.
-/// The backing storage recycles through [`crate::pool`]; clearing it also
-/// drops each announcement, returning *its* pooled internals.
+/// A pooled list of shared interval announcements — the payload of lock
+/// grants and barrier traffic, and the result type of [`IntervalStore`]
+/// queries. The backing storage recycles through [`crate::pool`]; the
+/// announcements themselves are handles, so building or cloning a list
+/// copies no announcement.
 #[derive(Debug, PartialEq, Eq)]
-pub struct AnnList(Vec<IntervalAnnouncement>);
+pub struct AnnList(Vec<Arc<IntervalAnnouncement>>);
 
 impl Default for AnnList {
     fn default() -> Self {
@@ -103,8 +87,8 @@ impl Drop for AnnList {
 }
 
 impl std::ops::Deref for AnnList {
-    type Target = [IntervalAnnouncement];
-    fn deref(&self) -> &[IntervalAnnouncement] {
+    type Target = [Arc<IntervalAnnouncement>];
+    fn deref(&self) -> &[Arc<IntervalAnnouncement>] {
         &self.0
     }
 }
@@ -116,13 +100,21 @@ impl AnnList {
     }
 
     /// Appends one announcement.
-    pub fn push(&mut self, ann: IntervalAnnouncement) {
+    pub fn push(&mut self, ann: Arc<IntervalAnnouncement>) {
         self.0.push(ann);
+    }
+
+    /// Sorts into deterministic `(owner, id)` order and keeps one entry per
+    /// interval (a barrier manager merging the arrivals' sets may see an
+    /// interval from each node that announces it).
+    pub fn sort_unique(&mut self) {
+        self.0.sort_by_key(|a| (a.owner, a.id));
+        self.0.dedup_by_key(|a| (a.owner, a.id));
     }
 
     /// Moves every announcement out, leaving the container empty (and
     /// still pool-backed).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, IntervalAnnouncement> {
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Arc<IntervalAnnouncement>> {
         self.0.drain(..)
     }
 }
@@ -173,7 +165,10 @@ impl IvlList {
 
 /// Every interval a node has learned about (its own and others'). Used to
 /// compute the announcements a releaser must ship to an acquirer, and
-/// garbage-collected at barriers.
+/// garbage-collected at barriers. Entries are handles to the announcement
+/// its owner built at close, shared with every other store and message
+/// that holds the interval; an announcement is freed when the last of them
+/// lets go.
 ///
 /// Laid out struct-of-arrays style: one id-ordered run per owner instead
 /// of a `BTreeMap` keyed by `(owner, id)`. Along any causal chain a node
@@ -185,7 +180,7 @@ impl IvlList {
 pub struct IntervalStore {
     /// `by_owner[p]` holds owner `p`'s known intervals in ascending id
     /// order (runs reuse their ring capacity across the GC cycle).
-    by_owner: Vec<VecDeque<IntervalAnnouncement>>,
+    by_owner: Vec<VecDeque<Arc<IntervalAnnouncement>>>,
     /// `sums[p][id]` is the component sum of owner `p`'s interval `id`'s
     /// close-time vector time — the causal sort key for diff application.
     /// Deliberately **not** garbage-collected: a page's pending notices can
@@ -204,7 +199,7 @@ impl IntervalStore {
     }
 
     /// Records an interval (idempotent: re-announcements are ignored).
-    pub fn record(&mut self, ann: IntervalAnnouncement) {
+    pub fn record(&mut self, ann: Arc<IntervalAnnouncement>) {
         if self.by_owner.len() <= ann.owner {
             self.by_owner.resize_with(ann.owner + 1, VecDeque::new);
             self.sums.resize_with(ann.owner + 1, Vec::new);
@@ -219,9 +214,8 @@ impl IntervalStore {
         if run.back().is_none_or(|last| last.id < ann.id) {
             run.push_back(ann);
         } else {
-            // Out-of-order announcement (e.g. a barrier manager merging
-            // arrival sets from several nodes): splice into id order,
-            // ignoring duplicates.
+            // A re-announcement or an out-of-order one: splice into id
+            // order, ignoring duplicates.
             let pos = run.partition_point(|a| a.id < ann.id);
             if run.get(pos).is_some_and(|a| a.id == ann.id) {
                 return;
@@ -232,7 +226,7 @@ impl IntervalStore {
     }
 
     /// Looks up one interval.
-    pub fn get(&self, owner: usize, id: IntervalId) -> Option<&IntervalAnnouncement> {
+    pub fn get(&self, owner: usize, id: IntervalId) -> Option<&Arc<IntervalAnnouncement>> {
         let run = self.by_owner.get(owner)?;
         let pos = run.partition_point(|a| a.id < id);
         run.get(pos).filter(|a| a.id == id)
@@ -269,19 +263,7 @@ impl IntervalStore {
             // Covered ids form a prefix of the ascending run.
             let from = run.partition_point(|a| their_vt.covers_interval(owner, a.id));
             for a in run.iter().skip(from) {
-                out.push(a.clone());
-            }
-        }
-        out
-    }
-
-    /// Every retained interval in deterministic `(owner, id)` order (used
-    /// by barrier managers to broadcast the merged announcement set).
-    pub fn all(&self) -> AnnList {
-        let mut out = AnnList::new();
-        for run in &self.by_owner {
-            for a in run {
-                out.push(a.clone());
+                out.push(Arc::clone(a));
             }
         }
         out
@@ -309,15 +291,15 @@ impl IntervalStore {
 mod tests {
     use super::*;
 
-    fn ann(owner: usize, id: IntervalId, pages: &[PageId], n: usize) -> IntervalAnnouncement {
+    fn ann(owner: usize, id: IntervalId, pages: &[PageId], n: usize) -> Arc<IntervalAnnouncement> {
         let mut vt = VectorTime::new(n);
         vt.observe(owner, id);
-        IntervalAnnouncement {
+        Arc::new(IntervalAnnouncement {
             owner,
             id,
             vt,
             pages: pages.to_vec(),
-        }
+        })
     }
 
     #[test]
@@ -340,6 +322,18 @@ mod tests {
         s.record(ann(2, 5, &[99], 4)); // ignored duplicate
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(2, 5).unwrap().pages, vec![1, 2]);
+    }
+
+    #[test]
+    fn sort_unique_orders_and_drops_repeats() {
+        let (a, b, c) = (ann(1, 2, &[], 2), ann(0, 1, &[], 2), ann(1, 1, &[], 2));
+        let mut l = AnnList::new();
+        for x in [&a, &b, &a, &c, &b] {
+            l.push(Arc::clone(x));
+        }
+        l.sort_unique();
+        let keys: Vec<(usize, IntervalId)> = l.iter().map(|a| (a.owner, a.id)).collect();
+        assert_eq!(keys, vec![(0, 1), (1, 1), (1, 2)]);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! `Sinks` helpers; they are not facts.
 
 use std::fmt;
+use std::sync::Arc;
 
 pub use ncp2_net::Transfer;
 use ncp2_sim::ops::{BarrierId, LockId};
@@ -242,7 +243,7 @@ pub enum ProtocolEvent<'a> {
         /// The page updated.
         page: PageId,
         /// Every diff actually applied, in application order.
-        diffs: &'a [Diff],
+        diffs: &'a [Arc<Diff>],
         /// Modified words the diffs carried in total.
         words: u64,
         /// The page contents after application.
@@ -865,7 +866,7 @@ mod tests {
                 page: 0,
                 intervals: Default::default(),
                 requester: 0,
-                requester_vt: vt.clone(),
+                requester_vt: Arc::new(vt.clone()),
                 prefetch: false,
                 want_page: false,
             },

@@ -1,12 +1,19 @@
-//! Thread-local buffer pools for the protocol data plane.
+//! Thread-local buffer pools for the protocol data plane's scratch.
 //!
 //! The hot path of a simulated run churns through short-lived heap buffers:
 //! every write fault snapshots a page into a twin, every diff collects a
-//! word list, every synchronization message clones vector times and
-//! announcement page lists. At 256 nodes the allocator dominates the host
-//! profile (`BENCH_WALL.json` made this visible). These pools recycle the
-//! backing `Vec`s through per-thread free lists instead of returning them to
-//! the heap.
+//! word list, every synchronization message clones a vector time and
+//! gathers a list of payload handles. At 256 nodes the allocator dominates
+//! the host profile (`BENCH_WALL.json` made this visible). These pools
+//! recycle the backing `Vec`s through per-thread free lists instead of
+//! returning them to the heap.
+//!
+//! Payloads that never change after they are built — interval
+//! announcements, stored diffs, a diff request's vector-time snapshot —
+//! are not pooled but shared: each exists once, and stores and messages
+//! hold `Arc` handles to it. The pools hold what is written per use: page
+//! and twin bytes, diff word lists, vector-time components, and the handle
+//! lists and interval-id lists that messages carry.
 //!
 //! **Inertness invariant**: pooling changes *where host memory comes from*
 //! and nothing else. Every `take_*` hands back an empty vector (length 0)
@@ -91,27 +98,19 @@ pool_class!(
     u32
 );
 pool_class!(
-    /// Page-id lists (announcement page sets).
-    IDS,
-    take_ids,
-    put_ids,
-    u64
-);
-pool_class!(
-    /// Announcement-list containers (lock-grant and barrier payloads).
-    /// Parking one clears it first, which drops each announcement and
-    /// returns *its* pooled internals too.
+    /// Announcement-handle lists (lock-grant and barrier payloads).
+    /// Parking one clears it first, which releases each handle.
     ANNS,
     take_anns,
     put_anns,
-    crate::interval::IntervalAnnouncement
+    std::sync::Arc<crate::interval::IntervalAnnouncement>
 );
 pool_class!(
-    /// Diff-list containers (diff-reply payloads and fault accumulators).
+    /// Diff-handle lists (diff-reply payloads and fault accumulators).
     DIFFS,
     take_diffs,
     put_diffs,
-    crate::diff::Diff
+    std::sync::Arc<crate::diff::Diff>
 );
 pool_class!(
     /// `(owner, interval)` scratch pairs (pending-notice grouping).

@@ -9,6 +9,8 @@
 //! work and always runs on the computation processor (§3.2), even with a
 //! protocol controller.
 
+use std::sync::Arc;
+
 use ncp2_sim::ops::{BarrierId, LockId};
 use ncp2_sim::{Category, Cycles};
 
@@ -127,12 +129,14 @@ impl Simulation {
                 pages: &pages,
             },
         );
-        let ann = IntervalAnnouncement {
+        // The one copy of this announcement: every store and message that
+        // learns the interval from here on holds a handle to it.
+        let ann = Arc::new(IntervalAnnouncement {
             owner: pid,
             id,
             vt: self.nodes[pid].vt.clone(),
             pages,
-        };
+        });
         self.nodes[pid].store.record(ann);
     }
 
@@ -318,12 +322,16 @@ impl Simulation {
         let bs = self.barriers.get_or_insert_with(barrier, || BarrierState {
             arrived: 0,
             merged_vt: None,
-            anns: crate::interval::IntervalStore::new(),
+            anns: AnnList::new(),
             horizons: vec![Vec::new(); n],
         });
         for ann in anns.drain() {
-            bs.anns.record(ann);
+            bs.anns.push(ann);
         }
+        // Arrivals overlap (every node that learned an interval through a
+        // lock announces it again): keep one handle per interval as they
+        // come in, so the list stays the size of the merged set.
+        bs.anns.sort_unique();
         match &mut bs.merged_vt {
             Some(m) => m.merge(&vt),
             slot => *slot = Some(vt),
@@ -344,7 +352,7 @@ impl Simulation {
             .expect("barrier state exists");
         // invariant: every arrival merges its vector time before this point
         let merged = bs.merged_vt.expect("at least one arrival");
-        let all_anns = std::sync::Arc::new(bs.anns.all());
+        let all_anns = Arc::new(bs.anns);
         for k in 0..n {
             let update_horizon = bs
                 .horizons
@@ -356,7 +364,7 @@ impl Simulation {
             let msg = Msg::BarrierRelease {
                 barrier,
                 vt: merged.clone(),
-                anns: std::sync::Arc::clone(&all_anns),
+                anns: Arc::clone(&all_anns),
                 update_horizon,
             };
             self.send_msg(&mut c, manager, k, msg, Category::Ipc, true);
@@ -369,7 +377,7 @@ impl Simulation {
         t: Cycles,
         barrier: BarrierId,
         vt: VectorTime,
-        anns: std::sync::Arc<AnnList>,
+        anns: Arc<AnnList>,
         update_horizon: Cycles,
     ) {
         debug_assert!(
@@ -418,7 +426,7 @@ impl Simulation {
     pub(crate) fn process_anns(
         &mut self,
         pid: usize,
-        anns: &[IntervalAnnouncement],
+        anns: &[Arc<IntervalAnnouncement>],
         t: Cycles,
     ) -> Cycles {
         match self.protocol {
@@ -437,5 +445,80 @@ impl Simulation {
             Protocol::TreadMarks(_) => self.tm_issue_prefetches(pid, t),
             Protocol::Aurc { .. } => self.aurc_issue_prefetches(pid, t),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Weak};
+
+    use ncp2_sim::SysParams;
+
+    use crate::interval::IntervalAnnouncement;
+    use crate::msg::Msg;
+    use crate::page::PageState;
+    use crate::protocol::{OverlapMode, Protocol};
+    use crate::system::{Ev, Simulation};
+
+    #[test]
+    fn one_barrier_shares_each_announcement_across_all_stores() {
+        const N: usize = 16;
+        let mut s = Simulation::new(
+            SysParams::default().with_nprocs(N),
+            Protocol::TreadMarks(OverlapMode::IPD),
+        );
+        // Every node dirties its own page, then all arrive at barrier 0.
+        for pid in 0..N {
+            let page = pid as u64;
+            let tp = s.tm_page(pid, page);
+            tp.state = PageState::ReadWrite;
+            tp.data.write(0, 4, pid as u64 + 1);
+            tp.dirty.set(0);
+            tp.in_cur_dirty = true;
+            s.nodes[pid].cur_dirty.push(page);
+            s.op_barrier(pid, 0);
+        }
+        // Deliver everything up to the release broadcast. No workload runs
+        // here, so wake-ups are dropped.
+        let mut releases = Vec::new();
+        while let Some(ev) = s.queue.pop() {
+            if let Ev::Msg { dst, msg } = ev.payload {
+                match msg {
+                    Msg::BarrierRelease { .. } => releases.push((dst, ev.time, msg)),
+                    msg => s.handle_msg(dst, ev.time, msg),
+                }
+            }
+        }
+        assert_eq!(releases.len(), N);
+        // Record each release's announcements as its handler does first;
+        // the handler then collects every interval the barrier covers, so
+        // the stores are inspected in between.
+        for (dst, t, msg) in &releases {
+            let Msg::BarrierRelease { anns, .. } = msg else {
+                unreachable!()
+            };
+            assert_eq!(anns.len(), N);
+            s.process_anns(*dst, anns, *t);
+        }
+        let mut weak: Vec<Weak<IntervalAnnouncement>> = Vec::new();
+        for owner in 0..N {
+            let own = s.nodes[owner].store.get(owner, 1).expect("own interval");
+            assert_eq!(own.pages, vec![owner as u64]);
+            for node in &s.nodes {
+                let held = node.store.get(owner, 1).expect("interval learned");
+                assert!(
+                    Arc::ptr_eq(held, own),
+                    "interval ({owner}, 1) is a copy, not a handle"
+                );
+            }
+            weak.push(Arc::downgrade(own));
+        }
+        // The real release handler collects the covered intervals; once the
+        // messages are gone, no announcement is left alive.
+        for (dst, t, msg) in releases {
+            s.handle_msg(dst, t, msg);
+        }
+        assert!(s.nodes.iter().all(|nd| nd.store.is_empty()));
+        assert!(weak.iter().all(|w| w.upgrade().is_none()));
     }
 }

@@ -10,6 +10,7 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use ncp2_mem::NodeMemory;
 use ncp2_net::Network;
@@ -22,7 +23,7 @@ use ncp2_sim::{
 use crate::bitvec::DirtyVec;
 use crate::controller::Controller;
 use crate::diff::DiffList;
-use crate::interval::IntervalStore;
+use crate::interval::{AnnList, IntervalStore};
 use crate::msg::Msg;
 use crate::observe::{ProtocolEvent, Sinks};
 use crate::page::{page_of, PageBuf, PageId, PageState};
@@ -302,6 +303,8 @@ pub(crate) struct Node {
     pub stats: NodeStats,
     // --- TreadMarks state ---
     pub vt: VectorTime,
+    /// The last snapshot of `vt` handed to this node's diff requests.
+    pub vt_snapshot: Option<Arc<VectorTime>>,
     pub pages: FlatMap<TmPage>,
     pub store: IntervalStore,
     /// Diffs this node created for its own writes, keyed by (page, interval).
@@ -338,6 +341,7 @@ impl Node {
             ctrl: Controller::new(),
             stats: NodeStats::default(),
             vt: VectorTime::new(params.nprocs),
+            vt_snapshot: None,
             pages: FlatMap::new(),
             store: IntervalStore::new(),
             diffs: DiffTable::new(),
@@ -363,7 +367,8 @@ impl Node {
 pub(crate) struct BarrierState {
     pub arrived: usize,
     pub merged_vt: Option<VectorTime>,
-    pub anns: IntervalStore,
+    /// The arrivals' announcements so far, merged in `(owner, id)` order.
+    pub anns: AnnList,
     /// AURC: `horizons[src][dst]` arrival horizon reported by each arrival.
     pub horizons: Vec<Vec<Cycles>>,
 }

@@ -11,6 +11,8 @@
 //! no simulated output could ever depend on it — every order-sensitive
 //! consumer already sorts; see DESIGN.md §15).
 
+use std::sync::Arc;
+
 use crate::diff::Diff;
 use crate::page::PageId;
 use crate::vtime::IntervalId;
@@ -140,9 +142,14 @@ impl<V: Default> FlatMap<V> {
 /// page table of short interval lists. A page is dirtied by a handful of
 /// intervals between synchronizations, so a linear scan of its list beats
 /// hashing the compound key.
+///
+/// Diffs are stored as `Arc` handles: a diff reply ships a handle to the
+/// stored diff rather than a copy. A later merge into a stored diff goes
+/// through [`Arc::make_mut`], so it copies the diff first whenever a reply
+/// still holds it — receivers always see the diff as it was when sent.
 #[derive(Debug, Default)]
 pub(crate) struct DiffTable {
-    pages: FlatMap<Vec<(IntervalId, Diff)>>,
+    pages: FlatMap<Vec<(IntervalId, Arc<Diff>)>>,
 }
 
 impl DiffTable {
@@ -154,7 +161,7 @@ impl DiffTable {
     }
 
     /// The stored diff for `(page, ivl)`, if any.
-    pub fn get(&self, page: PageId, ivl: IntervalId) -> Option<&Diff> {
+    pub fn get(&self, page: PageId, ivl: IntervalId) -> Option<&Arc<Diff>> {
         self.pages
             .get(page)?
             .iter()
@@ -168,12 +175,13 @@ impl DiffTable {
     }
 
     /// Stores `diff`, merging into an existing diff for the same
-    /// (page, interval) if an invalidation forced one early.
+    /// (page, interval) if an invalidation forced one early. The merge
+    /// copies the stored diff first if a sent reply still shares it.
     pub fn merge_or_insert(&mut self, diff: Diff) {
         let list = self.pages.get_or_default(diff.page);
         match list.iter_mut().find(|(i, _)| *i == diff.interval) {
-            Some((_, d)) => d.merge(&diff),
-            None => list.push((diff.interval, diff)),
+            Some((_, d)) => Arc::make_mut(d).merge(&diff),
+            None => list.push((diff.interval, Arc::new(diff))),
         }
     }
 }

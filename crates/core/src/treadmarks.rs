@@ -14,6 +14,8 @@
 //!   bit vectors and the DMA engine generates diffs eagerly when an interval
 //!   closes and applies incoming diffs by scatter-gather.
 
+use std::sync::Arc;
+
 use ncp2_sim::{Category, Cycles, ProcOp, ProcReply};
 
 use crate::controller::Controller;
@@ -326,13 +328,11 @@ impl Simulation {
             Category::Data,
             SpanKind::NoticeMgmt,
         );
-        let requests = self.tm_build_requests(pid, page, &pending, false);
-        crate::pool::put_pairs(pending);
-        let outstanding = requests.len();
         let mut t = self.nodes[pid].time;
-        for (owner, msg) in requests {
-            self.send_msg(&mut t, pid, owner, msg, Category::Data, false);
-        }
+        let outstanding = self.tm_send_requests(pid, page, &pending, false, |s, owner, msg| {
+            s.send_msg(&mut t, pid, owner, msg, Category::Data, false)
+        });
+        crate::pool::put_pairs(pending);
         self.nodes[pid].time = t;
         self.block(
             pid,
@@ -346,15 +346,18 @@ impl Simulation {
         );
     }
 
-    /// Groups pending notices into per-writer requests; flips to a whole
+    /// Groups pending notices into per-writer requests and hands each to
+    /// `send` with its writer, in ascending writer order; flips to a whole
     /// page fetch from the most recent writer when the chain is long.
-    fn tm_build_requests(
+    /// Returns how many requests were sent.
+    fn tm_send_requests(
         &mut self,
         pid: usize,
         page: PageId,
         pending: &[(usize, IntervalId)],
         prefetch: bool,
-    ) -> Vec<(usize, Msg)> {
+        mut send: impl FnMut(&mut Self, usize, Msg),
+    ) -> usize {
         // Sorting `(owner, interval)` pairs groups them by ascending owner
         // with ascending intervals inside each group — the same deterministic
         // order the previous `BTreeMap<owner, Vec<_>>` grouping produced,
@@ -370,7 +373,8 @@ impl Simulation {
         } else {
             None
         };
-        let mut out = Vec::new();
+        let requester_vt = self.vt_snapshot(pid);
+        let mut sent = 0;
         let mut i = 0;
         while i < by_owner.len() {
             let owner = by_owner[i].0;
@@ -383,14 +387,35 @@ impl Simulation {
                 page,
                 intervals: ivls,
                 requester: pid,
-                requester_vt: self.nodes[pid].vt.clone(),
+                requester_vt: Arc::clone(&requester_vt),
                 prefetch,
                 want_page: want_page_from == Some(owner),
             };
-            out.push((owner, msg));
+            send(self, owner, msg);
+            sent += 1;
         }
         crate::pool::put_pairs(by_owner);
-        out
+        sent
+    }
+
+    /// A shared snapshot of `pid`'s vector time for its diff requests. The
+    /// node keeps the last one and hands it out again while its time is
+    /// unchanged; once the time has moved on, a snapshot no request holds
+    /// any more is overwritten in place rather than reallocated.
+    fn vt_snapshot(&mut self, pid: usize) -> Arc<VectorTime> {
+        let nd = &mut self.nodes[pid];
+        if let Some(snap) = &mut nd.vt_snapshot {
+            if **snap == nd.vt {
+                return Arc::clone(snap);
+            }
+            if let Some(stale) = Arc::get_mut(snap) {
+                stale.clone_from(&nd.vt);
+                return Arc::clone(snap);
+            }
+        }
+        let snap = Arc::new(nd.vt.clone());
+        nd.vt_snapshot = Some(Arc::clone(&snap));
+        snap
     }
 
     /// Linear extension key for causal apply order: the component sum of an
@@ -409,7 +434,7 @@ impl Simulation {
         page: PageId,
         intervals: IvlList,
         requester: usize,
-        requester_vt: VectorTime,
+        requester_vt: Arc<VectorTime>,
         prefetch: bool,
         want_page: bool,
     ) {
@@ -484,14 +509,13 @@ impl Simulation {
                 if live_twin || !self.nodes[dst].diffs.contains(page, ivl) {
                     c = self.tm_create_diff_for_service(dst, page, ivl, c, prefetch);
                 }
-                diffs_out.push(
+                diffs_out.push(Arc::clone(
                     self.nodes[dst]
                         .diffs
                         .get(page, ivl)
                         // invariant: stored by the service path just above
-                        .expect("diff stored")
-                        .clone(),
-                );
+                        .expect("diff stored"),
+                ));
             }
         }
         let msg = Msg::DiffReply {
@@ -650,6 +674,7 @@ impl Simulation {
             &ps.requested,
             true,
         );
+        crate::pool::put_pairs(ps.requested);
         self.sinks.note(
             end,
             dst,
@@ -708,7 +733,7 @@ impl Simulation {
             );
             for &ivl in &own {
                 if let Some(d) = self.nodes[pid].diffs.get(page, ivl) {
-                    diffs.push(d.clone());
+                    diffs.push(Arc::clone(d));
                 }
             }
             crate::pool::put_clock(own);
@@ -807,7 +832,7 @@ impl Simulation {
     pub(crate) fn tm_process_anns(
         &mut self,
         pid: usize,
-        anns: &[IntervalAnnouncement],
+        anns: &[Arc<IntervalAnnouncement>],
         t: Cycles,
     ) -> Cycles {
         let params = self.params.clone();
@@ -817,7 +842,7 @@ impl Simulation {
                 continue;
             }
             self.nodes[pid].vt.observe(ann.owner, ann.id);
-            self.nodes[pid].store.record(ann.clone());
+            self.nodes[pid].store.record(Arc::clone(ann));
             if ann.owner == pid {
                 continue;
             }
@@ -913,21 +938,17 @@ impl Simulation {
             }
             self.sinks
                 .note(c, pid, ProtocolEvent::PrefetchIssued { pid, page });
-            let pending = self.tm_page(pid, page).pending.clone();
-            let requests = self.tm_build_requests(pid, page, &pending, true);
-            let outstanding = requests.len();
-            for (owner, msg) in requests {
-                c += if mode.offload() {
-                    Controller::issue_cost(&params)
-                } else {
-                    params.messaging_overhead
-                };
+            let mut pending = crate::pool::take_pairs();
+            pending.extend_from_slice(&self.tm_page(pid, page).pending);
+            let outstanding = self.tm_send_requests(pid, page, &pending, true, |s, owner, msg| {
                 if mode.offload() {
-                    self.ctrl_send(c, pid, owner, msg);
+                    c += Controller::issue_cost(&params);
+                    s.ctrl_send(c, pid, owner, msg);
                 } else {
-                    self.dispatch(c, pid, owner, msg);
+                    c += params.messaging_overhead;
+                    s.dispatch(c, pid, owner, msg);
                 }
-            }
+            });
             self.nodes[pid].prefetches.insert(
                 page,
                 PrefetchState {
@@ -941,5 +962,100 @@ impl Simulation {
             );
         }
         c
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ncp2_sim::SysParams;
+
+    use crate::interval::IvlList;
+    use crate::msg::Msg;
+    use crate::page::PageState;
+    use crate::protocol::{OverlapMode, Protocol};
+    use crate::system::{Ev, Simulation};
+    use crate::vtime::VectorTime;
+
+    fn sim(n: usize) -> Simulation {
+        Simulation::new(
+            SysParams::default().with_nprocs(n),
+            Protocol::TreadMarks(OverlapMode::IPD),
+        )
+    }
+
+    fn requester_vt(msg: &Msg) -> &Arc<VectorTime> {
+        match msg {
+            Msg::DiffReq { requester_vt, .. } => requester_vt,
+            other => panic!("not a diff request: {other:?}"),
+        }
+    }
+
+    /// The requests node 0 would send for page 7, captured unsent.
+    fn requests(s: &mut Simulation, pending: &[(usize, u32)], prefetch: bool) -> Vec<Msg> {
+        let mut out = Vec::new();
+        s.tm_send_requests(0, 7, pending, prefetch, |_, _, msg| out.push(msg));
+        out
+    }
+
+    #[test]
+    fn diff_requests_of_one_batch_share_one_vector_time() {
+        let mut s = sim(16);
+        let pending = [(1, 1), (2, 1), (2, 2), (3, 1)];
+        let batch = requests(&mut s, &pending, false);
+        assert_eq!(batch.len(), 3, "one request per writer");
+        let first = requester_vt(&batch[0]);
+        assert_eq!(**first, s.nodes[0].vt);
+        for msg in &batch {
+            assert!(Arc::ptr_eq(requester_vt(msg), first));
+        }
+        // While the vector time is unchanged, later batches reuse it.
+        let again = requests(&mut s, &pending, true);
+        assert!(Arc::ptr_eq(requester_vt(&again[0]), first));
+        // Once it moves on, requests carry the new time and the snapshot
+        // the earlier batches hold stays as it was.
+        let old = Arc::clone(first);
+        s.nodes[0].vt.bump(0);
+        let moved = requests(&mut s, &pending, false);
+        assert_eq!(**requester_vt(&moved[0]), s.nodes[0].vt);
+        assert_eq!(*old, VectorTime::new(16));
+    }
+
+    #[test]
+    fn merge_leaves_a_queued_replys_diff_unchanged() {
+        let mut s = sim(2);
+        let write = |s: &mut Simulation, word: usize, value: u64| {
+            let tp = s.tm_page(1, 5);
+            tp.state = PageState::ReadWrite;
+            tp.data.write(4 * word, 4, value);
+            tp.dirty.set(word);
+        };
+        // Node 1 writes page 5 and settles the write into a stored diff for
+        // its open interval 1.
+        write(&mut s, 3, 0xAA);
+        s.tm_force_diff(1, 5, 0);
+        // Node 0 asks for it: the queued reply holds the stored diff.
+        let mut intervals = IvlList::new();
+        intervals.push(1);
+        let vt = Arc::new(VectorTime::new(2));
+        s.on_diff_req(1, 0, 5, intervals, 0, vt, false, false);
+        // Node 1 writes again in the same interval and settles again, which
+        // merges into the stored diff.
+        write(&mut s, 4, 0xBB);
+        s.tm_force_diff(1, 5, 0);
+        let stored = s.nodes[1].diffs.get(5, 1).expect("stored diff");
+        assert_eq!(stored.entries(), &[(3, 0xAA), (4, 0xBB)]);
+        let reply = std::iter::from_fn(|| s.queue.pop())
+            .find_map(|ev| match ev.payload {
+                Ev::Msg {
+                    msg: Msg::DiffReply { diffs, .. },
+                    ..
+                } => Some(diffs),
+                _ => None,
+            })
+            .expect("queued reply");
+        assert_eq!(reply.len(), 1);
+        assert_eq!(reply[0].entries(), &[(3, 0xAA)], "the reply saw the merge");
     }
 }

@@ -33,6 +33,7 @@
 //! Violations land in `RunResult::violations`; a correct run reports none.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use ncp2_core::observe::{MsgKind, Observer, ProtocolEvent, Violation};
 use ncp2_core::page::{PageBuf, PageId};
@@ -243,7 +244,10 @@ pub struct VerifyOracle {
     applied: HashMap<(usize, PageId), HashSet<(usize, IntervalId)>>,
     /// Every closed interval and the pages it dirtied.
     registry: HashMap<(usize, IntervalId), Vec<PageId>>,
-    /// Write notices recorded: (node, owner, interval, page).
+    /// Write notices recorded and not yet checked: (node, owner, interval,
+    /// page). Each is consumed by the coverage check that first covers its
+    /// interval, so the set holds only notices still in flight. Empty when
+    /// notices are not checked (AURC).
     seen_notices: HashSet<(usize, usize, IntervalId, PageId)>,
     /// Latest vector time observed per processor (monotonicity).
     last_vt: Vec<VectorTime>,
@@ -342,7 +346,9 @@ impl VerifyOracle {
                         continue;
                     };
                     for &page in pages {
-                        if !self.seen_notices.contains(&(pid, owner, ivl, page)) {
+                        // `checked_vt` moves past this key below, so no
+                        // later check asks for it again: consume it.
+                        if !self.seen_notices.remove(&(pid, owner, ivl, page)) {
                             missing.push((owner, ivl, page));
                         }
                     }
@@ -405,7 +411,7 @@ impl VerifyOracle {
         &mut self,
         pid: usize,
         page: PageId,
-        diffs: &[ncp2_core::Diff],
+        diffs: &[Arc<ncp2_core::Diff>],
         data: &PageBuf,
     ) {
         let mut dups: Vec<(usize, IntervalId)> = Vec::new();
@@ -528,7 +534,7 @@ impl Observer for VerifyOracle {
                 id,
                 page,
                 ..
-            } => {
+            } if self.check_notices => {
                 self.seen_notices.insert((*pid, *owner, *id, *page));
             }
             ProtocolEvent::AnnsProcessed { pid, vt } => self.on_anns_processed(*pid, vt),
@@ -870,6 +876,84 @@ mod tests {
     }
 
     #[test]
+    fn checked_notices_are_consumed_and_misses_still_reported() {
+        let mut o = oracle();
+        let mut vt0 = VectorTime::new(4);
+        vt0.bump(0);
+        o.on_event(&ProtocolEvent::IntervalClosed {
+            pid: 0,
+            id: 1,
+            vt: &vt0,
+            pages: &[3, 4],
+        });
+        for (pid, page) in [(1, 3), (1, 4), (2, 3), (2, 4)] {
+            o.on_event(&ProtocolEvent::NoticeRecorded {
+                pid,
+                owner: 0,
+                id: 1,
+                page,
+                invalidated: true,
+                wasted_prefetch: false,
+            });
+        }
+        let mut covers = VectorTime::new(4);
+        covers.observe(0, 1);
+        o.on_event(&ProtocolEvent::AnnsProcessed {
+            pid: 1,
+            vt: &covers,
+        });
+        o.on_event(&ProtocolEvent::AnnsProcessed {
+            pid: 2,
+            vt: &covers,
+        });
+        assert!(
+            o.seen_notices.is_empty(),
+            "every recorded notice was checked: {:?}",
+            o.seen_notices
+        );
+        // A later interval whose notice P1 never records is still missed.
+        vt0.bump(0);
+        o.on_event(&ProtocolEvent::IntervalClosed {
+            pid: 0,
+            id: 2,
+            vt: &vt0,
+            pages: &[5],
+        });
+        covers.observe(0, 2);
+        o.on_event(&ProtocolEvent::AnnsProcessed {
+            pid: 1,
+            vt: &covers,
+        });
+        let v = o.finish();
+        assert_eq!(
+            v,
+            vec![Violation::WriteNoticeCoverage {
+                pid: 1,
+                owner: 0,
+                interval: 2,
+                page: 5
+            }]
+        );
+    }
+
+    #[test]
+    fn aurc_records_no_notices() {
+        let mut o = VerifyOracle::new(
+            &SysParams::default().with_nprocs(4),
+            &Protocol::Aurc { prefetch: false },
+        );
+        o.on_event(&ProtocolEvent::NoticeRecorded {
+            pid: 1,
+            owner: 0,
+            id: 1,
+            page: 3,
+            invalidated: true,
+            wasted_prefetch: false,
+        });
+        assert!(o.seen_notices.is_empty());
+    }
+
+    #[test]
     fn vector_time_regression_is_flagged() {
         let mut o = oracle();
         let mut vt = VectorTime::new(4);
@@ -974,7 +1058,7 @@ mod tests {
     fn duplicate_foreign_diff_application_is_flagged() {
         let mut o = oracle();
         let data = PageBuf::new(4096);
-        let foreign = [Diff::from_twin(7, 0, 3, &data, &data)];
+        let foreign = [Arc::new(Diff::from_twin(7, 0, 3, &data, &data))];
         for _ in 0..2 {
             o.on_event(&ProtocolEvent::DiffsApplied {
                 pid: 1,
@@ -1003,7 +1087,7 @@ mod tests {
     fn own_diff_reapplication_is_legal() {
         let mut o = oracle();
         let data = PageBuf::new(4096);
-        let own = [Diff::from_twin(7, 1, 3, &data, &data)];
+        let own = [Arc::new(Diff::from_twin(7, 1, 3, &data, &data))];
         for _ in 0..2 {
             o.on_event(&ProtocolEvent::DiffsApplied {
                 pid: 1,
