@@ -5,13 +5,6 @@ set -eux
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
-# Feature matrix: workspace feature unification builds ncp2-core only with
-# every feature on, so each feature-gated sink arm is also checked alone.
-cargo clippy -q -p ncp2-core -- -D warnings
-for feature in verify obs fault; do
-    cargo clippy -q -p ncp2-core --features "$feature" -- -D warnings
-done
-cargo clippy -q -p ncp2-net -- -D warnings
 cargo xtask lint --scan-only --json > target/lint_report.json
 cargo build --release
 # hostbench/ (the pinned host benchmark) is its own cargo workspace linking

@@ -235,8 +235,8 @@ pub fn run_app<W: Workload>(params: SysParams, protocol: Protocol, app: W) -> Ru
 }
 
 /// Like [`run_app`], but lets `configure` adjust the freshly built
-/// [`Simulation`] before it runs — e.g. to attach a `verify` observer or arm
-/// a fault-injection hook.
+/// [`Simulation`] before it runs — e.g. to attach the `ncp2-verify` oracle
+/// or arm a fault-injection hook.
 pub fn run_app_with<W: Workload>(
     params: SysParams,
     protocol: Protocol,

@@ -4,10 +4,8 @@
 //! with the recorder off. Recording is charge-driven (hooks piggyback on
 //! state transitions that happen anyway; the recorder never schedules an
 //! event), so this holds by construction — and these tests keep it that way.
-//!
-//! The twin below covers the runtime toggle under the compiled-in `obs`
-//! feature; the other polarity (`--no-default-features`, hooks compiled to
-//! empty inlines) is exercised by the feature-matrix build in `ci.sh`.
+//! Every build contains the recorder; the twin below covers the runtime
+//! toggle, the only switch there is.
 
 use ncp2_bench::engine::{tier1_grid, Engine, RunRecord};
 use ncp2_bench::harness::ALL_MODE_LABELS;

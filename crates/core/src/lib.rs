@@ -51,7 +51,6 @@ pub mod system;
 mod table;
 pub mod timeseries;
 pub mod trace;
-#[cfg(feature = "fault")]
 pub mod transport;
 pub mod treadmarks;
 pub mod vtime;
@@ -60,7 +59,6 @@ pub use controller::Controller;
 pub use diff::Diff;
 pub use hist::LogHistogram;
 pub use interval::{IntervalAnnouncement, IntervalStore, Notice};
-#[cfg(feature = "fault")]
 pub use ncp2_fault::{self, FaultPlan};
 pub use observe::{MsgKind, Observer, ProtocolEvent, Violation};
 pub use page::{PageBuf, PageId, PageState};
@@ -75,6 +73,5 @@ pub use timeseries::{
     TS_MAX_WINDOWS,
 };
 pub use trace::{trace_csv, TraceEvent, TraceKind};
-#[cfg(feature = "fault")]
 pub use transport::{MAX_BACKOFF_EXP, MAX_RETX_ATTEMPTS, SHED_UNACKED_MAX};
 pub use vtime::{IntervalId, VectorTime};

@@ -20,13 +20,12 @@
 //! * the **time series** ([`crate::timeseries::TsRecorder::note`]) —
 //!   windowed counters, occupancy, per-link series and hot-spot tables.
 //!
-//! The oracle is compiled in by the `verify` feature, the span and
-//! time-series recorders by `obs`; each is armed at runtime by
-//! `attach_observer`, `enable_obs` and `enable_timeseries`. Whatever is off
-//! costs one branch per fact. Processor spans (paired with breakdown
-//! charging in `advance`/`charge_mem`/`interrupt_proc`), dependency edges
-//! (`obs_edge(…, obs_last_span(…))`) and single-sink gauges keep their own
-//! `Sinks` helpers; they are not facts.
+//! Every build contains all of them; each is armed at runtime by
+//! `attach_observer`, `enable_obs` and `enable_timeseries`. Whatever is not
+//! armed costs one `None` check per fact. Processor spans (paired with
+//! breakdown charging in `advance`/`charge_mem`/`interrupt_proc`),
+//! dependency edges (`obs_edge(…, obs_last_span(…))`) and single-sink
+//! gauges keep their own `Sinks` helpers; they are not facts.
 
 use std::fmt;
 use std::sync::Arc;
@@ -560,8 +559,7 @@ impl fmt::Display for Violation {
 }
 
 /// A shadow checker attached to a [`Simulation`](crate::Simulation) via
-/// `attach_observer` (available when `ncp2-core` is built with the `verify`
-/// feature).
+/// `attach_observer`.
 pub trait Observer {
     /// Called at every protocol step, in observation order.
     fn on_event(&mut self, ev: &ProtocolEvent);
@@ -629,20 +627,17 @@ impl Tally {
 /// Every consumer of the fact stream, in one place. [`Sinks::note`] fans a
 /// fact out to the oracle, the trace, the aggregates, the span recorder and
 /// the time series; it and the span/gauge/edge helpers below are the only
-/// code that consults the feature-gated recorders. A recorder compiled out
-/// (feature off) or not armed costs one branch per fact.
+/// code that consults the recorders. A recorder that is not attached costs
+/// one `None` check per fact.
 pub(crate) struct Sinks {
     /// Protocol trace rows; `Some` when `SysParams::trace` is set.
     trace: Option<Vec<TraceEvent>>,
     tally: Vec<Tally>,
-    /// Shadow checker (`verify` feature only).
-    #[cfg(feature = "verify")]
+    /// Shadow checker.
     observer: Option<Box<dyn Observer>>,
-    /// Span/flight/engine recorder (`obs` feature only).
-    #[cfg(feature = "obs")]
+    /// Span/flight/engine recorder.
     obs: Option<crate::span::ObsRecorder>,
-    /// Windowed time-series recorder (`obs` feature only).
-    #[cfg(feature = "obs")]
+    /// Windowed time-series recorder.
     ts: Option<crate::timeseries::TsRecorder>,
 }
 
@@ -653,45 +648,29 @@ impl Sinks {
         Sinks {
             trace: trace.then(Vec::new),
             tally: vec![Tally::default(); nprocs],
-            #[cfg(feature = "verify")]
             observer: None,
-            #[cfg(feature = "obs")]
             obs: None,
-            #[cfg(feature = "obs")]
             ts: None,
         }
     }
 
-    /// Attaches the oracle (dropped without the `verify` feature).
-    #[cfg_attr(not(feature = "verify"), allow(unused_variables))]
+    /// Attaches the oracle.
     pub(crate) fn attach_observer(&mut self, observer: Box<dyn Observer>) {
-        #[cfg(feature = "verify")]
-        {
-            self.observer = Some(observer);
-        }
+        self.observer = Some(observer);
     }
 
-    /// Arms the span recorder (a no-op without the `obs` feature).
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    /// Arms the span recorder.
     pub(crate) fn enable_obs(&mut self, nprocs: usize) {
-        #[cfg(feature = "obs")]
-        {
-            self.obs = Some(crate::span::ObsRecorder::new(nprocs));
-        }
+        self.obs = Some(crate::span::ObsRecorder::new(nprocs));
     }
 
-    /// Arms the time-series recorder (a no-op without the `obs` feature).
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    /// Arms the time-series recorder.
     pub(crate) fn enable_timeseries(&mut self, nprocs: usize, width: Cycles) {
-        #[cfg(feature = "obs")]
-        {
-            self.ts = Some(crate::timeseries::TsRecorder::new(nprocs, width));
-        }
+        self.ts = Some(crate::timeseries::TsRecorder::new(nprocs, width));
     }
 
     /// Reports one fact that happened at cycle `t` on `node`.
     pub(crate) fn note(&mut self, t: Cycles, node: usize, ev: ProtocolEvent<'_>) {
-        #[cfg(feature = "verify")]
         if let Some(o) = self.observer.as_mut() {
             o.on_event(&ev);
         }
@@ -705,18 +684,15 @@ impl Sinks {
             }
         }
         self.tally[node].note(&ev);
-        #[cfg(feature = "obs")]
         if let Some(r) = self.obs.as_mut() {
             r.note(t, node, &ev);
         }
-        #[cfg(feature = "obs")]
         if let Some(r) = self.ts.as_mut() {
             r.note(t, node, &ev);
         }
     }
 
     /// Records one conserved processor span (see [`crate::span::Span`]).
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     pub(crate) fn span(
         &mut self,
         node: usize,
@@ -725,7 +701,6 @@ impl Sinks {
         start: Cycles,
         dur: Cycles,
     ) {
-        #[cfg(feature = "obs")]
         if let Some(r) = self.obs.as_mut() {
             r.span(node, kind, cat, start, dur);
         }
@@ -733,7 +708,6 @@ impl Sinks {
 
     /// Records one span charged off the node's own timeline (see
     /// [`crate::span::Span::detached`]).
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     pub(crate) fn span_detached(
         &mut self,
         node: usize,
@@ -742,16 +716,13 @@ impl Sinks {
         start: Cycles,
         dur: Cycles,
     ) {
-        #[cfg(feature = "obs")]
         if let Some(r) = self.obs.as_mut() {
             r.span_detached(node, kind, cat, start, dur);
         }
     }
 
     /// Samples gauge `g` at value `v`; the window keeps the peak.
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     pub(crate) fn gauge(&mut self, g: TsGauge, t: Cycles, v: u64) {
-        #[cfg(feature = "obs")]
         if let Some(r) = self.ts.as_mut() {
             r.gauge(g, t, v);
         }
@@ -760,7 +731,6 @@ impl Sinks {
     /// The most recent span recorded on `node` — the anchor every dependency
     /// edge must reference (enforced by the `xtask lint` edge-site rule and
     /// by [`crate::span::ObsRecorder::edge`] dropping unanchored edges).
-    #[cfg(feature = "obs")]
     pub(crate) fn obs_last_span(&self, node: usize) -> SpanId {
         self.obs
             .as_ref()
@@ -768,14 +738,7 @@ impl Sinks {
             .unwrap_or(SpanId::NONE)
     }
 
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    pub(crate) fn obs_last_span(&self, _node: usize) -> SpanId {
-        SpanId::NONE
-    }
-
     /// Records one typed dependency edge.
-    #[cfg(feature = "obs")]
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn obs_edge(
         &mut self,
@@ -792,21 +755,6 @@ impl Sinks {
         }
     }
 
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn obs_edge(
-        &mut self,
-        _kind: EdgeKind,
-        _src_node: usize,
-        _src_time: Cycles,
-        _dst_node: usize,
-        _dst_time: Cycles,
-        _work: Cycles,
-        _src_span: SpanId,
-    ) {
-    }
-
     /// Folds every sink into the finished run: the tallied aggregates, the
     /// trace, the span and time-series logs, and the oracle's findings plus
     /// any span-conservation failure.
@@ -819,15 +767,11 @@ impl Sinks {
         run.fault.retransmits = total(TsCounter::Retransmits);
         run.fault.prefetch_shed = total(TsCounter::PrefetchShed);
         run.trace = self.trace.unwrap_or_default();
-        #[cfg(feature = "verify")]
         if let Some(mut o) = self.observer {
             run.violations = o.finish();
         }
-        #[cfg(feature = "obs")]
-        {
-            run.obs = self.obs.map(|r| r.into_log());
-            run.ts = self.ts.map(|r| r.into_log(run.total_cycles));
-        }
+        run.obs = self.obs.map(|r| r.into_log());
+        run.ts = self.ts.map(|r| r.into_log(run.total_cycles));
         if let Some(log) = &run.obs {
             for (node, detail) in log.conservation_errors(&run.nodes) {
                 run.violations

@@ -1,13 +1,11 @@
 //! Protocol selection: TreadMarks overlap modes and AURC variants.
 
-use serde::{Deserialize, Serialize};
-
 /// The six TreadMarks configurations of §5.1 (Figures 5–10).
 ///
 /// `Base` and `P` assume **no** protocol controller (all protocol work on
 /// the computation processor); the other four run basic protocol actions on
 /// the per-node controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverlapMode {
     /// Standard non-overlapping TreadMarks.
     Base,
@@ -67,7 +65,7 @@ impl OverlapMode {
 }
 
 /// Which software DSM runs on the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// TreadMarks under one of the six overlap modes.
     TreadMarks(OverlapMode),

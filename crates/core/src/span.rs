@@ -1,9 +1,8 @@
-//! Simulated-time spans: the data model behind the `obs` feature.
+//! Simulated-time spans: the data model behind span recording.
 //!
-//! When `ncp2-core` is built with the `obs` feature and
-//! [`Simulation::enable_obs`](crate::Simulation::enable_obs) is called, the
-//! simulation records three kinds of timed regions over **simulated cycles**
-//! (never wall clock):
+//! When [`Simulation::enable_obs`](crate::Simulation::enable_obs) is called,
+//! the simulation records three kinds of timed regions over **simulated
+//! cycles** (never wall clock):
 //!
 //! * **Conserved processor spans** ([`Span`]) — one span per breakdown
 //!   charge. Every call that adds cycles to a node's [`Breakdown`] emits
@@ -23,18 +22,15 @@
 //! inspected per phase. A barrier's own wait time is attributed to the epoch
 //! it closes; the epoch advances at the wake that ends the wait.
 //!
-//! The types here are always compiled (so [`RunResult`](crate::RunResult)
-//! can carry an `Option<ObsLog>` unconditionally); the recorder is armed
-//! inside the simulation only under the `obs` feature. Spans and edges are
-//! recorded directly by the charge helpers and edge sites; everything else
-//! arrives as reported protocol facts ([`ObsRecorder::note`]).
+//! Spans and edges are recorded directly by the charge helpers and edge
+//! sites; everything else arrives as reported protocol facts
+//! ([`ObsRecorder::note`]).
 //!
 //! [`Breakdown`]: ncp2_sim::Breakdown
 
 use std::collections::HashMap;
 
 use ncp2_sim::{Category, Cycles};
-use serde::{Deserialize, Serialize};
 
 use crate::observe::{MsgKind, ProtocolEvent};
 use crate::stats::NodeStats;
@@ -43,7 +39,7 @@ use crate::stats::NodeStats;
 /// five [`Category`] buckets: several kinds map into one category (e.g.
 /// `DiffCreate` cycles are `Data` when taken on a write fault but `Ipc` when
 /// taken while servicing a remote request), so each [`Span`] carries both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Useful application computation.
     Compute,
@@ -140,7 +136,7 @@ impl SpanKind {
 }
 
 /// Which controller engine executed an [`EngineSpan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The controller's RISC core + DMA datapath.
     CtrlCore,
@@ -159,7 +155,7 @@ impl Engine {
 }
 
 /// The command class a controller engine ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtrlCmd {
     /// Twin creation (page copy).
     Twin,
@@ -187,7 +183,7 @@ impl CtrlCmd {
 }
 
 /// One conserved processor span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// The node whose breakdown the span's duration was charged to.
     pub node: usize,
@@ -211,7 +207,7 @@ pub struct Span {
 
 /// Index of a [`Span`] in [`ObsLog::spans`]; [`SpanId::NONE`] marks "no span
 /// emitted yet on that node".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u32);
 
 impl SpanId {
@@ -231,7 +227,7 @@ impl SpanId {
 /// arrival) to the scheduled wake — and are the joints the critical-path
 /// walk pivots on. `Msg` edges are the network flights feeding them; `Ctrl`
 /// and `PrefetchUse` edges annotate the graph but never carry the path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Message send (injection) → receive (arrival at the NI).
     Msg(MsgKind),
@@ -320,7 +316,7 @@ impl EdgeKind {
 /// `(src_node, src_time) → (dst_node, dst_time)`, anchored to the last span
 /// the source node had emitted when the edge was recorded (`src_span`), so
 /// no edge can dangle off activity the span log never saw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepEdge {
     /// What dependency the edge records.
     pub kind: EdgeKind,
@@ -341,7 +337,7 @@ pub struct DepEdge {
 }
 
 /// One controller-engine occupancy interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSpan {
     /// The node whose controller ran the command.
     pub node: usize,
@@ -356,7 +352,7 @@ pub struct EngineSpan {
 }
 
 /// One protocol message's journey through the interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flight {
     /// Sender.
     pub src: usize,
@@ -432,8 +428,8 @@ impl ObsLog {
     }
 }
 
-/// The live recorder owned by the simulation while the `obs` feature is
-/// active. Tracks per-node epochs and outstanding prefetch completions on
+/// The live recorder owned by the simulation while span recording is
+/// armed. Tracks per-node epochs and outstanding prefetch completions on
 /// top of the raw [`ObsLog`].
 #[derive(Debug, Default)]
 pub struct ObsRecorder {

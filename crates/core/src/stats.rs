@@ -3,10 +3,9 @@
 
 use ncp2_net::TrafficStats;
 use ncp2_sim::{Breakdown, Cycles};
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by one node over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Execution-time breakdown of the computation processor.
     pub breakdown: Breakdown,
@@ -78,7 +77,7 @@ pub const RETX_BUCKETS: usize = 8;
 
 /// Run-global counters for the hardened transport and fault injection.
 /// Always present on [`RunResult`] (so result encodings have one shape);
-/// all-zero unless a fault plan was attached to a `fault`-feature build.
+/// all-zero unless a fault plan was attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Data-frame transmissions, including retransmissions.
@@ -158,18 +157,15 @@ pub struct RunResult {
     /// Protocol event trace (empty unless `SysParams::trace` was set).
     pub trace: Vec<crate::trace::TraceEvent>,
     /// Invariant violations reported by an attached observer (always empty
-    /// unless `ncp2-core` is built with the `verify` feature and an observer
-    /// was attached via `Simulation::attach_observer`).
+    /// unless an observer was attached via `Simulation::attach_observer`).
     pub violations: Vec<crate::observe::Violation>,
-    /// Span/flight/engine timeline (`None` unless `ncp2-core` is built with
-    /// the `obs` feature and recording was enabled via
+    /// Span/flight/engine timeline (`None` unless recording was enabled via
     /// `Simulation::enable_obs`).
     pub obs: Option<crate::span::ObsLog>,
     /// Transport/fault-injection counters (all-zero unless a fault plan was
-    /// attached to a `fault`-feature build).
+    /// attached).
     pub fault: FaultStats,
-    /// Windowed time series (`None` unless `ncp2-core` is built with the
-    /// `obs` feature and recording was enabled via
+    /// Windowed time series (`None` unless recording was enabled via
     /// `Simulation::enable_timeseries`).
     pub ts: Option<crate::timeseries::TsLog>,
     /// Open-loop service counters and response-time histogram (`None`

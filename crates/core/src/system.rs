@@ -42,8 +42,7 @@ pub(crate) enum Ev {
     /// A blocked processor's pending operation completes.
     Wake { pid: usize },
     /// One physical transport-frame copy reaches `dst`'s interface
-    /// (`fault` feature: hardened transport engaged).
-    #[cfg(feature = "fault")]
+    /// (hardened transport engaged).
     Frame {
         src: usize,
         dst: usize,
@@ -62,10 +61,8 @@ pub(crate) enum Ev {
     },
     /// A cumulative acknowledgement for link `src → dst` arrives back at
     /// `src`: every frame with sequence number below `cum` is delivered.
-    #[cfg(feature = "fault")]
     Ack { src: usize, dst: usize, cum: u64 },
     /// A retransmit timer for frame `seq` (at `attempt`) on `src → dst`.
-    #[cfg(feature = "fault")]
     RetxCheck {
         src: usize,
         dst: usize,
@@ -443,17 +440,14 @@ pub struct Simulation {
     pub(crate) sinks: Sinks,
     /// Mutation hook for oracle self-tests: when armed, exactly one foreign
     /// write notice is silently discarded during announcement processing.
-    #[cfg(feature = "verify")]
     pub(crate) drop_notice_armed: bool,
-    /// Hardened-transport state (`fault` feature only, engaged via
+    /// Hardened-transport state, engaged via
     /// [`Simulation::attach_fault_plan`] with an active plan; `None` means
-    /// every message takes the legacy exactly-once path).
-    #[cfg(feature = "fault")]
+    /// every message takes the legacy exactly-once path.
     pub(crate) fault: Option<Box<crate::transport::FaultCtx>>,
     /// Mutation hook for oracle self-tests: when armed, the next intact
     /// inter-node data frame is consumed without delivery and without a
     /// terminal frame event — the conservation oracle must flag it.
-    #[cfg(all(feature = "fault", feature = "verify"))]
     pub(crate) silent_frame_loss_armed: bool,
 }
 
@@ -480,11 +474,8 @@ impl Simulation {
             seq: n == 1,
             svc: None,
             sinks: Sinks::new(n, params.trace),
-            #[cfg(feature = "verify")]
             drop_notice_armed: false,
-            #[cfg(feature = "fault")]
             fault: None,
-            #[cfg(all(feature = "fault", feature = "verify"))]
             silent_frame_loss_armed: false,
             params,
             protocol,
@@ -492,9 +483,7 @@ impl Simulation {
     }
 
     /// Attaches a shadow observer that receives every protocol event; its
-    /// findings land in [`RunResult::violations`]. Only effective when
-    /// `ncp2-core` is built with the `verify` feature — without it the
-    /// observer is dropped.
+    /// findings land in [`RunResult::violations`].
     pub fn attach_observer(&mut self, observer: Box<dyn crate::observe::Observer>) {
         self.sinks.attach_observer(observer);
     }
@@ -502,7 +491,6 @@ impl Simulation {
     /// Arms the oracle-test mutation: the next foreign write notice processed
     /// anywhere in the machine is dropped without invalidating its page —
     /// the coverage oracle must flag it.
-    #[cfg(feature = "verify")]
     pub fn inject_drop_write_notice(&mut self) {
         self.drop_notice_armed = true;
     }
@@ -510,8 +498,7 @@ impl Simulation {
     /// Arms span/flight/engine recording over simulated time; the resulting
     /// timeline lands in [`RunResult::obs`] and its conservation invariant
     /// (per-node, per-category span time equals the node's `Breakdown`) is
-    /// checked at [`RunResult::violations`]. Only effective when `ncp2-core`
-    /// is built with the `obs` feature — without it this is a no-op.
+    /// checked at [`RunResult::violations`].
     pub fn enable_obs(&mut self) {
         self.sinks.enable_obs(self.params.nprocs);
     }
@@ -519,19 +506,9 @@ impl Simulation {
     /// Arms windowed time-series recording over simulated time; the finished
     /// series lands in [`RunResult::ts`]. The window width comes from
     /// [`SysParams::ts_window`] (`0` auto-picks, doubling as the run grows).
-    /// Only effective when `ncp2-core` is built with the `obs` feature —
-    /// without it this is a no-op.
     pub fn enable_timeseries(&mut self) {
         self.sinks
             .enable_timeseries(self.params.nprocs, self.params.ts_window);
-    }
-
-    /// Degradation-policy stub: without the `fault` feature (or without an
-    /// attached plan — see `transport.rs`) no prefetch is ever shed.
-    #[cfg(not(feature = "fault"))]
-    #[inline(always)]
-    pub(crate) fn shed_prefetch(&mut self, _pid: usize, _page: PageId, _now: Cycles) -> bool {
-        false
     }
 
     /// Runs `body` on every simulated processor to completion and returns
@@ -609,16 +586,12 @@ impl Simulation {
         // Frames still in flight at run end (their messages already
         // delivered by another attempt, or gap-blocked prefetch stragglers)
         // get their terminal event so the conservation law balances.
-        #[cfg(feature = "fault")]
         self.drain_inflight_frames();
         let total = self.nodes.iter().map(|nd| nd.time).max().unwrap_or(0);
         for nd in &mut self.nodes {
             nd.stats.controller_busy = nd.ctrl.busy();
         }
-        #[cfg(feature = "fault")]
         let fault = self.fault.as_ref().map(|c| c.stats).unwrap_or_default();
-        #[cfg(not(feature = "fault"))]
-        let fault = crate::stats::FaultStats::default();
         let mut run = RunResult {
             violations: Vec::new(),
             protocol: self.protocol.label().to_string(),
@@ -879,10 +852,7 @@ impl Simulation {
         // With an active fault plan the hardened transport carries every
         // inter-node message (sequence numbers, acks, retransmission);
         // loopback sends stay on the legacy path — no wire, no faults.
-        #[cfg(feature = "fault")]
         let transported = self.fault.is_some() && src != dst;
-        #[cfg(not(feature = "fault"))]
-        let transported = false;
         let params = self.params.clone();
         let wire = (!transported).then(|| self.net.transfer_timed(t, src, dst, bytes, &params));
         self.sinks.note(
@@ -898,7 +868,6 @@ impl Simulation {
             },
         );
         let Some(wire) = wire else {
-            #[cfg(feature = "fault")]
             self.transport_send(t, src, dst, msg);
             return;
         };
@@ -980,7 +949,6 @@ impl Simulation {
         match ev {
             Ev::Wake { pid } => self.handle_wake(pid, t, harness),
             Ev::Msg { dst, msg } => self.handle_msg(dst, t, msg),
-            #[cfg(feature = "fault")]
             Ev::Frame {
                 src,
                 dst,
@@ -991,9 +959,7 @@ impl Simulation {
                 sent_at,
                 anchor,
             } => self.on_frame(t, src, dst, seq, attempt, msg, lost, sent_at, anchor),
-            #[cfg(feature = "fault")]
             Ev::Ack { src, dst, cum } => self.on_ack(t, src, dst, cum),
-            #[cfg(feature = "fault")]
             Ev::RetxCheck {
                 src,
                 dst,

@@ -37,10 +37,6 @@
 //! exact: counters/occupancy/link-retransmits add, gauges/link-inflight take
 //! the max. Totals are therefore invariant to the width the run ends at.
 //!
-//! The types here are always compiled (so [`RunResult`](crate::RunResult)
-//! can carry an `Option<TsLog>` unconditionally); the recorder itself is
-//! only armed inside the simulation under the `obs` feature.
-//!
 //! [`SysParams::ts_window`]: ncp2_sim::SysParams
 
 use std::collections::BTreeMap;

@@ -13,13 +13,12 @@
 //! always agree.
 
 use ncp2_sim::Cycles;
-use serde::{Deserialize, Serialize};
 
 use crate::observe::{MsgKind, ProtocolEvent};
 use crate::span::CtrlCmd;
 
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A protocol message was injected into the network.
     MsgSent {
@@ -190,7 +189,7 @@ impl ProtocolEvent<'_> {
 }
 
 /// One timestamped protocol event at one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated time (cycles).
     pub time: Cycles,

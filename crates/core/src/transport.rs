@@ -2,11 +2,10 @@
 //! exponential-backoff retransmission, duplicate suppression, receive-side
 //! resequencing and congestion-driven prefetch shedding.
 //!
-//! Compiled only with the `fault` feature, and engaged only when an *active*
-//! [`ncp2_fault::FaultPlan`] is attached via
+//! Engaged only when an *active* [`ncp2_fault::FaultPlan`] is attached via
 //! [`Simulation::attach_fault_plan`] — otherwise every message takes the
-//! legacy exactly-once path in [`Simulation::dispatch`] and runs are
-//! byte-identical to a build without the feature.
+//! legacy exactly-once path in [`Simulation::dispatch`], at the cost of one
+//! `None` check per send.
 //!
 //! ## State machine (per directed link `src → dst`)
 //!
@@ -137,7 +136,6 @@ impl Simulation {
     /// event — the retransmit-aware conservation law must flag it. (The
     /// logical message still arrives eventually via retransmission, so the
     /// run completes.)
-    #[cfg(feature = "verify")]
     pub fn inject_silent_frame_loss(&mut self) {
         self.silent_frame_loss_armed = true;
     }
@@ -315,7 +313,6 @@ impl Simulation {
             );
             return;
         }
-        #[cfg(feature = "verify")]
         if self.silent_frame_loss_armed && !msg.is_prefetch() {
             // Mutation hook: consume the frame with no terminal event and no
             // delivery. The conservation oracle must notice the imbalance.

@@ -847,14 +847,11 @@ impl Simulation {
                 continue;
             }
             for &page in &ann.pages {
-                #[cfg(feature = "verify")]
-                {
-                    // Oracle self-test mutation: drop this write notice on
-                    // the floor (the page keeps its stale mapping).
-                    if self.drop_notice_armed {
-                        self.drop_notice_armed = false;
-                        continue;
-                    }
+                // Oracle self-test mutation: drop this write notice on the
+                // floor (the page keeps its stale mapping).
+                if self.drop_notice_armed {
+                    self.drop_notice_armed = false;
+                    continue;
                 }
                 // Settle local modifications before losing the page.
                 c = self.tm_force_diff(pid, page, c);

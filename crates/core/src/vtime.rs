@@ -6,8 +6,6 @@
 //! (§2 of the paper). `vt[i] = k` means "this point in logical time has seen
 //! intervals `1..=k` of processor `i`".
 
-use serde::{Deserialize, Serialize};
-
 /// Per-processor interval sequence number (interval 0 = "nothing seen").
 pub type IntervalId = u32;
 
@@ -22,7 +20,7 @@ pub type IntervalId = u32;
 /// b.merge(&a);
 /// assert!(b.covers_interval(0, 1));
 /// ```
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct VectorTime(Vec<IntervalId>);
 
 impl Clone for VectorTime {

@@ -3,10 +3,6 @@
 //! oracle violations** — message loss, duplication, reordering, corruption
 //! and controller outages are all absorbed by the ack/timeout/retransmit
 //! machinery without perturbing what the programs compute.
-//!
-//! The `fault` feature reaches this test graph through the `ncp2-verify`
-//! dev-dependency's pass-through feature (resolver-2 unification), exactly
-//! like `verify` itself.
 
 use ncp2_apps::{run_app_with, Em3d, Tsp, Workload};
 use ncp2_core::observe::Violation;

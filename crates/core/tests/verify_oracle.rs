@@ -7,7 +7,7 @@
 //! The oracle itself is then mutation-tested: a protocol with an injected
 //! bug (a dropped write notice) must be caught, proving the checks are live.
 
-use ncp2_apps::{run_app_with, Barnes, Em3d, Ocean, Radix, Tsp, Water, Workload};
+use ncp2_apps::{run_app, run_app_with, Barnes, Em3d, Ocean, Radix, Tsp, Water, Workload};
 use ncp2_core::observe::Violation;
 use ncp2_core::{OverlapMode, Protocol, RunResult};
 use ncp2_sim::SysParams;
@@ -117,6 +117,29 @@ fn em3d_is_clean_under_every_protocol() {
 #[test]
 fn ocean_is_clean_under_every_protocol() {
     assert_clean(Ocean { grid: 16, iters: 2 }, 4);
+}
+
+/// Attaching the oracle is inert: it only watches the fact stream, so a
+/// verified run's timing, result and traffic equal a plain run's.
+#[test]
+fn attaching_the_oracle_changes_no_simulated_output() {
+    let app = Em3d {
+        nodes: 96,
+        degree: 2,
+        remote_pct: 25,
+        iters: 2,
+        seed: 15,
+    };
+    for protocol in ALL_MODES {
+        let params = SysParams::default().with_nprocs(4);
+        let plain = run_app(params, protocol, app.clone());
+        let verified = verified_run(app.clone(), 4, protocol);
+        assert!(verified.violations.is_empty(), "{protocol}");
+        assert_eq!(plain.total_cycles, verified.total_cycles, "{protocol}");
+        assert_eq!(plain.checksum, verified.checksum, "{protocol}");
+        assert_eq!(plain.nodes, verified.nodes, "{protocol}");
+        assert_eq!(plain.net, verified.net, "{protocol}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 //! Offline stand-in for the `criterion` crate.
 //!
 //! The build environment has no access to crates.io, so this crate provides
-//! the API subset the workspace's benches use — [`Criterion`],
+//! the API subset the workspace's wall-clock suite uses — [`Criterion`] and
 //! [`Bencher::iter`]/[`Bencher::iter_batched`]/
-//! [`Bencher::iter_with_large_drop`], benchmark groups, and the
-//! [`criterion_group!`]/[`criterion_main!`] macros — backed by a
-//! median-of-K wall-clock timing loop. Swapping back to the real crate is a
-//! one-line change in the workspace `Cargo.toml`.
+//! [`Bencher::iter_with_large_drop`] — backed by a median-of-K wall-clock
+//! timing loop.
 //!
 //! Beyond the real crate's API it also supports the workspace's host-side
 //! profiling pipeline (see `ncp2-prof` and DESIGN.md §14):
@@ -55,7 +53,7 @@ fn thread_counts() -> (u64, u64) {
 /// One finished benchmark's numbers, as registered by the timing loop.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
-    /// Bench id (`group/name` for grouped benches).
+    /// Bench id (`family/name` by convention).
     pub id: String,
     /// Median across samples of mean wall nanoseconds per iteration.
     pub median_ns: u64,
@@ -128,8 +126,7 @@ pub fn wall_json(results: &[BenchResult]) -> String {
 }
 
 /// Writes the collected results to the `--save-baseline` path (if given)
-/// and prints the report footer. [`criterion_main!`] calls this after the
-/// groups; custom `main`s must call it themselves.
+/// and prints the report footer; a bench `main` calls it last.
 pub fn finalize() {
     let results = take_results();
     if let Some(path) = &cli().save_baseline {
@@ -187,40 +184,6 @@ impl Criterion {
         run_bench(self, &id.into(), f);
         self
     }
-
-    /// Opens a named group; member benchmarks print as `group/name`.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            name: name.into(),
-        }
-    }
-
-    /// Finalizes the run (report footer).
-    pub fn final_summary(&mut self) {
-        finalize();
-    }
-}
-
-/// A named group of benchmarks, mirroring `criterion::BenchmarkGroup`.
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Runs one benchmark inside the group.
-    pub fn bench_function<F>(&mut self, id: impl Into<String>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{}", self.name, id.into());
-        run_bench(self.criterion, &full, f);
-        self
-    }
-
-    /// Closes the group.
-    pub fn finish(self) {}
 }
 
 /// How `iter_batched` amortizes setup; all variants behave identically here.
@@ -394,36 +357,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(config: &Criterion, id: &str, mut f: F) {
     RESULTS.lock().expect("bench results poisoned").push(result);
 }
 
-/// Declares a bench group: `criterion_group!(name = g; config = ...; targets = a, b)`.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut criterion: $crate::Criterion = $config;
-            $($target(&mut criterion);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
-    };
-}
-
-/// Declares the bench `main` that runs each group, then finalizes (report
-/// footer + `--save-baseline` output).
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-            $crate::finalize();
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,12 +372,10 @@ mod tests {
         c.bench_function("smoke/large_drop", |b| {
             b.iter_with_large_drop(|| vec![0u8; 32])
         });
-        let mut g = c.benchmark_group("grp");
-        g.bench_function("batched", |b| {
+        c.bench_function("grp/batched", |b| {
             b.iter_batched(|| 3u64, |x| x * 2, BatchSize::SmallInput);
             hits += 1;
         });
-        g.finish();
         assert!(hits > 0);
         let results = take_results();
         let ids: Vec<&str> = results.iter().map(|r| r.id.as_str()).collect();

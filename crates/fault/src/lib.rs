@@ -103,8 +103,8 @@ pub struct NodeWindow {
 
 /// A complete, seeded description of how the network misbehaves during one
 /// run. `FaultPlan::none()` is the identity plan: the transport treats it as
-/// "no fault hooks attached" and every run is byte-identical to a build
-/// without the `fault` feature.
+/// "no fault hooks attached" and every run is byte-identical to a run
+/// without a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed mixed into every probabilistic verdict. Two plans differing only

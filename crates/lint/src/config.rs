@@ -85,32 +85,19 @@ pub const DETERMINISTIC_OUTPUT_DIRS: &[&str] = &[
     "crates/svc/src",
 ];
 
-/// Crates policed by `feature-hook-hygiene`. `crates/prof/src` is here for
-/// its `prof_*` accessors, not `SIMULATED_TIME_DIRS`: reading the wall clock
-/// is that crate's whole job.
-pub const HOOK_HYGIENE_DIRS: &[&str] = &["crates/core/src", "crates/net/src", "crates/prof/src"];
+/// Crates policed by `feature-hook-hygiene`: the profiling crate, whose
+/// `prof` feature swaps the global allocator. It is not in
+/// `SIMULATED_TIME_DIRS`: reading the wall clock is that crate's whole job.
+pub const HOOK_HYGIENE_DIRS: &[&str] = &["crates/prof/src"];
 
 /// Feature-carrying fields: consulting `self.<field>` outside a matching
 /// `#[cfg(feature = …)]` region breaks the zero-cost hook guarantee.
-pub const HOOK_FIELDS: &[(&str, &str)] = &[
-    ("obs", "obs"),
-    ("ts", "obs"),
-    ("observer", "verify"),
-    ("drop_notice_armed", "verify"),
-    ("fault", "fault"),
-    ("silent_frame_loss_armed", "fault"),
-    ("plan", "fault"),
-    ("prof", "prof"),
-];
+pub const HOOK_FIELDS: &[(&str, &str)] = &[("prof", "prof")];
 
 /// Hook-definition name prefixes: a `fn <prefix>*` definition in a hygiene
 /// dir must sit behind its feature's cfg gate (either polarity — the real
 /// implementation or its zero-cost stub).
-pub const HOOK_FN_PREFIXES: &[(&str, &str)] = &[("obs_", "obs"), ("prof_", "prof"), ("ts_", "obs")];
-
-/// Files compiled only under a feature via a `#[cfg(feature = …)] mod` in
-/// their parent — every line counts as gated for that feature.
-pub const WHOLE_FILE_GATES: &[(&str, &str)] = &[("crates/core/src/transport.rs", "fault")];
+pub const HOOK_FN_PREFIXES: &[(&str, &str)] = &[("prof_", "prof")];
 
 /// Crates doing window-boundary math over the time-series log: dividing by
 /// the window width there needs a `// window:` boundary justification
@@ -142,12 +129,4 @@ pub const OPEN_LOOP_DIRS: &[&str] = &["crates/svc/src"];
 pub fn in_dirs(rel: &str, dirs: &[&str]) -> bool {
     dirs.iter()
         .any(|d| rel.strip_prefix(d).is_some_and(|r| r.starts_with('/')))
-}
-
-/// The whole-file feature gate for `rel`, if any.
-pub fn whole_file_gate(rel: &str) -> Option<&'static str> {
-    WHOLE_FILE_GATES
-        .iter()
-        .find(|(f, _)| *f == rel)
-        .map(|&(_, feat)| feat)
 }

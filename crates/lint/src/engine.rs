@@ -62,9 +62,6 @@ pub struct FileCtx<'a> {
     pub suppressions: Vec<Suppression>,
     /// Valid rule IDs, for suppression validation.
     pub known_rules: &'a [&'static str],
-    /// Files compiled only under a feature (gated at their `mod` site in
-    /// another file), so every line counts as gated for that feature.
-    pub whole_file_gate: Option<&'a str>,
     /// Concatenated comment text per line (block comments cover every line
     /// they span).
     comment_text: BTreeMap<u32, String>,
@@ -74,12 +71,7 @@ pub struct FileCtx<'a> {
 
 impl<'a> FileCtx<'a> {
     /// Lexes `src` and builds the full context.
-    pub fn new(
-        rel: &'a str,
-        src: &'a str,
-        known_rules: &'a [&'static str],
-        whole_file_gate: Option<&'a str>,
-    ) -> Self {
+    pub fn new(rel: &'a str, src: &'a str, known_rules: &'a [&'static str]) -> Self {
         let toks = lex(src);
         let mut code = Vec::new();
         let mut comment_text: BTreeMap<u32, String> = BTreeMap::new();
@@ -119,7 +111,6 @@ impl<'a> FileCtx<'a> {
             gates,
             suppressions: Vec::new(),
             known_rules,
-            whole_file_gate,
             comment_text,
             code_lines,
         };
@@ -166,12 +157,9 @@ impl<'a> FileCtx<'a> {
         false
     }
 
-    /// True when `line` sits inside a `#[cfg(…)]` region (or a whole-file
-    /// gate) that mentions `feature`.
+    /// True when `line` sits inside a `#[cfg(…)]` region that mentions
+    /// `feature`.
     pub fn gated_for(&self, line: u32, feature: &str) -> bool {
-        if self.whole_file_gate == Some(feature) {
-            return true;
-        }
         self.gates
             .iter()
             .any(|g| g.start <= line && line <= g.end && g.features.iter().any(|f| f == feature))

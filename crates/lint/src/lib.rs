@@ -51,7 +51,7 @@ pub use engine::{FileCtx, Rule};
 pub fn lint_source(rel: &str, src: &str) -> Report {
     let rules = rules::registry();
     let ids = rules::rule_ids();
-    let ctx = FileCtx::new(rel, src, &ids, config::whole_file_gate(rel));
+    let ctx = FileCtx::new(rel, src, &ids);
     let (findings, suppressed) = engine::run_rules(&ctx, &rules);
     let mut report = Report {
         findings,
@@ -91,7 +91,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let ctx = FileCtx::new(&rel, &src, &ids, config::whole_file_gate(&rel));
+        let ctx = FileCtx::new(&rel, &src, &ids);
         let (findings, suppressed) = engine::run_rules(&ctx, &rules);
         report.findings.extend(findings);
         report.suppressed.extend(suppressed);

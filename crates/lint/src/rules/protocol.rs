@@ -166,13 +166,12 @@ impl Rule for UnboundedRetry {
     }
 }
 
-/// `feature-hook-hygiene`: consulting a feature-carrying hook field
-/// (`self.obs`, `self.observer`, `self.fault`, …) outside a `#[cfg]`
-/// region that mentions the matching feature breaks the zero-cost
-/// guarantee — the hook would compile (and cost cycles) in builds that
-/// promised it away, or fail to compile under a feature combination CI
-/// never builds. Hook definitions with a feature-owned name prefix
-/// (`fn obs_*`, `fn prof_*` — see `HOOK_FN_PREFIXES`) must likewise be
+/// `feature-hook-hygiene`: the one compile-time feature left on a hook is
+/// `prof`, which swaps the global allocator. Consulting its field
+/// (`self.prof`) outside a `#[cfg]` region that mentions `prof` breaks the
+/// zero-cost guarantee — the hook would compile (and cost cycles) in builds
+/// that promised it away, or fail to compile in the other polarity. Hook
+/// definitions named `fn prof_*` (see `HOOK_FN_PREFIXES`) must likewise be
 /// gated (either polarity: the real implementation or its inlined no-op
 /// stub).
 pub struct FeatureHookHygiene;
@@ -182,7 +181,7 @@ impl Rule for FeatureHookHygiene {
         "feature-hook-hygiene"
     }
     fn summary(&self) -> &'static str {
-        "hook-field consults and `fn obs_*`/`fn prof_*` definitions must sit behind their cfg gate"
+        "hook-field consults and `fn prof_*` definitions must sit behind their cfg gate"
     }
     fn applies(&self, rel: &str) -> bool {
         in_dirs(rel, HOOK_HYGIENE_DIRS)
@@ -197,11 +196,6 @@ impl Rule for FeatureHookHygiene {
                         .iter()
                         .find(|(f, _)| field.kind == TokKind::Ident && field.text == *f)
                     {
-                        // `plan` is a net-router field; in core it is an
-                        // ordinary local. Scope it to the net crate.
-                        if field.text == "plan" && !ctx.rel.starts_with("crates/net/") {
-                            continue;
-                        }
                         if !ctx.gated_for(field.line, feature) {
                             out.push(ctx.diag(
                                 field,

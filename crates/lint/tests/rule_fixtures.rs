@@ -63,41 +63,8 @@ fn main() {
 
 #[test]
 fn feature_hook_hygiene() {
-    let rel = "crates/core/src/system.rs";
-    fires(
-        rel,
-        r#"
-impl Simulation {
-    fn tick(&mut self) {
-        if let Some(o) = self.obs.as_mut() {
-            o.record();
-        }
-    }
-}
-"#,
-        "feature-hook-hygiene",
-    );
-    // Gated consult plus the paired no-op stub: both polarities count.
-    clean(
-        rel,
-        r#"
-impl Simulation {
-    #[cfg(feature = "obs")]
-    fn tick(&mut self) {
-        if let Some(o) = self.obs.as_mut() {
-            o.record();
-        }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    #[inline(always)]
-    fn obs_span(&mut self) {}
-}
-"#,
-        "feature-hook-hygiene",
-    );
-    // The `prof` feature is policed the same way in the profiling crate: an
-    // ungated `fn prof_*` accessor fires…
+    // The `prof` feature is policed in the profiling crate: an ungated
+    // `fn prof_*` accessor fires…
     let prof_rel = "crates/prof/src/lib.rs";
     fires(
         prof_rel,

@@ -32,14 +32,15 @@ pub use ncp2_core as core;
 pub use ncp2_mem as mem;
 pub use ncp2_net as net;
 pub use ncp2_sim as sim;
-pub use ncp2_stats as stats;
+
+pub mod stats;
 
 /// Everything needed to run and report an experiment.
 pub mod prelude {
+    pub use crate::stats::{breakdown_table, normalized_bars, speedup_table, xy_plot};
     pub use ncp2_apps::{
         run_app, sequential_baseline, Barnes, Ctx, Em3d, Ocean, Radix, Svc, Tsp, Water, Workload,
     };
     pub use ncp2_core::{OverlapMode, Protocol, RunResult, Simulation};
     pub use ncp2_sim::{Breakdown, Category, Cycles, SysParams};
-    pub use ncp2_stats::{breakdown_table, normalized_bars, speedup_table, xy_plot};
 }

@@ -1,4 +1,4 @@
-//! # ncp2-stats — reporting for the NCP2 experiments
+//! Reporting for the NCP2 experiments.
 //!
 //! Renders the quantities the paper plots: normalized execution-time bars
 //! with the busy/data/synch/ipc/others split (Figs 2, 5–12), speedup curves

@@ -5,7 +5,7 @@
 /// chart is orientation).
 ///
 /// ```
-/// let s = ncp2_stats::xy_plot(
+/// let s = ncp2::stats::xy_plot(
 ///     "Effect of Network Bandwidth",
 ///     "MB/s",
 ///     &[20.0, 50.0, 100.0],

@@ -7,7 +7,7 @@ use ncp2_sim::{Breakdown, Category};
 /// run is the 100% baseline.
 ///
 /// ```
-/// use ncp2_stats::breakdown_table;
+/// use ncp2::stats::breakdown_table;
 /// let rows = [("Base", 1000u64, ncp2_sim::Breakdown { busy: 500, data: 300, synch: 150, ipc: 30, other: 20 }, 10.0)];
 /// let s = breakdown_table(&rows);
 /// assert!(s.contains("Base"));
@@ -62,7 +62,7 @@ pub fn breakdown_csv(rows: &[(&str, u64, Breakdown, f64)]) -> String {
 /// style), first entry = 100.
 ///
 /// ```
-/// let s = ncp2_stats::normalized_bars(&[("I+D", 800), ("AURC", 1000)]);
+/// let s = ncp2::stats::normalized_bars(&[("I+D", 800), ("AURC", 1000)]);
 /// assert!(s.starts_with("I+D"));
 /// ```
 pub fn normalized_bars(rows: &[(&str, u64)]) -> String {

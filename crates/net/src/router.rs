@@ -71,7 +71,6 @@ pub struct Network {
     mesh: Mesh,
     link_free: Vec<Cycles>,
     stats: TrafficStats,
-    #[cfg(feature = "fault")]
     plan: Option<ncp2_fault::FaultPlan>,
 }
 
@@ -84,7 +83,6 @@ impl Network {
             mesh,
             link_free: vec![0; links],
             stats: TrafficStats::default(),
-            #[cfg(feature = "fault")]
             plan: None,
         }
     }
@@ -96,7 +94,6 @@ impl Network {
 
     /// Attaches a fault plan whose latency spikes and congestion windows
     /// delay subsequent transfers (see [`ncp2_fault::FaultPlan`]).
-    #[cfg(feature = "fault")]
     pub fn set_fault_plan(&mut self, plan: ncp2_fault::FaultPlan) {
         self.plan = Some(plan);
     }
@@ -159,7 +156,6 @@ impl Network {
         // undelayed arrival above, so a later frame on the same link can
         // overtake a spiked one — genuine reordering, which the transport's
         // receive-side resequencing buffer must absorb.
-        #[cfg(feature = "fault")]
         let arrival = match &self.plan {
             Some(plan) => arrival + plan.extra_latency(src, dst, now),
             None => arrival,
@@ -256,7 +252,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "fault"))]
+#[cfg(test)]
 mod fault_tests {
     use super::*;
     use ncp2_fault::{FaultPlan, LinkWindow};

@@ -1,12 +1,16 @@
 //! Minimal hand-rolled JSON: an escape helper for the writers and a
 //! recursive-descent parser for the readers.
 //!
-//! The build environment is offline, so the workspace's `serde` is an
-//! in-tree stand-in whose derives expand to nothing. All exporters in this
+//! The workspace has no serialization dependency. All exporters in this
 //! crate therefore *write* JSON by hand (which also guarantees key order,
 //! hence byte determinism), and `bench-diff` / self-checks *read* it back
 //! through this parser. The subset supported is exactly what our writers
 //! emit: objects, arrays, strings, finite numbers, booleans and null.
+//!
+//! The parser also reads files from outside the process (cache entries,
+//! bench files, wall reports), so malformed input of any shape is an
+//! `Err`, never a panic: nesting is capped at [`MAX_DEPTH`] and every step
+//! is linear in the bytes it consumes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -107,11 +111,15 @@ pub fn esc(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Our writers nest at most
+/// about five levels; the cap keeps hostile input off the call stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document. Errors carry a byte offset.
 pub fn parse(text: &str) -> Result<JVal, String> {
     let b = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -134,12 +142,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
+/// Parses one value; `depth` counts the containers already open around it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(JVal::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JVal::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JVal::Bool(false)),
@@ -193,6 +205,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = b
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| "truncated \\u escape".to_string())?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign (`\u+041`).
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at offset {pos}"));
+                        }
                         let s = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let n = u32::from_str_radix(s, 16).map_err(|e| e.to_string())?;
                         out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
@@ -203,18 +220,21 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (the input came from &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("empty string tail")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // piece. Both are ASCII, so the run ends on a character
+                // boundary of the `&str` input and decoding it costs only
+                // its own length.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -223,7 +243,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
         return Ok(JVal::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -236,7 +256,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, String> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -249,7 +269,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<JVal, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -303,6 +323,42 @@ mod tests {
         assert!(parse("[1, ]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        assert!(parse(&deep).is_err());
+        let deep_obj = "{\"k\": ".repeat(1_000_000);
+        assert!(parse(&deep_obj).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MB string parses in milliseconds; a scan that re-validates the
+        // rest of the document per character needs minutes, so the generous
+        // bound separates the two without depending on host speed.
+        let long: String = "ab\u{e9}\u{1f600}".repeat(100_000);
+        let doc = format!("{{\"s\": \"{}\", \"t\": \"x\\u0041y\"}}", esc(&long));
+        let start = std::time::Instant::now();
+        let v = parse(&doc).expect("parse");
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+        assert_eq!(v.get("s").and_then(|s| s.as_str()), Some(long.as_str()));
+        assert_eq!(v.get("t").and_then(|t| t.as_str()), Some("xAy"));
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u-041""#).is_err());
+        assert!(parse(r#""\u04g1""#).is_err());
+        assert!(parse(r#""\u041""#).is_err());
+        assert_eq!(parse(r#""\u00e9""#), Ok(JVal::Str("\u{e9}".into())));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # ncp2-obs — observability over simulated time
 //!
-//! Consumes the span/flight/engine timeline recorded by `ncp2-core`'s `obs`
-//! feature (see [`ncp2_core::span`]) and turns it into artifacts a human (or
-//! a CI gate) can read:
+//! Consumes the span/flight/engine timeline recorded by `ncp2-core` (see
+//! [`ncp2_core::span`]) and turns it into artifacts a human (or a CI gate)
+//! can read:
 //!
 //! * [`LogHistogram`] — HDR-style log-bucketed latency histograms with
 //!   deterministic quantiles (re-exported from [`ncp2_core::hist`]);
@@ -32,10 +32,8 @@
 //! no wall-clock sources, no host-dependent iteration orders, so repeated
 //! runs of the same configuration produce byte-identical output.
 //!
-//! Depending on this crate enables `ncp2-core`'s `obs` feature for the
-//! consumer (the span and time-series recorders compile in); recording
-//! stays off until [`Simulation::enable_obs`](ncp2_core::Simulation::enable_obs)
-//! is called.
+//! Recording stays off until
+//! [`Simulation::enable_obs`](ncp2_core::Simulation::enable_obs) is called.
 
 pub mod assertions;
 pub mod critpath;

@@ -6,12 +6,10 @@
 //! simulated processor's clock is tagged with one of these categories so the
 //! categories always sum to the processor's total time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Cycles;
 
 /// The five execution-time categories of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Useful computation (including 1-cycle cache-hit references).
     Busy,
@@ -57,7 +55,7 @@ impl Category {
 /// assert_eq!(b.total(), 100);
 /// assert!((b.fraction(Category::Busy) - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
     /// Useful computation cycles.
     pub busy: Cycles,

@@ -3,8 +3,6 @@
 //! All times are in 10-ns processor cycles. The protocol controller's RISC
 //! core and DMA engine run at the computation-processor clock (paper §4.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::StableHasher;
 use crate::time::{self, Cycles};
 
@@ -13,7 +11,7 @@ use crate::time::{self, Cycles};
 /// referenced; its companion report (Bianchini, Pinto & Amorim, "Page Fault
 /// Behavior and Prefetching in Software DSMs", 1996) explores less
 /// aggressive strategies, reproduced here as an extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchStrategy {
     /// Every invalid page that was referenced at any point since it was
     /// first touched (the paper's sticky heuristic).
@@ -41,7 +39,7 @@ pub const WORD_BYTES: u64 = 4;
 /// assert_eq!(p.page_bytes, 4096);
 /// assert_eq!(p.messaging_overhead, 200);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SysParams {
     /// Number of workstation nodes (computation processors).
     pub nprocs: usize,

@@ -48,7 +48,7 @@ pub enum ProcOp {
 }
 
 /// Request class served by the open-loop service workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SvcClass {
     /// Read-mostly catalog lookup.
     Get,

@@ -1,7 +1,7 @@
 //! # ncp2-verify — shadow oracle for the NCP2 DSM simulation
 //!
-//! A [`VerifyOracle`] attaches to a `ncp2_core::Simulation` (built with the
-//! `verify` feature) and re-checks, event by event, what the protocol is
+//! A [`VerifyOracle`] attaches to a `ncp2_core::Simulation` (via
+//! `attach_observer`) and re-checks, event by event, what the protocol is
 //! only supposed to guarantee:
 //!
 //! * **Happens-before race detection** — a vector-clock detector over the
@@ -25,8 +25,8 @@
 //!   request exactly one reply), prefetch and fire-and-forget traffic never
 //!   delivers more than was sent, and no foreign diff is applied twice.
 //! * **Frame conservation (retransmit-aware)** — under the hardened
-//!   transport (`fault` feature) every physical frame copy a link sends
-//!   reaches exactly one terminal fate, so per link
+//!   transport (engaged by an attached active fault plan) every physical
+//!   frame copy a link sends reaches exactly one terminal fate, so per link
 //!   `sent = accepted + duplicate-dropped + dropped`; a frame that vanishes
 //!   without a terminal event (silent loss) breaks the ledger.
 //!
