@@ -58,7 +58,7 @@ cargo run --release --bin chaos_report -- --check --no-cache --quiet
 
 # Scale smoke: one 256-node sweep step (Ocean under Base) with the verify
 # oracle on. The full 2..=256 doubling sweep is `fig01b_doubling --scale`;
-# here one cached step proves the calendar queue, flat tables and indexed
+# here one cached step proves the event heap, flat tables and indexed
 # routing hold up at the full cluster size on every CI run.
 cargo run --release --bin fig01b_doubling -- --scale --app Ocean --quiet
 

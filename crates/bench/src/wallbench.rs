@@ -174,9 +174,9 @@ fn bench_network(c: &mut Criterion) {
     });
 }
 
-/// Calendar-queue push/pop throughput with 10^5 events pending — the
+/// Event-queue push/pop throughput with 10^5 events pending — the
 /// steady-state regime of a 256-node simulation, where every send lands in
-/// a deep future and every pop rescans the current bucket.
+/// a deep future and every push and pop sifts a key through a deep heap.
 fn bench_queue(c: &mut Criterion) {
     use ncp2::sim::{EventQueue, Priority};
     let mut rng = SimRng::new(7);
@@ -201,8 +201,9 @@ fn bench_queue(c: &mut Criterion) {
                 q
             },
             |mut q| {
-                // 1024 pop-push cycles at full depth: the advancing-cursor
-                // and bucket-respread paths both get exercised.
+                // 1024 pop-push cycles at full depth: each pop sifts the
+                // last key down from the root, each push sifts up from a
+                // leaf, and the payload slot comes off the free list.
                 for i in 0..1024u64 {
                     let ev = q.pop().expect("queue stays full");
                     q.push(ev.time + (1 << 20), ev.priority, i as u32);

@@ -1,5 +1,5 @@
 //! Determinism at cluster scale. A 256-node simulation pushes every data
-//! structure this PR rebuilt — the calendar queue, the flat protocol
+//! structure rebuilt for scale — the keyed event heap, the flat protocol
 //! tables, the pooled message arenas, the indexed router — through orders
 //! of magnitude more events than the tier-1 grid, so this battery pins the
 //! property the whole repo leans on: the simulated output of a run is a

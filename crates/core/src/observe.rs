@@ -68,6 +68,29 @@ pub enum MsgKind {
     AurcPageReply,
 }
 
+impl MsgKind {
+    /// Every kind, in declaration order: `ALL[k.index()] == k`.
+    pub const ALL: [MsgKind; 10] = [
+        MsgKind::LockReq,
+        MsgKind::LockForward,
+        MsgKind::LockGrant,
+        MsgKind::DiffReq,
+        MsgKind::DiffReply,
+        MsgKind::BarrierArrive,
+        MsgKind::BarrierRelease,
+        MsgKind::AurcUpdate,
+        MsgKind::AurcPageReq,
+        MsgKind::AurcPageReply,
+    ];
+    /// Number of kinds, for per-kind tables.
+    pub const COUNT: usize = Self::ALL.len();
+
+    /// Dense index of this kind in `0..COUNT`.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 impl fmt::Display for MsgKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
@@ -849,6 +872,10 @@ mod tests {
         unique.sort();
         unique.dedup();
         assert_eq!(unique.len(), msgs.len(), "kinds must be distinct");
+        assert_eq!(kinds, MsgKind::ALL, "ALL lists every kind in order");
+        for (i, k) in MsgKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i);
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::span::{CtrlCmd, EdgeKind, Engine, SpanKind};
 use crate::stats::{NodeStats, RunResult};
 use crate::table::{DiffTable, FlatMap, IdSet};
 use crate::timeseries::TsGauge;
+use crate::transport::Frame;
 use crate::vtime::{IntervalId, VectorTime};
 
 /// Back-end events.
@@ -42,23 +43,9 @@ pub(crate) enum Ev {
     /// A blocked processor's pending operation completes.
     Wake { pid: usize },
     /// One physical transport-frame copy reaches `dst`'s interface
-    /// (hardened transport engaged).
-    Frame {
-        src: usize,
-        dst: usize,
-        /// Link-local sequence number.
-        seq: u64,
-        /// Transmission attempt this copy belongs to.
-        attempt: u32,
-        msg: Msg,
-        /// Fault verdict rolled at send time: the copy arrives damaged
-        /// (dropped or detectably corrupted) and is discarded on arrival.
-        lost: bool,
-        /// Injection time at the sender (for the delivery dependency edge).
-        sent_at: Cycles,
-        /// Sender span anchoring the delivery edge.
-        anchor: crate::span::SpanId,
-    },
+    /// (hardened transport engaged). Boxed: fault-free runs never build
+    /// one, and inline it would widen every pending event.
+    Frame(Box<Frame>),
     /// A cumulative acknowledgement for link `src → dst` arrives back at
     /// `src`: every frame with sequence number below `cum` is delivered.
     Ack { src: usize, dst: usize, cum: u64 },
@@ -70,6 +57,9 @@ pub(crate) enum Ev {
         attempt: u32,
     },
 }
+
+// Every pending event holds an `Ev`; keep the common variants compact.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 96);
 
 /// In-flight fault state: replies still outstanding plus collected payloads.
 #[derive(Debug, Default)]
@@ -534,10 +524,9 @@ impl Simulation {
         let mut runq = RunQueue::new(n);
         while self.done < n {
             let next_proc = runq.min(&self.nodes);
-            // `peek` memoizes the minimum event's position inside the
-            // calendar queue, so the `pop` in the arms below reuses the scan
-            // instead of repeating it.
-            let next_ev = self.queue.peek().map(|ev| ev.time);
+            // `peek_time` reads the time of the key at the event heap's
+            // root; no payload is touched until the `pop` below.
+            let next_ev = self.queue.peek_time();
             match (next_proc, next_ev) {
                 (Some((pid, pt)), Some(et)) if et > pt => self.step_proc(pid, &harness),
                 (_, Some(_)) => {
@@ -949,16 +938,7 @@ impl Simulation {
         match ev {
             Ev::Wake { pid } => self.handle_wake(pid, t, harness),
             Ev::Msg { dst, msg } => self.handle_msg(dst, t, msg),
-            Ev::Frame {
-                src,
-                dst,
-                seq,
-                attempt,
-                msg,
-                lost,
-                sent_at,
-                anchor,
-            } => self.on_frame(t, src, dst, seq, attempt, msg, lost, sent_at, anchor),
+            Ev::Frame(frame) => self.on_frame(t, frame),
             Ev::Ack { src, dst, cum } => self.on_ack(t, src, dst, cum),
             Ev::RetxCheck {
                 src,

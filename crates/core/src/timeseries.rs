@@ -186,7 +186,7 @@ impl ProtocolEvent<'_> {
 /// survive width doubling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TsGauge {
-    /// Calendar-queue depth, sampled at every event dispatch.
+    /// Event-queue depth, sampled at every event dispatch.
     QueueDepth,
     /// Total unacknowledged transport frames in flight.
     InflightFrames,

@@ -75,6 +75,25 @@ struct LinkTx {
     unacked: BTreeMap<u64, TxEntry>,
 }
 
+/// One physical copy of a transport frame, in flight from `src` to `dst`.
+#[derive(Debug)]
+pub(crate) struct Frame {
+    pub src: usize,
+    pub dst: usize,
+    /// Link-local sequence number.
+    pub seq: u64,
+    /// Transmission attempt this copy belongs to.
+    pub attempt: u32,
+    pub msg: Msg,
+    /// Fault verdict rolled at send time: the copy arrives damaged
+    /// (dropped or detectably corrupted) and is discarded on arrival.
+    pub lost: bool,
+    /// Injection time at the sender (for the delivery dependency edge).
+    pub sent_at: Cycles,
+    /// Sender span anchoring the delivery edge.
+    pub anchor: SpanId,
+}
+
 /// A reordered frame waiting for its gap to fill.
 #[derive(Debug)]
 struct PendingFrame {
@@ -227,7 +246,7 @@ impl Simulation {
             self.queue.push(
                 tr.arrival,
                 prio,
-                Ev::Frame {
+                Ev::Frame(Box::new(Frame {
                     src,
                     dst,
                     seq,
@@ -236,7 +255,7 @@ impl Simulation {
                     lost: copy_lost,
                     sent_at: t,
                     anchor,
-                },
+                })),
             );
         }
         let rto = params.retransmit_timeout << attempt.min(MAX_BACKOFF_EXP);
@@ -252,45 +271,33 @@ impl Simulation {
         );
     }
 
-    /// A frame reached `dst`'s network interface at `t`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_frame(
-        &mut self,
-        t: Cycles,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        attempt: u32,
-        msg: Msg,
-        lost: bool,
-        sent_at: Cycles,
-        anchor: SpanId,
-    ) {
+    /// A frame reached its destination's network interface at `t`.
+    pub(crate) fn on_frame(&mut self, t: Cycles, frame: Box<Frame>) {
         let ack_oh = self.params.ack_overhead;
         let (stalled_until, down) = {
             // invariant: frame events only exist with the transport attached
             let ctx = self.fault.as_ref().expect("frame without fault ctx");
-            (ctx.plan.ctrl_stalled(dst, t), ctx.plan.node_down(dst, t))
+            (
+                ctx.plan.ctrl_stalled(frame.dst, t),
+                ctx.plan.node_down(frame.dst, t),
+            )
         };
         if let Some(end) = stalled_until {
             // Controller stall: the frame waits at the interface until the
             // stall window closes, then is processed normally.
-            self.queue.push(
-                end,
-                Priority::Normal,
-                Ev::Frame {
-                    src,
-                    dst,
-                    seq,
-                    attempt,
-                    msg,
-                    lost,
-                    sent_at,
-                    anchor,
-                },
-            );
+            self.queue.push(end, Priority::Normal, Ev::Frame(frame));
             return;
         }
+        let Frame {
+            src,
+            dst,
+            seq,
+            attempt,
+            msg,
+            lost,
+            sent_at,
+            anchor,
+        } = *frame;
         if lost || down {
             if down && !lost {
                 self.fault
@@ -569,15 +576,8 @@ impl Simulation {
     pub(crate) fn drain_inflight_frames(&mut self) {
         let mut leftovers: Vec<(usize, usize, u64, u32)> = Vec::new();
         while let Some(ev) = self.queue.pop() {
-            if let Ev::Frame {
-                src,
-                dst,
-                seq,
-                attempt,
-                ..
-            } = ev.payload
-            {
-                leftovers.push((src, dst, seq, attempt));
+            if let Ev::Frame(f) = ev.payload {
+                leftovers.push((f.src, f.dst, f.seq, f.attempt));
             }
         }
         if let Some(ctx) = self.fault.as_mut() {

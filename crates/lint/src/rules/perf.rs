@@ -10,7 +10,7 @@ use crate::rules::method_call;
 /// `linear-scan-in-hot-path`: `Vec::remove` (shifting) and `retain`
 /// (full-container walk) are forbidden in the event-core and network
 /// crates unless the site carries a `// linear:` comment bounding the
-/// scan. The calendar queue and the indexed router exist precisely
+/// scan. The keyed event heap and the indexed router exist precisely
 /// because these scans, harmless at 4 nodes, dominated at 256; this rule
 /// keeps them from creeping back. `swap_remove` stays legal — it is O(1).
 pub struct LinearScanInHotPath;
@@ -39,7 +39,7 @@ impl Rule for LinearScanInHotPath {
                     format!(
                         "`.{}(…)` in an event-core/network hot path without a \
                          `// linear:` comment bounding the scan (prefer \
-                         `swap_remove`, an index, or a calendar bucket)",
+                         `swap_remove`, an index, or a heap)",
                         tok.text
                     ),
                 ));

@@ -5,19 +5,15 @@
 //! order pop them in the same order — the foundation of the simulator's
 //! bit-for-bit determinism.
 //!
-//! The implementation is a *calendar queue* (a bucketed timing wheel, Brown
-//! 1988): a power-of-two ring of unordered buckets indexed by the event's
-//! "day" (`time >> width_log2`). A pop scans days forward from a maintained
-//! lower bound on the minimum pending time and takes the smallest full
-//! `(time, priority, seq)` key inside the first day that has events; since a
-//! later day only holds strictly later times, that key is the global minimum.
-//! Push and pop are O(1) amortized instead of the former `BinaryHeap`'s
-//! O(log n), there is no per-operation allocation in steady state, and —
-//! crucially — the pop *order* is identical to the heap's, which the
-//! equivalence tests below pin down. See DESIGN.md §15 for the invariants.
-
-use std::cell::Cell;
-use std::cmp::Ordering;
+//! The implementation is an indexed 4-ary min-heap of 24-byte keys over a
+//! payload slab. Sifting moves only the keys (time, priority packed above
+//! the sequence number, slab slot); payloads stay where they were pushed,
+//! in a `Vec<Option<T>>` whose vacant slots are recycled through a free
+//! list. Pop never allocates, and push allocates only when the queue grows
+//! deeper than it has ever been. Because sequence numbers are unique, `(time, priority,
+//! seq)` is a total order and any correct priority queue pops exactly the
+//! same sequence; the equivalence tests below pin that against a
+//! `BinaryHeap` reference model. See DESIGN.md §15.
 
 use crate::time::Cycles;
 
@@ -37,6 +33,11 @@ pub enum Priority {
     Low,
 }
 
+impl Priority {
+    /// Every priority, indexed by its discriminant.
+    const ALL: [Priority; 3] = [Priority::Urgent, Priority::Normal, Priority::Low];
+}
+
 /// An event scheduled at a point in simulated time.
 #[derive(Debug, Clone)]
 pub struct Event<T> {
@@ -50,38 +51,43 @@ pub struct Event<T> {
     pub payload: T,
 }
 
-impl<T> PartialEq for Event<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<T> Eq for Event<T> {}
-impl<T> PartialOrd for Event<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Event<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Kept heap-compatible (smallest key = greatest Event) so the
-        // `#[cfg(test)]` BinaryHeap reference model pops in the same order.
-        other.key().cmp(&self.key())
-    }
+/// Bits of [`Key::rank`] holding the sequence number; the priority sits in
+/// the two bits above them.
+const SEQ_BITS: u32 = 62;
+/// Children per heap node: a shallower tree than a binary heap, and the
+/// four children of a node share a cache line or two. `sift_root_down`'s
+/// tournament assumes four.
+const ARITY: usize = 4;
+
+/// The heap's view of one pending event.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    time: Cycles,
+    /// `priority << SEQ_BITS | seq`, so comparing `(time, rank)` compares
+    /// the full `(time, priority, seq)` key.
+    rank: u64,
+    /// Index of the payload in the slab.
+    slot: u32,
 }
 
-impl<T> Event<T> {
-    fn key(&self) -> (Cycles, Priority, u64) {
-        (self.time, self.priority, self.seq)
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+impl Key {
+    /// Whether `self` pops first. One 128-bit comparison, which compiles
+    /// to fewer branches than comparing `(time, rank)` field by field.
+    fn before(&self, other: &Key) -> bool {
+        let ord = |k: &Key| (u128::from(k.time) << 64) | u128::from(k.rank);
+        ord(self) < ord(other)
+    }
+
+    fn priority(&self) -> Priority {
+        Priority::ALL[(self.rank >> SEQ_BITS) as usize]
+    }
+
+    fn seq(&self) -> u64 {
+        self.rank & ((1 << SEQ_BITS) - 1)
     }
 }
-
-/// Smallest bucket ring: `1 << MIN_BITS` buckets.
-const MIN_BITS: u32 = 4;
-/// Largest bucket ring: `1 << MAX_BITS` buckets.
-const MAX_BITS: u32 = 20;
-/// Upper clamp for `width_log2`; beyond this a single day covers any
-/// realistic span of simulated time.
-const MAX_WIDTH_LOG2: u32 = 48;
 
 /// A deterministic min-priority queue of [`Event`]s.
 ///
@@ -90,33 +96,21 @@ const MAX_WIDTH_LOG2: u32 = 48;
 /// let mut q = EventQueue::new();
 /// q.push(5, Priority::Normal, 'x');
 /// assert_eq!(q.peek_time(), Some(5));
-/// assert_eq!(q.peek().map(|e| e.payload), Some('x'));
+/// assert_eq!(q.peek().map(|(_, _, _, p)| *p), Some('x'));
 /// assert_eq!(q.pop().map(|e| e.payload), Some('x'));
 /// assert!(q.is_empty());
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// Power-of-two ring of unordered day buckets.
-    buckets: Vec<Vec<Event<T>>>,
-    /// `buckets.len() == 1 << bucket_bits`.
-    bucket_bits: u32,
-    /// Cycles per day, as a shift: `day(t) = t >> width_log2`.
-    width_log2: u32,
-    /// Total pending events across all buckets.
-    len: usize,
+    /// 4-ary min-heap on `(time, rank)`; `keys[0]` is the next event.
+    keys: Vec<Key>,
+    /// Payloads by slot; `None` marks a vacant slot.
+    slab: Vec<Option<T>>,
+    /// Vacant slots of `slab`, reused before it grows. Its capacity keeps
+    /// up with the slab's.
+    free: Vec<u32>,
     /// Next push-order sequence number.
     next_seq: u64,
-    /// Lower bound on every pending event's time. Pops are monotone
-    /// non-decreasing in time, so the last popped time is a valid bound;
-    /// pushes below it lower it.
-    min_hint: Cycles,
-    /// Memoized position of the minimum event (`bucket`, `slot`), kept
-    /// coherent by push and cleared by pop/rebuild, so peek-then-pop costs
-    /// one scan instead of two. Purely an optimization: never affects order.
-    cached_min: Cell<Option<(u32, u32)>>,
-    /// Set when a scan had to fall back to a full ring walk (some event lay
-    /// a whole year past `min_hint`); the next pop retunes the day width.
-    want_retune: Cell<bool>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -129,227 +123,138 @@ impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..1usize << MIN_BITS).map(|_| Vec::new()).collect(),
-            bucket_bits: MIN_BITS,
-            width_log2: 6,
-            len: 0,
+            keys: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
-            min_hint: 0,
-            cached_min: Cell::new(None),
-            want_retune: Cell::new(false),
         }
     }
 
     /// Schedules `payload` at absolute time `time`.
     pub fn push(&mut self, time: Cycles, priority: Priority, payload: T) {
         let seq = self.next_seq;
+        // overflow: 2^62 pushes would take centuries at any host speed.
+        debug_assert!(seq >> SEQ_BITS == 0, "sequence numbers exhausted");
         self.next_seq += 1;
-        if self.len == 0 || time < self.min_hint {
-            self.min_hint = time;
-        }
-        let ev = Event {
-            time,
-            priority,
-            seq,
-            payload,
-        };
-        // Keep the memoized minimum coherent: a new event can only displace
-        // it by comparing smaller on the full key.
-        if let Some((cb, cs)) = self.cached_min.get() {
-            let cur = &self.buckets[cb as usize][cs as usize];
-            if ev.key() < cur.key() {
-                let b = self.bucket_of(time);
-                let slot = self.buckets[b].len();
-                self.buckets[b].push(ev);
-                self.cached_min.set(Some((b as u32, slot as u32)));
-                self.len += 1;
-                self.maybe_grow();
-                return;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(payload);
+                slot
             }
-        }
-        let b = self.bucket_of(time);
-        self.buckets[b].push(ev);
-        self.len += 1;
-        self.maybe_grow();
+            None => {
+                // invariant: a u32 slot index covers 4 billion pending
+                // events, far beyond any simulation's memory.
+                let slot = u32::try_from(self.slab.len()).expect("event slab full");
+                self.slab.push(Some(payload));
+                // Room for every slot to fall vacant, so `pop` never
+                // allocates.
+                self.free.reserve(self.slab.capacity());
+                slot
+            }
+        };
+        self.keys.push(Key {
+            time,
+            rank: (priority as u64) << SEQ_BITS | seq,
+            slot,
+        });
+        self.sift_up(self.keys.len() - 1);
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        let (b, s) = self.scan_min()?;
-        let ev = self.buckets[b].swap_remove(s);
-        self.len -= 1;
-        self.min_hint = ev.time;
-        self.cached_min.set(None);
-        if self.want_retune.take() {
-            self.retune();
-        } else {
-            self.maybe_shrink();
+        if self.keys.is_empty() {
+            return None;
         }
-        Some(ev)
+        let top = self.keys.swap_remove(0);
+        if !self.keys.is_empty() {
+            self.sift_root_down();
+        }
+        let payload = self.slab[top.slot as usize]
+            .take()
+            // invariant: every key names the occupied slot its push filled.
+            .expect("heap key points at a vacant slot");
+        self.free.push(top.slot);
+        Some(Event {
+            time: top.time,
+            priority: top.priority(),
+            seq: top.seq(),
+            payload,
+        })
     }
 
-    /// The earliest pending event, if any.
-    pub fn peek(&self) -> Option<&Event<T>> {
-        let (b, s) = self.scan_min()?;
-        Some(&self.buckets[b][s])
+    /// The earliest pending event as `(time, priority, seq, payload)`.
+    pub fn peek(&self) -> Option<(Cycles, Priority, u64, &T)> {
+        let top = self.keys.first()?;
+        // invariant: every key names the occupied slot its push filled.
+        let payload = self.slab[top.slot as usize]
+            .as_ref()
+            .expect("heap key points at a vacant slot");
+        Some((top.time, top.priority(), top.seq(), payload))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<Cycles> {
-        self.peek().map(|e| e.time)
+        self.keys.first().map(|k| k.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.keys.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.keys.is_empty()
     }
 
-    /// Bucket index for an event at `time`.
-    fn bucket_of(&self, time: Cycles) -> usize {
-        ((time >> self.width_log2) & ((1u64 << self.bucket_bits) - 1)) as usize
+    /// Moves the key at `i` up until its parent is not after it.
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.keys[i];
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if !key.before(&self.keys[parent]) {
+                break;
+            }
+            self.keys[i] = self.keys[parent];
+            i = parent;
+        }
+        self.keys[i] = key;
     }
 
-    /// Locates the minimum-key event as `(bucket, slot)`, memoizing the
-    /// result. Scans days forward from `min_hint`'s day; the first day with
-    /// events contains the global minimum because every later day holds
-    /// strictly greater times. Events more than a full ring "year" ahead are
-    /// invisible to that walk, so a fruitless full circle falls back to a
-    /// global scan and schedules a width retune.
-    fn scan_min(&self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some((b, s)) = self.cached_min.get() {
-            return Some((b as usize, s as usize));
-        }
-        let nbuckets = 1u64 << self.bucket_bits;
-        let start_day = self.min_hint >> self.width_log2;
-        for i in 0..nbuckets {
-            // overflow: a day index never overflows in practice (times are
-            // cycle counts), but saturate defensively — a saturated day
-            // matches no event and the global fallback below stays correct.
-            let day = start_day.saturating_add(i);
-            let b = (day & (nbuckets - 1)) as usize;
-            let mut best: Option<(usize, (Cycles, Priority, u64))> = None;
-            for (slot, ev) in self.buckets[b].iter().enumerate() {
-                if ev.time >> self.width_log2 == day {
-                    let k = ev.key();
-                    if best.is_none_or(|(_, bk)| k < bk) {
-                        best = Some((slot, k));
+    /// Restores heap order after `swap_remove(0)` moved the last key to
+    /// the root. That key almost always belongs near the bottom, so the
+    /// hole it leaves walks down the earliest child of each level without
+    /// comparing against it, and the key then sifts up from the leaf where
+    /// the hole stopped.
+    fn sift_root_down(&mut self) {
+        let key = self.keys[0];
+        let n = self.keys.len();
+        let mut i = 0;
+        loop {
+            let first = ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let child = if first + ARITY <= n {
+                // All four children exist: a two-round tournament.
+                let k = &self.keys[first..first + ARITY];
+                let a = usize::from(k[1].before(&k[0]));
+                let b = 2 + usize::from(k[3].before(&k[2]));
+                first + if k[b].before(&k[a]) { b } else { a }
+            } else {
+                (first + 1..n).fold(first, |best, c| {
+                    if self.keys[c].before(&self.keys[best]) {
+                        c
+                    } else {
+                        best
                     }
-                }
-            }
-            if let Some((slot, _)) = best {
-                self.cached_min.set(Some((b as u32, slot as u32)));
-                return Some((b, slot));
-            }
+                })
+            };
+            self.keys[i] = self.keys[child];
+            i = child;
         }
-        // Everything pending is at least a year past `min_hint`: find the
-        // global minimum directly and ask pop to retune the day width so the
-        // ring covers the new span.
-        self.want_retune.set(true);
-        type MinCandidate = ((usize, usize), (Cycles, Priority, u64));
-        let mut best: Option<MinCandidate> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (slot, ev) in bucket.iter().enumerate() {
-                let k = ev.key();
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some(((b, slot), k));
-                }
-            }
-        }
-        let ((b, s), _) = best.expect("len > 0 but no event found in any bucket");
-        self.cached_min.set(Some((b as u32, s as u32)));
-        Some((b, s))
-    }
-
-    /// Doubles the ring when buckets get crowded (> 4 events per bucket on
-    /// average). Triggered purely by `len`, so it is deterministic across
-    /// runs that perform the same operation sequence.
-    fn maybe_grow(&mut self) {
-        if self.bucket_bits < MAX_BITS && self.len > (4usize << self.bucket_bits) {
-            self.rebuild(self.bucket_bits + 1);
-        }
-    }
-
-    /// Halves the ring when it is nearly empty (< 1 event per 8 buckets).
-    /// The wide hysteresis band vs. [`Self::maybe_grow`] prevents thrashing.
-    fn maybe_shrink(&mut self) {
-        if self.bucket_bits > MIN_BITS && self.len * 8 < (1usize << self.bucket_bits) {
-            self.rebuild(self.bucket_bits - 1);
-        }
-    }
-
-    /// Re-derives the day width from the current content span and rebuilds
-    /// if it changed. Called after a fallback scan proved the ring's year too
-    /// short for the pending span.
-    fn retune(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        let (min_t, max_t) = self.time_span();
-        let w = Self::width_for(max_t - min_t, self.bucket_bits);
-        if w != self.width_log2 {
-            self.rebuild(self.bucket_bits);
-        }
-    }
-
-    /// Day width (as a shift) such that a full ring year covers `span`.
-    fn width_for(span: Cycles, bits: u32) -> u32 {
-        // Smallest w with (1 << (w + bits)) > span.
-        let needed = 64 - span.leading_zeros();
-        // overflow: a span smaller than the ring would make `needed < bits`;
-        // saturating to width 0 (one-cycle days) is exactly right there.
-        needed.saturating_sub(bits).min(MAX_WIDTH_LOG2)
-    }
-
-    /// Minimum and maximum pending times. Only called with `len > 0`.
-    fn time_span(&self) -> (Cycles, Cycles) {
-        let mut min_t = Cycles::MAX;
-        let mut max_t = 0;
-        for bucket in &self.buckets {
-            for ev in bucket {
-                min_t = min_t.min(ev.time);
-                max_t = max_t.max(ev.time);
-            }
-        }
-        (min_t, max_t)
-    }
-
-    /// Redistributes all events into a ring of `1 << bits` buckets with a
-    /// width tuned to the pending span. Layout-only: times, priorities and
-    /// sequence numbers are untouched, so pop order is unaffected.
-    fn rebuild(&mut self, bits: u32) {
-        let mut events: Vec<Event<T>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            events.append(bucket);
-        }
-        let (min_t, max_t) = if events.is_empty() {
-            (self.min_hint, self.min_hint)
-        } else {
-            let mut min_t = Cycles::MAX;
-            let mut max_t = 0;
-            for ev in &events {
-                min_t = min_t.min(ev.time);
-                max_t = max_t.max(ev.time);
-            }
-            (min_t, max_t)
-        };
-        self.bucket_bits = bits;
-        self.width_log2 = Self::width_for(max_t - min_t, bits);
-        self.buckets = (0..1usize << bits).map(|_| Vec::new()).collect();
-        self.min_hint = min_t;
-        self.cached_min.set(None);
-        self.want_retune.set(false);
-        for ev in events {
-            let b = self.bucket_of(ev.time);
-            self.buckets[b].push(ev);
-        }
+        self.keys[i] = key;
+        self.sift_up(i);
     }
 }
 
@@ -357,16 +262,19 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    /// The pre-calendar-queue implementation, kept verbatim as the reference
-    /// model for the observational-equivalence property tests below.
-    struct HeapQueue<T> {
-        heap: BinaryHeap<Event<T>>,
+    type Observed = (Cycles, Priority, u64, u64);
+
+    /// A `BinaryHeap` on the full key, kept as the reference model for the
+    /// observational-equivalence property tests below.
+    struct HeapQueue {
+        heap: BinaryHeap<Reverse<Observed>>,
         next_seq: u64,
     }
 
-    impl<T> HeapQueue<T> {
+    impl HeapQueue {
         fn new() -> Self {
             HeapQueue {
                 heap: BinaryHeap::new(),
@@ -374,23 +282,18 @@ mod tests {
             }
         }
 
-        fn push(&mut self, time: Cycles, priority: Priority, payload: T) {
+        fn push(&mut self, time: Cycles, priority: Priority, payload: u64) {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.heap.push(Event {
-                time,
-                priority,
-                seq,
-                payload,
-            });
+            self.heap.push(Reverse((time, priority, seq, payload)));
         }
 
-        fn pop(&mut self) -> Option<Event<T>> {
-            self.heap.pop()
+        fn pop(&mut self) -> Option<Observed> {
+            self.heap.pop().map(|Reverse(e)| e)
         }
 
-        fn peek(&self) -> Option<&Event<T>> {
-            self.heap.peek()
+        fn peek(&self) -> Option<Observed> {
+            self.heap.peek().map(|&Reverse(e)| e)
         }
     }
 
@@ -400,6 +303,10 @@ mod tests {
             1 => Priority::Normal,
             _ => Priority::Low,
         }
+    }
+
+    fn observe_pop(q: &mut EventQueue<u64>) -> Option<Observed> {
+        q.pop().map(|e| (e.time, e.priority, e.seq, e.payload))
     }
 
     #[test]
@@ -429,7 +336,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(42, Priority::Normal, ());
         assert_eq!(q.peek_time(), Some(42));
-        assert_eq!(q.peek().map(|e| e.time), Some(42));
+        assert_eq!(q.peek().map(|(t, ..)| t), Some(42));
         assert_eq!(q.pop().map(|e| e.time), Some(42));
         assert_eq!(q.peek_time(), None);
         assert!(q.peek().is_none());
@@ -437,7 +344,6 @@ mod tests {
 
     #[test]
     fn far_future_events_pop_correctly() {
-        // Events many ring-years apart force the fallback scan + retune.
         let mut q = EventQueue::new();
         q.push(1u64 << 40, Priority::Normal, 'd');
         q.push(0, Priority::Normal, 'a');
@@ -450,11 +356,9 @@ mod tests {
     #[test]
     fn grows_and_shrinks_without_reordering() {
         let mut q = EventQueue::new();
-        // Enough events to trigger several doublings...
         for i in 0..10_000u64 {
             q.push(i * 37 % 4096, prio(i as u8), i);
         }
-        // ...then drain fully (exercises shrink) and check global order.
         let mut last = None;
         let mut n = 0;
         while let Some(ev) = q.pop() {
@@ -468,42 +372,106 @@ mod tests {
         assert_eq!(n, 10_000);
     }
 
-    /// Drives the calendar queue and the heap reference model through the
-    /// same operation sequence and checks every observation is identical.
+    #[test]
+    fn pushes_below_the_last_popped_time_pop_in_full_key_order() {
+        let mut q = EventQueue::new();
+        for t in [100, 200, 300] {
+            q.push(t, Priority::Normal, 0u64);
+        }
+        assert_eq!(q.pop().map(|e| e.time), Some(100));
+        q.push(50, Priority::Low, 0);
+        q.push(50, Priority::Urgent, 0);
+        q.push(150, Priority::Normal, 0);
+        q.push(50, Priority::Low, 0);
+        let order: Vec<_> =
+            std::iter::from_fn(|| q.pop().map(|e| (e.time, e.priority, e.seq))).collect();
+        assert_eq!(
+            order,
+            vec![
+                (50, Priority::Urgent, 4),
+                (50, Priority::Low, 3),
+                (50, Priority::Low, 6),
+                (150, Priority::Normal, 5),
+                (200, Priority::Normal, 1),
+                (300, Priority::Normal, 2),
+            ]
+        );
+    }
+
+    #[test]
+    fn steady_state_reuses_slots() {
+        const DEPTH: u64 = 1000;
+        const BATCH: u64 = 64;
+        let mut q = EventQueue::new();
+        for i in 0..DEPTH {
+            q.push(i * 7 % 300, prio(i as u8), i);
+        }
+        // Pops `BATCH` events, then pushes `BATCH` later ones: the depth
+        // swings by a batch and returns to `DEPTH` every cycle.
+        let cycle = |q: &mut EventQueue<u64>, round: u64| {
+            let popped: Vec<_> = (0..BATCH)
+                .map(|_| q.pop().expect("queue is full"))
+                .collect();
+            for (i, ev) in popped.into_iter().enumerate() {
+                q.push(
+                    ev.time + 1 + (round + i as u64) % 500,
+                    prio(i as u8),
+                    ev.payload,
+                );
+            }
+        };
+        let caps = |q: &EventQueue<u64>| {
+            (
+                q.keys.capacity(),
+                q.slab.len(),
+                q.slab.capacity(),
+                q.free.capacity(),
+            )
+        };
+        let before = caps(&q);
+        for round in 0..1000 {
+            cycle(&mut q, round);
+        }
+        assert_eq!(caps(&q), before);
+        assert_eq!(q.len(), DEPTH as usize);
+    }
+
+    /// Drives the queue and the heap reference model through the same
+    /// operation sequence and checks every observation is identical.
     fn check_equivalence(ops: &[(u8, u64, u8)], wide: bool) {
-        let mut cal = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut heap = HeapQueue::new();
         let mut payload = 0u64;
         for &(kind, t, p) in ops {
             match kind % 4 {
                 // Push twice as often as pop so queues actually fill up.
                 0 | 1 => {
-                    // `wide` mixes day-scale and year-scale times to exercise
-                    // the fallback/retune path; otherwise keep times colliding.
+                    // `wide` mixes near and very distant times; otherwise
+                    // keep times colliding.
                     let time = if wide && t % 7 == 0 { t << 30 } else { t % 64 };
-                    cal.push(time, prio(p), payload);
+                    q.push(time, prio(p), payload);
                     heap.push(time, prio(p), payload);
                     payload += 1;
                 }
                 2 => {
-                    let a = cal.pop().map(|e| (e.time, e.priority, e.seq, e.payload));
-                    let b = heap.pop().map(|e| (e.time, e.priority, e.seq, e.payload));
-                    assert_eq!(a, b, "pop diverged from reference model");
+                    assert_eq!(
+                        observe_pop(&mut q),
+                        heap.pop(),
+                        "pop diverged from reference model"
+                    );
                 }
                 _ => {
-                    let a = cal.peek().map(|e| (e.time, e.priority, e.seq, e.payload));
-                    let b = heap.peek().map(|e| (e.time, e.priority, e.seq, e.payload));
-                    assert_eq!(a, b, "peek diverged from reference model");
-                    assert_eq!(cal.peek_time(), heap.peek().map(|e| e.time));
+                    let a = q.peek().map(|(t, p, s, &v)| (t, p, s, v));
+                    assert_eq!(a, heap.peek(), "peek diverged from reference model");
+                    assert_eq!(q.peek_time(), heap.peek().map(|e| e.0));
                 }
             }
-            assert_eq!(cal.len(), heap.heap.len());
+            assert_eq!(q.len(), heap.heap.len());
         }
         // Drain both completely: the tails must agree too.
         loop {
-            let a = cal.pop().map(|e| (e.time, e.priority, e.seq, e.payload));
-            let b = heap.pop().map(|e| (e.time, e.priority, e.seq, e.payload));
-            assert_eq!(a, b, "drain diverged from reference model");
+            let a = observe_pop(&mut q);
+            assert_eq!(a, heap.pop(), "drain diverged from reference model");
             if a.is_none() {
                 break;
             }
@@ -511,20 +479,19 @@ mod tests {
     }
 
     proptest! {
-        /// Satellite 1: random interleaved push/pop/peek sequences with
-        /// heavily colliding times and priorities observe byte-identical
-        /// behavior from the calendar queue and the old BinaryHeap.
+        /// Random interleaved push/pop/peek sequences with heavily colliding
+        /// times and priorities observe identical behavior from the queue
+        /// and the `BinaryHeap` reference model.
         #[test]
-        fn calendar_equals_heap_colliding_keys(
+        fn queue_equals_heap_colliding_keys(
             ops in prop::collection::vec((0u8..4, 0u64..1000, 0u8..3), 1..400)
         ) {
             check_equivalence(&ops, false);
         }
 
-        /// Same, with times spanning many ring-years so resize, fallback and
-        /// retune all fire mid-sequence.
+        /// Same, with times spread over forty bits.
         #[test]
-        fn calendar_equals_heap_wide_times(
+        fn queue_equals_heap_wide_times(
             ops in prop::collection::vec((0u8..4, 0u64..1000, 0u8..3), 1..400)
         ) {
             check_equivalence(&ops, true);

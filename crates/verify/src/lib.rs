@@ -229,6 +229,9 @@ impl RaceDetector {
 // Invariant oracle
 // ---------------------------------------------------------------------------
 
+/// Message counts indexed `[kind.index()][usize::from(demand)]`.
+type Tally = [[u64; 2]; MsgKind::COUNT];
+
 /// The full shadow oracle: race detector plus LRC protocol invariants.
 pub struct VerifyOracle {
     page_bytes: u64,
@@ -253,8 +256,9 @@ pub struct VerifyOracle {
     last_vt: Vec<VectorTime>,
     /// High-water mark of coverage checking per processor.
     checked_vt: Vec<VectorTime>,
-    sent: HashMap<(MsgKind, bool), u64>,
-    delivered: HashMap<(MsgKind, bool), u64>,
+    /// Messages sent and delivered, per kind and demand/prefetch class.
+    sent: Tally,
+    delivered: Tally,
     /// Per-(link, seq, attempt) transport-frame ledger: +1 at `FrameSent`,
     /// −1 at the terminal event (accepted / duplicate / dropped). Nonzero
     /// at finish means a frame copy vanished (or a fate was invented).
@@ -277,8 +281,8 @@ impl VerifyOracle {
             seen_notices: HashSet::new(),
             last_vt: vec![VectorTime::new(n); n],
             checked_vt: vec![VectorTime::new(n); n],
-            sent: HashMap::new(),
-            delivered: HashMap::new(),
+            sent: [[0; 2]; MsgKind::COUNT],
+            delivered: [[0; 2]; MsgKind::COUNT],
             frames: HashMap::new(),
         }
     }
@@ -441,30 +445,25 @@ impl VerifyOracle {
 
     fn check_conservation(&mut self) {
         let mut findings: Vec<String> = Vec::new();
-        let kinds = |m: &HashMap<(MsgKind, bool), u64>, k: MsgKind, d: bool| {
-            m.get(&(k, d)).copied().unwrap_or(0)
-        };
-        // lint: allow(nondeterministic-iteration) -- tallies only feed `findings`, which is sorted before reporting
-        for (&(kind, demand), &d) in &self.delivered {
-            let s = kinds(&self.sent, kind, demand);
-            if d > s {
-                findings.push(format!(
-                    "{kind} ({}): delivered {d} exceeds sent {s}",
-                    class(demand)
-                ));
-            }
-        }
-        // Demand traffic must drain: a demand message still in flight means
-        // some processor is still blocked, contradicting run completion.
-        // AurcUpdates are fire-and-forget and may legally die in the queue.
-        // lint: allow(nondeterministic-iteration) -- tallies only feed `findings`, which is sorted before reporting
-        for (&(kind, demand), &s) in &self.sent {
-            if !demand || kind == MsgKind::AurcUpdate {
-                continue;
-            }
-            let d = kinds(&self.delivered, kind, demand);
-            if d != s {
-                findings.push(format!("demand {kind}: sent {s}, delivered only {d}"));
+        let kinds = |m: &Tally, k: MsgKind, d: bool| m[k.index()][usize::from(d)];
+        for kind in MsgKind::ALL {
+            for demand in [false, true] {
+                let s = kinds(&self.sent, kind, demand);
+                let d = kinds(&self.delivered, kind, demand);
+                if d > s {
+                    findings.push(format!(
+                        "{kind} ({}): delivered {d} exceeds sent {s}",
+                        class(demand)
+                    ));
+                }
+                // Demand traffic must drain: a demand message still in
+                // flight means some processor is still blocked,
+                // contradicting run completion. AurcUpdates are
+                // fire-and-forget and may legally die in the queue. A class
+                // with nothing sent is reported once, by the check above.
+                if demand && kind != MsgKind::AurcUpdate && s > 0 && d != s {
+                    findings.push(format!("demand {kind}: sent {s}, delivered only {d}"));
+                }
             }
         }
         // Every delivered request produces exactly one reply.
@@ -553,10 +552,10 @@ impl Observer for VerifyOracle {
                 ..
             } => self.on_diffs_applied(*pid, *page, diffs, data),
             ProtocolEvent::MsgSent { kind, demand, .. } => {
-                *self.sent.entry((*kind, *demand)).or_insert(0) += 1;
+                self.sent[kind.index()][usize::from(*demand)] += 1;
             }
             ProtocolEvent::MsgDelivered { kind, demand, .. } => {
-                *self.delivered.entry((*kind, *demand)).or_insert(0) += 1;
+                self.delivered[kind.index()][usize::from(*demand)] += 1;
             }
             ProtocolEvent::FrameSent {
                 src,
