@@ -13,7 +13,7 @@ use ncp2::prelude::*;
 use ncp2::sim::PrefetchStrategy;
 use ncp2_bench::engine::{Engine, Job, WorkloadSpec};
 use ncp2_bench::{cache, engine};
-use ncp2_fault::{FaultPlan, LinkFault, LinkWindow, NodeWindow, TargetedDrop, Window};
+use ncp2_fault::{FaultPlan, LinkWindow, TargetedDrop, Window};
 use proptest::prelude::*;
 
 /// One mutator per `SysParams` field. Each takes a nonzero `delta` so the
@@ -118,7 +118,7 @@ fn assert_mutators_cover_every_field(p: &SysParams) -> usize {
 /// run.
 type FaultMutator = (&'static str, fn(&mut FaultPlan, u64));
 
-const FAULT_MUTATORS: [FaultMutator; 11] = [
+const FAULT_MUTATORS: [FaultMutator; 8] = [
     ("seed", |p, d| p.seed ^= d),
     ("drop_permille", |p, d| {
         p.drop_permille = 1 + (d % 500) as u16
@@ -128,15 +128,6 @@ const FAULT_MUTATORS: [FaultMutator; 11] = [
         p.corrupt_permille = 1 + (d % 500) as u16
     }),
     ("ack_faults", |p, _| p.ack_faults = !p.ack_faults),
-    ("link_overrides", |p, d| {
-        p.link_overrides.push(LinkFault {
-            src: 0,
-            dst: 1,
-            drop_permille: (d % 500) as u16,
-            dup_permille: 0,
-            corrupt_permille: 0,
-        })
-    }),
     ("targeted_drops", |p, d| {
         p.targeted_drops.push(TargetedDrop {
             src: 0,
@@ -160,20 +151,6 @@ const FAULT_MUTATORS: [FaultMutator; 11] = [
             extra: d,
         })
     }),
-    ("ctrl_stalls", |p, d| {
-        p.ctrl_stalls.push(NodeWindow {
-            node: 0,
-            start: 0,
-            end: d,
-        })
-    }),
-    ("downtimes", |p, d| {
-        p.downtimes.push(NodeWindow {
-            node: 0,
-            start: 0,
-            end: d,
-        })
-    }),
 ];
 
 /// Compile-time guard that [`FAULT_MUTATORS`] stays exhaustive, like
@@ -185,14 +162,11 @@ fn assert_fault_mutators_cover_every_field(p: &FaultPlan) -> usize {
         dup_permille: _,
         corrupt_permille: _,
         ack_faults: _,
-        link_overrides: _,
         targeted_drops: _,
         spikes: _,
         congestion: _,
-        ctrl_stalls: _,
-        downtimes: _,
     } = p;
-    11
+    8
 }
 
 /// One mutator per `Svc` field, mirroring [`MUTATORS`]: the service

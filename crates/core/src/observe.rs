@@ -387,8 +387,8 @@ pub enum ProtocolEvent<'a> {
         /// Transmission attempt discarded.
         attempt: u32,
     },
-    /// A transport frame was lost: dropped/corrupted by the fault plan,
-    /// lost to a crash-restart window, or drained in flight at end of run.
+    /// A transport frame was lost: dropped/corrupted by the fault plan, or
+    /// drained in flight at end of run.
     FrameDropped {
         /// Sender.
         src: usize,

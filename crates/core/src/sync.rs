@@ -73,9 +73,8 @@ impl Simulation {
         let now = self.nodes[pid].time;
         self.sinks
             .note(now, pid, ProtocolEvent::BarrierArrived { pid, barrier });
-        let anns = self.nodes[pid]
-            .store
-            .missing_for(&self.nodes[pid].last_barrier_vt.clone());
+        let node = &self.nodes[pid];
+        let anns = node.store.missing_for(&node.last_barrier_vt);
         self.advance(
             pid,
             self.params.list_processing * (anns.len() as Cycles + 1),

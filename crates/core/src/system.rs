@@ -61,14 +61,51 @@ pub(crate) enum Ev {
 // Every pending event holds an `Ev`; keep the common variants compact.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 96);
 
-/// In-flight fault state: replies still outstanding plus collected payloads.
+/// One page fill in flight, for a demand fault or a prefetch: replies still
+/// outstanding plus the payloads collected so far.
 #[derive(Debug, Default)]
-pub(crate) struct FaultWait {
-    pub page: PageId,
+pub(crate) struct Fill {
     pub outstanding: usize,
+    /// Latest of the request issue time and every reply arrival.
     pub ready_at: Cycles,
     pub diffs: DiffList,
     pub full_page: Option<(PageBuf, VectorTime)>,
+}
+
+impl Fill {
+    /// A fill awaiting `outstanding` replies to requests issued by `ready_at`.
+    pub fn new(outstanding: usize, ready_at: Cycles) -> Self {
+        Fill {
+            outstanding,
+            ready_at,
+            ..Fill::default()
+        }
+    }
+
+    /// Absorbs one reply arriving at `t`; true once every reply is in.
+    pub fn absorb(
+        &mut self,
+        t: Cycles,
+        mut diffs: DiffList,
+        full_page: Option<(PageBuf, VectorTime)>,
+    ) -> bool {
+        for d in diffs.drain() {
+            self.diffs.push(d);
+        }
+        if full_page.is_some() {
+            self.full_page = full_page;
+        }
+        self.outstanding -= 1;
+        self.ready_at = self.ready_at.max(t);
+        self.outstanding == 0
+    }
+}
+
+/// In-flight fault state: the faulting page and its fill.
+#[derive(Debug, Default)]
+pub(crate) struct FaultWait {
+    pub page: PageId,
+    pub fill: Fill,
 }
 
 /// Why a processor is blocked.
@@ -79,11 +116,7 @@ pub(crate) enum Wait {
     /// TreadMarks access fault collecting diffs.
     Fault(FaultWait),
     /// Fault that found a prefetch already in flight for the page.
-    PrefetchJoin {
-        /// The page whose in-flight prefetch the fault joined.
-        #[allow(dead_code)]
-        page: PageId,
-    },
+    PrefetchJoin,
     /// Waiting for a lock grant.
     Lock { lock: LockId },
     /// Waiting for a barrier release.
@@ -96,7 +129,7 @@ impl Wait {
     fn category(&self) -> Category {
         match self {
             Wait::None => Category::Other,
-            Wait::Fault(_) | Wait::PrefetchJoin { .. } | Wait::AurcFault { .. } => Category::Data,
+            Wait::Fault(_) | Wait::PrefetchJoin | Wait::AurcFault { .. } => Category::Data,
             Wait::Lock { .. } | Wait::Barrier => Category::Synch,
         }
     }
@@ -149,10 +182,7 @@ impl TmPage {
 /// In-flight prefetch for one page.
 #[derive(Debug, Default)]
 pub(crate) struct PrefetchState {
-    pub outstanding: usize,
-    pub ready_at: Cycles,
-    pub diffs: DiffList,
-    pub full_page: Option<(PageBuf, VectorTime)>,
+    pub fill: Fill,
     /// Notices the prefetch will satisfy.
     pub requested: Vec<(usize, IntervalId)>,
     /// A fault is blocked waiting for this prefetch.
@@ -315,8 +345,7 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    fn new(pid: usize, params: &SysParams) -> Self {
-        let _ = pid;
+    fn new(params: &SysParams) -> Self {
         Node {
             time: 0,
             status: ProcStatus::Runnable,
@@ -455,7 +484,7 @@ impl Simulation {
         Simulation {
             queue: EventQueue::new(),
             net: Network::new(n),
-            nodes: (0..n).map(|p| Node::new(p, &params)).collect(),
+            nodes: (0..n).map(|_| Node::new(&params)).collect(),
             lock_last: FlatMap::new(),
             barriers: FlatMap::new(),
             master: FlatMap::new(),
@@ -954,7 +983,7 @@ impl Simulation {
         let stall_kind = match self.nodes[pid].wait {
             Wait::None => SpanKind::SyncOp,
             Wait::Fault(_) | Wait::AurcFault { .. } => SpanKind::FaultStall,
-            Wait::PrefetchJoin { .. } => SpanKind::PrefetchStall,
+            Wait::PrefetchJoin => SpanKind::PrefetchStall,
             Wait::Lock { .. } => SpanKind::LockStall,
             Wait::Barrier => SpanKind::BarrierStall,
         };
@@ -1202,7 +1231,7 @@ mod tests {
     #[test]
     fn wait_categories_match_paper_buckets() {
         assert_eq!(Wait::Fault(FaultWait::default()).category(), Category::Data);
-        assert_eq!(Wait::PrefetchJoin { page: 0 }.category(), Category::Data);
+        assert_eq!(Wait::PrefetchJoin.category(), Category::Data);
         assert_eq!(Wait::AurcFault { page: 0 }.category(), Category::Data);
         assert_eq!(Wait::Lock { lock: 0 }.category(), Category::Synch);
         assert_eq!(Wait::Barrier.category(), Category::Synch);

@@ -16,10 +16,12 @@
 //! attempt bumps the attempt, charges the messaging overhead (controller
 //! under the I-modes, processor interrupt otherwise) and re-sends.
 //!
-//! Receiver: frames below `next_expected` (or already buffered) are
-//! duplicates — discarded for the ack-processing cost and re-acked so a lost
-//! ack cannot retransmit forever. Frames above `next_expected` wait in a
-//! resequencing buffer (latency spikes reorder the wire). In-order frames
+//! Receiver: a frame the plan dropped or corrupted in flight is discarded on
+//! arrival; the sender's retransmit timer recovers it. Frames below
+//! `next_expected` (or already buffered) are duplicates — discarded for the
+//! ack-processing cost and re-acked so a lost ack cannot retransmit forever.
+//! Frames above `next_expected` wait, whole, in a resequencing buffer
+//! (latency spikes and retransmitted gaps reorder the wire). In-order frames
 //! deliver their message, drain any now-consecutive buffered frames, and
 //! trigger one cumulative ack.
 //!
@@ -94,20 +96,12 @@ pub(crate) struct Frame {
     pub anchor: SpanId,
 }
 
-/// A reordered frame waiting for its gap to fill.
-#[derive(Debug)]
-struct PendingFrame {
-    msg: Msg,
-    attempt: u32,
-    sent_at: Cycles,
-    anchor: SpanId,
-}
-
 /// Receiver state for one directed link.
 #[derive(Debug, Default)]
 struct LinkRx {
     next_expected: u64,
-    buffer: BTreeMap<u64, PendingFrame>,
+    /// Reordered frames waiting for their gap to fill, by sequence number.
+    buffer: BTreeMap<u64, Box<Frame>>,
 }
 
 /// The whole transport: plan, per-link endpoints and run-global counters.
@@ -274,40 +268,8 @@ impl Simulation {
     /// A frame reached its destination's network interface at `t`.
     pub(crate) fn on_frame(&mut self, t: Cycles, frame: Box<Frame>) {
         let ack_oh = self.params.ack_overhead;
-        let (stalled_until, down) = {
-            // invariant: frame events only exist with the transport attached
-            let ctx = self.fault.as_ref().expect("frame without fault ctx");
-            (
-                ctx.plan.ctrl_stalled(frame.dst, t),
-                ctx.plan.node_down(frame.dst, t),
-            )
-        };
-        if let Some(end) = stalled_until {
-            // Controller stall: the frame waits at the interface until the
-            // stall window closes, then is processed normally.
-            self.queue.push(end, Priority::Normal, Ev::Frame(frame));
-            return;
-        }
-        let Frame {
-            src,
-            dst,
-            seq,
-            attempt,
-            msg,
-            lost,
-            sent_at,
-            anchor,
-        } = *frame;
-        if lost || down {
-            if down && !lost {
-                self.fault
-                    .as_mut()
-                    // invariant: the `lost || down` arm is only reachable
-                    // with a fault ctx installed.
-                    .expect("frame without fault ctx")
-                    .stats
-                    .drops_injected += 1;
-            }
+        let (src, dst, seq, attempt) = (frame.src, frame.dst, frame.seq, frame.attempt);
+        if frame.lost {
             self.sinks.note(
                 t,
                 dst,
@@ -320,32 +282,24 @@ impl Simulation {
             );
             return;
         }
-        if self.silent_frame_loss_armed && !msg.is_prefetch() {
+        if self.silent_frame_loss_armed && !frame.msg.is_prefetch() {
             // Mutation hook: consume the frame with no terminal event and no
             // delivery. The conservation oracle must notice the imbalance.
             self.silent_frame_loss_armed = false;
             return;
         }
         let verdict = {
-            // invariant: checked ctx present at function entry
+            // invariant: frame events only exist with the transport attached
             let ctx = self.fault.as_mut().expect("frame without fault ctx");
             let rx = ctx.rx.entry((src, dst)).or_default();
             if seq < rx.next_expected || rx.buffer.contains_key(&seq) {
                 ctx.stats.dup_frames_dropped += 1;
                 FrameVerdict::Duplicate
             } else if seq > rx.next_expected {
-                rx.buffer.insert(
-                    seq,
-                    PendingFrame {
-                        msg,
-                        attempt,
-                        sent_at,
-                        anchor,
-                    },
-                );
+                rx.buffer.insert(seq, frame);
                 FrameVerdict::Buffered
             } else {
-                FrameVerdict::Deliver(msg)
+                FrameVerdict::Deliver(frame)
             }
         };
         match verdict {
@@ -368,8 +322,8 @@ impl Simulation {
             FrameVerdict::Buffered => {
                 // Out of order: wait for the gap; the ack stays cumulative.
             }
-            FrameVerdict::Deliver(msg) => {
-                self.deliver_frame(t, src, dst, seq, attempt, msg, sent_at, anchor);
+            FrameVerdict::Deliver(frame) => {
+                self.deliver_frame(t, *frame);
                 // Drain frames the gap-fill made consecutive.
                 loop {
                     let next = {
@@ -377,10 +331,10 @@ impl Simulation {
                         let ctx = self.fault.as_mut().expect("frame without fault ctx");
                         let rx = ctx.rx.entry((src, dst)).or_default();
                         let seq = rx.next_expected;
-                        rx.buffer.remove(&seq).map(|p| (seq, p))
+                        rx.buffer.remove(&seq)
                     };
-                    let Some((nseq, p)) = next else { break };
-                    self.deliver_frame(t, src, dst, nseq, p.attempt, p.msg, p.sent_at, p.anchor);
+                    let Some(frame) = next else { break };
+                    self.deliver_frame(t, *frame);
                 }
                 let done = self.interrupt_proc(dst, t, ack_oh, Category::Ipc, SpanKind::MsgSetup);
                 self.send_ack(done, src, dst);
@@ -390,18 +344,17 @@ impl Simulation {
 
     /// Delivers one in-order frame: terminal frame event, dependency edge,
     /// the message handler, and the receive-window advance.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_frame(
-        &mut self,
-        t: Cycles,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        attempt: u32,
-        msg: Msg,
-        sent_at: Cycles,
-        anchor: SpanId,
-    ) {
+    fn deliver_frame(&mut self, t: Cycles, frame: Frame) {
+        let Frame {
+            src,
+            dst,
+            seq,
+            attempt,
+            msg,
+            lost: _,
+            sent_at,
+            anchor,
+        } = frame;
         {
             // invariant: only called from on_frame with the transport attached
             let ctx = self.fault.as_mut().expect("deliver without fault ctx");
@@ -582,8 +535,8 @@ impl Simulation {
         }
         if let Some(ctx) = self.fault.as_mut() {
             for ((src, dst), rx) in ctx.rx.iter_mut() {
-                for (&seq, p) in rx.buffer.iter() {
-                    leftovers.push((*src, *dst, seq, p.attempt));
+                for (&seq, f) in rx.buffer.iter() {
+                    leftovers.push((*src, *dst, seq, f.attempt));
                 }
                 rx.buffer.clear();
             }
@@ -610,5 +563,5 @@ impl Simulation {
 enum FrameVerdict {
     Duplicate,
     Buffered,
-    Deliver(Msg),
+    Deliver(Box<Frame>),
 }

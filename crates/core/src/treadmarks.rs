@@ -25,7 +25,7 @@ use crate::msg::Msg;
 use crate::observe::ProtocolEvent;
 use crate::page::{page_of, word_index, PageBuf, PageId, PageState};
 use crate::span::{CtrlCmd, Engine, SpanKind};
-use crate::system::{FaultWait, PrefetchState, Simulation, Wait};
+use crate::system::{FaultWait, Fill, PrefetchState, Simulation, Wait};
 use crate::vtime::{IntervalId, VectorTime};
 
 impl Simulation {
@@ -45,7 +45,7 @@ impl Simulation {
                 if let Some(ps) = self.nodes[pid].prefetches.get_mut(page) {
                     ps.joined = true;
                     self.nodes[pid].stats.prefetch_joins += 1;
-                    self.block(pid, Wait::PrefetchJoin { page });
+                    self.block(pid, Wait::PrefetchJoin);
                 } else {
                     self.tm_start_fault(pid, page);
                 }
@@ -338,10 +338,7 @@ impl Simulation {
             pid,
             Wait::Fault(FaultWait {
                 page,
-                outstanding,
-                ready_at: t,
-                diffs: DiffList::new(),
-                full_page: None,
+                fill: Fill::new(outstanding, t),
             }),
         );
     }
@@ -590,7 +587,7 @@ impl Simulation {
         dst: usize,
         t: Cycles,
         page: PageId,
-        mut diffs: DiffList,
+        diffs: DiffList,
         full_page: Option<(PageBuf, VectorTime)>,
         prefetch: bool,
     ) {
@@ -598,30 +595,20 @@ impl Simulation {
             self.tm_prefetch_reply(dst, t, page, diffs, full_page);
             return;
         }
-        let ready = {
+        let fill = {
             let Wait::Fault(f) = &mut self.nodes[dst].wait else {
                 // invariant: demand diff replies are only addressed to the
                 // blocked requester (message conservation)
                 panic!("diff reply for page {page} but processor {dst} is not faulting");
             };
             debug_assert_eq!(f.page, page, "diff reply for the wrong page");
-            for d in diffs.drain() {
-                f.diffs.push(d);
-            }
-            if full_page.is_some() {
-                f.full_page = full_page;
-            }
-            f.outstanding -= 1;
-            f.ready_at = f.ready_at.max(t);
-            if f.outstanding > 0 {
+            if !f.fill.absorb(t, diffs, full_page) {
                 return;
             }
-            (std::mem::take(&mut f.diffs), f.full_page.take(), f.ready_at)
+            std::mem::take(&mut f.fill)
         };
-        let (got_diffs, got_page, ready_at) = ready;
         let requested = std::mem::take(&mut self.tm_page(dst, page).pending);
-        let (end, cpu) =
-            self.tm_apply_collected(dst, page, got_diffs, got_page, ready_at, &requested, false);
+        let (end, cpu) = self.tm_apply_collected(dst, page, fill, &requested, false);
         self.sinks.obs_edge(
             crate::span::EdgeKind::FaultFill,
             dst,
@@ -639,22 +626,14 @@ impl Simulation {
         dst: usize,
         t: Cycles,
         page: PageId,
-        mut diffs: DiffList,
+        diffs: DiffList,
         full_page: Option<(PageBuf, VectorTime)>,
     ) {
         let complete = {
             let Some(ps) = self.nodes[dst].prefetches.get_mut(page) else {
                 return; // stale reply for an abandoned prefetch
             };
-            for d in diffs.drain() {
-                ps.diffs.push(d);
-            }
-            if full_page.is_some() {
-                ps.full_page = full_page;
-            }
-            ps.outstanding -= 1;
-            ps.ready_at = ps.ready_at.max(t);
-            ps.outstanding == 0
+            ps.fill.absorb(t, diffs, full_page)
         };
         if !complete {
             return;
@@ -665,15 +644,7 @@ impl Simulation {
             // invariant: a prefetch reply matches the outstanding prefetch
             // record that produced the request
             .expect("prefetch state");
-        let (end, cpu) = self.tm_apply_collected(
-            dst,
-            page,
-            ps.diffs,
-            ps.full_page,
-            ps.ready_at,
-            &ps.requested,
-            true,
-        );
+        let (end, cpu) = self.tm_apply_collected(dst, page, ps.fill, &ps.requested, true);
         crate::pool::put_pairs(ps.requested);
         self.sinks.note(
             end,
@@ -702,21 +673,25 @@ impl Simulation {
         }
     }
 
-    /// Applies a collected set of diffs (and optionally a whole page) to
-    /// `pid`'s copy in causal order, charging the right engine. Returns the
-    /// completion time and the diff-apply work (cycles) folded into it — the
-    /// portion a "hardware diffs" what-if scenario deletes from the fill.
-    #[allow(clippy::too_many_arguments)]
+    /// Applies a completed fill's diffs (and optionally a whole page) to
+    /// `pid`'s copy in causal order, starting at the fill's `ready_at` and
+    /// charging the right engine. Returns the completion time and the
+    /// diff-apply work (cycles) folded into it — the portion a "hardware
+    /// diffs" what-if scenario deletes from the fill.
     fn tm_apply_collected(
         &mut self,
         pid: usize,
         page: PageId,
-        mut diffs: DiffList,
-        full: Option<(PageBuf, VectorTime)>,
-        start: Cycles,
+        fill: Fill,
         satisfied: &[(usize, IntervalId)],
         prefetch_ctx: bool,
     ) -> (Cycles, Cycles) {
+        let Fill {
+            mut diffs,
+            full_page: full,
+            ready_at: start,
+            ..
+        } = fill;
         let params = self.params.clone();
         let mode = self.mode();
         let mut mem_words: u64 = 0;
@@ -949,10 +924,7 @@ impl Simulation {
             self.nodes[pid].prefetches.insert(
                 page,
                 PrefetchState {
-                    outstanding,
-                    ready_at: c,
-                    diffs: DiffList::new(),
-                    full_page: None,
+                    fill: Fill::new(outstanding, c),
                     requested: pending,
                     joined: false,
                 },

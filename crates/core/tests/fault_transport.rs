@@ -1,12 +1,15 @@
 //! End-to-end hardened-transport runs: applications under fault injection
 //! must produce **checksums identical to the fault-free run** with **zero
-//! oracle violations** — message loss, duplication, reordering, corruption
-//! and controller outages are all absorbed by the ack/timeout/retransmit
-//! machinery without perturbing what the programs compute.
+//! oracle violations** — message loss, duplication, reordering and
+//! corruption are all absorbed by the ack/timeout/retransmit machinery
+//! without perturbing what the programs compute.
+
+use std::sync::{Arc, Mutex};
 
 use ncp2_apps::{run_app_with, Em3d, Tsp, Workload};
 use ncp2_core::observe::Violation;
-use ncp2_core::{FaultPlan, OverlapMode, Protocol, RunResult};
+use ncp2_core::trace::TraceKind;
+use ncp2_core::{FaultPlan, Observer, OverlapMode, Protocol, ProtocolEvent, RunResult};
 use ncp2_fault::{LinkWindow, TargetedDrop, Window};
 use ncp2_sim::SysParams;
 use ncp2_verify::VerifyOracle;
@@ -140,6 +143,194 @@ fn targeted_drop_is_recovered_by_retransmission() {
         "first-retry histogram bucket empty: {:?}",
         faulted.fault.retx_by_attempt
     );
+}
+
+/// One transport-frame fact on link 0→1, or a terminal event elsewhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameFact {
+    /// A copy of frame `seq` left node 0 and reaches node 1 at `arrival`.
+    Sent {
+        seq: u64,
+        attempt: u32,
+        arrival: u64,
+    },
+    /// Frame `seq`'s terminal event: accepted, or dropped / duplicate.
+    Terminal {
+        seq: u64,
+        attempt: u32,
+        accepted: bool,
+    },
+    /// A terminal event on any other link.
+    Elsewhere,
+}
+
+/// The verification oracle plus a log of frame facts in observation order
+/// (a simulation holds one observer).
+struct FrameLog {
+    oracle: VerifyOracle,
+    facts: Arc<Mutex<Vec<FrameFact>>>,
+}
+
+impl Observer for FrameLog {
+    fn on_event(&mut self, ev: &ProtocolEvent) {
+        use ProtocolEvent as E;
+        self.oracle.on_event(ev);
+        let fact = match *ev {
+            E::FrameSent {
+                src: 0,
+                dst: 1,
+                seq,
+                attempt,
+                wire,
+                ..
+            } => FrameFact::Sent {
+                seq,
+                attempt,
+                arrival: wire.arrival,
+            },
+            E::FrameAccepted {
+                src: 0,
+                dst: 1,
+                seq,
+                attempt,
+            } => FrameFact::Terminal {
+                seq,
+                attempt,
+                accepted: true,
+            },
+            E::FrameDuplicate {
+                src: 0,
+                dst: 1,
+                seq,
+                attempt,
+            }
+            | E::FrameDropped {
+                src: 0,
+                dst: 1,
+                seq,
+                attempt,
+            } => FrameFact::Terminal {
+                seq,
+                attempt,
+                accepted: false,
+            },
+            E::FrameAccepted { .. } | E::FrameDuplicate { .. } | E::FrameDropped { .. } => {
+                FrameFact::Elsewhere
+            }
+            _ => return,
+        };
+        // invariant: the test body reads the log only after the run
+        self.facts.lock().expect("frame log poisoned").push(fact);
+    }
+
+    fn finish(&mut self) -> Vec<Violation> {
+        self.oracle.finish()
+    }
+}
+
+#[test]
+fn frame_behind_a_dropped_frame_waits_for_the_gap_to_fill() {
+    // Under I+P+D, TSP's second frame on 0→1 does not depend on the first
+    // being delivered: it arrives ~4.4k cycles after the first, far inside
+    // the 20,000-cycle retransmit timeout. Dropping the first leaves a gap
+    // the second must wait behind.
+    let params = SysParams {
+        trace: true,
+        ..SysParams::default().with_nprocs(4)
+    };
+    let protocol = Protocol::TreadMarks(OverlapMode::IPD);
+    let clean = run(tsp(), protocol, None);
+    let plan = FaultPlan {
+        seed: 1,
+        targeted_drops: vec![TargetedDrop {
+            src: 0,
+            dst: 1,
+            nth: 0,
+        }],
+        ..FaultPlan::none()
+    };
+    let mut oracle = VerifyOracle::new(&params, &protocol);
+    for range in tsp().racy_ranges() {
+        oracle.exempt_range(range);
+    }
+    let facts = Arc::new(Mutex::new(Vec::new()));
+    let log = FrameLog {
+        oracle,
+        facts: Arc::clone(&facts),
+    };
+    let faulted = run_app_with(params, protocol, tsp(), move |sim| {
+        sim.attach_observer(Box::new(log));
+        sim.attach_fault_plan(plan);
+    });
+    assert_eq!(clean.checksum, faulted.checksum);
+    assert!(faulted.violations.is_empty(), "{:#?}", faulted.violations);
+    let facts = facts.lock().expect("frame log poisoned").clone();
+
+    let arrival = |want_seq, want_attempt| {
+        facts
+            .iter()
+            .find_map(|f| match *f {
+                FrameFact::Sent {
+                    seq,
+                    attempt,
+                    arrival,
+                } if (seq, attempt) == (want_seq, want_attempt) => Some(arrival),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("frame {want_seq} attempt {want_attempt} never sent"))
+    };
+    let (frame1, refill) = (arrival(1, 0), arrival(0, 1));
+    let retransmitted_at = faulted
+        .trace
+        .iter()
+        .find(|e| {
+            let retx = TraceKind::Retransmit {
+                dst: 1,
+                seq: 0,
+                attempt: 1,
+            };
+            e.node == 0 && e.kind == retx
+        })
+        .expect("frame 0 was never retransmitted")
+        .time;
+    assert!(
+        frame1 < retransmitted_at && retransmitted_at < refill,
+        "frame 1 (arrives {frame1}) must beat the retransmission of frame 0 \
+         (sent {retransmitted_at}, arrives {refill})"
+    );
+
+    // On 0→1: the lost first copy of frame 0, then both frames accepted in
+    // sequence order.
+    let terminal = |seq, attempt, accepted| FrameFact::Terminal {
+        seq,
+        attempt,
+        accepted,
+    };
+    let terminals: Vec<FrameFact> = facts
+        .into_iter()
+        .filter(|f| !matches!(f, FrameFact::Sent { .. }))
+        .collect();
+    let on_link: Vec<FrameFact> = terminals
+        .iter()
+        .copied()
+        .filter(|&f| f != FrameFact::Elsewhere)
+        .collect();
+    assert_eq!(
+        on_link[..3],
+        [
+            terminal(0, 0, false),
+            terminal(0, 1, true),
+            terminal(1, 0, true)
+        ]
+    );
+    // No terminal event on any link separates the two acceptances, so both
+    // come from one frame arrival — the retransmitted frame 0 at `refill`:
+    // frame 1 sat in the resequencing buffer until the gap filled.
+    let gap_fill = terminals
+        .iter()
+        .position(|&f| f == terminal(0, 1, true))
+        .expect("frame 0 accepted");
+    assert_eq!(terminals[gap_fill + 1], terminal(1, 0, true));
 }
 
 #[test]

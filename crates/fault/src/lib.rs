@@ -11,10 +11,10 @@
 //! whole chaos pipeline inside the repo's determinism guarantees.
 //!
 //! The plan is consulted by the hardened transport in `ncp2-core` (drop /
-//! duplicate / corrupt verdicts, crash-restart and controller-stall windows,
-//! congestion for prefetch shedding) and by the router in `ncp2-net`
-//! (transient latency spikes, which reorder frames relative to per-link FIFO
-//! order and exercise the receiver's resequencing buffer).
+//! duplicate / corrupt verdicts, congestion for prefetch shedding) and by the
+//! router in `ncp2-net` (transient latency spikes, which reorder frames
+//! relative to per-link FIFO order and exercise the receiver's resequencing
+//! buffer).
 
 use ncp2_sim::{Cycles, StableHasher};
 
@@ -22,27 +22,6 @@ use ncp2_sim::{Cycles, StableHasher};
 /// loss the capped-retry transport could plausibly exhaust
 /// `MAX_RETX_ATTEMPTS`; validation rejects such plans up front.
 pub const MAX_PERMILLE: u16 = 500;
-
-/// Longest permitted crash-restart window, in cycles. Bounded so a node
-/// outage cannot burn more than a small fraction of the transport's retry
-/// budget (the exponential backoff passes 1M cycles after ~7 attempts).
-pub const MAX_DOWNTIME_CYCLES: Cycles = 1_000_000;
-
-/// Per-link probability overrides, replacing the plan-wide rates on one
-/// directed link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkFault {
-    /// Source node of the directed link.
-    pub src: usize,
-    /// Destination node of the directed link.
-    pub dst: usize,
-    /// Drop probability on this link, permille.
-    pub drop_permille: u16,
-    /// Duplication probability on this link, permille.
-    pub dup_permille: u16,
-    /// Corruption probability on this link, permille.
-    pub corrupt_permille: u16,
-}
 
 /// Deterministically drops the `nth` first-attempt frame on one directed
 /// link (sequence numbers start at 0). Retransmissions of the same frame are
@@ -88,19 +67,6 @@ pub struct Window {
     pub extra: Cycles,
 }
 
-/// A per-node outage window: `[start, end)` on one node, used for both
-/// controller stalls (incoming frames wait for the window to end) and
-/// crash-restart (incoming frames are lost and must be retransmitted).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeWindow {
-    /// The affected node.
-    pub node: usize,
-    /// First cycle of the window (inclusive).
-    pub start: Cycles,
-    /// First cycle after the window (exclusive).
-    pub end: Cycles,
-}
-
 /// A complete, seeded description of how the network misbehaves during one
 /// run. `FaultPlan::none()` is the identity plan: the transport treats it as
 /// "no fault hooks attached" and every run is byte-identical to a run
@@ -122,21 +88,12 @@ pub struct FaultPlan {
     /// (lost acks force retransmission of already-delivered frames, the
     /// classic duplicate-delivery stress).
     pub ack_faults: bool,
-    /// Per-link probability overrides (first match wins).
-    pub link_overrides: Vec<LinkFault>,
     /// Targeted "drop the nth frame on link i→j" entries.
     pub targeted_drops: Vec<TargetedDrop>,
     /// Transient per-link latency spikes (reordering).
     pub spikes: Vec<LinkWindow>,
     /// Machine-wide congestion windows (latency + prefetch shedding).
     pub congestion: Vec<Window>,
-    /// Controller-stall windows: frames arriving at the node inside the
-    /// window are deferred to the window's end.
-    pub ctrl_stalls: Vec<NodeWindow>,
-    /// Crash-restart windows: frames arriving at the node inside the window
-    /// are lost (the node keeps its memory — a stall-and-wipe-the-NIC
-    /// restart), forcing transport-level retransmission.
-    pub downtimes: Vec<NodeWindow>,
 }
 
 /// Verdict-domain tags, so the drop/dup/corrupt decisions for one frame are
@@ -147,8 +104,8 @@ const TAG_CORRUPT: u64 = 3;
 const TAG_ACK: u64 = 4;
 
 impl FaultPlan {
-    /// The identity plan: nothing dropped, duplicated, corrupted, delayed or
-    /// stalled. [`FaultPlan::is_active`] returns `false` for it.
+    /// The identity plan: nothing dropped, duplicated, corrupted or
+    /// delayed. [`FaultPlan::is_active`] returns `false` for it.
     pub fn none() -> FaultPlan {
         FaultPlan {
             seed: 0,
@@ -156,12 +113,9 @@ impl FaultPlan {
             dup_permille: 0,
             corrupt_permille: 0,
             ack_faults: false,
-            link_overrides: Vec::new(),
             targeted_drops: Vec::new(),
             spikes: Vec::new(),
             congestion: Vec::new(),
-            ctrl_stalls: Vec::new(),
-            downtimes: Vec::new(),
         }
     }
 
@@ -178,30 +132,24 @@ impl FaultPlan {
             dup_permille,
             corrupt_permille,
             ack_faults: _,
-            link_overrides,
             targeted_drops,
             spikes,
             congestion,
-            ctrl_stalls,
-            downtimes,
         } = self;
         *drop_permille != 0
             || *dup_permille != 0
             || *corrupt_permille != 0
-            || !link_overrides.is_empty()
             || !targeted_drops.is_empty()
             || !spikes.is_empty()
             || !congestion.is_empty()
-            || !ctrl_stalls.is_empty()
-            || !downtimes.is_empty()
     }
 
     /// Checks the plan against the transport's survivability envelope.
     ///
     /// # Errors
     ///
-    /// Rejects probabilities above [`MAX_PERMILLE`], inverted windows, and
-    /// downtime windows longer than [`MAX_DOWNTIME_CYCLES`].
+    /// Rejects probabilities above [`MAX_PERMILLE`] and empty or inverted
+    /// windows.
     pub fn validate(&self) -> Result<(), String> {
         let check_rate = |what: &str, v: u16| {
             if v > MAX_PERMILLE {
@@ -215,11 +163,6 @@ impl FaultPlan {
         check_rate("drop_permille", self.drop_permille)?;
         check_rate("dup_permille", self.dup_permille)?;
         check_rate("corrupt_permille", self.corrupt_permille)?;
-        for l in &self.link_overrides {
-            check_rate("link drop_permille", l.drop_permille)?;
-            check_rate("link dup_permille", l.dup_permille)?;
-            check_rate("link corrupt_permille", l.corrupt_permille)?;
-        }
         for s in &self.spikes {
             if s.start >= s.end {
                 return Err(format!("spike window {}..{} is empty", s.start, s.end));
@@ -228,22 +171,6 @@ impl FaultPlan {
         for c in &self.congestion {
             if c.start >= c.end {
                 return Err(format!("congestion window {}..{} is empty", c.start, c.end));
-            }
-        }
-        for w in &self.ctrl_stalls {
-            if w.start >= w.end {
-                return Err(format!("ctrl stall window {}..{} is empty", w.start, w.end));
-            }
-        }
-        for w in &self.downtimes {
-            if w.start >= w.end {
-                return Err(format!("downtime window {}..{} is empty", w.start, w.end));
-            }
-            if w.end - w.start > MAX_DOWNTIME_CYCLES {
-                return Err(format!(
-                    "downtime window {}..{} exceeds {MAX_DOWNTIME_CYCLES} cycles",
-                    w.start, w.end
-                ));
             }
         }
         Ok(())
@@ -259,33 +186,15 @@ impl FaultPlan {
             dup_permille,
             corrupt_permille,
             ack_faults,
-            link_overrides,
             targeted_drops,
             spikes,
             congestion,
-            ctrl_stalls,
-            downtimes,
         } = self;
         h.write_u64(*seed);
         h.write_u64(*drop_permille as u64);
         h.write_u64(*dup_permille as u64);
         h.write_u64(*corrupt_permille as u64);
         h.write_bool(*ack_faults);
-        h.write_usize(link_overrides.len());
-        for l in link_overrides {
-            let LinkFault {
-                src,
-                dst,
-                drop_permille,
-                dup_permille,
-                corrupt_permille,
-            } = l;
-            h.write_usize(*src);
-            h.write_usize(*dst);
-            h.write_u64(*drop_permille as u64);
-            h.write_u64(*dup_permille as u64);
-            h.write_u64(*corrupt_permille as u64);
-        }
         h.write_usize(targeted_drops.len());
         for t in targeted_drops {
             let TargetedDrop { src, dst, nth } = t;
@@ -315,20 +224,6 @@ impl FaultPlan {
             h.write_u64(*end);
             h.write_u64(*extra);
         }
-        h.write_usize(ctrl_stalls.len());
-        for w in ctrl_stalls {
-            let NodeWindow { node, start, end } = w;
-            h.write_usize(*node);
-            h.write_u64(*start);
-            h.write_u64(*end);
-        }
-        h.write_usize(downtimes.len());
-        for w in downtimes {
-            let NodeWindow { node, start, end } = w;
-            h.write_usize(*node);
-            h.write_u64(*start);
-            h.write_u64(*end);
-        }
     }
 
     /// One deterministic draw in [0, 1000) for a (tag, frame-identity) pair.
@@ -343,17 +238,6 @@ impl FaultPlan {
         (h.finish() % 1000) as u16
     }
 
-    /// The effective (drop, dup, corrupt) rates on a directed link — the
-    /// first matching override, else the plan-wide rates.
-    fn link_rates(&self, src: usize, dst: usize) -> (u16, u16, u16) {
-        for l in &self.link_overrides {
-            if l.src == src && l.dst == dst {
-                return (l.drop_permille, l.dup_permille, l.corrupt_permille);
-            }
-        }
-        (self.drop_permille, self.dup_permille, self.corrupt_permille)
-    }
-
     /// Should this data frame be dropped in flight?
     pub fn drop_frame(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> bool {
         if attempt == 0
@@ -364,31 +248,31 @@ impl FaultPlan {
         {
             return true;
         }
-        let (drop, _, _) = self.link_rates(src, dst);
+        let drop = self.drop_permille;
         drop != 0 && self.roll(TAG_DROP, src, dst, seq, attempt) < drop
     }
 
     /// Should this data frame be duplicated in flight (one extra copy)?
     pub fn dup_frame(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> bool {
-        let (_, dup, _) = self.link_rates(src, dst);
+        let dup = self.dup_permille;
         dup != 0 && self.roll(TAG_DUP, src, dst, seq, attempt) < dup
     }
 
     /// Should this data frame arrive corrupted (detected and discarded by
     /// the receiver's frame check)?
     pub fn corrupt_frame(&self, src: usize, dst: usize, seq: u64, attempt: u32) -> bool {
-        let (_, _, corrupt) = self.link_rates(src, dst);
+        let corrupt = self.corrupt_permille;
         corrupt != 0 && self.roll(TAG_CORRUPT, src, dst, seq, attempt) < corrupt
     }
 
     /// Should this acknowledgement frame (travelling `src → dst`) be lost?
-    /// Only when [`FaultPlan::ack_faults`] is set; uses the ack link's
-    /// effective drop rate with an independent verdict domain.
+    /// Only when [`FaultPlan::ack_faults`] is set; uses the plan-wide drop
+    /// rate with an independent verdict domain.
     pub fn drop_ack(&self, src: usize, dst: usize, cum: u64) -> bool {
         if !self.ack_faults {
             return false;
         }
-        let (drop, _, _) = self.link_rates(src, dst);
+        let drop = self.drop_permille;
         drop != 0 && self.roll(TAG_ACK, src, dst, cum, 0) < drop
     }
 
@@ -415,24 +299,6 @@ impl FaultPlan {
         self.congestion
             .iter()
             .any(|c| c.start <= now && now < c.end)
-    }
-
-    /// Whether `node` is inside a crash-restart window at `now` (incoming
-    /// frames are lost).
-    pub fn node_down(&self, node: usize, now: Cycles) -> bool {
-        self.downtimes
-            .iter()
-            .any(|w| w.node == node && w.start <= now && now < w.end)
-    }
-
-    /// If `node`'s controller is stalled at `now`, the first cycle at which
-    /// it resumes (the latest end among matching windows).
-    pub fn ctrl_stalled(&self, node: usize, now: Cycles) -> Option<Cycles> {
-        self.ctrl_stalls
-            .iter()
-            .filter(|w| w.node == node && w.start <= now && now < w.end)
-            .map(|w| w.end)
-            .max()
     }
 }
 
@@ -505,21 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn link_override_wins_over_global() {
-        let mut p = lossy(9);
-        p.link_overrides.push(LinkFault {
-            src: 0,
-            dst: 1,
-            drop_permille: 0,
-            dup_permille: 0,
-            corrupt_permille: 0,
-        });
-        assert!((0..5000).all(|seq| !p.drop_frame(0, 1, seq, 0)));
-        let other = (0..5000).any(|seq| p.drop_frame(0, 2, seq, 0));
-        assert!(other, "non-overridden link keeps the global rate");
-    }
-
-    #[test]
     fn windows_apply_in_range_only() {
         let mut p = FaultPlan::none();
         p.spikes.push(LinkWindow {
@@ -545,38 +396,23 @@ mod tests {
     }
 
     #[test]
-    fn node_windows() {
-        let mut p = FaultPlan::none();
-        p.downtimes.push(NodeWindow {
-            node: 2,
-            start: 10,
-            end: 20,
-        });
-        p.ctrl_stalls.push(NodeWindow {
-            node: 1,
-            start: 5,
-            end: 15,
-        });
-        assert!(p.node_down(2, 10));
-        assert!(!p.node_down(2, 20));
-        assert!(!p.node_down(1, 12));
-        assert_eq!(p.ctrl_stalled(1, 5), Some(15));
-        assert_eq!(p.ctrl_stalled(1, 15), None);
-        assert_eq!(p.ctrl_stalled(2, 10), None);
-    }
-
-    #[test]
     fn validation_envelope() {
         assert!(FaultPlan::none().validate().is_ok());
         assert!(lossy(0).validate().is_ok());
+        for rate in [
+            |p: &mut FaultPlan| p.drop_permille = MAX_PERMILLE + 1,
+            |p: &mut FaultPlan| p.dup_permille = MAX_PERMILLE + 1,
+            |p: &mut FaultPlan| p.corrupt_permille = MAX_PERMILLE + 1,
+        ] {
+            let mut p = FaultPlan::none();
+            rate(&mut p);
+            assert!(p.validate().is_err());
+        }
         let mut p = FaultPlan::none();
-        p.drop_permille = MAX_PERMILLE + 1;
-        assert!(p.validate().is_err());
-        let mut p = FaultPlan::none();
-        p.downtimes.push(NodeWindow {
-            node: 0,
-            start: 0,
-            end: MAX_DOWNTIME_CYCLES + 1,
+        p.congestion.push(Window {
+            start: 5,
+            end: 5,
+            extra: 1,
         });
         assert!(p.validate().is_err());
         let mut p = FaultPlan::none();
