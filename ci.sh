@@ -5,6 +5,9 @@ set -eux
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# The counting allocator is the only code behind the `prof` feature and the
+# only writer of the allocation counters: lint that build too.
+cargo clippy --workspace --all-targets --features ncp2-bench/prof -- -D warnings
 cargo xtask lint --scan-only --json > target/lint_report.json
 cargo build --release
 # hostbench/ (the pinned host benchmark) is its own cargo workspace linking
@@ -90,3 +93,7 @@ cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json" --update
 # not exceed its recorded ceiling. The plain `cargo test` above builds
 # without the allocator, where this test only checks the counters are off.
 cargo test --release --features prof -p ncp2-bench --test arena_inert
+
+# The counting branches of ncp2-prof's own unit tests (counters, peak reset)
+# run only with the allocator in; the plain `cargo test` runs the zero ones.
+cargo test -q --release -p ncp2-prof --features prof

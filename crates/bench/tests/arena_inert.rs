@@ -124,7 +124,7 @@ fn pooling_cuts_ocean_hot_path_allocations() {
              {marginal_on}/iter, ceiling {POOLED_ALLOCS_PER_ITER_CEILING}/iter"
         );
     } else {
-        // Without the counting allocator the counters are zero stubs.
+        // Without the counting allocator nothing writes the counters.
         assert_eq!((off_2, off_6, on_2, on_6), (0, 0, 0, 0));
     }
 }

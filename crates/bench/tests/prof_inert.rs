@@ -59,7 +59,7 @@ fn prof_attaches_per_phase_attribution() {
         let sim = &rec.host.iter().find(|(n, _)| n == "sim").unwrap().1;
         assert!(sim.wall_ns > 0, "{label}");
         // Allocation counts are exact when the counting allocator is in,
-        // and all-zero stubs when it is not.
+        // and all zero when it is not (nothing writes the counters).
         if !ncp2_prof::prof_enabled() {
             assert!(rec.host.iter().all(|(_, c)| c.allocs == 0));
         }

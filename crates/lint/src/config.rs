@@ -1,6 +1,4 @@
-//! Workspace scoping: which files each rule polices, and which files are
-//! compiled only under a cargo feature (gated at their `mod` site, so the
-//! hygiene rule treats every line as gated).
+//! Workspace scoping: which files each rule polices.
 //!
 //! Paths are workspace-relative with forward slashes. Scopes are data, not
 //! code, so adding a file to a rule's beat is a one-line change here.
@@ -84,20 +82,6 @@ pub const DETERMINISTIC_OUTPUT_DIRS: &[&str] = &[
     "crates/prof/src",
     "crates/svc/src",
 ];
-
-/// Crates policed by `feature-hook-hygiene`: the profiling crate, whose
-/// `prof` feature swaps the global allocator. It is not in
-/// `SIMULATED_TIME_DIRS`: reading the wall clock is that crate's whole job.
-pub const HOOK_HYGIENE_DIRS: &[&str] = &["crates/prof/src"];
-
-/// Feature-carrying fields: consulting `self.<field>` outside a matching
-/// `#[cfg(feature = …)]` region breaks the zero-cost hook guarantee.
-pub const HOOK_FIELDS: &[(&str, &str)] = &[("prof", "prof")];
-
-/// Hook-definition name prefixes: a `fn <prefix>*` definition in a hygiene
-/// dir must sit behind its feature's cfg gate (either polarity — the real
-/// implementation or its zero-cost stub).
-pub const HOOK_FN_PREFIXES: &[(&str, &str)] = &[("prof_", "prof")];
 
 /// Crates doing window-boundary math over the time-series log: dividing by
 /// the window width there needs a `// window:` boundary justification

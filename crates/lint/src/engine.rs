@@ -3,8 +3,7 @@
 //! [`FileCtx`] is built once per file from the token stream and hands rules
 //! everything context-sensitive they need: code tokens (strings and
 //! comments already out of the way), per-line comment text for
-//! justification tags, the `#[cfg(…)]` gate map for feature-hygiene
-//! checks, the `#[cfg(test)]` boundary, and the parsed inline
+//! justification tags, the `#[cfg(test)]` boundary, and the parsed inline
 //! suppressions.
 //!
 //! Suppression syntax (normal `//` comments only — doc comments are prose
@@ -19,17 +18,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::diag::{Diagnostic, Suppressed};
 use crate::lexer::{lex, Tok, TokKind};
-
-/// A `#[cfg(…)]`-gated line range. `features` holds every feature name the
-/// predicate mentions, whatever the polarity — the zero-cost discipline
-/// pairs `#[cfg(feature = "x")]` items with `#[cfg(not(feature = "x"))]`
-/// stubs, and both count as "gated for x".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gate {
-    pub start: u32,
-    pub end: u32,
-    pub features: Vec<String>,
-}
 
 /// One parsed `lint: allow` comment.
 #[derive(Debug, Clone)]
@@ -56,8 +44,6 @@ pub struct FileCtx<'a> {
     pub code: Vec<Tok>,
     /// First line of the trailing `#[cfg(test)]` region (`u32::MAX` if none).
     pub test_start: u32,
-    /// `#[cfg(…)]` gate map.
-    pub gates: Vec<Gate>,
     /// Parsed `lint: allow` comments (non-test region only).
     pub suppressions: Vec<Suppression>,
     /// Valid rule IDs, for suppression validation.
@@ -102,13 +88,11 @@ impl<'a> FileCtx<'a> {
             }
         }
         let test_start = find_test_start(&code);
-        let gates = build_gates(&code);
         let mut ctx = FileCtx {
             rel,
             lines: src.lines().collect(),
             code,
             test_start,
-            gates,
             suppressions: Vec::new(),
             known_rules,
             comment_text,
@@ -155,14 +139,6 @@ impl<'a> FileCtx<'a> {
             }
         }
         false
-    }
-
-    /// True when `line` sits inside a `#[cfg(…)]` region that mentions
-    /// `feature`.
-    pub fn gated_for(&self, line: u32, feature: &str) -> bool {
-        self.gates
-            .iter()
-            .any(|g| g.start <= line && line <= g.end && g.features.iter().any(|f| f == feature))
     }
 
     /// Indices of code tokens whose `line` equals the given line.
@@ -228,91 +204,6 @@ fn matching(code: &[Tok], open: usize, o: char, c: char) -> usize {
         }
     }
     code.len().saturating_sub(1)
-}
-
-/// Builds the `#[cfg(…)]` gate map: each attribute's region runs to the end
-/// of the item/statement/field it decorates — the matching `}` of the first
-/// brace it opens, or the first `;`/`,` at top depth.
-fn build_gates(code: &[Tok]) -> Vec<Gate> {
-    let mut gates = Vec::new();
-    let mut i = 0;
-    while i + 1 < code.len() {
-        if !(code[i].is_punct('#') && code[i + 1].is_punct('[')) {
-            i += 1;
-            continue;
-        }
-        let close = matching(code, i + 1, '[', ']');
-        let attr = &code[i + 2..close];
-        let start = code[i].line;
-        let mut features = Vec::new();
-        if attr.first().is_some_and(|t| t.is_ident("cfg")) {
-            let mut j = 0;
-            while j + 2 < attr.len() {
-                if attr[j].is_ident("feature")
-                    && attr[j + 1].is_punct('=')
-                    && attr[j + 2].kind == TokKind::Str
-                {
-                    features.push(unquote(&attr[j + 2].text));
-                }
-                j += 1;
-            }
-        }
-        if features.is_empty() {
-            i = close + 1;
-            continue;
-        }
-        // Skip any further attributes between this one and the item.
-        let mut k = close + 1;
-        while k + 1 < code.len() && code[k].is_punct('#') && code[k + 1].is_punct('[') {
-            k = matching(code, k + 1, '[', ']') + 1;
-        }
-        // Walk to the end of the decorated item. Angle depth is tracked
-        // (clamped, so `->` stays harmless) only to ignore generic commas.
-        let mut depth = 0i64;
-        let mut angle = 0i64;
-        let mut end = code.last().map(|t| t.line).unwrap_or(start);
-        while k < code.len() {
-            let t = &code[k];
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle = (angle - 1).max(0);
-            } else if t.is_punct('{') {
-                if depth == 0 {
-                    end = code[matching(code, k, '{', '}')].line;
-                    break;
-                }
-                depth += 1;
-            } else if t.is_punct('}') {
-                if depth == 0 {
-                    // Enclosing scope closed before the item ended (struct
-                    // literal tail): stop short.
-                    end = t.line;
-                    break;
-                }
-                depth -= 1;
-            } else if (t.is_punct(';') || (t.is_punct(',') && angle == 0)) && depth == 0 {
-                end = t.line;
-                break;
-            }
-            k += 1;
-        }
-        gates.push(Gate {
-            start,
-            end,
-            features,
-        });
-        i = close + 1;
-    }
-    gates
-}
-
-fn unquote(s: &str) -> String {
-    s.trim_matches('"').to_string()
 }
 
 /// Parses every `lint:` directive from non-doc comment lines.

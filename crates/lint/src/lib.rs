@@ -2,8 +2,8 @@
 //!
 //! The repro's value proposition is byte-reproducible simulated-time runs;
 //! the hazards that break it (hash-order iteration reaching a metrics
-//! file, a wall-clock read in the simulation, an ungated observability
-//! hook, an uncapped retry loop) rarely fail a test — they just bend the
+//! file, a wall-clock read in the simulation, a truncating cycle cast, an
+//! uncapped retry loop) rarely fail a test — they just bend the
 //! curves. This crate checks the source itself, in the spirit of
 //! mechanically checking coherence protocols rather than only testing
 //! them.
@@ -14,8 +14,7 @@
 //!   string literals (plain/raw/byte), char literals, lifetimes and nested
 //!   block comments, so rules never misfire on prose or test data;
 //! * [`engine`] — per-file context (code tokens, comment index,
-//!   `#[cfg(…)]` gate map, `#[cfg(test)]` boundary, parsed suppressions)
-//!   and the rule driver;
+//!   `#[cfg(test)]` boundary, parsed suppressions) and the rule driver;
 //! * [`rules`] — the registry. Every rule has a stable kebab-case ID, a
 //!   file scope from [`config`], and firing/clean fixture tests;
 //! * [`diag`] — structured `file:line:col` diagnostics and the

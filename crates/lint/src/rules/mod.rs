@@ -19,7 +19,7 @@ use crate::lexer::Tok;
 pub use determinism::NondeterministicIteration;
 pub use panics::{ForbiddenPanic, UncheckedIndex, UndocumentedPanic};
 pub use perf::LinearScanInHotPath;
-pub use protocol::{EngineBypass, FeatureHookHygiene, UnanchoredEdge, UnboundedRetry};
+pub use protocol::{EngineBypass, UnanchoredEdge, UnboundedRetry};
 pub use timing::{
     OpenLoopClock, SaturatingCycleArith, TruncatingCycleCast, WallClockInSim, WindowBoundaryDiv,
 };
@@ -48,7 +48,6 @@ impl Rule for MetaRule {
 pub fn registry() -> Vec<Box<dyn Rule>> {
     let mut rules: Vec<Box<dyn Rule>> = vec![
         Box::new(EngineBypass),
-        Box::new(FeatureHookHygiene),
         Box::new(ForbiddenPanic),
         Box::new(LinearScanInHotPath),
         Box::new(MetaRule {

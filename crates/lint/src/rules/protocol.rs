@@ -1,10 +1,7 @@
-//! Protocol-hazard rules: engine bypass, unanchored dependency edges,
-//! unbounded retries, and feature-gate hygiene on the zero-cost hooks.
+//! Protocol-hazard rules: engine bypass, unanchored dependency edges and
+//! unbounded retries.
 
-use crate::config::{
-    in_dirs, EDGE_EMISSION_FILES, ENGINE_ONLY_DIR, HOOK_FIELDS, HOOK_FN_PREFIXES,
-    HOOK_HYGIENE_DIRS, RETRY_CAP_WINDOW, RETRY_DIRS,
-};
+use crate::config::{in_dirs, EDGE_EMISSION_FILES, ENGINE_ONLY_DIR, RETRY_CAP_WINDOW, RETRY_DIRS};
 use crate::diag::Diagnostic;
 use crate::engine::{FileCtx, Rule};
 use crate::lexer::TokKind;
@@ -161,75 +158,6 @@ impl Rule for UnboundedRetry {
                          {RETRY_CAP_WINDOW} lines"
                     ),
                 ));
-            }
-        }
-    }
-}
-
-/// `feature-hook-hygiene`: the one compile-time feature left on a hook is
-/// `prof`, which swaps the global allocator. Consulting its field
-/// (`self.prof`) outside a `#[cfg]` region that mentions `prof` breaks the
-/// zero-cost guarantee — the hook would compile (and cost cycles) in builds
-/// that promised it away, or fail to compile in the other polarity. Hook
-/// definitions named `fn prof_*` (see `HOOK_FN_PREFIXES`) must likewise be
-/// gated (either polarity: the real implementation or its inlined no-op
-/// stub).
-pub struct FeatureHookHygiene;
-
-impl Rule for FeatureHookHygiene {
-    fn id(&self) -> &'static str {
-        "feature-hook-hygiene"
-    }
-    fn summary(&self) -> &'static str {
-        "hook-field consults and `fn prof_*` definitions must sit behind their cfg gate"
-    }
-    fn applies(&self, rel: &str) -> bool {
-        in_dirs(rel, HOOK_HYGIENE_DIRS)
-    }
-    fn check(&self, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-        let code = &ctx.code;
-        for i in 0..code.len() {
-            // `self.<hook-field>` consults.
-            if code[i].is_ident("self") && code.get(i + 1).is_some_and(|t| t.is_punct('.')) {
-                if let Some(field) = code.get(i + 2) {
-                    if let Some(&(_, feature)) = HOOK_FIELDS
-                        .iter()
-                        .find(|(f, _)| field.kind == TokKind::Ident && field.text == *f)
-                    {
-                        if !ctx.gated_for(field.line, feature) {
-                            out.push(ctx.diag(
-                                field,
-                                self.id(),
-                                format!(
-                                    "`self.{}` consulted outside a `#[cfg(feature = \
-                                     \"{feature}\")]` region",
-                                    field.text
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            // `fn <feature-prefix>*` definitions.
-            if code[i].is_ident("fn") {
-                if let Some(name) = code.get(i + 1) {
-                    if name.kind == TokKind::Ident {
-                        for &(prefix, feature) in HOOK_FN_PREFIXES {
-                            if name.text.starts_with(prefix) && !ctx.gated_for(name.line, feature) {
-                                out.push(ctx.diag(
-                                    name,
-                                    self.id(),
-                                    format!(
-                                        "`fn {}` defined outside a `#[cfg(feature = \
-                                         \"{feature}\")]` region (gate the hook and its \
-                                         no-op stub)",
-                                        name.text
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
             }
         }
     }

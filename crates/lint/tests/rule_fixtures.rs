@@ -62,39 +62,6 @@ fn main() {
 }
 
 #[test]
-fn feature_hook_hygiene() {
-    // The `prof` feature is policed in the profiling crate: an ungated
-    // `fn prof_*` accessor fires…
-    let prof_rel = "crates/prof/src/lib.rs";
-    fires(
-        prof_rel,
-        r#"
-pub fn prof_thread_counts() -> (u64, u64) {
-    counting::thread_counts()
-}
-"#,
-        "feature-hook-hygiene",
-    );
-    // …while the gated pair (real reader + zero stub) is clean.
-    clean(
-        prof_rel,
-        r#"
-#[cfg(feature = "prof")]
-pub fn prof_thread_counts() -> (u64, u64) {
-    counting::thread_counts()
-}
-
-#[cfg(not(feature = "prof"))]
-#[inline(always)]
-pub fn prof_thread_counts() -> (u64, u64) {
-    (0, 0)
-}
-"#,
-        "feature-hook-hygiene",
-    );
-}
-
-#[test]
 fn forbidden_panic() {
     let rel = "crates/core/src/sync.rs";
     fires(
@@ -603,7 +570,6 @@ fn every_registered_rule_has_a_fixture_here() {
     // Keep this file honest: a new rule must add its fixture pair.
     let covered = [
         "engine-bypass",
-        "feature-hook-hygiene",
         "forbidden-panic",
         "linear-scan-in-hot-path",
         "malformed-suppression",

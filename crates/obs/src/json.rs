@@ -75,10 +75,14 @@ impl JVal {
         }
     }
 
-    /// The number rounded to `u64` if this is a non-negative number.
+    /// The number as a `u64` if it is integral, non-negative and below
+    /// 2^64. A fraction or an out-of-range value is `None`, not a rounded
+    /// or saturated count: a damaged field must read as missing.
     pub fn as_u64(&self) -> Option<u64> {
+        // 2^64 is exact in f64; `fract` of an infinity or NaN is NaN.
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
-            JVal::Num(n) if *n >= 0.0 => Some(n.round() as u64),
+            JVal::Num(n) if n.fract() == 0.0 && (0.0..TWO_POW_64).contains(n) => Some(*n as u64),
             _ => None,
         }
     }
@@ -365,5 +369,22 @@ mod tests {
     fn large_cycle_counts_are_exact() {
         let v = parse("{\"t\": 9007199254740992}").expect("parse");
         assert_eq!(v.get("t").and_then(|t| t.as_u64()), Some(1u64 << 53));
+    }
+
+    #[test]
+    fn as_u64_rejects_fractions_and_out_of_range_numbers() {
+        let num = |src: &str| parse(src).expect("parse").as_u64();
+        assert_eq!(num("0"), Some(0));
+        assert_eq!(num("-0"), Some(0));
+        assert_eq!(num("3.0"), Some(3));
+        assert_eq!(num("1e3"), Some(1000));
+        assert_eq!(num("18446744073709549568"), Some(u64::MAX - 2047));
+        assert_eq!(num("2.5"), None);
+        assert_eq!(num("0.5"), None);
+        assert_eq!(num("-1"), None);
+        assert_eq!(num("1e999"), None);
+        assert_eq!(num("-1e999"), None);
+        assert_eq!(num("18446744073709551616"), None);
+        assert_eq!(num("\"7\""), None);
     }
 }

@@ -20,10 +20,13 @@
 //!   `cargo xtask wall-diff`: generous on time (CI hosts are noisy), tight
 //!   on allocation counts (they are exact and host-independent).
 //!
-//! The `prof_*` accessors compile in both feature polarities — with the
-//! feature off they are zero-returning stubs, so callers never gate
-//! themselves, exactly like the `obs_*` hooks in `ncp2-core`.
+//! The counters and the `prof_*` accessors are compiled into every build;
+//! only the allocator that writes the counters sits behind the feature.
+//! Without it nothing writes them, so every accessor reads zero and
+//! callers never gate themselves.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 pub mod walldiff;
@@ -43,23 +46,24 @@ pub struct AllocStats {
     pub peak: u64,
 }
 
+static G_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static G_BYTES: AtomicU64 = AtomicU64::new(0);
+static G_CURRENT: AtomicU64 = AtomicU64::new(0);
+static G_PEAK: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // const-init + no Drop: safe to touch from inside the allocator
+    // (no lazy initialization, no registered destructor).
+    static T_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static T_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The counting allocator: the only writer of the counters above.
 #[cfg(feature = "prof")]
 mod counting {
+    use super::{G_ALLOCS, G_BYTES, G_CURRENT, G_PEAK, T_ALLOCS, T_BYTES};
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub static G_ALLOCS: AtomicU64 = AtomicU64::new(0);
-    pub static G_BYTES: AtomicU64 = AtomicU64::new(0);
-    pub static G_CURRENT: AtomicU64 = AtomicU64::new(0);
-    pub static G_PEAK: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        // const-init + no Drop: safe to touch from inside the allocator
-        // (no lazy initialization, no registered destructor).
-        pub static T_ALLOCS: Cell<u64> = const { Cell::new(0) };
-        pub static T_BYTES: Cell<u64> = const { Cell::new(0) };
-    }
+    use std::sync::atomic::Ordering;
 
     /// System allocator wrapped in relaxed-atomic counting.
     pub struct CountingAlloc;
@@ -109,82 +113,38 @@ mod counting {
 }
 
 /// Whether the counting allocator is compiled in (`prof` feature).
-#[cfg(feature = "prof")]
 pub fn prof_enabled() -> bool {
-    true
-}
-
-/// Whether the counting allocator is compiled in (`prof` feature).
-#[cfg(not(feature = "prof"))]
-pub fn prof_enabled() -> bool {
-    false
+    cfg!(feature = "prof")
 }
 
 /// `(allocations, bytes)` performed by the **calling thread** since it
 /// started — monotonic, so two snapshots bracket a region's allocations.
-#[cfg(feature = "prof")]
 pub fn prof_thread_counts() -> (u64, u64) {
-    (
-        counting::T_ALLOCS.with(std::cell::Cell::get),
-        counting::T_BYTES.with(std::cell::Cell::get),
-    )
-}
-
-/// `(allocations, bytes)` performed by the **calling thread** since it
-/// started — zero stub without the `prof` feature.
-#[cfg(not(feature = "prof"))]
-pub fn prof_thread_counts() -> (u64, u64) {
-    (0, 0)
+    (T_ALLOCS.with(Cell::get), T_BYTES.with(Cell::get))
 }
 
 /// Process-wide allocation counters.
-#[cfg(feature = "prof")]
 pub fn prof_global_stats() -> AllocStats {
-    use std::sync::atomic::Ordering;
     AllocStats {
-        allocs: counting::G_ALLOCS.load(Ordering::Relaxed),
-        bytes: counting::G_BYTES.load(Ordering::Relaxed),
-        current: counting::G_CURRENT.load(Ordering::Relaxed),
-        peak: counting::G_PEAK.load(Ordering::Relaxed),
+        allocs: G_ALLOCS.load(Ordering::Relaxed),
+        bytes: G_BYTES.load(Ordering::Relaxed),
+        current: G_CURRENT.load(Ordering::Relaxed),
+        peak: G_PEAK.load(Ordering::Relaxed),
     }
-}
-
-/// Process-wide allocation counters — zero stub without the `prof` feature.
-#[cfg(not(feature = "prof"))]
-pub fn prof_global_stats() -> AllocStats {
-    AllocStats::default()
 }
 
 /// Resets the peak-live-bytes high-water mark to the current live bytes and
 /// returns that value; a later [`prof_peak`] minus it bounds a region's
 /// peak heap growth.
-#[cfg(feature = "prof")]
 pub fn prof_reset_peak() -> u64 {
-    use std::sync::atomic::Ordering;
-    let live = counting::G_CURRENT.load(Ordering::Relaxed);
-    counting::G_PEAK.store(live, Ordering::Relaxed);
+    let live = G_CURRENT.load(Ordering::Relaxed);
+    G_PEAK.store(live, Ordering::Relaxed);
     live
 }
 
-/// Resets the peak-live-bytes high-water mark — zero stub without the
-/// `prof` feature.
-#[cfg(not(feature = "prof"))]
-pub fn prof_reset_peak() -> u64 {
-    0
-}
-
 /// The peak-live-bytes high-water mark since start (or the last reset).
-#[cfg(feature = "prof")]
 pub fn prof_peak() -> u64 {
-    use std::sync::atomic::Ordering;
-    counting::G_PEAK.load(Ordering::Relaxed)
-}
-
-/// The peak-live-bytes high-water mark — zero stub without the `prof`
-/// feature.
-#[cfg(not(feature = "prof"))]
-pub fn prof_peak() -> u64 {
-    0
+    G_PEAK.load(Ordering::Relaxed)
 }
 
 /// Host cost of one named phase: wall time plus same-thread allocations.
@@ -312,6 +272,24 @@ mod tests {
             assert!(during.bytes - before.bytes >= 1 << 16);
         } else {
             assert_eq!(during, AllocStats::default());
+        }
+    }
+
+    #[test]
+    fn reset_peak_rebases_the_high_water_mark() {
+        let base = prof_reset_peak();
+        let big = std::hint::black_box(vec![0u8; 1 << 20]);
+        let high = prof_peak();
+        drop(big);
+        let after = prof_reset_peak();
+        if prof_enabled() {
+            // Other test threads allocate and free concurrently, so the
+            // bounds leave them half of the 1 MiB block.
+            assert!(high >= base + (1 << 19), "peak {high} vs reset {base}");
+            assert!(after + (1 << 19) <= high, "reset {after} vs peak {high}");
+            assert!(prof_peak() >= after);
+        } else {
+            assert_eq!((base, high, after, prof_peak()), (0, 0, 0, 0));
         }
     }
 }

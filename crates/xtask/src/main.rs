@@ -4,13 +4,14 @@
 //!
 //! Runs the `ncp2-lint` static analyzer (see `crates/lint` and DESIGN.md
 //! §13) over the whole workspace: a token-level lexer feeding a
-//! rule-registry engine that enforces the determinism, feature-gate
-//! hygiene and protocol-hazard rules, with justified inline suppressions
-//! (`// lint: allow(rule-id) -- reason`) and the `LINT_BASELINE.json`
-//! suppression-debt ratchet. Zero unsuppressed findings is the gate;
-//! growth in suppressed findings fails the build until the baseline is
-//! consciously refreshed. Without `--scan-only`, the workspace-wide
-//! `cargo fmt --check` and `cargo clippy -- -D warnings` run afterwards.
+//! rule-registry engine that enforces the determinism, panic,
+//! cycle-arithmetic and protocol-hazard rules, with justified inline
+//! suppressions (`// lint: allow(rule-id) -- reason`) and the
+//! `LINT_BASELINE.json` suppression-debt ratchet. Zero unsuppressed
+//! findings is the gate; growth in suppressed findings fails the build
+//! until the baseline is consciously refreshed. Without `--scan-only`, the
+//! workspace-wide `cargo fmt --check` and `cargo clippy -- -D warnings` run
+//! afterwards.
 //!
 //! Flags:
 //!
@@ -182,26 +183,18 @@ fn lint(flags: &[String]) -> ExitCode {
 /// The `bench-diff` subcommand: compare two bench files, flag regressions,
 /// optionally update the baseline.
 fn bench_diff(flags: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
     let mut threshold = 5.0f64;
-    let mut update = false;
-    let mut it = flags.iter();
-    while let Some(f) = it.next() {
-        match f.as_str() {
-            "--threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) => threshold = t,
-                None => {
-                    eprintln!("--threshold needs a numeric percentage\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--update" => update = true,
-            _ => paths.push(f),
+    let parsed = parse_diff_args(flags, &mut [("--threshold", &mut threshold)]);
+    let DiffArgs {
+        old: old_path,
+        new: new_path,
+        update,
+    } = match parsed {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::FAILURE;
         }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
     };
 
     let new_text = match std::fs::read_to_string(new_path) {
@@ -280,33 +273,24 @@ fn bench_diff(flags: &[String]) -> ExitCode {
 /// asymmetric host-side gates (loose on time, tight on allocation counts),
 /// optionally updating the baseline.
 fn wall_diff(flags: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
     let mut cfg = ncp2_prof::walldiff::WallDiffCfg::default();
-    let mut update = false;
-    let mut it = flags.iter();
-    while let Some(f) = it.next() {
-        match f.as_str() {
-            "--time-threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) => cfg.time_pct = t,
-                None => {
-                    eprintln!("--time-threshold needs a numeric percentage\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--alloc-threshold" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) => cfg.alloc_pct = t,
-                None => {
-                    eprintln!("--alloc-threshold needs a numeric percentage\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--update" => update = true,
-            _ => paths.push(f),
+    let parsed = parse_diff_args(
+        flags,
+        &mut [
+            ("--time-threshold", &mut cfg.time_pct),
+            ("--alloc-threshold", &mut cfg.alloc_pct),
+        ],
+    );
+    let DiffArgs {
+        old: old_path,
+        new: new_path,
+        update,
+    } = match parsed {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::FAILURE;
         }
-    }
-    let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
     };
 
     let new_text = match std::fs::read_to_string(new_path) {
@@ -380,6 +364,45 @@ fn wall_diff(flags: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The arguments both regression gates share besides their thresholds.
+#[derive(Debug, PartialEq)]
+struct DiffArgs<'a> {
+    old: &'a str,
+    new: &'a str,
+    update: bool,
+}
+
+/// Parses `OLD NEW [--update]` plus one `NAME PCT` pair for each entry of
+/// `thresholds`, whose values hold the defaults on entry. A threshold must
+/// be a finite, non-negative percentage: no growth exceeds `NaN` or `inf`,
+/// so either would pass every regression (and let `--update` overwrite
+/// the baseline).
+fn parse_diff_args<'a>(
+    flags: &'a [String],
+    thresholds: &mut [(&str, &mut f64)],
+) -> Result<DiffArgs<'a>, String> {
+    let mut paths: Vec<&str> = Vec::new();
+    let mut update = false;
+    let mut it = flags.iter();
+    while let Some(f) = it.next() {
+        if f == "--update" {
+            update = true;
+        } else if let Some((name, value)) = thresholds.iter_mut().find(|(n, _)| n == f) {
+            **value = it
+                .next()
+                .and_then(|v| v.parse::<f64>().ok())
+                .filter(|t| t.is_finite() && *t >= 0.0)
+                .ok_or_else(|| format!("{name} needs a finite, non-negative percentage"))?;
+        } else {
+            paths.push(f);
+        }
+    }
+    match paths.as_slice() {
+        &[old, new] => Ok(DiffArgs { old, new, update }),
+        _ => Err("expected exactly two report files, OLD.json and NEW.json".into()),
+    }
+}
+
 /// Walks up from the xtask manifest to the workspace root.
 fn workspace_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -388,4 +411,64 @@ fn workspace_root() -> PathBuf {
         .find(|p| p.join("Cargo.toml").is_file() && p.join("crates").is_dir())
         .unwrap_or(&manifest)
         .to_path_buf()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn thresholds_paths_and_update_parse_in_any_order() {
+        let flags = args(&["--alloc-threshold", "20", "a.json", "--update", "b.json"]);
+        let (mut time, mut alloc) = (100.0, 10.0);
+        let parsed = parse_diff_args(
+            &flags,
+            &mut [
+                ("--time-threshold", &mut time),
+                ("--alloc-threshold", &mut alloc),
+            ],
+        );
+        assert_eq!(
+            parsed,
+            Ok(DiffArgs {
+                old: "a.json",
+                new: "b.json",
+                update: true
+            })
+        );
+        assert_eq!((time, alloc), (100.0, 20.0));
+    }
+
+    #[test]
+    fn thresholds_must_be_finite_and_non_negative() {
+        let parse = |value: &str| {
+            let flags = args(&["a.json", "b.json", "--threshold", value]);
+            let mut t = 5.0;
+            parse_diff_args(&flags, &mut [("--threshold", &mut t)]).map(|_| t)
+        };
+        assert_eq!(parse("0"), Ok(0.0));
+        assert_eq!(parse("12.5"), Ok(12.5));
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "-1", "-0.5", "x"] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("--threshold needs"), "{err}");
+        }
+        let flags = args(&["a.json", "b.json", "--threshold"]);
+        assert!(parse_diff_args(&flags, &mut [("--threshold", &mut 5.0)]).is_err());
+    }
+
+    #[test]
+    fn wrong_path_count_is_rejected() {
+        for list in [
+            &["a.json"][..],
+            &["a.json", "b.json", "c.json"][..],
+            &[][..],
+        ] {
+            let flags = args(list);
+            assert!(parse_diff_args(&flags, &mut [("--threshold", &mut 5.0)]).is_err());
+        }
+    }
 }
