@@ -18,6 +18,10 @@ cargo build --release
 # `--seconds` value is required but unused when `--iterations` is given.
 cargo build --release --offline --locked --manifest-path hostbench/Cargo.toml \
     --target-dir target/hostbench-check
+# The benchmark's own unit tests, among them the pinned checksums of the
+# sequential runs.
+cargo test --release --offline --locked --manifest-path hostbench/Cargo.toml \
+    --target-dir target/hostbench-check -q
 target/hostbench-check/release/ncp2-hostbench --workload tier1-grid --seed 0 \
     --seconds 1 --iterations 1 --trace 0 --work-dir target/hostbench-work \
     > target/hostbench_grid.out

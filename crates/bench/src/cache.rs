@@ -565,4 +565,28 @@ mod tests {
         assert!(decode("not json").is_none());
         assert!(decode("{}").is_none());
     }
+
+    #[test]
+    fn truncated_or_damaged_entries_are_misses() {
+        let text = encode("TSP/I+P+D", &sample_result(), Some(&sample_report()));
+        // Dropping only the trailing newline leaves the whole document.
+        let whole = text.trim_end();
+        assert!(decode(whole).is_some());
+        for cut in (0..whole.len()).filter(|&k| whole.is_char_boundary(k)) {
+            assert!(decode(&whole[..cut]).is_none(), "{cut}-byte prefix decoded");
+        }
+        for bad in ["2.5", "1e999"] {
+            for (good, damaged) in [
+                ("[\"faults\", 7]", format!("[\"faults\", {bad}]")),
+                (
+                    "\"total_cycles\": 123456",
+                    format!("\"total_cycles\": {bad}"),
+                ),
+            ] {
+                let copy = text.replacen(good, &damaged, 1);
+                assert_ne!(copy, text, "{good} not in the entry");
+                assert!(decode(&copy).is_none(), "{damaged} decoded");
+            }
+        }
+    }
 }

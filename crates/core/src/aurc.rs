@@ -14,10 +14,16 @@
 //! emitted; acquires wait for the releaser's horizon and home-page fetches
 //! wait for the home's per-page horizon (the paper's flush/lock timestamp
 //! comparison).
+//!
+//! The access opening, the acquire-time notice loop and the prefetch policy
+//! are shared with TreadMarks ([`Simulation::begin_access`],
+//! [`Simulation::process_anns`], [`Simulation::issue_prefetches`]); this
+//! module supplies their per-page steps: [`Simulation::aurc_notice`],
+//! [`Simulation::aurc_prefetch_candidates`] and [`Simulation::aurc_prefetch`].
+//! Automatic updates share the untransported wire send
+//! ([`Simulation::send_on_wire`]) and never enter the hardened transport.
 
-use std::sync::Arc;
-
-use ncp2_sim::{Category, Cycles, ProcOp, ProcReply};
+use ncp2_sim::{Category, Cycles, MemAccess, ProcReply};
 
 use crate::interval::IntervalAnnouncement;
 use crate::msg::Msg;
@@ -31,13 +37,8 @@ impl Simulation {
 
     /// Handles one read/write under AURC. `None` means the processor blocked
     /// on a page fetch.
-    pub(crate) fn aurc_access(&mut self, pid: usize, op: ProcOp) -> Option<ProcReply> {
-        let (addr, write) = match op {
-            ProcOp::Read { addr, .. } => (addr, false),
-            ProcOp::Write { addr, .. } => (addr, true),
-            _ => unreachable!("aurc_access on non-memory op"),
-        };
-        let page = page_of(addr, self.params.page_bytes);
+    pub(crate) fn aurc_access(&mut self, pid: usize, acc: MemAccess) -> Option<ProcReply> {
+        let page = page_of(acc.addr, self.params.page_bytes);
         // Sharing-mode transition on first access by a new processor.
         let mode = self.aurc_modes.get(page).copied();
         let (new_mode, fetch_from) = match mode {
@@ -49,10 +50,7 @@ impl Simulation {
             Some(AurcMode::Single(a)) => {
                 // Ablation: pairwise disabled — a second sharer goes straight
                 // to home mode.
-                let home =
-                    // overflow: Fibonacci-hash multiply — wraparound is the mixing step.
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.params.nprocs;
-                (AurcMode::Home(home), Some(a))
+                (AurcMode::Home(self.aurc_hash_home(page)), Some(a))
             }
             Some(AurcMode::Pairwise(a, b, r)) if a == pid || b == pid => {
                 (AurcMode::Pairwise(a, b, r), None)
@@ -66,16 +64,11 @@ impl Simulation {
                     .set_valid(false);
                 (AurcMode::Pairwise(b, pid, true), Some(b))
             }
-            Some(AurcMode::Pairwise(a, b, true)) => {
-                // A fourth sharer: revert to write-through to a statically
-                // assigned home node (AURC homes data and directory by a
-                // page-id hash, so block-partitioned arrays do not land on
-                // their own writers). The last pair members keep valid
+            Some(AurcMode::Pairwise(a, _, true)) => {
+                // A fourth sharer: revert to write-through to the page's
+                // hashed home node. The last pair members keep valid
                 // copies.
-                let home =
-                    // overflow: Fibonacci-hash multiply — wraparound is the mixing step.
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.params.nprocs;
-                let _ = (a, b);
+                let home = self.aurc_hash_home(page);
                 (
                     AurcMode::Home(home),
                     Some(if home == pid { a } else { home }),
@@ -133,69 +126,38 @@ impl Simulation {
             }
             return None;
         }
-        Some(self.aurc_do_access(pid, op, write))
+        Some(self.aurc_do_access(pid, acc))
     }
 
-    /// Fourth-and-later sharers force home mode: pairwise pages accessed by
-    /// an outsider when both members are valid.
-    fn aurc_do_access(&mut self, pid: usize, op: ProcOp, write: bool) -> ProcReply {
-        let (addr, _) = match op {
-            ProcOp::Read { addr, .. } | ProcOp::Write { addr, .. } => (addr, ()),
-            _ => unreachable!(),
-        };
-        let bytes = match op {
-            ProcOp::Read { bytes, .. } | ProcOp::Write { bytes, .. } => bytes,
-            _ => 0,
-        };
-        let now = self.nodes[pid].time;
-        self.sinks.note(
-            now,
-            pid,
-            ProtocolEvent::Access {
-                pid,
-                addr,
-                bytes,
-                write,
-            },
-        );
-        self.charge_mem(pid, addr, write);
-        let page = page_of(addr, self.params.page_bytes);
-        let page_bytes = self.params.page_bytes;
-        let line = addr / self.params.line_bytes;
-        let off = (addr % page_bytes) as usize;
-        // invariant: the faulting access classified the page before blocking
-        let mode = *self.aurc_modes.get(page).expect("mode set by access path");
-        let was_prefetched = {
-            let lp = self.nodes[pid].aurc_pages.get_or_default(page);
-            lp.set_referenced(true);
-            lp.take_prefetched_unused()
-        };
-        if was_prefetched {
-            let now = self.nodes[pid].time;
-            self.sinks
-                .note(now, pid, ProtocolEvent::PrefetchUsed { pid, page });
+    /// The statically assigned home of `page` in home mode. AURC homes data
+    /// and directory by a page-id hash, so block-partitioned arrays do not
+    /// land on their own writers.
+    fn aurc_hash_home(&self, page: PageId) -> usize {
+        // overflow: Fibonacci-hash multiply — wraparound is the mixing step.
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.params.nprocs
+    }
+
+    /// The home of `page` when it is in home mode and `pid` is not it: the
+    /// pages whose copy at `pid` a write notice invalidates and a prefetch
+    /// can refill.
+    fn aurc_remote_home(&self, pid: usize, page: PageId) -> Option<usize> {
+        match self.aurc_modes.get(page) {
+            Some(&AurcMode::Home(h)) if h != pid => Some(h),
+            _ => None,
         }
-        let reply = {
-            let buf = self.master_page(page);
-            match op {
-                ProcOp::Read { bytes, .. } => ProcReply::Value(buf.read(off, bytes)),
-                ProcOp::Write { bytes, value, .. } => {
-                    buf.write(off, bytes, value);
-                    ProcReply::Ack
-                }
-                _ => unreachable!(),
-            }
-        };
-        if write {
-            let newly_dirty = {
-                let lp = self.nodes[pid].aurc_pages.get_or_default(page);
-                let nd = !lp.in_cur_dirty();
-                lp.set_in_cur_dirty(true);
-                nd
-            };
-            if newly_dirty {
-                self.nodes[pid].cur_dirty.push(page);
-            }
+    }
+
+    /// The access itself, on a valid copy: the shared opening, the bytes
+    /// moved on the master copy and, for a write to a shared page, an
+    /// automatic update through the write cache.
+    fn aurc_do_access(&mut self, pid: usize, acc: MemAccess) -> ProcReply {
+        let page = self.begin_access(pid, acc, |nd, page| {
+            &mut nd.aurc_pages.get_or_default(page).refs
+        });
+        let reply = self.master_page(page).perform(acc);
+        if acc.is_write() {
+            // invariant: the faulting access classified the page before blocking
+            let mode = *self.aurc_modes.get(page).expect("mode set by access path");
             let update_dst = match mode {
                 AurcMode::Single(_) => None,
                 AurcMode::Pairwise(a, b, _) => Some(if pid == a { b } else { a }),
@@ -203,6 +165,7 @@ impl Simulation {
                 AurcMode::Home(_) => None,
             };
             if let Some(dst) = update_dst {
+                let line = acc.addr / self.params.line_bytes;
                 match self.nodes[pid].wcache.insert(line, dst) {
                     InsertOutcome::Combined => self.nodes[pid].stats.au_combined += 1,
                     InsertOutcome::Inserted {
@@ -219,52 +182,21 @@ impl Simulation {
 
     /// Ships one combined write-cache line as an automatic update. Charges
     /// the per-update overhead to the processor (1 cycle by default — the
-    /// paper's optimistic assumption; the §5.3 sweep raises it).
+    /// paper's optimistic assumption; the §5.3 sweep raises it). Updates go
+    /// straight on the wire, never through the hardened transport: a fault
+    /// plan neither drops nor retransmits them, and their arrival feeds the
+    /// per-destination horizon acquires wait for.
     fn aurc_emit_update(&mut self, pid: usize, line: u64, dst: usize, cat: Category) {
         let oh = self.params.au_messaging_overhead;
         self.advance(pid, oh, cat, SpanKind::UpdateFlush);
         // The outgoing line crosses the sender's PCI bus to the NI.
         let now = self.nodes[pid].time;
-        let params = self.params.clone();
-        let (_, t) = self.nodes[pid]
-            .mem
-            .pci
-            .burst(now, params.line_words(), &params);
+        let words = self.params.line_words();
+        let (_, t) = self.nodes[pid].mem.pci.burst(now, words, &self.params);
         let page = line * self.params.line_bytes / self.params.page_bytes;
-        let msg = Msg::AurcUpdate { page, from: pid };
-        // This bypasses `dispatch` (updates carry their own horizon
-        // bookkeeping), so the send is reported here.
-        let bytes = msg.bytes(self.params.page_bytes, self.params.page_words());
-        let params = self.params.clone();
-        let tr = self.net.transfer_timed(t, pid, dst, bytes, &params);
-        self.sinks.note(
-            t,
-            pid,
-            ProtocolEvent::MsgSent {
-                src: pid,
-                dst,
-                kind: msg.kind(),
-                demand: !msg.is_prefetch(),
-                bytes,
-                wire: Some(tr),
-            },
-        );
-        self.sinks.obs_edge(
-            crate::span::EdgeKind::Msg(msg.kind()),
-            pid,
-            t,
-            dst,
-            tr.arrival,
-            0,
-            self.sinks.obs_last_span(pid),
-        );
-        let arrival = tr.arrival;
-        self.nodes[pid].out_horizon[dst] = self.nodes[pid].out_horizon[dst].max(arrival);
-        self.queue.push(
-            arrival,
-            ncp2_sim::Priority::Normal,
-            crate::system::Ev::Msg { dst, msg },
-        );
+        let arrival = self.send_on_wire(t, pid, dst, Msg::AurcUpdate { page, from: pid });
+        let horizon = &mut self.nodes[pid].out_horizon[dst];
+        *horizon = (*horizon).max(arrival);
     }
 
     /// Release-time write-cache flush (the paper's flush timestamps): every
@@ -364,7 +296,7 @@ impl Simulation {
                     lp.set_valid(true);
                 }
                 let joined = lp.take_joined();
-                lp.set_prefetched_unused(!stale && !joined);
+                lp.refs.prefetched_unused = !stale && !joined;
                 joined
             } else {
                 lp.set_valid(true);
@@ -425,119 +357,73 @@ impl Simulation {
         *h = (*h).max(mem_end);
     }
 
-    // ----- write-notice processing and prefetch issue ---------------------------
+    // ----- write notices and prefetches ----------------------------------------
 
-    /// AURC acquire-side notice processing: invalidate non-home copies of
-    /// home-mode pages (pairwise copies are kept up to date by the automatic
-    /// updates).
-    pub(crate) fn aurc_process_anns(
+    /// The AURC half of the acquire-time notice loop
+    /// ([`Simulation::process_anns`]): a foreign interval wrote `page`, seen
+    /// at `c`. Only a non-home copy of a home-mode page is invalidated;
+    /// pairwise copies are kept up to date by the automatic updates.
+    /// Returns when the processor is done with it.
+    pub(crate) fn aurc_notice(
         &mut self,
         pid: usize,
-        anns: &[Arc<IntervalAnnouncement>],
-        t: Cycles,
+        ann: &IntervalAnnouncement,
+        page: PageId,
+        c: Cycles,
     ) -> Cycles {
-        let params = self.params.clone();
-        let mut c = t + params.list_processing * (anns.len() as Cycles + 1);
-        for ann in anns {
-            if self.nodes[pid].vt.covers_interval(ann.owner, ann.id) {
-                continue;
-            }
-            self.nodes[pid].vt.observe(ann.owner, ann.id);
-            self.nodes[pid].store.record(Arc::clone(ann));
-            if ann.owner == pid {
-                continue;
-            }
-            for &page in &ann.pages {
-                c += params.list_processing;
-                let invalidate = match self.aurc_modes.get(page) {
-                    Some(AurcMode::Home(h)) => *h != pid,
-                    _ => false,
-                };
-                if !invalidate {
-                    continue;
-                }
-                let (had_copy, was_prefetched) = {
-                    let lp = self.nodes[pid].aurc_pages.get_or_default(page);
-                    let had = lp.valid();
-                    lp.set_valid(false);
-                    if lp.prefetching() {
-                        lp.set_prefetch_stale(true);
-                    }
-                    lp.set_was_referenced(lp.was_referenced() | lp.referenced());
-                    lp.set_recently_referenced(lp.referenced());
-                    lp.set_referenced(false);
-                    (had, lp.take_prefetched_unused())
-                };
-                self.sinks.note(
-                    c,
-                    pid,
-                    ProtocolEvent::NoticeRecorded {
-                        pid,
-                        owner: ann.owner,
-                        id: ann.id,
-                        page,
-                        invalidated: had_copy,
-                        wasted_prefetch: was_prefetched,
-                    },
-                );
-            }
+        let c = c + self.params.list_processing;
+        if self.aurc_remote_home(pid, page).is_none() {
+            return c;
         }
-        self.sinks.note(
-            c,
-            pid,
-            ProtocolEvent::AnnsProcessed {
-                pid,
-                vt: &self.nodes[pid].vt,
-            },
-        );
+        let lp = self.nodes[pid].aurc_pages.get_or_default(page);
+        let had_copy = lp.valid();
+        lp.set_valid(false);
+        if lp.prefetching() {
+            lp.set_prefetch_stale(true);
+        }
+        let wasted = lp.refs.invalidate();
+        self.note_notice(c, pid, ann, page, had_copy, wasted);
         c
     }
 
-    /// AURC+P: prefetch invalidated, previously referenced home pages from
-    /// their homes. All processor-driven (no controller to hide behind).
-    pub(crate) fn aurc_issue_prefetches(&mut self, pid: usize, t: Cycles) -> Cycles {
-        let strategy = self.params.prefetch_strategy;
-        let mut candidates: Vec<(PageId, usize)> = self.nodes[pid]
+    /// AURC+P prefetch candidates ([`Simulation::issue_prefetches`]):
+    /// invalid non-home copies of home-mode pages with no prefetch in
+    /// flight and a reference history `strategy` wants, in page order.
+    pub(crate) fn aurc_prefetch_candidates(
+        &self,
+        pid: usize,
+        strategy: ncp2_sim::PrefetchStrategy,
+    ) -> Vec<PageId> {
+        self.nodes[pid]
             .aurc_pages
             .iter()
-            .filter(|(_, lp)| {
-                let interested = match strategy {
-                    ncp2_sim::PrefetchStrategy::RecentlyReferenced => lp.recently_referenced(),
-                    _ => lp.was_referenced(),
-                };
-                !lp.valid() && interested && !lp.prefetching()
+            .filter(|&(page, lp)| {
+                !lp.valid()
+                    && lp.refs.wanted(strategy)
+                    && !lp.prefetching()
+                    && self.aurc_remote_home(pid, page).is_some()
             })
-            .filter_map(|(page, _)| match self.aurc_modes.get(page) {
-                Some(AurcMode::Home(h)) if *h != pid => Some((page, *h)),
-                _ => None,
-            })
-            .collect();
-        candidates.sort_unstable();
-        if let ncp2_sim::PrefetchStrategy::Capped(cap) = strategy {
-            candidates.truncate(cap);
-        }
-        let mut c = t;
-        for (page, home) in candidates {
-            // Same degradation policy as the TreadMarks path: shed the
-            // low-priority prefetch under congestion, keep demand traffic.
-            if self.shed_prefetch(pid, page, c) {
-                continue;
-            }
-            self.sinks
-                .note(c, pid, ProtocolEvent::PrefetchIssued { pid, page });
-            c += self.params.messaging_overhead;
-            let msg = Msg::AurcPageReq {
-                page,
-                requester: pid,
-                prefetch: true,
-            };
-            self.dispatch(c, pid, home, msg);
-            // invariant: the prefetch decision read this entry just above
-            let lp = self.nodes[pid].aurc_pages.get_mut(page).expect("entry");
-            lp.set_prefetching(true);
-            lp.set_prefetch_stale(false);
-            lp.set_joined(false);
-        }
+            .map(|(page, _)| page)
+            .collect()
+    }
+
+    /// Requests `page` from its home at `c`, on the processor (AURC has no
+    /// controller to hide behind). Returns the issue time.
+    pub(crate) fn aurc_prefetch(&mut self, pid: usize, page: PageId, c: Cycles) -> Cycles {
+        // invariant: the candidate scan just found the page homed elsewhere
+        let home = self.aurc_remote_home(pid, page).expect("remote home");
+        let c = c + self.params.messaging_overhead;
+        let msg = Msg::AurcPageReq {
+            page,
+            requester: pid,
+            prefetch: true,
+        };
+        self.dispatch(c, pid, home, msg);
+        // invariant: the candidate scan read this entry just above
+        let lp = self.nodes[pid].aurc_pages.get_mut(page).expect("entry");
+        lp.set_prefetching(true);
+        lp.set_prefetch_stale(false);
+        lp.set_joined(false);
         c
     }
 }

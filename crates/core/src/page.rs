@@ -6,6 +6,8 @@
 //! computes real results, which end-to-end tests compare against sequential
 //! executions — validating the coherence protocol itself.
 
+use ncp2_sim::{MemAccess, PrefetchStrategy, ProcReply};
+
 /// Identifier of a 4-KB shared page (byte address / page size).
 pub type PageId = u64;
 
@@ -32,6 +34,58 @@ pub enum PageState {
     ReadOnly,
     /// Dirty in the current interval: reads and writes proceed.
     ReadWrite,
+}
+
+/// A node's reference history of its copy of a page: the input of the
+/// prefetch heuristic (§3.2, reused by AURC+P) and the per-interval dirty
+/// mark. TreadMarks and AURC keep it alike; only TreadMarks clears
+/// `sticky` when diffs fill the copy.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PageRefs {
+    /// Referenced since the copy was last (re)validated.
+    pub referenced: bool,
+    /// Referenced in some validity window so far: the paper's sticky
+    /// heuristic, `PrefetchStrategy::AllReferenced`.
+    pub sticky: bool,
+    /// Referenced during the most recent validity window, the non-sticky
+    /// variant used by `PrefetchStrategy::RecentlyReferenced`.
+    pub recent: bool,
+    /// A completed prefetch no access has used yet.
+    pub prefetched_unused: bool,
+    /// Dirtied in the open interval.
+    pub dirty: bool,
+}
+
+impl PageRefs {
+    /// An access to the copy. True when it is the first use of a completed
+    /// prefetch.
+    pub fn touch(&mut self) -> bool {
+        self.referenced = true;
+        std::mem::take(&mut self.prefetched_unused)
+    }
+
+    /// A write to the copy. True when it is the first in the open interval,
+    /// so the page joins the interval's dirty list once.
+    pub fn mark_dirty(&mut self) -> bool {
+        !std::mem::replace(&mut self.dirty, true)
+    }
+
+    /// A write notice invalidated the copy: the reference bit rolls into
+    /// the sticky and recent bits and clears. True when a completed
+    /// prefetch is thrown away unused.
+    pub fn invalidate(&mut self) -> bool {
+        self.sticky |= self.referenced;
+        self.recent = std::mem::take(&mut self.referenced);
+        std::mem::take(&mut self.prefetched_unused)
+    }
+
+    /// Whether an invalid copy with this history is worth prefetching.
+    pub fn wanted(self, strategy: PrefetchStrategy) -> bool {
+        match strategy {
+            PrefetchStrategy::RecentlyReferenced => self.recent,
+            _ => self.sticky,
+        }
+    }
 }
 
 /// One page's worth of actual data.
@@ -109,6 +163,19 @@ impl PageBuf {
         for i in 0..size as usize {
             // invariant: check() verified offset + size <= len
             self.data[offset + i] = (value >> (8 * i)) as u8;
+        }
+    }
+
+    /// Performs `a` on this page, at `a.addr`'s offset within it: a read
+    /// returns the value, a write stores its bits and acknowledges.
+    pub fn perform(&mut self, a: MemAccess) -> ProcReply {
+        let off = (a.addr % self.data.len() as u64) as usize;
+        match a.store {
+            None => ProcReply::Value(self.read(off, a.bytes)),
+            Some(value) => {
+                self.write(off, a.bytes, value);
+                ProcReply::Ack
+            }
         }
     }
 
@@ -207,6 +274,49 @@ mod tests {
         assert_eq!(p.word(2), 0xAABB_CCDD);
         p.set_word(3, 7);
         assert_eq!(p.read(12, 4), 7);
+    }
+
+    #[test]
+    fn perform_reads_and_writes_at_the_in_page_offset() {
+        let mut p = PageBuf::new(64);
+        let write = MemAccess {
+            addr: 128 + 8,
+            bytes: 4,
+            store: Some(0xFEED),
+        };
+        assert_eq!(p.perform(write), ProcReply::Ack);
+        assert_eq!(p.read(8, 4), 0xFEED);
+        let read = MemAccess {
+            store: None,
+            ..write
+        };
+        assert_eq!(p.perform(read), ProcReply::Value(0xFEED));
+    }
+
+    #[test]
+    fn reference_bits_roll_at_invalidation() {
+        let (all, recent) = (
+            PrefetchStrategy::AllReferenced,
+            PrefetchStrategy::RecentlyReferenced,
+        );
+        let mut r = PageRefs::default();
+        assert!(!r.touch(), "no prefetch to use");
+        assert!(r.referenced);
+        assert!(!r.invalidate());
+        assert!(!r.referenced);
+        assert!(r.wanted(all) && r.wanted(recent));
+        // A window without references keeps only the sticky bit.
+        assert!(!r.invalidate());
+        assert!(r.wanted(all) && !r.wanted(recent));
+        // A completed prefetch is used once, or wasted at invalidation.
+        r.prefetched_unused = true;
+        assert!(r.touch());
+        assert!(!r.touch());
+        r.prefetched_unused = true;
+        assert!(r.invalidate());
+        // The dirty mark is set once per interval.
+        assert!(r.mark_dirty());
+        assert!(!r.mark_dirty());
     }
 
     #[test]

@@ -12,11 +12,12 @@
 use std::sync::Arc;
 
 use ncp2_sim::ops::{BarrierId, LockId};
-use ncp2_sim::{Category, Cycles};
+use ncp2_sim::{Category, Cycles, PrefetchStrategy};
 
 use crate::interval::{AnnList, IntervalAnnouncement};
 use crate::msg::Msg;
 use crate::observe::ProtocolEvent;
+use crate::page::PageId;
 use crate::protocol::Protocol;
 use crate::span::SpanKind;
 use crate::system::{BarrierState, Simulation, Wait};
@@ -112,7 +113,7 @@ impl Simulation {
             Protocol::Aurc { .. } => {
                 for &page in &pages {
                     if let Some(lp) = self.nodes[pid].aurc_pages.get_mut(page) {
-                        lp.set_in_cur_dirty(false);
+                        lp.refs.dirty = false;
                     }
                 }
             }
@@ -417,33 +418,101 @@ impl Simulation {
         self.schedule_wake(pid, wake);
     }
 
-    // ----- protocol dispatch ----------------------------------------------
+    // ----- acquire-time notices and prefetches -----------------------------
 
-    /// Applies a batch of interval announcements at `pid` starting at `t`:
-    /// records them, merges the vector time and invalidates named pages.
-    /// Returns the completion time of the processor-side processing.
+    /// Applies a batch of interval announcements at `pid` starting at `t`,
+    /// the acquire model both protocols share: skips intervals the vector
+    /// time covers, observes and records the rest, and hands every page a
+    /// foreign interval wrote to the protocol's invalidation
+    /// ([`Simulation::tm_notice`], [`Simulation::aurc_notice`]). Runs on the
+    /// (blocked) processor: the returned completion time extends the
+    /// acquire.
     pub(crate) fn process_anns(
         &mut self,
         pid: usize,
         anns: &[Arc<IntervalAnnouncement>],
         t: Cycles,
     ) -> Cycles {
-        match self.protocol {
-            Protocol::TreadMarks(_) => self.tm_process_anns(pid, anns, t),
-            Protocol::Aurc { .. } => self.aurc_process_anns(pid, anns, t),
+        let mut c = t + self.params.list_processing * (anns.len() as Cycles + 1);
+        for ann in anns {
+            let nd = &mut self.nodes[pid];
+            if nd.vt.covers_interval(ann.owner, ann.id) {
+                continue;
+            }
+            nd.vt.observe(ann.owner, ann.id);
+            nd.store.record(Arc::clone(ann));
+            if ann.owner == pid {
+                continue;
+            }
+            for &page in &ann.pages {
+                c = match self.protocol {
+                    Protocol::TreadMarks(_) => self.tm_notice(pid, ann, page, c),
+                    Protocol::Aurc { .. } => self.aurc_notice(pid, ann, page, c),
+                };
+            }
         }
+        let vt = &self.nodes[pid].vt;
+        self.sinks
+            .note(c, pid, ProtocolEvent::AnnsProcessed { pid, vt });
+        c
     }
 
-    /// Issues acquire-time prefetches when the protocol calls for them.
-    /// Returns the (possibly extended) completion time.
+    /// Reports that `ann`'s write notice for `page` reached `pid` at `t`.
+    pub(crate) fn note_notice(
+        &mut self,
+        t: Cycles,
+        pid: usize,
+        ann: &IntervalAnnouncement,
+        page: PageId,
+        invalidated: bool,
+        wasted_prefetch: bool,
+    ) {
+        let notice = ProtocolEvent::NoticeRecorded {
+            pid,
+            owner: ann.owner,
+            id: ann.id,
+            page,
+            invalidated,
+            wasted_prefetch,
+        };
+        self.sinks.note(t, pid, notice);
+    }
+
+    /// Issues acquire-time prefetches under the P modes, the §3.2 heuristic
+    /// AURC+P reuses: of the invalid copies the protocol could refill
+    /// ([`Simulation::tm_prefetch_candidates`],
+    /// [`Simulation::aurc_prefetch_candidates`]), those whose reference
+    /// history the strategy wants, lowest page first and up to its cap. The
+    /// transport may shed any of them; the issuing cost extends the
+    /// acquire. Returns the (possibly extended) completion time.
     pub(crate) fn issue_prefetches(&mut self, pid: usize, t: Cycles) -> Cycles {
         if !self.protocol.prefetch() {
             return t;
         }
-        match self.protocol {
-            Protocol::TreadMarks(_) => self.tm_issue_prefetches(pid, t),
-            Protocol::Aurc { .. } => self.aurc_issue_prefetches(pid, t),
+        let strategy = self.params.prefetch_strategy;
+        let mut pages = match self.protocol {
+            Protocol::TreadMarks(_) => self.tm_prefetch_candidates(pid, strategy),
+            Protocol::Aurc { .. } => self.aurc_prefetch_candidates(pid, strategy),
+        };
+        if let PrefetchStrategy::Capped(cap) = strategy {
+            pages.truncate(cap);
         }
+        let mut c = t;
+        for page in pages {
+            // Graceful degradation: under congestion (or a deep unacked
+            // backlog) the transport sheds low-priority prefetch commands
+            // first; demand traffic keeps its full retry budget.
+            if self.shed_prefetch(pid, page, c) {
+                continue;
+            }
+            self.sinks
+                .note(c, pid, ProtocolEvent::PrefetchIssued { pid, page });
+            c = match self.protocol {
+                Protocol::TreadMarks(_) => self.tm_prefetch(pid, page, c),
+                Protocol::Aurc { .. } => self.aurc_prefetch(pid, page, c),
+            };
+        }
+        c
     }
 }
 
@@ -473,7 +542,7 @@ mod tests {
             tp.state = PageState::ReadWrite;
             tp.data.write(0, 4, pid as u64 + 1);
             tp.dirty.set(0);
-            tp.in_cur_dirty = true;
+            tp.refs.dirty = true;
             s.nodes[pid].cur_dirty.push(page);
             s.op_barrier(pid, 0);
         }

@@ -16,8 +16,8 @@ use ncp2_mem::NodeMemory;
 use ncp2_net::Network;
 use ncp2_sim::ops::LockId;
 use ncp2_sim::{
-    Breakdown, Category, Cycles, EventQueue, Priority, ProcHarness, ProcOp, ProcReply, ProcStatus,
-    SysParams,
+    Breakdown, Category, Cycles, EventQueue, MemAccess, Priority, ProcHarness, ProcOp, ProcReply,
+    ProcStatus, SysParams,
 };
 
 use crate::bitvec::DirtyVec;
@@ -26,7 +26,7 @@ use crate::diff::DiffList;
 use crate::interval::{AnnList, IntervalStore};
 use crate::msg::Msg;
 use crate::observe::{ProtocolEvent, Sinks};
-use crate::page::{page_of, PageBuf, PageId, PageState};
+use crate::page::{page_of, PageBuf, PageId, PageRefs, PageState};
 use crate::protocol::Protocol;
 use crate::span::{CtrlCmd, EdgeKind, Engine, SpanKind};
 use crate::stats::{NodeStats, RunResult};
@@ -144,17 +144,8 @@ pub(crate) struct TmPage {
     pub twin: Option<(IntervalId, PageBuf)>,
     /// Snooped dirty-word bits (hardware-diff modes only).
     pub dirty: DirtyVec,
-    /// Set when the page is dirtied in the open interval.
-    pub in_cur_dirty: bool,
-    /// Referenced since last (re)validation.
-    pub referenced: bool,
-    /// Referenced at the time it was last invalidated (prefetch heuristic).
-    pub was_referenced: bool,
-    /// Referenced during the most recent validity window (the non-sticky
-    /// variant used by `PrefetchStrategy::RecentlyReferenced`).
-    pub recently_referenced: bool,
-    /// Completed prefetch not yet used by any access.
-    pub prefetched_unused: bool,
+    /// Reference history and the open interval's dirty mark.
+    pub refs: PageRefs,
     /// Unapplied write notices `(owner, interval)`.
     pub pending: Vec<(usize, IntervalId)>,
     /// Intervals of *this* node that dirtied the page (for full-page apply).
@@ -168,11 +159,7 @@ impl TmPage {
             state: PageState::ReadOnly,
             twin: None,
             dirty: DirtyVec::new(page_words as usize),
-            in_cur_dirty: false,
-            referenced: false,
-            was_referenced: false,
-            recently_referenced: false,
-            prefetched_unused: false,
+            refs: PageRefs::default(),
             pending: Vec::new(),
             own_intervals: Vec::new(),
         }
@@ -189,12 +176,13 @@ pub(crate) struct PrefetchState {
     pub joined: bool,
 }
 
-/// AURC per-node view of one page: nine protocol flags packed into one
-/// word, so the per-node page table is a flat array of 2-byte records
-/// instead of a hash map of bool structs.
+/// AURC per-node view of one page: four protocol flags packed into one
+/// byte, beside the reference history both protocols keep.
 #[derive(Debug, Default)]
 pub(crate) struct AurcLocal {
-    flags: u16,
+    flags: u8,
+    /// Reference history and the open interval's dirty mark.
+    pub refs: PageRefs,
 }
 
 /// Generates `name()` / `set_name()` (and optionally `take_name()`)
@@ -233,24 +221,13 @@ macro_rules! aurc_flags {
 aurc_flags! {
     /// The local copy (or home/pairwise mapping) is up to date.
     0 => valid, set_valid;
-    /// Referenced since last (re)validation.
-    1 => referenced, set_referenced;
-    /// Referenced at the time it was last invalidated (prefetch heuristic).
-    2 => was_referenced, set_was_referenced;
-    /// Referenced during the most recent validity window (the non-sticky
-    /// variant used by `PrefetchStrategy::RecentlyReferenced`).
-    3 => recently_referenced, set_recently_referenced;
-    /// Completed prefetch not yet used by any access.
-    4 => prefetched_unused, set_prefetched_unused, take_prefetched_unused;
     /// A prefetch for this page is in flight.
-    5 => prefetching, set_prefetching;
+    1 => prefetching, set_prefetching;
     /// The page was invalidated again while a prefetch was in flight; the
     /// reply must not re-validate it.
-    6 => prefetch_stale, set_prefetch_stale, take_prefetch_stale;
-    /// Dirtied in the open interval.
-    7 => in_cur_dirty, set_in_cur_dirty;
+    2 => prefetch_stale, set_prefetch_stale, take_prefetch_stale;
     /// A fault is blocked waiting for an in-flight prefetch of this page.
-    8 => joined, set_joined, take_joined;
+    3 => joined, set_joined, take_joined;
 }
 
 /// AURC global sharing mode of one page.
@@ -639,12 +616,17 @@ impl Simulation {
             ProcOp::Compute(c) => self.advance(pid, c, Category::Busy, SpanKind::Compute),
             ProcOp::Read { .. } | ProcOp::Write { .. } => {
                 self.nodes[pid].pending_op = Some(op);
-                self.complete_access(pid, op, harness);
+                self.complete_access(pid, harness);
             }
             ProcOp::ServedRead { addr, bytes, value } => {
                 // Replayed as the read it stands for, so cycles, spans and
                 // bookkeeping are those of a round-trip read.
-                let replayed = self.access(pid, ProcOp::Read { addr, bytes });
+                let read = MemAccess {
+                    addr,
+                    bytes,
+                    store: None,
+                };
+                let replayed = self.access(pid, read);
                 if replayed != Some(ProcReply::Value(value)) {
                     let got = match replayed {
                         Some(ProcReply::Value(v)) => format!("returns {v:#x}"),
@@ -735,14 +717,19 @@ impl Simulation {
     /// Runs `pid`'s pending read or write and, when it completes, answers
     /// it: with a copy of the page read when the port asked for one. A
     /// blocked access is retried at wake.
-    fn complete_access(&mut self, pid: usize, op: ProcOp, harness: &ProcHarness) {
-        let Some(reply) = self.access(pid, op) else {
+    fn complete_access(&mut self, pid: usize, harness: &ProcHarness) {
+        let a = self.nodes[pid]
+            .pending_op
+            .and_then(ProcOp::mem_access)
+            // invariant: callers record the read or write before running it
+            .expect("pending read or write");
+        let Some(reply) = self.access(pid, a) else {
             return;
         };
         self.nodes[pid].pending_op = None;
-        match (op, reply) {
-            (ProcOp::Read { addr, .. }, ProcReply::Value(value)) if harness.wants_page(pid) => {
-                let page = page_of(addr, self.params.page_bytes);
+        match reply {
+            ProcReply::Value(value) if harness.wants_page(pid) => {
+                let page = page_of(a.addr, self.params.page_bytes);
                 // invariant: the read just completed on this node's copy
                 let tp = self.nodes[pid].pages.get(page).expect("read page exists");
                 harness.reply_page(pid, value, tp.data.bytes());
@@ -751,36 +738,19 @@ impl Simulation {
         }
     }
 
-    /// Performs a read/write op. Returns `Some(reply)` when it completed
-    /// synchronously, `None` when the processor blocked.
-    fn access(&mut self, pid: usize, op: ProcOp) -> Option<ProcReply> {
+    /// Performs a read/write. Returns `Some(reply)` when it completed
+    /// synchronously, `None` when the processor blocked. The sequential
+    /// run times the reference and moves its bytes on the master copy; it
+    /// reports no protocol fact.
+    fn access(&mut self, pid: usize, a: MemAccess) -> Option<ProcReply> {
         if self.seq {
-            return Some(self.seq_access(pid, op));
+            self.charge_mem(pid, a.addr, a.is_write());
+            let page = page_of(a.addr, self.params.page_bytes);
+            return Some(self.master_page(page).perform(a));
         }
         match self.protocol {
-            Protocol::TreadMarks(_) => self.tm_access(pid, op),
-            Protocol::Aurc { .. } => self.aurc_access(pid, op),
-        }
-    }
-
-    fn seq_access(&mut self, pid: usize, op: ProcOp) -> ProcReply {
-        let (addr, write) = match op {
-            ProcOp::Read { addr, .. } => (addr, false),
-            ProcOp::Write { addr, .. } => (addr, true),
-            _ => unreachable!("seq_access on non-memory op"),
-        };
-        self.charge_mem(pid, addr, write);
-        let page = page_of(addr, self.params.page_bytes);
-        let pb = self.params.page_bytes;
-        let buf = self.master.get_or_insert_with(page, || PageBuf::new(pb));
-        let off = (addr % self.params.page_bytes) as usize;
-        match op {
-            ProcOp::Read { bytes, .. } => ProcReply::Value(buf.read(off, bytes)),
-            ProcOp::Write { bytes, value, .. } => {
-                buf.write(off, bytes, value);
-                ProcReply::Ack
-            }
-            _ => unreachable!(),
+            Protocol::TreadMarks(_) => self.tm_access(pid, a),
+            Protocol::Aurc { .. } => self.aurc_access(pid, a),
         }
     }
 
@@ -824,6 +794,46 @@ impl Simulation {
         );
     }
 
+    /// The opening both protocols give an access to a valid copy: reports
+    /// it, runs its hardware timing, marks the copy referenced (and, for a
+    /// write, dirty: its first write in the open interval puts the page on
+    /// the interval's dirty list), and reports the first use of a completed
+    /// prefetch. `refs` finds the copy's reference history in the
+    /// protocol's page table. Returns the page.
+    pub(crate) fn begin_access(
+        &mut self,
+        pid: usize,
+        a: MemAccess,
+        refs: impl FnOnce(&mut Node, PageId) -> &mut PageRefs,
+    ) -> PageId {
+        let (addr, bytes, write) = (a.addr, a.bytes, a.is_write());
+        let now = self.nodes[pid].time;
+        self.sinks.note(
+            now,
+            pid,
+            ProtocolEvent::Access {
+                pid,
+                addr,
+                bytes,
+                write,
+            },
+        );
+        self.charge_mem(pid, addr, write);
+        let page = page_of(addr, self.params.page_bytes);
+        let nd = &mut self.nodes[pid];
+        let r = refs(nd, page);
+        let used_prefetch = r.touch();
+        if write && r.mark_dirty() {
+            nd.cur_dirty.push(page);
+        }
+        if used_prefetch {
+            let now = self.nodes[pid].time;
+            self.sinks
+                .note(now, pid, ProtocolEvent::PrefetchUsed { pid, page });
+        }
+        page
+    }
+
     /// Charges `dur` cycles of unexpected service work to processor `pid`
     /// starting at event time `now`; returns the service completion time.
     ///
@@ -863,34 +873,29 @@ impl Simulation {
         now + dur
     }
 
-    /// Schedules delivery of `msg` leaving `src` at `t`.
+    /// Schedules delivery of `msg` leaving `src` at `t`. With an active
+    /// fault plan the hardened transport carries every inter-node message
+    /// (sequence numbers, acks, retransmission); without one, and for
+    /// loopback sends, it goes straight on the wire.
     pub(crate) fn dispatch(&mut self, t: Cycles, src: usize, dst: usize, msg: Msg) {
-        let (kind, demand) = (msg.kind(), !msg.is_prefetch());
-        let bytes = msg.bytes(self.params.page_bytes, self.params.page_words());
-        // With an active fault plan the hardened transport carries every
-        // inter-node message (sequence numbers, acks, retransmission);
-        // loopback sends stay on the legacy path — no wire, no faults.
-        let transported = self.fault.is_some() && src != dst;
-        let params = self.params.clone();
-        let wire = (!transported).then(|| self.net.transfer_timed(t, src, dst, bytes, &params));
-        self.sinks.note(
-            t,
-            src,
-            ProtocolEvent::MsgSent {
-                src,
-                dst,
-                kind,
-                demand,
-                bytes,
-                wire,
-            },
-        );
-        let Some(wire) = wire else {
+        if self.fault.is_none() || src == dst {
+            self.send_on_wire(t, src, dst, msg);
+        } else {
+            self.note_sent(t, src, dst, &msg, None);
             self.transport_send(t, src, dst, msg);
-            return;
-        };
+        }
+    }
+
+    /// Puts `msg` on the wire from `src` at `t`, exactly once and outside
+    /// the transport: times the transfer, reports the send and its
+    /// dependency edge, and queues the delivery (prefetch traffic at low
+    /// priority). Returns the arrival time.
+    pub(crate) fn send_on_wire(&mut self, t: Cycles, src: usize, dst: usize, msg: Msg) -> Cycles {
+        let bytes = self.msg_bytes(&msg);
+        let wire = self.net.transfer_timed(t, src, dst, bytes, &self.params);
+        self.note_sent(t, src, dst, &msg, Some(wire));
         self.sinks.obs_edge(
-            EdgeKind::Msg(kind),
+            EdgeKind::Msg(msg.kind()),
             src,
             t,
             dst,
@@ -898,12 +903,41 @@ impl Simulation {
             0,
             self.sinks.obs_last_span(src),
         );
-        let prio = if demand {
-            Priority::Normal
-        } else {
+        let prio = if msg.is_prefetch() {
             Priority::Low
+        } else {
+            Priority::Normal
         };
         self.queue.push(wire.arrival, prio, Ev::Msg { dst, msg });
+        wire.arrival
+    }
+
+    /// Reports `msg` leaving `src` for `dst` at `t`, with its wire timing
+    /// when it travels outside the transport.
+    fn note_sent(
+        &mut self,
+        t: Cycles,
+        src: usize,
+        dst: usize,
+        msg: &Msg,
+        wire: Option<ncp2_net::Transfer>,
+    ) {
+        let bytes = self.msg_bytes(msg);
+        let (kind, demand) = (msg.kind(), !msg.is_prefetch());
+        let sent = ProtocolEvent::MsgSent {
+            src,
+            dst,
+            kind,
+            demand,
+            bytes,
+            wire,
+        };
+        self.sinks.note(t, src, sent);
+    }
+
+    /// Size of `msg` on the wire.
+    fn msg_bytes(&self, msg: &Msg) -> u64 {
+        msg.bytes(self.params.page_bytes, self.params.page_words())
     }
 
     /// Sends a message with the setup performed by the **protocol
@@ -1032,7 +1066,7 @@ impl Simulation {
         match op {
             // The access retries; it may block again (e.g. new notices
             // arrived for the page while a prefetch was in flight).
-            ProcOp::Read { .. } | ProcOp::Write { .. } => self.complete_access(pid, op, harness),
+            ProcOp::Read { .. } | ProcOp::Write { .. } => self.complete_access(pid, harness),
             ProcOp::Lock(_) | ProcOp::Barrier(_) => self.nodes[pid].pending_op = None,
             other => unreachable!("unexpected pending op {other:?}"),
         }
@@ -1121,23 +1155,20 @@ impl Simulation {
         servicing: bool,
     ) {
         let offload = matches!(self.protocol, Protocol::TreadMarks(m) if m.offload());
+        let setup = if offload {
+            Controller::issue_cost(&self.params)
+        } else {
+            self.params.messaging_overhead
+        };
+        if servicing {
+            *t = self.interrupt_proc(src, *t, setup, cat, SpanKind::MsgSetup);
+        } else {
+            self.advance(src, setup, cat, SpanKind::MsgSetup);
+            *t = self.nodes[src].time;
+        }
         if offload {
-            let issue = Controller::issue_cost(&self.params);
-            if servicing {
-                *t = self.interrupt_proc(src, *t, issue, cat, SpanKind::MsgSetup);
-            } else {
-                self.advance(src, issue, cat, SpanKind::MsgSetup);
-                *t = self.nodes[src].time;
-            }
             self.ctrl_send(*t, src, dst, msg);
         } else {
-            let oh = self.params.messaging_overhead;
-            if servicing {
-                *t = self.interrupt_proc(src, *t, oh, cat, SpanKind::MsgSetup);
-            } else {
-                self.advance(src, oh, cat, SpanKind::MsgSetup);
-                *t = self.nodes[src].time;
-            }
             self.dispatch(*t, src, dst, msg);
         }
     }
@@ -1280,7 +1311,7 @@ mod tests {
         let tp = s.tm_page(1, 42);
         assert_eq!(tp.state, PageState::ReadOnly);
         assert_eq!(tp.data.read(0, 8), 0);
-        assert!(!tp.referenced && tp.pending.is_empty());
+        assert!(!tp.refs.referenced && tp.pending.is_empty());
         // Master pages too.
         assert_eq!(s.master_page(7).read(64, 4), 0);
     }

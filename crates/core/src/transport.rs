@@ -5,7 +5,9 @@
 //! Engaged only when an *active* [`ncp2_fault::FaultPlan`] is attached via
 //! [`Simulation::attach_fault_plan`] — otherwise every message takes the
 //! legacy exactly-once path in [`Simulation::dispatch`], at the cost of one
-//! `None` check per send.
+//! `None` check per send. AURC automatic updates never enter it, plan or
+//! no plan: they ride the wire directly (`Simulation::send_on_wire`), so a
+//! fault plan never drops, duplicates, corrupts or retransmits them.
 //!
 //! ## State machine (per directed link `src → dst`)
 //!

@@ -13,10 +13,18 @@
 //! * **I+D/I+P+D** — no twins at all; the snoop hardware keeps dirty-word
 //!   bit vectors and the DMA engine generates diffs eagerly when an interval
 //!   closes and applies incoming diffs by scatter-gather.
+//!
+//! The access opening, the acquire-time notice loop and the prefetch policy
+//! are shared with AURC ([`Simulation::begin_access`],
+//! [`Simulation::process_anns`], [`Simulation::issue_prefetches`]); this
+//! module supplies their per-page steps: [`Simulation::tm_notice`],
+//! [`Simulation::tm_prefetch_candidates`] and [`Simulation::tm_prefetch`].
+//! Unlike AURC, TreadMarks clears a copy's sticky reference bit whenever
+//! diffs fill it.
 
 use std::sync::Arc;
 
-use ncp2_sim::{Category, Cycles, ProcOp, ProcReply};
+use ncp2_sim::{Category, Cycles, MemAccess, ProcReply};
 
 use crate::controller::Controller;
 use crate::diff::{Diff, DiffList};
@@ -32,13 +40,8 @@ impl Simulation {
     // ----- the access path -------------------------------------------------
 
     /// Handles one read/write. `None` means the processor blocked (fault).
-    pub(crate) fn tm_access(&mut self, pid: usize, op: ProcOp) -> Option<ProcReply> {
-        let (addr, write) = match op {
-            ProcOp::Read { addr, .. } => (addr, false),
-            ProcOp::Write { addr, .. } => (addr, true),
-            _ => unreachable!("tm_access on non-memory op"),
-        };
-        let page = page_of(addr, self.params.page_bytes);
+    pub(crate) fn tm_access(&mut self, pid: usize, a: MemAccess) -> Option<ProcReply> {
+        let page = page_of(a.addr, self.params.page_bytes);
         let state = self.tm_page(pid, page).state;
         match state {
             PageState::Invalid => {
@@ -51,77 +54,39 @@ impl Simulation {
                 }
                 None
             }
-            PageState::ReadOnly if write => {
+            PageState::ReadOnly if a.is_write() => {
                 if self.mode().hw_diffs() {
                     // Snooping hardware tracks dirty words; no trap needed.
                     self.tm_page(pid, page).state = PageState::ReadWrite;
                 } else {
                     self.tm_write_fault(pid, page);
                 }
-                Some(self.tm_do_access(pid, op))
+                Some(self.tm_do_access(pid, a))
             }
-            _ => Some(self.tm_do_access(pid, op)),
+            _ => Some(self.tm_do_access(pid, a)),
         }
     }
 
-    /// The access itself, on a valid page: hardware timing + data movement.
-    fn tm_do_access(&mut self, pid: usize, op: ProcOp) -> ProcReply {
-        let (addr, write) = match op {
-            ProcOp::Read { addr, .. } => (addr, false),
-            ProcOp::Write { addr, .. } => (addr, true),
-            _ => unreachable!(),
-        };
-        let bytes = match op {
-            ProcOp::Read { bytes, .. } | ProcOp::Write { bytes, .. } => bytes,
-            _ => 0,
-        };
-        let now = self.nodes[pid].time;
-        self.sinks.note(
-            now,
-            pid,
-            ProtocolEvent::Access {
-                pid,
-                addr,
-                bytes,
-                write,
-            },
-        );
-        self.charge_mem(pid, addr, write);
-        let page = page_of(addr, self.params.page_bytes);
+    /// The access itself, on a valid copy: the shared opening, the bytes
+    /// moved on the node's copy and, with hardware diffs, the snooped dirty
+    /// words.
+    fn tm_do_access(&mut self, pid: usize, a: MemAccess) -> ProcReply {
+        let page = self.begin_access(pid, a, |nd, page| {
+            // invariant: `tm_access` materialized the copy before this
+            &mut nd.pages.get_mut(page).expect("accessed copy").refs
+        });
         let (page_bytes, hw) = (self.params.page_bytes, self.mode().hw_diffs());
-        let off = (addr % page_bytes) as usize;
-        let widx = word_index(addr, page_bytes);
-        let (reply, newly_dirty, was_prefetched) = {
-            let tp = self.tm_page(pid, page);
-            tp.referenced = true;
-            let wp = std::mem::take(&mut tp.prefetched_unused);
-            match op {
-                ProcOp::Read { bytes, .. } => {
-                    (ProcReply::Value(tp.data.read(off, bytes)), false, wp)
+        let tp = self.tm_page(pid, page);
+        let reply = tp.data.perform(a);
+        if a.is_write() {
+            debug_assert_eq!(tp.state, PageState::ReadWrite, "write to protected page");
+            if hw {
+                // The snoop sets one bit per 4-byte word touched.
+                let widx = word_index(a.addr, page_bytes);
+                for w in 0..(a.bytes as usize).div_ceil(4) {
+                    tp.dirty.set(widx + w);
                 }
-                ProcOp::Write { bytes, value, .. } => {
-                    debug_assert_eq!(tp.state, PageState::ReadWrite, "write to protected page");
-                    tp.data.write(off, bytes, value);
-                    if hw {
-                        // The snoop sets one bit per 4-byte word touched.
-                        for w in 0..(bytes as usize).div_ceil(4) {
-                            tp.dirty.set(widx + w);
-                        }
-                    }
-                    let nd = !tp.in_cur_dirty;
-                    tp.in_cur_dirty = true;
-                    (ProcReply::Ack, nd, wp)
-                }
-                _ => unreachable!(),
             }
-        };
-        if newly_dirty {
-            self.nodes[pid].cur_dirty.push(page);
-        }
-        if was_prefetched {
-            let now = self.nodes[pid].time;
-            self.sinks
-                .note(now, pid, ProtocolEvent::PrefetchUsed { pid, page });
         }
         reply
     }
@@ -263,7 +228,7 @@ impl Simulation {
         let hw = self.mode().hw_diffs();
         for &page in pages {
             let tp = self.tm_page(pid, page);
-            tp.in_cur_dirty = false;
+            tp.refs.dirty = false;
             if tp.state == PageState::Invalid {
                 // Invalidated mid-interval: its diff was forced already.
                 continue;
@@ -669,7 +634,7 @@ impl Simulation {
             );
             self.schedule_wake(dst, end);
         } else {
-            self.tm_page(dst, page).prefetched_unused = true;
+            self.tm_page(dst, page).refs.prefetched_unused = true;
         }
     }
 
@@ -747,7 +712,7 @@ impl Simulation {
             } else {
                 PageState::ReadOnly
             };
-            tp.was_referenced = false;
+            tp.refs.sticky = false;
         }
         let (tp, sinks) = self.tm_page_and_sinks(pid, page);
         sinks.note(
@@ -799,137 +764,90 @@ impl Simulation {
         (end, cpu)
     }
 
-    // ----- write-notice processing and prefetch issue --------------------------
+    // ----- write notices and prefetches --------------------------------------
 
-    /// Records announcements, merges the vector time and invalidates named
-    /// pages. Runs on the (blocked) processor: the returned completion time
-    /// extends the acquire.
-    pub(crate) fn tm_process_anns(
+    /// The TreadMarks half of the acquire-time notice loop
+    /// ([`Simulation::process_anns`]): a foreign interval wrote `page`, seen
+    /// at `c`. Settles local modifications, invalidates a valid copy and
+    /// queues the notice for the next fault. Returns when the processor is
+    /// done with it.
+    pub(crate) fn tm_notice(
         &mut self,
         pid: usize,
-        anns: &[Arc<IntervalAnnouncement>],
-        t: Cycles,
+        ann: &IntervalAnnouncement,
+        page: PageId,
+        c: Cycles,
     ) -> Cycles {
-        let params = self.params.clone();
-        let mut c = t + params.list_processing * (anns.len() as Cycles + 1);
-        for ann in anns {
-            if self.nodes[pid].vt.covers_interval(ann.owner, ann.id) {
-                continue;
-            }
-            self.nodes[pid].vt.observe(ann.owner, ann.id);
-            self.nodes[pid].store.record(Arc::clone(ann));
-            if ann.owner == pid {
-                continue;
-            }
-            for &page in &ann.pages {
-                // Oracle self-test mutation: drop this write notice on the
-                // floor (the page keeps its stale mapping).
-                if self.drop_notice_armed {
-                    self.drop_notice_armed = false;
-                    continue;
-                }
-                // Settle local modifications before losing the page.
-                c = self.tm_force_diff(pid, page, c);
-                let (was_valid, was_prefetched) = {
-                    let tp = self.tm_page(pid, page);
-                    let was_valid = tp.state != PageState::Invalid;
-                    let mut was_prefetched = false;
-                    if was_valid {
-                        tp.state = PageState::Invalid;
-                        tp.twin = None;
-                        was_prefetched = std::mem::take(&mut tp.prefetched_unused);
-                        tp.was_referenced |= tp.referenced;
-                        tp.recently_referenced = tp.referenced;
-                        tp.referenced = false;
-                    }
-                    let key = (ann.owner, ann.id);
-                    if !tp.pending.contains(&key) {
-                        tp.pending.push(key);
-                    }
-                    (was_valid, was_prefetched)
-                };
-                self.sinks.note(
-                    c,
-                    pid,
-                    ProtocolEvent::NoticeRecorded {
-                        pid,
-                        owner: ann.owner,
-                        id: ann.id,
-                        page,
-                        invalidated: was_valid,
-                        wasted_prefetch: was_prefetched,
-                    },
-                );
-                c += params.list_processing;
-            }
+        // Oracle self-test mutation: drop this write notice on the floor
+        // (the page keeps its stale mapping).
+        if std::mem::take(&mut self.drop_notice_armed) {
+            return c;
         }
-        self.sinks.note(
-            c,
-            pid,
-            ProtocolEvent::AnnsProcessed {
-                pid,
-                vt: &self.nodes[pid].vt,
-            },
-        );
-        c
+        let c = self.tm_force_diff(pid, page, c);
+        let tp = self.tm_page(pid, page);
+        let invalidated = tp.state != PageState::Invalid;
+        let mut wasted = false;
+        if invalidated {
+            tp.state = PageState::Invalid;
+            tp.twin = None;
+            wasted = tp.refs.invalidate();
+        }
+        let key = (ann.owner, ann.id);
+        if !tp.pending.contains(&key) {
+            tp.pending.push(key);
+        }
+        self.note_notice(c, pid, ann, page, invalidated, wasted);
+        c + self.params.list_processing
     }
 
-    /// Issues diff prefetches for invalid, previously referenced pages
-    /// (the §3.2 heuristic), at low priority. The issuing cost extends the
-    /// acquire's synchronization time.
-    pub(crate) fn tm_issue_prefetches(&mut self, pid: usize, t: Cycles) -> Cycles {
-        let params = self.params.clone();
-        let mode = self.mode();
-        let strategy = params.prefetch_strategy;
-        let mut candidates: Vec<PageId> = self.nodes[pid]
-            .pages
+    /// TreadMarks prefetch candidates ([`Simulation::issue_prefetches`]):
+    /// invalid copies with notices to fetch diffs for, no prefetch in
+    /// flight, and a reference history `strategy` wants, in page order.
+    pub(crate) fn tm_prefetch_candidates(
+        &self,
+        pid: usize,
+        strategy: ncp2_sim::PrefetchStrategy,
+    ) -> Vec<PageId> {
+        let nd = &self.nodes[pid];
+        nd.pages
             .iter()
             .filter(|(page, tp)| {
-                let interested = match strategy {
-                    ncp2_sim::PrefetchStrategy::RecentlyReferenced => tp.recently_referenced,
-                    _ => tp.was_referenced,
-                };
                 tp.state == PageState::Invalid
-                    && interested
+                    && tp.refs.wanted(strategy)
                     && !tp.pending.is_empty()
-                    && !self.nodes[pid].prefetches.contains(*page)
+                    && !nd.prefetches.contains(*page)
             })
             .map(|(page, _)| page)
-            .collect();
-        candidates.sort_unstable();
-        if let ncp2_sim::PrefetchStrategy::Capped(cap) = strategy {
-            candidates.truncate(cap);
-        }
-        let mut c = t;
-        for page in candidates {
-            // Graceful degradation: under congestion (or a deep unacked
-            // backlog) the transport sheds low-priority prefetch commands
-            // first; demand traffic keeps its full retry budget.
-            if self.shed_prefetch(pid, page, c) {
-                continue;
+            .collect()
+    }
+
+    /// Issues the diff prefetch for `page` at `c`, one request per writer
+    /// (on the controller under the I-modes). Returns the issue time.
+    pub(crate) fn tm_prefetch(&mut self, pid: usize, page: PageId, mut c: Cycles) -> Cycles {
+        let offload = self.mode().offload();
+        let setup = if offload {
+            Controller::issue_cost(&self.params)
+        } else {
+            self.params.messaging_overhead
+        };
+        let mut pending = crate::pool::take_pairs();
+        pending.extend_from_slice(&self.tm_page(pid, page).pending);
+        let outstanding = self.tm_send_requests(pid, page, &pending, true, |s, owner, msg| {
+            c += setup;
+            if offload {
+                s.ctrl_send(c, pid, owner, msg);
+            } else {
+                s.dispatch(c, pid, owner, msg);
             }
-            self.sinks
-                .note(c, pid, ProtocolEvent::PrefetchIssued { pid, page });
-            let mut pending = crate::pool::take_pairs();
-            pending.extend_from_slice(&self.tm_page(pid, page).pending);
-            let outstanding = self.tm_send_requests(pid, page, &pending, true, |s, owner, msg| {
-                if mode.offload() {
-                    c += Controller::issue_cost(&params);
-                    s.ctrl_send(c, pid, owner, msg);
-                } else {
-                    c += params.messaging_overhead;
-                    s.dispatch(c, pid, owner, msg);
-                }
-            });
-            self.nodes[pid].prefetches.insert(
-                page,
-                PrefetchState {
-                    fill: Fill::new(outstanding, c),
-                    requested: pending,
-                    joined: false,
-                },
-            );
-        }
+        });
+        self.nodes[pid].prefetches.insert(
+            page,
+            PrefetchState {
+                fill: Fill::new(outstanding, c),
+                requested: pending,
+                joined: false,
+            },
+        );
         c
     }
 }

@@ -36,7 +36,7 @@ pub mod time;
 pub use breakdown::{Breakdown, Category};
 pub use config::{PrefetchStrategy, SysParams};
 pub use hash::StableHasher;
-pub use ops::{ProcOp, ProcReply, SvcClass, SvcOp};
+pub use ops::{MemAccess, ProcOp, ProcReply, SvcClass, SvcOp};
 pub use proc::{ProcHarness, ProcPort, ProcStatus};
 pub use queue::{Event, EventQueue, Priority};
 pub use resource::FifoResource;

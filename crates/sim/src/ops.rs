@@ -87,7 +87,43 @@ pub enum SvcOp {
     Reply { class: SvcClass, response: Cycles },
 }
 
+/// A shared-memory reference: a [`ProcOp::Read`] or [`ProcOp::Write`]
+/// decoded once, for every protocol's access path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemAccess {
+    /// Byte address referenced.
+    pub addr: u64,
+    /// Access width in bytes (1, 2, 4 or 8).
+    pub bytes: u8,
+    /// The raw little-endian bits a write stores; `None` for a read.
+    pub store: Option<u64>,
+}
+
+impl MemAccess {
+    /// Whether this reference is a write.
+    pub fn is_write(self) -> bool {
+        self.store.is_some()
+    }
+}
+
 impl ProcOp {
+    /// The shared-memory reference this op makes, if it is a read or write.
+    pub fn mem_access(self) -> Option<MemAccess> {
+        match self {
+            ProcOp::Read { addr, bytes } => Some(MemAccess {
+                addr,
+                bytes,
+                store: None,
+            }),
+            ProcOp::Write { addr, bytes, value } => Some(MemAccess {
+                addr,
+                bytes,
+                store: Some(value),
+            }),
+            _ => None,
+        }
+    }
+
     /// Whether this operation returns a value the workload can use: a
     /// shared read or a clock read. These are the ops the back end must
     /// answer with [`ProcReply::Value`]; every other op is acknowledged when
@@ -163,6 +199,27 @@ mod tests {
         ];
         for (op, value) in ops {
             assert_eq!(op.returns_value(), value, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn only_reads_and_writes_decode_to_memory_accesses() {
+        let read = ProcOp::Read { addr: 8, bytes: 4 }.mem_access().unwrap();
+        assert_eq!((read.addr, read.bytes, read.is_write()), (8, 4, false));
+        let write = ProcOp::Write {
+            addr: 16,
+            bytes: 2,
+            value: 7,
+        };
+        let write = write.mem_access().unwrap();
+        assert_eq!((write.store, write.is_write()), (Some(7), true));
+        let served = ProcOp::ServedRead {
+            addr: 8,
+            bytes: 4,
+            value: 1,
+        };
+        for op in [served, ProcOp::Compute(1), ProcOp::Lock(0), ProcOp::Finish] {
+            assert_eq!(op.mem_access(), None, "{op:?}");
         }
     }
 
