@@ -6,7 +6,9 @@
 //! — the same shape as the `--prof` and fault-plan inertness guarantees —
 //! and, when the counting allocator is compiled in (`--features prof`),
 //! prove the pools still cut allocations on the Ocean hot path and that the
-//! pooled count does not grow.
+//! pooled count does not grow. The same allocator also guards the set-up
+//! of a 256-node simulation: per-node cache tags are allocated at first
+//! fill, never up front.
 
 use std::sync::Mutex;
 
@@ -126,5 +128,34 @@ fn pooling_cuts_ocean_hot_path_allocations() {
     } else {
         // Without the counting allocator nothing writes the counters.
         assert_eq!((off_2, off_6, on_2, on_6), (0, 0, 0, 0));
+    }
+}
+
+/// Host bytes a 256-node I+P+D `Simulation::new` may allocate. Building
+/// every node's 4,096 cache tags up front took 17.6 MiB; with tags
+/// allocated at first fill the set-up measures 1.6 MiB.
+const SIM_NEW_256_BYTES_CEILING: u64 = 4 << 20;
+
+#[test]
+fn simulation_setup_at_256_nodes_allocates_no_cache_tags() {
+    let params = SysParams::default().with_nprocs(256);
+    let (a0, b0) = ncp2_prof::prof_thread_counts();
+    let _sim = Simulation::new(params, Protocol::TreadMarks(OverlapMode::IPD));
+    let (a1, b1) = ncp2_prof::prof_thread_counts();
+    let bytes = b1 - b0;
+
+    if ncp2_prof::prof_enabled() {
+        eprintln!(
+            "256-node I+P+D Simulation::new: {} allocs, {bytes} bytes",
+            a1 - a0
+        );
+        assert!(
+            bytes < SIM_NEW_256_BYTES_CEILING,
+            "256-node Simulation::new allocated {bytes} bytes, ceiling \
+             {SIM_NEW_256_BYTES_CEILING}: are cache tags built up front again?"
+        );
+    } else {
+        // Without the counting allocator nothing writes the counters.
+        assert_eq!((a1 - a0, bytes), (0, 0));
     }
 }

@@ -486,9 +486,17 @@ impl Simulation {
 
     /// Arms the oracle-test mutation: the next foreign write notice processed
     /// anywhere in the machine is dropped without invalidating its page —
-    /// the coverage oracle must flag it.
-    pub fn inject_drop_write_notice(&mut self) {
-        self.drop_notice_armed = true;
+    /// the coverage oracle must flag it. Returns whether it armed.
+    ///
+    /// Refused (returns `false`, arms nothing) under AURC. Only the
+    /// TreadMarks notice path consumes the flag, and the oracle checks
+    /// write-notice coverage only under TreadMarks (AURC's pairwise copies
+    /// are kept current by automatic updates), so under AURC the mutation
+    /// would stay armed for the whole run and prove nothing.
+    #[must_use]
+    pub fn inject_drop_write_notice(&mut self) -> bool {
+        self.drop_notice_armed = matches!(self.protocol, Protocol::TreadMarks(_));
+        self.drop_notice_armed
     }
 
     /// Arms span/flight/engine recording over simulated time; the resulting

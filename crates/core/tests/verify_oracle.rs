@@ -9,7 +9,7 @@
 
 use ncp2_apps::{run_app, run_app_with, Barnes, Em3d, Ocean, Radix, Tsp, Water, Workload};
 use ncp2_core::observe::Violation;
-use ncp2_core::{OverlapMode, Protocol, RunResult};
+use ncp2_core::{OverlapMode, Protocol, RunResult, Simulation};
 use ncp2_sim::SysParams;
 use ncp2_verify::VerifyOracle;
 
@@ -186,7 +186,7 @@ fn dropped_write_notice_is_caught_by_the_oracle() {
     // Mutant: the first foreign write notice is dropped on the floor.
     let mutant = run_app_with(params.clone(), protocol, ProducerConsumer, |sim| {
         VerifyOracle::attach(sim, &params, &protocol);
-        sim.inject_drop_write_notice();
+        assert!(sim.inject_drop_write_notice());
     });
     assert!(
         mutant.violations.iter().any(|v| matches!(
@@ -200,6 +200,20 @@ fn dropped_write_notice_is_caught_by_the_oracle() {
         "write-notice mutation not detected: {:#?}",
         mutant.violations
     );
+}
+
+#[test]
+fn drop_write_notice_arms_only_under_treadmarks() {
+    let params = SysParams::default().with_nprocs(2);
+    for (protocol, arms) in [
+        (Protocol::TreadMarks(OverlapMode::Base), true),
+        (Protocol::TreadMarks(OverlapMode::IPD), true),
+        (Protocol::Aurc { prefetch: false }, false),
+        (Protocol::Aurc { prefetch: true }, false),
+    ] {
+        let mut sim = Simulation::new(params.clone(), protocol);
+        assert_eq!(sim.inject_drop_write_notice(), arms, "{}", protocol.label());
+    }
 }
 
 /// Two processors update the same word with no synchronization at all.
