@@ -89,7 +89,7 @@ cargo run --release --features prof --bin obs_report -- \
 # 10%. Archived next to the other artifacts; refreshed in place after a
 # pass so the baseline tracks the host the gate runs on.
 cargo run --release --features prof --bin wall_bench -- \
-    --fast --save-baseline "$OBS_OUT/wall_report.json"
+    --fast --out "$OBS_OUT/wall_report.json"
 cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json" --update
 
 # Allocation gate: with the counting allocator in, pooling must still cut

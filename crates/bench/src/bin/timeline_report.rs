@@ -28,7 +28,7 @@ use ncp2_bench::engine::{tier1_workloads, Grid, Job, RunRecord, WorkloadSpec};
 use ncp2_bench::gate::{self, Gate};
 use ncp2_bench::harness::{protocol_from_label, write_file, Opts, TIER1_APPS};
 use ncp2_fault::{FaultPlan, Window};
-use ncp2_obs::{render_hotspots, Assertion, Firing, TimelineReport};
+use ncp2_obs::{render_hotspots, Assertion, Firing, TimelineReport, TIMELINE_CHECK_ASSERTION};
 
 /// Fault seed for `--check`; fixed so the smoke run is reproducible.
 const CHECK_SEED: u64 = 0x71AE11;
@@ -43,9 +43,6 @@ const CHECK_EXTRA_LATENCY: u64 = 40_000;
 /// `--check` uses a fixed window width so the assertion windows (and the
 /// archived JSON) are independent of run length.
 const CHECK_WINDOW: u64 = 8_192;
-
-/// The `--check` assertion: two consecutive windows with retransmissions.
-const CHECK_ASSERTION: &str = "retransmits > 0 for 2";
 
 /// Flags beyond the engine flags.
 const FLAGS: [&str; 8] = [
@@ -180,9 +177,11 @@ fn check_grid(o: &Opts) -> Grid {
 /// The archived `--check` artifact: per check app, the assertion's firings
 /// on the congested run and on its clean twin, and both timelines.
 fn check_doc(records: &[RunRecord], top_k: usize) -> String {
-    let assertion = Assertion::parse(CHECK_ASSERTION).expect("built-in assertion");
+    let assertion = Assertion::parse(TIMELINE_CHECK_ASSERTION).expect("built-in assertion");
     let mut doc = String::from("{\n");
-    doc.push_str(&format!("  \"assertion\": \"{CHECK_ASSERTION}\",\n"));
+    doc.push_str(&format!(
+        "  \"assertion\": \"{TIMELINE_CHECK_ASSERTION}\",\n"
+    ));
     doc.push_str("  \"apps\": [\n");
     for (i, (app, pair)) in CHECK_APPS.iter().zip(records.chunks(2)).enumerate() {
         let congested = timeline(app, "congested", &pair[0], top_k);
@@ -224,7 +223,7 @@ fn timeline(app: &str, kind: &str, rec: &RunRecord, top_k: usize) -> TimelineRep
 fn check(o: &Opts) -> ExitCode {
     let top_k = o.top_k.unwrap_or(TOP_K);
     let records = o.engine().run(&check_grid(o));
-    let assertion = Assertion::parse(CHECK_ASSERTION).expect("built-in assertion");
+    let assertion = Assertion::parse(TIMELINE_CHECK_ASSERTION).expect("built-in assertion");
     let horizon = CHECK_FAULT_END + 2 * SysParams::default().retransmit_timeout;
 
     let mut gate = Gate::default();
@@ -237,7 +236,7 @@ fn check(o: &Opts) -> ExitCode {
         let firings = assertion.evaluate(&timeline(app, "congested", &pair[0], top_k).log);
         if firings.is_empty() {
             gate.fail(format!(
-                "{name}: '{CHECK_ASSERTION}' did not fire under the congestion plan"
+                "{name}: '{TIMELINE_CHECK_ASSERTION}' did not fire under the congestion plan"
             ));
         } else {
             gate.ensure(firings.iter().any(|f| f.start_cycle < horizon), || {
@@ -257,7 +256,7 @@ fn check(o: &Opts) -> ExitCode {
         let clean_firings = assertion.evaluate(&timeline(app, "clean", &pair[1], top_k).log);
         if !clean_firings.is_empty() {
             gate.fail(format!(
-                "{name}: '{CHECK_ASSERTION}' fired {} time(s) on the fault-free twin",
+                "{name}: '{TIMELINE_CHECK_ASSERTION}' fired {} time(s) on the fault-free twin",
                 clean_firings.len()
             ));
             print_firings(&clean_firings);
@@ -287,7 +286,7 @@ fn check(o: &Opts) -> ExitCode {
     }
     gate.verdict(|| {
         format!(
-            "timeline check passed: '{CHECK_ASSERTION}' fired {total_firings} time(s) inside \
+            "timeline check passed: '{TIMELINE_CHECK_ASSERTION}' fired {total_firings} time(s) inside \
              the fault window across {} workloads, clean twins silent, export deterministic",
             CHECK_APPS.len()
         )

@@ -1,30 +1,29 @@
-//! Wall-clock microbench driver: runs [`ncp2_bench::wallbench`] through the
-//! criterion stand-in and (with `--save-baseline PATH`) writes the
-//! machine-readable wall report consumed by `cargo xtask wall-diff`.
+//! Wall-clock microbench binary: runs the [`ncp2_bench::wallbench`] suite,
+//! prints one line per bench and (with `--out FILE`) writes the wall report
+//! consumed by `cargo xtask wall-diff`.
 //!
-//! Flags (parsed by the criterion stand-in itself):
+//! Flags:
 //!
-//! * `--save-baseline PATH` — write the suite's results as deterministic
-//!   JSON (the `BENCH_WALL.json` format) instead of only printing them.
-//! * `--fast` — clamp sample counts and measurement time for CI smoke runs.
+//! * `--out FILE` — write the suite's results as deterministic JSON (the
+//!   `BENCH_WALL.json` format) as well as printing them.
+//! * `--fast` — 5 samples, a 100 ms measurement budget and a 30 ms warm-up
+//!   per bench (instead of 20, 1 s and 300 ms) for CI smoke runs.
 //!
 //! Build with `--features prof` to install the counting allocator; without
 //! it the report still carries median wall times but `alloc_counting` is
 //! false and every allocation column is zero.
 
-use criterion::{AllocHooks, Criterion};
+use ncp2_bench::harness::{write_file, Opts};
 
 fn main() {
-    criterion::set_alloc_hooks(AllocHooks {
-        counting: ncp2_prof::prof_enabled(),
-        thread_counts: ncp2_prof::prof_thread_counts,
-        reset_peak: ncp2_prof::prof_reset_peak,
-        peak: ncp2_prof::prof_peak,
-    });
-    let mut c = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(1))
-        .warm_up_time(std::time::Duration::from_millis(300));
-    ncp2_bench::wallbench::register_all(&mut c);
-    criterion::finalize();
+    let o = Opts::parse_standalone(&["--fast", "--out"]);
+    let report = ncp2_bench::wallbench::run(o.fast);
+    if let Some(path) = &o.out {
+        write_file(path, &report.to_json());
+        println!(
+            "wall_bench: wrote {} bench(es) to {}",
+            report.benches.len(),
+            path.display()
+        );
+    }
 }

@@ -57,7 +57,7 @@ const ENGINE_FLAGS: [&str; 4] = ["--jobs", "--no-cache", "--quiet", "--prof"];
 
 /// Every flag a binary can accept, with its value placeholder (empty for a
 /// switch) and a usage note.
-const FLAG_HELP: [(&str, &str, &str); 20] = [
+const FLAG_HELP: [(&str, &str, &str); 21] = [
     ("--app", "NAME", "one application (listed below)"),
     ("--mode", "LABEL", "one protocol mode (listed below)"),
     ("--paper-size", "", "the paper's problem sizes (slow)"),
@@ -74,16 +74,18 @@ const FLAG_HELP: [(&str, &str, &str); 20] = [
     ("--bench", "FILE", "write the tier-1 bench file and exit"),
     ("--check", "", "run the CI gate"),
     ("--selfcheck", "", "re-run and compare the exports"),
+    ("--fast", "", "5 samples and 100 ms per bench (CI smoke)"),
     ("--jobs", "N", "worker threads, a positive integer"),
     ("--no-cache", "", "bypass the result cache"),
     ("--quiet", "", "no per-job progress lines"),
     ("--prof", "", "host-phase attribution"),
 ];
 
-/// Command-line options of the bench binaries. Every binary accepts the
-/// engine flags (`--jobs N`, `--no-cache`, `--quiet`, `--prof`) and opts
-/// into the rest by name; a flag it did not name is a usage error. Unset
-/// options are `None`/empty, so each binary keeps its own defaults.
+/// Command-line options of the bench binaries. Every binary that runs the
+/// experiment engine accepts the engine flags (`--jobs N`, `--no-cache`,
+/// `--quiet`, `--prof`); each opts into the rest by name, and a flag it did
+/// not name is a usage error. Unset options are `None`/empty, so each
+/// binary keeps its own defaults.
 #[derive(Debug, Clone, Default)]
 pub struct Opts {
     /// Run the paper's original problem sizes (slow) instead of the scaled
@@ -131,6 +133,8 @@ pub struct Opts {
     pub check: bool,
     /// Re-run and byte-compare the exports (`--selfcheck`).
     pub selfcheck: bool,
+    /// Clamp the wall-clock suite's sample counts and budgets (`--fast`).
+    pub fast: bool,
 }
 
 impl Opts {
@@ -140,10 +144,23 @@ impl Opts {
         Opts::parse_with(&FIGURE_FLAGS, &APP_NAMES)
     }
 
+    /// Parses `std::env::args` for a binary that runs the experiment engine:
+    /// `flags` plus the engine flags, `--app` one of `apps`.
+    pub fn parse_with(flags: &[&str], apps: &[&str]) -> Opts {
+        let accepted: Vec<&str> = flags.iter().chain(&ENGINE_FLAGS).copied().collect();
+        Opts::parse_args(&accepted, apps)
+    }
+
+    /// Parses `std::env::args` for a binary that runs no experiment engine
+    /// (`wall_bench`): exactly `flags`.
+    pub fn parse_standalone(flags: &[&str]) -> Opts {
+        Opts::parse_args(flags, &[])
+    }
+
     /// Parses `std::env::args` with [`Opts::parse_from`]. `--help` prints the
     /// usage and exits 0; a malformed command line prints the error and the
     /// usage and exits 2.
-    pub fn parse_with(flags: &[&str], apps: &[&str]) -> Opts {
+    fn parse_args(flags: &[&str], apps: &[&str]) -> Opts {
         let mut args = std::env::args();
         let argv0 = args.next().unwrap_or_default();
         let bin = Path::new(&argv0).file_name().and_then(|b| b.to_str());
@@ -159,8 +176,8 @@ impl Opts {
         })
     }
 
-    /// Parses `args` (without the program name), accepting the engine flags
-    /// plus `flags`; `--app` must name one of `apps` (case-insensitively).
+    /// Parses `args` (without the program name), accepting exactly `flags`;
+    /// `--app` must name one of `apps` (case-insensitively).
     pub fn parse_from(
         flags: &[&str],
         apps: &[&str],
@@ -170,7 +187,7 @@ impl Opts {
         let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             let flag = flag.as_str();
-            if !flags.contains(&flag) && !ENGINE_FLAGS.contains(&flag) {
+            if !flags.contains(&flag) {
                 return Err(format!("unknown option {flag}"));
             }
             let mut value = || args.next().ok_or(format!("{flag} needs a value"));
@@ -220,6 +237,7 @@ impl Opts {
                 "--bench" => o.bench = Some(value()?.into()),
                 "--check" => o.check = true,
                 "--selfcheck" => o.selfcheck = true,
+                "--fast" => o.fast = true,
                 "--jobs" => o.jobs = Some(positive(flag, &value()?)?),
                 "--no-cache" => o.no_cache = true,
                 "--quiet" => o.quiet = true,
@@ -300,11 +318,11 @@ fn list<T: std::str::FromStr>(flag: &str, v: &str) -> Result<Vec<T>, String> {
     v.split(',').map(|s| number(flag, s.trim())).collect()
 }
 
-/// The usage text for a binary accepting `flags` (plus the engine flags).
+/// The usage text for a binary accepting `flags`.
 fn usage(bin: &str, flags: &[&str], apps: &[&str]) -> String {
     let mut out = format!("usage: {bin} [OPTION]...\n");
     for (flag, meta, note) in FLAG_HELP {
-        if flags.contains(&flag) || ENGINE_FLAGS.contains(&flag) {
+        if flags.contains(&flag) {
             out.push_str(&format!("  {:<22} {note}\n", format!("{flag} {meta}")));
         }
     }
@@ -402,8 +420,8 @@ mod tests {
         let _ = build_app("Linpack", false);
     }
 
-    /// Every flag a binary can opt into.
-    const ALL_FLAGS: [&str; 16] = [
+    /// Every flag a binary can accept.
+    const ALL_FLAGS: [&str; 21] = [
         "--app",
         "--mode",
         "--paper-size",
@@ -420,6 +438,11 @@ mod tests {
         "--bench",
         "--check",
         "--selfcheck",
+        "--fast",
+        "--jobs",
+        "--no-cache",
+        "--quiet",
+        "--prof",
     ];
 
     fn parse(args: &[&str]) -> Result<Opts, String> {
@@ -466,6 +489,7 @@ mod tests {
             "--scale",
             "--check",
             "--selfcheck",
+            "--fast",
             "--no-cache",
             "--quiet",
             "--prof",
@@ -481,7 +505,7 @@ mod tests {
         assert_eq!(o.out, Some(PathBuf::from("a.json")));
         assert_eq!(o.out_dir, Some(PathBuf::from("d")));
         assert_eq!(o.bench, Some(PathBuf::from("b.json")));
-        assert!(o.paper_size && o.scale && o.check && o.selfcheck);
+        assert!(o.paper_size && o.scale && o.check && o.selfcheck && o.fast);
         assert!(o.no_cache && o.quiet && o.prof);
     }
 
@@ -548,9 +572,10 @@ mod tests {
     #[test]
     fn flags_outside_the_binarys_surface_are_rejected() {
         rejects(&["--bogus"], "unknown option --bogus");
+        let figure_flags = [&FIGURE_FLAGS[..], &ENGINE_FLAGS].concat();
         let figure = |args: &[&str]| {
             Opts::parse_from(
-                &FIGURE_FLAGS,
+                &figure_flags,
                 &APP_NAMES,
                 args.iter().map(|a| a.to_string()),
             )
@@ -563,9 +588,29 @@ mod tests {
             .contains("unknown app 'Svc'"));
         let o = figure(&["--app", "em3d", "--paper-size", "--jobs", "2"]).unwrap();
         assert_eq!(o.apps(), vec!["Em3d"]);
-        let usage = usage("fig02_breakdown", &FIGURE_FLAGS, &APP_NAMES);
+        let usage = usage("fig02_breakdown", &figure_flags, &APP_NAMES);
         assert!(usage.contains("--paper-size") && usage.contains("--jobs N"));
         assert!(!usage.contains("--scale") && !usage.contains("modes:"));
+    }
+
+    #[test]
+    fn a_binary_without_the_engine_rejects_the_engine_flags() {
+        let flags = ["--fast", "--out"];
+        let wall =
+            |args: &[&str]| Opts::parse_from(&flags, &[], args.iter().map(|a| a.to_string()));
+        let o = wall(&["--fast", "--out", "w.json"]).unwrap();
+        assert!(o.fast);
+        assert_eq!(o.out, Some(PathBuf::from("w.json")));
+        for flag in ENGINE_FLAGS {
+            assert!(
+                wall(&[flag]).unwrap_err().contains("unknown option"),
+                "{flag}"
+            );
+        }
+        assert!(wall(&["--save-baseline", "w.json"]).is_err());
+        let usage = usage("wall_bench", &flags, &[]);
+        assert!(usage.contains("--fast") && usage.contains("--out FILE"));
+        assert!(!usage.contains("--jobs") && !usage.contains("apps:"));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub const CYCLE_CAST_DIRS: &[&str] = &[
     "crates/sim/src",
     "crates/net/src",
     "crates/mem/src",
-    "crates/stats/src",
+    "crates/ncp2/src/stats",
     "crates/obs/src",
     "crates/svc/src",
 ];
@@ -72,7 +72,7 @@ pub const DETERMINISTIC_OUTPUT_DIRS: &[&str] = &[
     "crates/sim/src",
     "crates/net/src",
     "crates/mem/src",
-    "crates/stats/src",
+    "crates/ncp2/src/stats",
     "crates/obs/src",
     "crates/apps/src",
     "crates/verify/src",

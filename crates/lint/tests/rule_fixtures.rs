@@ -170,7 +170,7 @@ fn f(x: Option<u32>) -> u32 {
 
 #[test]
 fn nondeterministic_iteration() {
-    let rel = "crates/stats/src/tally.rs";
+    let rel = "crates/ncp2/src/stats/tally.rs";
     fires(
         rel,
         r#"
@@ -209,7 +209,7 @@ impl Tally {
 
 #[test]
 fn nondeterministic_iteration_for_loop_and_point_lookups() {
-    let rel = "crates/stats/src/tally.rs";
+    let rel = "crates/ncp2/src/stats/tally.rs";
     fires(
         rel,
         r#"

@@ -221,6 +221,10 @@ pub fn evaluate_all(assertions: &[Assertion], log: &TsLog) -> Vec<Firing> {
     assertions.iter().flat_map(|a| a.evaluate(log)).collect()
 }
 
+/// The assertion the CI timeline gate (`timeline_report --check`) evaluates:
+/// two consecutive windows with retransmissions.
+pub const TIMELINE_CHECK_ASSERTION: &str = "retransmits > 0 for 2";
+
 /// The assertions the CI chaos gate evaluates: a fault-free run has no
 /// hardened transport and therefore no retransmits, so this fires if and
 /// only if the transport actually retransmitted somewhere.

@@ -9,8 +9,9 @@
 //!
 //! "Meaningfully" means both a *relative* threshold (default 5%) and an
 //! *absolute* floor of 100 cycles, so single-cycle jitter on near-zero
-//! metrics doesn't fail CI. Runs present in only one file are reported as
-//! additions/removals, not regressions.
+//! metrics doesn't fail CI. A run present in only one file is not a
+//! regression: [`membership_changes`] lists such runs, and the `bench-diff`
+//! and `wall-diff` gates fail on any.
 
 use crate::json::parse;
 use crate::report::{report_from_jval, MetricsReport};
@@ -89,7 +90,7 @@ pub fn compare(
     let mut out = Vec::new();
     for o in old {
         let Some(n) = new.iter().find(|n| n.name == o.name) else {
-            continue; // removal, reported separately by the caller
+            continue; // a membership change, the caller's to judge
         };
         let mut push = |metric: String, ov: u64, nv: u64| {
             if let Some(pct) = worse(ov, nv, threshold_pct) {
@@ -123,23 +124,18 @@ pub fn compare(
     out
 }
 
-/// Names present in `old` but missing from `new` and vice versa — surfaced
-/// by the CLI so renamed benchmarks don't silently drop out of the gate.
-pub fn membership_changes(
-    old: &[MetricsReport],
-    new: &[MetricsReport],
-) -> (Vec<String>, Vec<String>) {
-    let removed = old
-        .iter()
-        .filter(|o| !new.iter().any(|n| n.name == o.name))
-        .map(|o| o.name.clone())
-        .collect();
-    let added = new
-        .iter()
-        .filter(|n| !old.iter().any(|o| o.name == n.name))
-        .map(|n| n.name.clone())
-        .collect();
-    (removed, added)
+/// `(removed, added)`: the names in `old` but not in `new`, and the names in
+/// `new` but not in `old`, each in input order. The regression gates fail
+/// on either, so a renamed or new entry never slips past its baseline.
+pub fn membership_changes(old: &[String], new: &[String]) -> (Vec<String>, Vec<String>) {
+    let missing_from = |names: &[String], other: &[String]| {
+        names
+            .iter()
+            .filter(|n| !other.contains(n))
+            .cloned()
+            .collect()
+    };
+    (missing_from(old, new), missing_from(new, old))
 }
 
 #[cfg(test)]
@@ -221,10 +217,12 @@ mod tests {
 
     #[test]
     fn membership_changes_are_reported() {
-        let old = vec![report("A/Base", 1, 1, 1)];
-        let new = vec![report("B/Base", 1, 1, 1)];
+        let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let old = names(&["A/Base", "C/Base"]);
+        let new = names(&["B/Base", "C/Base"]);
         let (removed, added) = membership_changes(&old, &new);
         assert_eq!(removed, vec!["A/Base"]);
         assert_eq!(added, vec!["B/Base"]);
+        assert_eq!(membership_changes(&old, &old), (vec![], vec![]));
     }
 }

@@ -45,7 +45,9 @@ pub mod perfetto;
 pub mod report;
 pub mod timeseries;
 
-pub use assertions::{default_check_assertions, evaluate_all, Assertion, Firing};
+pub use assertions::{
+    default_check_assertions, evaluate_all, Assertion, Firing, TIMELINE_CHECK_ASSERTION,
+};
 pub use critpath::{critical_path, slack, what_if, CritPath, CritSegment, Scenario, WhatIf};
 pub use diff::{compare, parse_bench, write_bench, Regression};
 pub use graph::ExecGraph;

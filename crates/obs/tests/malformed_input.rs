@@ -5,7 +5,7 @@
 
 use ncp2_obs::json::parse;
 use ncp2_obs::report::parse_metrics;
-use ncp2_obs::{default_check_assertions, Assertion};
+use ncp2_obs::{default_check_assertions, Assertion, TIMELINE_CHECK_ASSERTION};
 
 /// The `metrics.json` the CI observability smoke writes (`obs_report --app
 /// TSP --mode I+P+D --nprocs 4 --out-dir DIR`).
@@ -55,10 +55,11 @@ fn metrics_json_survives_every_single_byte_replacement() {
 }
 
 /// Every assertion text shipped with the tools: the timeline gate's
-/// built-in `CHECK_ASSERTION` (`timeline_report`), the module-doc grammar
-/// examples and the chaos gate's default.
+/// [`TIMELINE_CHECK_ASSERTION`], the module-doc grammar examples and the
+/// chaos gate's default.
 fn shipped_assertions() -> Vec<String> {
     let mut texts = vec![
+        TIMELINE_CHECK_ASSERTION.to_string(),
         "retransmits > 0 for 2".to_string(),
         "monotone queue_depth for 4".to_string(),
     ];

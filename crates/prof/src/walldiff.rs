@@ -1,6 +1,6 @@
 //! The `BENCH_WALL.json` comparator behind `cargo xtask wall-diff`.
 //!
-//! A wall report is what `wall_bench --save-baseline` emits: one entry per
+//! A wall report is what `wall_bench --out` writes: one entry per
 //! microbench with the median wall time and the exact per-iteration
 //! allocation counts. Entries live in a `BTreeMap`, so serialization is
 //! byte-deterministic — the committed baseline diffs cleanly.
@@ -162,15 +162,11 @@ fn grew(old: u64, new: u64, pct: f64, floor: u64) -> bool {
     (new as f64) > limit && new > old.saturating_add(floor)
 }
 
-/// Compares `new` against the `old` baseline. Returns `(failures, notes)`:
-/// any failure fails the gate; notes (new benches) are informational.
-pub fn compare_wall(
-    old: &WallReport,
-    new: &WallReport,
-    cfg: &WallDiffCfg,
-) -> (Vec<String>, Vec<String>) {
+/// Compares `new` against the `old` baseline over the benches both hold
+/// (`cargo xtask wall-diff` fails on a bench in only one of them). Any
+/// returned failure fails the gate.
+pub fn compare_wall(old: &WallReport, new: &WallReport, cfg: &WallDiffCfg) -> Vec<String> {
     let mut failures = Vec::new();
-    let mut notes = Vec::new();
     if old.alloc_counting && !new.alloc_counting {
         failures.push(
             "baseline has allocation counting but the new report does not \
@@ -180,7 +176,6 @@ pub fn compare_wall(
     }
     for (id, o) in &old.benches {
         let Some(n) = new.benches.get(id) else {
-            failures.push(format!("bench '{id}' disappeared from the suite"));
             continue;
         };
         if grew(o.median_ns, n.median_ns, cfg.time_pct, TIME_FLOOR_NS) {
@@ -216,12 +211,7 @@ pub fn compare_wall(
             ));
         }
     }
-    for id in new.benches.keys() {
-        if !old.benches.contains_key(id) {
-            notes.push(format!("new bench '{id}'"));
-        }
-    }
-    (failures, notes)
+    failures
 }
 
 fn pct_growth(old: u64, new: u64) -> f64 {
@@ -255,9 +245,8 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let r = report(&[("diff/apply", bench(800, 3, 256))]);
-        let (failures, notes) = compare_wall(&r, &r, &WallDiffCfg::default());
+        let failures = compare_wall(&r, &r, &WallDiffCfg::default());
         assert!(failures.is_empty(), "{failures:?}");
-        assert!(notes.is_empty());
     }
 
     #[test]
@@ -267,8 +256,8 @@ mod tests {
         let over = report(&[("diff/apply", bench(1601, 3, 256))]);
         let cfg = WallDiffCfg::default();
         // 2× exactly is the limit, not past it.
-        assert!(compare_wall(&old, &at_limit, &cfg).0.is_empty());
-        let (failures, _) = compare_wall(&old, &over, &cfg);
+        assert!(compare_wall(&old, &at_limit, &cfg).is_empty());
+        let failures = compare_wall(&old, &over, &cfg);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("median time"));
     }
@@ -278,15 +267,10 @@ mod tests {
         // 10 ns -> 55 ns is a 5.5× blowup but only +45 ns: below the floor.
         let old = report(&[("bitvec/scan", bench(10, 0, 0))]);
         let new = report(&[("bitvec/scan", bench(55, 0, 0))]);
-        assert!(compare_wall(&old, &new, &WallDiffCfg::default())
-            .0
-            .is_empty());
+        assert!(compare_wall(&old, &new, &WallDiffCfg::default()).is_empty());
         // +51 ns crosses the floor *and* the ratio: fails.
         let worse = report(&[("bitvec/scan", bench(61, 0, 0))]);
-        assert_eq!(
-            compare_wall(&old, &worse, &WallDiffCfg::default()).0.len(),
-            1
-        );
+        assert_eq!(compare_wall(&old, &worse, &WallDiffCfg::default()).len(), 1);
     }
 
     #[test]
@@ -295,8 +279,8 @@ mod tests {
         let ok = report(&[("diff/create", bench(800, 44, 4096))]); // +10% exactly
         let bad = report(&[("diff/create", bench(800, 45, 4096))]); // +12.5%
         let cfg = WallDiffCfg::default();
-        assert!(compare_wall(&old, &ok, &cfg).0.is_empty());
-        let (failures, _) = compare_wall(&old, &bad, &cfg);
+        assert!(compare_wall(&old, &ok, &cfg).is_empty());
+        let failures = compare_wall(&old, &bad, &cfg);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("allocations"));
     }
@@ -306,34 +290,30 @@ mod tests {
         // 1 -> 2 allocs is +100% but only +1: below the floor of 2.
         let old = report(&[("vtime/merge", bench(100, 1, 64))]);
         let new = report(&[("vtime/merge", bench(100, 2, 64))]);
-        assert!(compare_wall(&old, &new, &WallDiffCfg::default())
-            .0
-            .is_empty());
+        assert!(compare_wall(&old, &new, &WallDiffCfg::default()).is_empty());
         // 1 -> 4 is past both gates.
         let worse = report(&[("vtime/merge", bench(100, 4, 64))]);
-        assert_eq!(
-            compare_wall(&old, &worse, &WallDiffCfg::default()).0.len(),
-            1
-        );
+        assert_eq!(compare_wall(&old, &worse, &WallDiffCfg::default()).len(), 1);
     }
 
     #[test]
     fn alloc_bytes_growth_is_gated_too() {
         let old = report(&[("diff/create", bench(800, 40, 4096))]);
         let bad = report(&[("diff/create", bench(800, 40, 5000))]); // +22%
-        let (failures, _) = compare_wall(&old, &bad, &WallDiffCfg::default());
+        let failures = compare_wall(&old, &bad, &WallDiffCfg::default());
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("allocated bytes"));
     }
 
     #[test]
-    fn missing_bench_fails_and_new_bench_is_a_note() {
+    fn only_benches_in_both_reports_are_compared() {
         let old = report(&[("a", bench(100, 0, 0)), ("b", bench(100, 0, 0))]);
-        let new = report(&[("b", bench(100, 0, 0)), ("c", bench(100, 0, 0))]);
-        let (failures, notes) = compare_wall(&old, &new, &WallDiffCfg::default());
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("'a' disappeared"));
-        assert_eq!(notes, ["new bench 'c'"]);
+        let new = report(&[("b", bench(100, 0, 0)), ("c", bench(900, 0, 0))]);
+        assert!(compare_wall(&old, &new, &WallDiffCfg::default()).is_empty());
+        let worse = report(&[("b", bench(900, 0, 0))]);
+        let failures = compare_wall(&old, &worse, &WallDiffCfg::default());
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("'b' median time"));
     }
 
     #[test]
@@ -343,7 +323,7 @@ mod tests {
         new.alloc_counting = false;
         new.benches.get_mut("a").expect("entry").allocs = 0;
         new.benches.get_mut("a").expect("entry").alloc_bytes = 0;
-        let (failures, _) = compare_wall(&old, &new, &WallDiffCfg::default());
+        let failures = compare_wall(&old, &new, &WallDiffCfg::default());
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("allocation counting"));
     }
@@ -352,9 +332,7 @@ mod tests {
     fn shrinkage_never_fails() {
         let old = report(&[("a", bench(1000, 50, 4096))]);
         let new = report(&[("a", bench(10, 1, 64))]);
-        assert!(compare_wall(&old, &new, &WallDiffCfg::default())
-            .0
-            .is_empty());
+        assert!(compare_wall(&old, &new, &WallDiffCfg::default()).is_empty());
     }
 
     #[test]

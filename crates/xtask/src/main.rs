@@ -32,17 +32,23 @@
 //! # `cargo xtask wall-diff old.json new.json`
 //!
 //! The host-side twin of `bench-diff`: compares two wall reports produced
-//! by `wall_bench --save-baseline` and fails when any bench's median wall
-//! time more than doubled (noisy CI hosts get a generous gate) or its
-//! allocation count/bytes grew past 10% (exact counters get a tight one) —
-//! thresholds overridable with `--time-threshold` / `--alloc-threshold`.
-//! With `--update`, a passing (or missing) baseline is rewritten, which is
-//! how `BENCH_WALL.json` tracks the trajectory.
+//! by `wall_bench --out` and fails when any bench's median wall time more
+//! than doubled (noisy CI hosts get a generous gate) or its allocation
+//! count/bytes grew past 10% (exact counters get a tight one) — thresholds
+//! overridable with `--time-threshold` / `--alloc-threshold`. With
+//! `--update`, a passing (or missing) baseline is rewritten, which is how
+//! `BENCH_WALL.json` tracks the trajectory.
+//!
+//! Both gates also fail on a membership change: a run or bench that
+//! disappeared from the new file, or that the baseline lacks. Admitting or
+//! retiring one is a deliberate baseline refresh — delete the baseline and
+//! re-seed it with `--update`.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
 use ncp2_lint::baseline::Baseline;
+use ncp2_prof::walldiff::{WallDiffCfg, WallReport};
 
 const BASELINE_FILE: &str = "LINT_BASELINE.json";
 
@@ -180,100 +186,72 @@ fn lint(flags: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `bench-diff` subcommand: compare two bench files, flag regressions,
-/// optionally update the baseline.
-fn bench_diff(flags: &[String]) -> ExitCode {
-    let mut threshold = 5.0f64;
-    let parsed = parse_diff_args(flags, &mut [("--threshold", &mut threshold)]);
-    let DiffArgs {
-        old: old_path,
-        new: new_path,
-        update,
-    } = match parsed {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let new_text = match std::fs::read_to_string(new_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench-diff: cannot read {new_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let new_runs = match ncp2_obs::parse_bench(&new_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench-diff: {new_path} is not a bench file: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let old_text = match std::fs::read_to_string(old_path) {
-        Ok(t) => t,
-        Err(_) if update => {
-            // No baseline yet: seed it from the new numbers.
-            if let Err(e) = std::fs::write(old_path, &new_text) {
-                eprintln!("bench-diff: cannot seed baseline {old_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("bench-diff: no baseline at {old_path}; seeded from {new_path}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("bench-diff: cannot read baseline {old_path}: {e} (pass --update to seed)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let old_runs = match ncp2_obs::parse_bench(&old_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench-diff: {old_path} is not a bench file: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let (removed, added) = ncp2_obs::diff::membership_changes(&old_runs, &new_runs);
-    for r in &removed {
-        println!("bench-diff: run '{r}' disappeared from the suite");
-    }
-    for a in &added {
-        println!("bench-diff: new run '{a}'");
-    }
-
-    let regressions = ncp2_obs::compare(&old_runs, &new_runs, threshold);
-    if !regressions.is_empty() {
-        eprintln!(
-            "bench-diff: {} regression(s) beyond {threshold}%:",
-            regressions.len()
-        );
-        for r in &regressions {
-            eprintln!("  {r}");
-        }
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "bench-diff: {} run(s) within {threshold}% of baseline",
-        new_runs.len()
-    );
-    if update {
-        if let Err(e) = std::fs::write(old_path, &new_text) {
-            eprintln!("bench-diff: cannot update baseline {old_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("bench-diff: baseline {old_path} updated");
-    }
-    ExitCode::SUCCESS
+/// One regression gate's file format and comparison: all that `bench-diff`
+/// and `wall-diff` do differently. Reading, seeding on `--update`, the
+/// membership rule, reporting and the baseline refresh are [`run_gate`]'s.
+struct Gate<R> {
+    /// Subcommand name; prefixes every line the gate prints.
+    name: &'static str,
+    /// What one file holds, for error messages.
+    file: &'static str,
+    /// What one entry is, for the membership failures and the summary.
+    entry: &'static str,
+    /// The thresholds in force, for the verdict lines.
+    limits: String,
+    parse: fn(&str) -> Result<R, String>,
+    /// Entry names, whose set the membership rule pins.
+    names: fn(&R) -> Vec<String>,
+    /// Regressions of the new file against the baseline, over the entries
+    /// both hold.
+    compare: Compare<R>,
 }
 
-/// The `wall-diff` subcommand: compare two wall-bench reports against the
-/// asymmetric host-side gates (loose on time, tight on allocation counts),
-/// optionally updating the baseline.
+/// A gate's comparison of `(baseline, new)`, closed over its thresholds.
+type Compare<R> = Box<dyn Fn(&R, &R) -> Vec<String>>;
+
+/// The `bench-diff` gate: simulated cycles, breakdowns and latency
+/// percentiles of `obs_report --bench` files, at `threshold` percent.
+fn bench_gate(threshold: f64) -> Gate<Vec<ncp2_obs::report::MetricsReport>> {
+    Gate {
+        name: "bench-diff",
+        file: "bench file",
+        entry: "run",
+        limits: format!("{threshold}%"),
+        parse: ncp2_obs::parse_bench,
+        names: |runs| runs.iter().map(|r| r.name.clone()).collect(),
+        compare: Box::new(move |old, new| {
+            let regressions = ncp2_obs::compare(old, new, threshold);
+            regressions.iter().map(ToString::to_string).collect()
+        }),
+    }
+}
+
+/// The `wall-diff` gate: the asymmetric host-side gates over `wall_bench`
+/// reports (loose on time, tight on allocation counts).
+fn wall_gate(cfg: WallDiffCfg) -> Gate<WallReport> {
+    Gate {
+        name: "wall-diff",
+        file: "wall report",
+        entry: "bench",
+        limits: format!("time {:.0}%, alloc {:.0}%", cfg.time_pct, cfg.alloc_pct),
+        parse: ncp2_prof::walldiff::parse_wall,
+        names: |report| report.benches.keys().cloned().collect(),
+        compare: Box::new(move |old, new| ncp2_prof::walldiff::compare_wall(old, new, &cfg)),
+    }
+}
+
+/// The `bench-diff` subcommand.
+fn bench_diff(flags: &[String]) -> ExitCode {
+    let mut threshold = 5.0f64;
+    match parse_diff_args(flags, &mut [("--threshold", &mut threshold)]) {
+        Ok(args) => run_gate(&bench_gate(threshold), args),
+        Err(e) => usage_error(&e),
+    }
+}
+
+/// The `wall-diff` subcommand.
 fn wall_diff(flags: &[String]) -> ExitCode {
-    let mut cfg = ncp2_prof::walldiff::WallDiffCfg::default();
+    let mut cfg = WallDiffCfg::default();
     let parsed = parse_diff_args(
         flags,
         &mut [
@@ -281,67 +259,88 @@ fn wall_diff(flags: &[String]) -> ExitCode {
             ("--alloc-threshold", &mut cfg.alloc_pct),
         ],
     );
+    match parsed {
+        Ok(args) => run_gate(&wall_gate(cfg), args),
+        Err(e) => usage_error(&e),
+    }
+}
+
+fn usage_error(e: &str) -> ExitCode {
+    eprintln!("{e}\n{USAGE}");
+    ExitCode::FAILURE
+}
+
+/// Every failure of `new` against the `old` baseline: first the membership
+/// rule — an entry that disappeared from the new file, or that the baseline
+/// lacks, fails the gate — then the gate's own comparison.
+fn gate_failures<R>(gate: &Gate<R>, old: &R, new: &R) -> Vec<String> {
+    let (old_names, new_names) = ((gate.names)(old), (gate.names)(new));
+    let (removed, added) = ncp2_obs::diff::membership_changes(&old_names, &new_names);
+    let entry = gate.entry;
+    let mut failures: Vec<String> = removed
+        .iter()
+        .map(|r| format!("{entry} '{r}' disappeared from the suite"))
+        .collect();
+    failures.extend(added.iter().map(|a| {
+        format!("{entry} '{a}' is not in the baseline (re-seed it to admit a new {entry})")
+    }));
+    failures.extend((gate.compare)(old, new));
+    failures
+}
+
+/// Compares the new file against the baseline and fails on any regression
+/// or membership change. With `--update`, a missing baseline is seeded from
+/// the new file and a passing one is refreshed with it.
+fn run_gate<R>(gate: &Gate<R>, args: DiffArgs) -> ExitCode {
+    let name = gate.name;
     let DiffArgs {
         old: old_path,
         new: new_path,
         update,
-    } = match parsed {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    } = args;
+    let parse = |path: &str, text: &str| {
+        let parsed = (gate.parse)(text);
+        parsed
+            .map_err(|e| eprintln!("{name}: {path} is not a {}: {e}", gate.file))
+            .ok()
     };
 
     let new_text = match std::fs::read_to_string(new_path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("wall-diff: cannot read {new_path}: {e}");
+            eprintln!("{name}: cannot read {new_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let new_report = match ncp2_prof::walldiff::parse_wall(&new_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("wall-diff: {new_path} is not a wall report: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(new) = parse(new_path, &new_text) else {
+        return ExitCode::FAILURE;
     };
-
     let old_text = match std::fs::read_to_string(old_path) {
         Ok(t) => t,
         Err(_) if update => {
             // No baseline yet: seed it from the new numbers.
             if let Err(e) = std::fs::write(old_path, &new_text) {
-                eprintln!("wall-diff: cannot seed baseline {old_path}: {e}");
+                eprintln!("{name}: cannot seed baseline {old_path}: {e}");
                 return ExitCode::FAILURE;
             }
-            println!("wall-diff: no baseline at {old_path}; seeded from {new_path}");
+            println!("{name}: no baseline at {old_path}; seeded from {new_path}");
             return ExitCode::SUCCESS;
         }
         Err(e) => {
-            eprintln!("wall-diff: cannot read baseline {old_path}: {e} (pass --update to seed)");
+            eprintln!("{name}: cannot read baseline {old_path}: {e} (pass --update to seed)");
             return ExitCode::FAILURE;
         }
     };
-    let old_report = match ncp2_prof::walldiff::parse_wall(&old_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("wall-diff: {old_path} is not a wall report: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(old) = parse(old_path, &old_text) else {
+        return ExitCode::FAILURE;
     };
 
-    let (failures, notes) = ncp2_prof::walldiff::compare_wall(&old_report, &new_report, &cfg);
-    for n in &notes {
-        println!("wall-diff: {n}");
-    }
+    let failures = gate_failures(gate, &old, &new);
     if !failures.is_empty() {
         eprintln!(
-            "wall-diff: {} regression(s) (time gate {:.0}%, alloc gate {:.0}%):",
+            "{name}: {} failure(s) against the baseline (gates: {}):",
             failures.len(),
-            cfg.time_pct,
-            cfg.alloc_pct
+            gate.limits
         );
         for f in &failures {
             eprintln!("  {f}");
@@ -349,17 +348,17 @@ fn wall_diff(flags: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "wall-diff: {} bench(es) within gates (time {:.0}%, alloc {:.0}%)",
-        new_report.benches.len(),
-        cfg.time_pct,
-        cfg.alloc_pct
+        "{name}: {} {}(s) within the gates ({})",
+        (gate.names)(&new).len(),
+        gate.entry,
+        gate.limits
     );
     if update {
         if let Err(e) = std::fs::write(old_path, &new_text) {
-            eprintln!("wall-diff: cannot update baseline {old_path}: {e}");
+            eprintln!("{name}: cannot update baseline {old_path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("wall-diff: baseline {old_path} updated");
+        println!("{name}: baseline {old_path} updated");
     }
     ExitCode::SUCCESS
 }
@@ -416,9 +415,79 @@ fn workspace_root() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncp2_obs::report::MetricsReport;
+    use ncp2_prof::walldiff::WallBench;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A bench file with one identical run per name.
+    fn runs(names: &[&str]) -> Vec<MetricsReport> {
+        let run = |name: &&str| MetricsReport {
+            name: name.to_string(),
+            protocol: "Base".into(),
+            nprocs: 4,
+            total_cycles: 10_000,
+            conservation_ok: true,
+            categories: Vec::new(),
+            exposed: Vec::new(),
+            counters: Vec::new(),
+            hists: Vec::new(),
+            epochs: Vec::new(),
+            host: Vec::new(),
+        };
+        names.iter().map(run).collect()
+    }
+
+    /// A wall report with one identical bench per name.
+    fn benches(names: &[&str]) -> WallReport {
+        let bench = WallBench {
+            median_ns: 100,
+            samples: 5,
+            ..WallBench::default()
+        };
+        WallReport {
+            alloc_counting: true,
+            benches: names.iter().map(|n| (n.to_string(), bench)).collect(),
+        }
+    }
+
+    #[test]
+    fn an_entry_gone_from_the_new_file_fails_both_gates() {
+        let bench = bench_gate(5.0);
+        let old = runs(&["TSP/Base", "Svc/I+P+D"]);
+        assert!(gate_failures(&bench, &old, &old).is_empty());
+        let failures = gate_failures(&bench, &old, &runs(&["TSP/Base"]));
+        assert_eq!(failures, ["run 'Svc/I+P+D' disappeared from the suite"]);
+
+        let wall = wall_gate(WallDiffCfg::default());
+        let old = benches(&["diff/apply_256", "sim/proc_handoff_served_4"]);
+        assert!(gate_failures(&wall, &old, &old).is_empty());
+        let failures = gate_failures(&wall, &old, &benches(&["diff/apply_256"]));
+        assert_eq!(
+            failures,
+            ["bench 'sim/proc_handoff_served_4' disappeared from the suite"]
+        );
+    }
+
+    #[test]
+    fn an_entry_missing_from_the_baseline_fails_both_gates() {
+        let failures = gate_failures(
+            &bench_gate(5.0),
+            &runs(&["TSP/Base"]),
+            &runs(&["TSP/Base", "Svc/I+P+D"]),
+        );
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("run 'Svc/I+P+D' is not in the baseline"));
+
+        let failures = gate_failures(
+            &wall_gate(WallDiffCfg::default()),
+            &benches(&["diff/apply_256"]),
+            &benches(&["diff/apply_256", "sim/proc_handoff_served_4"]),
+        );
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("bench 'sim/proc_handoff_served_4' is not in the baseline"));
     }
 
     #[test]
