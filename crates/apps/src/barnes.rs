@@ -15,7 +15,7 @@
 //! paper's simulation is 3-D, but tree sharing behaviour is dimension-blind
 //! (see DESIGN.md).
 
-use crate::framework::{Alloc, Ctx, Workload};
+use crate::framework::{Alloc, Ctx, Program, Workload};
 
 /// Fixed-point scale (2^16).
 const FX: i64 = 1 << 16;
@@ -120,7 +120,14 @@ impl Workload for Barnes {
         "Barnes"
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(self.program(ctx))
+    }
+}
+
+impl Barnes {
+    /// The per-processor program behind [`Workload::run`].
+    async fn program(&self, ctx: &Ctx) -> u64 {
         let b = self.bodies as u64;
         let lay = Layout::new(self.bodies, ctx.nprocs, self.max_nodes());
         if ctx.pid == 0 {
@@ -129,124 +136,126 @@ impl Workload for Barnes {
                 ctx.write_i64(
                     lay.pos + 16 * i,
                     crate::rng::centered_fx(&mut rng, 1024, FX),
-                );
+                )
+                .await;
                 ctx.write_i64(
                     lay.pos + 16 * i + 8,
                     crate::rng::centered_fx(&mut rng, 1024, FX),
-                );
-                ctx.write_i64(lay.vel + 16 * i, 0);
-                ctx.write_i64(lay.vel + 16 * i + 8, 0);
+                )
+                .await;
+                ctx.write_i64(lay.vel + 16 * i, 0).await;
+                ctx.write_i64(lay.vel + 16 * i + 8, 0).await;
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         let (lo, hi) = ctx.block_range(b);
         for _step in 0..self.steps {
-            self.bounding_box(ctx, &lay, lo, hi);
+            self.bounding_box(ctx, &lay, lo, hi).await;
             if ctx.pid == 0 {
-                self.build_tree(ctx, &lay, b);
+                self.build_tree(ctx, &lay, b).await;
             }
-            ctx.barrier();
-            self.mass_contribution(ctx, &lay, lo, hi);
-            ctx.barrier();
+            ctx.barrier().await;
+            self.mass_contribution(ctx, &lay, lo, hi).await;
+            ctx.barrier().await;
             if ctx.pid == 0 {
-                self.upward_pass(ctx, &lay);
+                self.upward_pass(ctx, &lay).await;
             }
-            ctx.barrier();
-            self.forces(ctx, &lay, lo, hi);
-            ctx.barrier();
-            self.integrate(ctx, &lay, lo, hi);
-            ctx.barrier();
+            ctx.barrier().await;
+            self.forces(ctx, &lay, lo, hi).await;
+            ctx.barrier().await;
+            self.integrate(ctx, &lay, lo, hi).await;
+            ctx.barrier().await;
         }
         if ctx.pid == 0 {
             let mut ck = 0u64;
             for i in 0..b {
-                ck = ck.rotate_left(11) ^ ctx.read_i64(lay.pos + 16 * i) as u64;
-                ck = ck.rotate_left(11) ^ ctx.read_i64(lay.pos + 16 * i + 8) as u64;
+                ck = ck.rotate_left(11) ^ ctx.read_i64(lay.pos + 16 * i).await as u64;
+                ck = ck.rotate_left(11) ^ ctx.read_i64(lay.pos + 16 * i + 8).await as u64;
             }
             ck
         } else {
             0
         }
     }
-}
 
-impl Barnes {
     /// Parallel bounding-box reduction: per-processor partials, then a
     /// sequential merge by processor 0.
-    fn bounding_box(&self, ctx: &Ctx<'_>, lay: &Layout, lo: u64, hi: u64) {
+    async fn bounding_box(&self, ctx: &Ctx, lay: &Layout, lo: u64, hi: u64) {
         let (mut minx, mut miny, mut maxx, mut maxy) = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
         for i in lo..hi {
-            let x = ctx.read_i64(lay.pos + 16 * i);
-            let y = ctx.read_i64(lay.pos + 16 * i + 8);
+            let x = ctx.read_i64(lay.pos + 16 * i).await;
+            let y = ctx.read_i64(lay.pos + 16 * i + 8).await;
             minx = minx.min(x);
             miny = miny.min(y);
             maxx = maxx.max(x);
             maxy = maxy.max(y);
         }
-        ctx.compute((hi - lo) * 30);
+        ctx.compute((hi - lo) * 30).await;
         let base = lay.bbox + 32 * ctx.pid as u64;
-        ctx.write_i64(base, minx);
-        ctx.write_i64(base + 8, miny);
-        ctx.write_i64(base + 16, maxx);
-        ctx.write_i64(base + 24, maxy);
-        ctx.barrier();
+        ctx.write_i64(base, minx).await;
+        ctx.write_i64(base + 8, miny).await;
+        ctx.write_i64(base + 16, maxx).await;
+        ctx.write_i64(base + 24, maxy).await;
+        ctx.barrier().await;
         if ctx.pid == 0 {
             let (mut gx0, mut gy0, mut gx1, mut gy1) = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
             for p in 0..ctx.nprocs as u64 {
                 let base = lay.bbox + 32 * p;
-                let x0 = ctx.read_i64(base);
+                let x0 = ctx.read_i64(base).await;
                 if x0 == i64::MAX {
                     continue; // processor owned no bodies
                 }
                 gx0 = gx0.min(x0);
-                gy0 = gy0.min(ctx.read_i64(base + 8));
-                gx1 = gx1.max(ctx.read_i64(base + 16));
-                gy1 = gy1.max(ctx.read_i64(base + 24));
+                gy0 = gy0.min(ctx.read_i64(base + 8).await);
+                gx1 = gx1.max(ctx.read_i64(base + 16).await);
+                gy1 = gy1.max(ctx.read_i64(base + 24).await);
             }
             let cx = (gx0 + gx1) / 2;
             let cy = (gy0 + gy1) / 2;
             let half = (((gx1 - gx0).max(gy1 - gy0)) / 2 + FX).max(FX);
-            ctx.write_i64(lay.root_box, cx);
-            ctx.write_i64(lay.root_box + 8, cy);
-            ctx.write_i64(lay.root_box + 16, half);
+            ctx.write_i64(lay.root_box, cx).await;
+            ctx.write_i64(lay.root_box + 8, cy).await;
+            ctx.write_i64(lay.root_box + 16, half).await;
         }
-        ctx.barrier();
+        ctx.barrier().await;
     }
 
     /// Sequential quadtree build by processor 0 (in shared memory).
-    fn build_tree(&self, ctx: &Ctx<'_>, lay: &Layout, bodies: u64) {
-        let cx = ctx.read_i64(lay.root_box);
-        let cy = ctx.read_i64(lay.root_box + 8);
-        let half = ctx.read_i64(lay.root_box + 16);
+    async fn build_tree(&self, ctx: &Ctx, lay: &Layout, bodies: u64) {
+        let cx = ctx.read_i64(lay.root_box).await;
+        let cy = ctx.read_i64(lay.root_box + 8).await;
+        let half = ctx.read_i64(lay.root_box + 16).await;
         // Node 0 is the root.
-        self.write_node(ctx, lay, 0, cx, cy, half, NIL);
+        self.write_node(ctx, lay, 0, cx, cy, half, NIL).await;
         let mut count: u32 = 1;
         for body in 0..bodies {
-            let bx = ctx.read_i64(lay.pos + 16 * body);
-            let by = ctx.read_i64(lay.pos + 16 * body + 8);
+            let bx = ctx.read_i64(lay.pos + 16 * body).await;
+            let by = ctx.read_i64(lay.pos + 16 * body + 8).await;
             let mut node: u32 = 0;
             loop {
-                ctx.compute(INSERT_COMPUTE);
-                let ncx = ctx.read_i64(lay.n_cx + 8 * node as u64);
-                let ncy = ctx.read_i64(lay.n_cy + 8 * node as u64);
-                let nhalf = ctx.read_i64(lay.n_half + 8 * node as u64);
-                let resident = ctx.read_u32(lay.n_body + 4 * node as u64);
+                ctx.compute(INSERT_COMPUTE).await;
+                let ncx = ctx.read_i64(lay.n_cx + 8 * node as u64).await;
+                let ncy = ctx.read_i64(lay.n_cy + 8 * node as u64).await;
+                let nhalf = ctx.read_i64(lay.n_half + 8 * node as u64).await;
+                let resident = ctx.read_u32(lay.n_body + 4 * node as u64).await;
                 let q = Self::quadrant(ncx, ncy, bx, by);
-                let child = ctx.read_u32(lay.n_child + 4 * (4 * node as u64 + q));
+                let child = ctx.read_u32(lay.n_child + 4 * (4 * node as u64 + q)).await;
                 if node != 0 && resident != NIL {
                     // Leaf holding another body: split it.
                     let other = resident;
-                    ctx.write_u32(lay.n_body + 4 * node as u64, NIL);
-                    let ox = ctx.read_i64(lay.pos + 16 * other as u64);
-                    let oy = ctx.read_i64(lay.pos + 16 * other as u64 + 8);
+                    ctx.write_u32(lay.n_body + 4 * node as u64, NIL).await;
+                    let ox = ctx.read_i64(lay.pos + 16 * other as u64).await;
+                    let oy = ctx.read_i64(lay.pos + 16 * other as u64 + 8).await;
                     let oq = Self::quadrant(ncx, ncy, ox, oy);
                     let new = count;
                     count += 1;
                     let (ccx, ccy) = Self::child_center(ncx, ncy, nhalf, oq);
-                    self.write_node(ctx, lay, new, ccx, ccy, nhalf / 2, node);
-                    ctx.write_u32(lay.n_body + 4 * new as u64, other);
-                    ctx.write_u32(lay.leaf + 4 * other as u64, new);
-                    ctx.write_u32(lay.n_child + 4 * (4 * node as u64 + oq), new);
+                    self.write_node(ctx, lay, new, ccx, ccy, nhalf / 2, node)
+                        .await;
+                    ctx.write_u32(lay.n_body + 4 * new as u64, other).await;
+                    ctx.write_u32(lay.leaf + 4 * other as u64, new).await;
+                    ctx.write_u32(lay.n_child + 4 * (4 * node as u64 + oq), new)
+                        .await;
                     continue; // retry this body at the same node
                 }
                 if child == NIL {
@@ -254,10 +263,13 @@ impl Barnes {
                     let new = count;
                     count += 1;
                     let (ccx, ccy) = Self::child_center(ncx, ncy, nhalf, q);
-                    self.write_node(ctx, lay, new, ccx, ccy, nhalf / 2, node);
-                    ctx.write_u32(lay.n_body + 4 * new as u64, body as u32);
-                    ctx.write_u32(lay.leaf + 4 * body, new);
-                    ctx.write_u32(lay.n_child + 4 * (4 * node as u64 + q), new);
+                    self.write_node(ctx, lay, new, ccx, ccy, nhalf / 2, node)
+                        .await;
+                    ctx.write_u32(lay.n_body + 4 * new as u64, body as u32)
+                        .await;
+                    ctx.write_u32(lay.leaf + 4 * body, new).await;
+                    ctx.write_u32(lay.n_child + 4 * (4 * node as u64 + q), new)
+                        .await;
                     break;
                 }
                 node = child;
@@ -267,13 +279,13 @@ impl Barnes {
                 "tree overflow: {count} nodes for {bodies} bodies"
             );
         }
-        ctx.write_u32(lay.node_count, count);
+        ctx.write_u32(lay.node_count, count).await;
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn write_node(
+    async fn write_node(
         &self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx,
         lay: &Layout,
         id: u32,
         cx: i64,
@@ -282,16 +294,16 @@ impl Barnes {
         parent: u32,
     ) {
         let i = id as u64;
-        ctx.write_i64(lay.n_cx + 8 * i, cx);
-        ctx.write_i64(lay.n_cy + 8 * i, cy);
-        ctx.write_i64(lay.n_half + 8 * i, half.max(1));
-        ctx.write_i64(lay.n_mass + 8 * i, 0);
-        ctx.write_i64(lay.n_mx + 8 * i, 0);
-        ctx.write_i64(lay.n_my + 8 * i, 0);
-        ctx.write_u32(lay.n_parent + 4 * i, parent);
-        ctx.write_u32(lay.n_body + 4 * i, NIL);
+        ctx.write_i64(lay.n_cx + 8 * i, cx).await;
+        ctx.write_i64(lay.n_cy + 8 * i, cy).await;
+        ctx.write_i64(lay.n_half + 8 * i, half.max(1)).await;
+        ctx.write_i64(lay.n_mass + 8 * i, 0).await;
+        ctx.write_i64(lay.n_mx + 8 * i, 0).await;
+        ctx.write_i64(lay.n_my + 8 * i, 0).await;
+        ctx.write_u32(lay.n_parent + 4 * i, parent).await;
+        ctx.write_u32(lay.n_body + 4 * i, NIL).await;
         for q in 0..4 {
-            ctx.write_u32(lay.n_child + 4 * (4 * i + q), NIL);
+            ctx.write_u32(lay.n_child + 4 * (4 * i + q), NIL).await;
         }
     }
 
@@ -309,75 +321,77 @@ impl Barnes {
     /// Parallel mass/moment contribution into each body's leaf cell, under
     /// per-cell locks (commutative fixed-point adds — the short critical
     /// sections the paper blames for Barnes's prefetching losses).
-    fn mass_contribution(&self, ctx: &Ctx<'_>, lay: &Layout, lo: u64, hi: u64) {
+    async fn mass_contribution(&self, ctx: &Ctx, lay: &Layout, lo: u64, hi: u64) {
         for body in lo..hi {
-            let x = ctx.read_i64(lay.pos + 16 * body);
-            let y = ctx.read_i64(lay.pos + 16 * body + 8);
+            let x = ctx.read_i64(lay.pos + 16 * body).await;
+            let y = ctx.read_i64(lay.pos + 16 * body + 8).await;
             let mass = FX; // unit masses
-            let node = ctx.read_u32(lay.leaf + 4 * body);
+            let node = ctx.read_u32(lay.leaf + 4 * body).await;
             let lock = CELL_LOCK_BASE + node % CELL_LOCKS;
-            ctx.lock(lock);
-            let m = ctx.read_i64(lay.n_mass + 8 * node as u64);
-            let mx = ctx.read_i64(lay.n_mx + 8 * node as u64);
-            let my = ctx.read_i64(lay.n_my + 8 * node as u64);
-            ctx.write_i64(lay.n_mass + 8 * node as u64, m + mass);
-            ctx.write_i64(lay.n_mx + 8 * node as u64, mx + x / 1024);
-            ctx.write_i64(lay.n_my + 8 * node as u64, my + y / 1024);
-            ctx.unlock(lock);
-            ctx.compute(160);
+            ctx.lock(lock).await;
+            let m = ctx.read_i64(lay.n_mass + 8 * node as u64).await;
+            let mx = ctx.read_i64(lay.n_mx + 8 * node as u64).await;
+            let my = ctx.read_i64(lay.n_my + 8 * node as u64).await;
+            ctx.write_i64(lay.n_mass + 8 * node as u64, m + mass).await;
+            ctx.write_i64(lay.n_mx + 8 * node as u64, mx + x / 1024)
+                .await;
+            ctx.write_i64(lay.n_my + 8 * node as u64, my + y / 1024)
+                .await;
+            ctx.unlock(lock).await;
+            ctx.compute(160).await;
         }
     }
 
     /// Sequential upward pass by processor 0: fold every node's mass and
     /// moments into its parent. Children have larger ids than their parents,
     /// so one reverse sweep suffices.
-    fn upward_pass(&self, ctx: &Ctx<'_>, lay: &Layout) {
-        let count = ctx.read_u32(lay.node_count);
+    async fn upward_pass(&self, ctx: &Ctx, lay: &Layout) {
+        let count = ctx.read_u32(lay.node_count).await;
         for node in (1..count as u64).rev() {
-            let m = ctx.read_i64(lay.n_mass + 8 * node);
+            let m = ctx.read_i64(lay.n_mass + 8 * node).await;
             if m == 0 {
                 continue;
             }
-            let parent = ctx.read_u32(lay.n_parent + 4 * node) as u64;
-            let mx = ctx.read_i64(lay.n_mx + 8 * node);
-            let my = ctx.read_i64(lay.n_my + 8 * node);
-            let pm = ctx.read_i64(lay.n_mass + 8 * parent);
-            let pmx = ctx.read_i64(lay.n_mx + 8 * parent);
-            let pmy = ctx.read_i64(lay.n_my + 8 * parent);
-            ctx.write_i64(lay.n_mass + 8 * parent, pm + m);
-            ctx.write_i64(lay.n_mx + 8 * parent, pmx + mx);
-            ctx.write_i64(lay.n_my + 8 * parent, pmy + my);
-            ctx.compute(24);
+            let parent = ctx.read_u32(lay.n_parent + 4 * node).await as u64;
+            let mx = ctx.read_i64(lay.n_mx + 8 * node).await;
+            let my = ctx.read_i64(lay.n_my + 8 * node).await;
+            let pm = ctx.read_i64(lay.n_mass + 8 * parent).await;
+            let pmx = ctx.read_i64(lay.n_mx + 8 * parent).await;
+            let pmy = ctx.read_i64(lay.n_my + 8 * parent).await;
+            ctx.write_i64(lay.n_mass + 8 * parent, pm + m).await;
+            ctx.write_i64(lay.n_mx + 8 * parent, pmx + mx).await;
+            ctx.write_i64(lay.n_my + 8 * parent, pmy + my).await;
+            ctx.compute(24).await;
         }
     }
 
     /// Barnes-Hut force computation for the owned bodies.
-    fn forces(&self, ctx: &Ctx<'_>, lay: &Layout, lo: u64, hi: u64) {
+    async fn forces(&self, ctx: &Ctx, lay: &Layout, lo: u64, hi: u64) {
         for body in lo..hi {
-            let x = ctx.read_i64(lay.pos + 16 * body);
-            let y = ctx.read_i64(lay.pos + 16 * body + 8);
+            let x = ctx.read_i64(lay.pos + 16 * body).await;
+            let y = ctx.read_i64(lay.pos + 16 * body + 8).await;
             let (mut ax, mut ay) = (0i64, 0i64);
             let mut stack = vec![0u32];
             while let Some(node) = stack.pop() {
-                ctx.compute(VISIT_COMPUTE);
-                let m = ctx.read_i64(lay.n_mass + 8 * node as u64);
+                ctx.compute(VISIT_COMPUTE).await;
+                let m = ctx.read_i64(lay.n_mass + 8 * node as u64).await;
                 if m == 0 {
                     continue;
                 }
-                let mx = ctx.read_i64(lay.n_mx + 8 * node as u64);
-                let my = ctx.read_i64(lay.n_my + 8 * node as u64);
-                let half = ctx.read_i64(lay.n_half + 8 * node as u64);
+                let mx = ctx.read_i64(lay.n_mx + 8 * node as u64).await;
+                let my = ctx.read_i64(lay.n_my + 8 * node as u64).await;
+                let half = ctx.read_i64(lay.n_half + 8 * node as u64).await;
                 // Centre of mass (moments were scaled by 1/1024).
                 let comx = mx / (m / FX).max(1) * 1024;
                 let comy = my / (m / FX).max(1) * 1024;
                 let dx = comx - x;
                 let dy = comy - y;
                 let dist = dx.abs().max(dy.abs()).max(FX);
-                let resident = ctx.read_u32(lay.n_body + 4 * node as u64);
+                let resident = ctx.read_u32(lay.n_body + 4 * node as u64).await;
                 let open = resident == NIL && half * 16 > self.theta_16 * dist;
                 if open {
                     for q in 0..4u64 {
-                        let c = ctx.read_u32(lay.n_child + 4 * (4 * node as u64 + q));
+                        let c = ctx.read_u32(lay.n_child + 4 * (4 * node as u64 + q)).await;
                         if c != NIL {
                             stack.push(c);
                         }
@@ -389,22 +403,22 @@ impl Barnes {
                     ay += dy / dist.max(1) * scale / 64;
                 }
             }
-            ctx.write_i64(lay.acc + 16 * body, ax);
-            ctx.write_i64(lay.acc + 16 * body + 8, ay);
+            ctx.write_i64(lay.acc + 16 * body, ax).await;
+            ctx.write_i64(lay.acc + 16 * body + 8, ay).await;
         }
     }
 
     /// Leapfrog-ish integration of the owned bodies.
-    fn integrate(&self, ctx: &Ctx<'_>, lay: &Layout, lo: u64, hi: u64) {
+    async fn integrate(&self, ctx: &Ctx, lay: &Layout, lo: u64, hi: u64) {
         for i in lo..hi {
             for ax in 0..2u64 {
-                let a = ctx.read_i64(lay.acc + 16 * i + 8 * ax);
-                let v = ctx.read_i64(lay.vel + 16 * i + 8 * ax) + a * 16;
-                let p = ctx.read_i64(lay.pos + 16 * i + 8 * ax) + v / 8;
-                ctx.write_i64(lay.vel + 16 * i + 8 * ax, v);
-                ctx.write_i64(lay.pos + 16 * i + 8 * ax, p);
+                let a = ctx.read_i64(lay.acc + 16 * i + 8 * ax).await;
+                let v = ctx.read_i64(lay.vel + 16 * i + 8 * ax).await + a * 16;
+                let p = ctx.read_i64(lay.pos + 16 * i + 8 * ax).await + v / 8;
+                ctx.write_i64(lay.vel + 16 * i + 8 * ax, v).await;
+                ctx.write_i64(lay.pos + 16 * i + 8 * ax, p).await;
             }
-            ctx.compute(110);
+            ctx.compute(110).await;
         }
     }
 }

@@ -6,7 +6,7 @@
 //! each phase pulls freshly written remote pages — Em3d has the paper's
 //! highest diff overhead (26.7%) and its biggest wins from overlap.
 
-use crate::framework::{Alloc, Ctx, Workload};
+use crate::framework::{Alloc, Ctx, Program, Workload};
 
 /// Cycles of local work per neighbour accumulation.
 const EDGE_COMPUTE: u64 = 110;
@@ -106,7 +106,14 @@ impl Workload for Em3d {
         "Em3d"
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(self.program(ctx))
+    }
+}
+
+impl Em3d {
+    /// The per-processor program behind [`Workload::run`].
+    async fn program(&self, ctx: &Ctx) -> u64 {
         let lay = Layout::new(self.nodes);
         // The graph structure is identical on every processor (read-only in
         // the original program; kept private here — see DESIGN.md).
@@ -114,11 +121,13 @@ impl Workload for Em3d {
         let h_from_e = self.neighbours(0xA);
         if ctx.pid == 0 {
             for i in 0..self.nodes as u64 {
-                ctx.write_f64(lay.e_vals + 8 * i, (i % 97) as f64 / 97.0);
-                ctx.write_f64(lay.h_vals + 8 * i, (i % 89) as f64 / 89.0);
+                ctx.write_f64(lay.e_vals + 8 * i, (i % 97) as f64 / 97.0)
+                    .await;
+                ctx.write_f64(lay.h_vals + 8 * i, (i % 89) as f64 / 89.0)
+                    .await;
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         let (lo, hi) = ctx.block_range(self.nodes as u64);
         // Locality-ordered iteration: nodes whose neighbours are all local
         // first, nodes with remote (possibly invalidated) neighbours last —
@@ -145,30 +154,30 @@ impl Workload for Em3d {
         for _ in 0..self.iters {
             // E phase: e[i] -= weighted sum of its H neighbours.
             for &i in &e_order {
-                let mut acc = ctx.read_f64(lay.e_vals + 8 * i);
+                let mut acc = ctx.read_f64(lay.e_vals + 8 * i).await;
                 for &nb in &e_from_h[i as usize] {
-                    acc -= 0.4 * ctx.read_f64(lay.h_vals + 8 * nb as u64);
+                    acc -= 0.4 * ctx.read_f64(lay.h_vals + 8 * nb as u64).await;
                 }
-                ctx.write_f64(lay.e_vals + 8 * i, acc);
-                ctx.compute(self.degree as u64 * EDGE_COMPUTE);
+                ctx.write_f64(lay.e_vals + 8 * i, acc).await;
+                ctx.compute(self.degree as u64 * EDGE_COMPUTE).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
             // H phase: h[i] -= weighted sum of its E neighbours.
             for &i in &h_order {
-                let mut acc = ctx.read_f64(lay.h_vals + 8 * i);
+                let mut acc = ctx.read_f64(lay.h_vals + 8 * i).await;
                 for &nb in &h_from_e[i as usize] {
-                    acc -= 0.4 * ctx.read_f64(lay.e_vals + 8 * nb as u64);
+                    acc -= 0.4 * ctx.read_f64(lay.e_vals + 8 * nb as u64).await;
                 }
-                ctx.write_f64(lay.h_vals + 8 * i, acc);
-                ctx.compute(self.degree as u64 * EDGE_COMPUTE);
+                ctx.write_f64(lay.h_vals + 8 * i, acc).await;
+                ctx.compute(self.degree as u64 * EDGE_COMPUTE).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
         if ctx.pid == 0 {
             let mut ck = 0u64;
             for i in 0..self.nodes as u64 {
-                ck = ck.rotate_left(5) ^ ctx.read_f64(lay.e_vals + 8 * i).to_bits();
-                ck = ck.rotate_left(5) ^ ctx.read_f64(lay.h_vals + 8 * i).to_bits();
+                ck = ck.rotate_left(5) ^ ctx.read_f64(lay.e_vals + 8 * i).await.to_bits();
+                ck = ck.rotate_left(5) ^ ctx.read_f64(lay.h_vals + 8 * i).await.to_bits();
             }
             ck
         } else {

@@ -1,11 +1,16 @@
 //! Workload framework: typed shared-memory access, shared-address
 //! allocation, and the harness that runs a workload under a protocol.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::future::Future;
+use std::pin::Pin;
 
 use ncp2_core::{Protocol, RunResult, Simulation};
-use ncp2_sim::{Cycles, ProcOp, ProcPort, SvcClass, SvcOp, SysParams};
+use ncp2_sim::{Cycles, Port, ProcOp, SvcClass, SvcOp, SysParams};
+
+/// One processor's run of a workload: a future that completes with the
+/// processor's checksum contribution. Boxed, so `dyn Workload` works.
+pub type Program<'a> = Pin<Box<dyn Future<Output = u64> + 'a>>;
 
 /// A workload from the paper's application suite.
 ///
@@ -16,11 +21,12 @@ pub trait Workload: Send + Sync + 'static {
     /// Display name as used in the paper's figures ("TSP", "Water", ...).
     fn name(&self) -> &'static str;
 
-    /// The per-processor program. Runs on every simulated processor;
-    /// returns this processor's checksum contribution (by convention only
+    /// The per-processor program. Runs on every simulated processor,
+    /// awaiting each simulated op it issues through `ctx`; completes with
+    /// this processor's checksum contribution (by convention only
     /// processor 0 reads the final state and returns non-zero, so checksums
     /// are independent of the processor count).
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64;
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a>;
 
     /// Shared address ranges with *intentional* benign races, exempted from
     /// happens-before race detection. The canonical case is TSP's
@@ -37,7 +43,7 @@ impl Workload for Box<dyn Workload> {
         self.as_ref().name()
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
         self.as_ref().run(ctx)
     }
 
@@ -109,113 +115,122 @@ impl Alloc {
 
 /// Per-processor execution context handed to [`Workload::run`].
 ///
-/// Wraps the raw [`ProcPort`] with typed accessors. Every method is one or
-/// more simulated operations; nothing here touches real shared state.
-pub struct Ctx<'a> {
-    port: &'a ProcPort,
+/// Wraps the processor's [`Port`] with typed accessors. Every method is one
+/// or more simulated operations, issued when awaited; nothing here touches
+/// real shared state.
+pub struct Ctx {
+    port: Port,
     /// This processor's id.
     pub pid: usize,
     /// Total simulated processors.
     pub nprocs: usize,
 }
 
-impl<'a> Ctx<'a> {
+impl Ctx {
     /// Wraps a port (used by the harness; workload code receives this).
-    pub fn new(port: &'a ProcPort, pid: usize, nprocs: usize) -> Self {
+    pub fn new(port: Port, pid: usize, nprocs: usize) -> Self {
         Ctx { port, pid, nprocs }
     }
 
     /// Burns `cycles` of local computation (private data + ALU work).
-    pub fn compute(&self, cycles: Cycles) {
+    pub async fn compute(&self, cycles: Cycles) {
         if cycles > 0 {
-            self.port.call(ProcOp::Compute(cycles));
+            self.port.call(ProcOp::Compute(cycles)).await;
         }
     }
 
     /// Reads a shared u32.
-    pub fn read_u32(&self, addr: u64) -> u32 {
-        self.port.call(ProcOp::Read { addr, bytes: 4 }).value() as u32
+    pub async fn read_u32(&self, addr: u64) -> u32 {
+        self.port
+            .call(ProcOp::Read { addr, bytes: 4 })
+            .await
+            .value() as u32
     }
 
     /// Writes a shared u32.
-    pub fn write_u32(&self, addr: u64, v: u32) {
-        self.port.call(ProcOp::Write {
+    pub async fn write_u32(&self, addr: u64, v: u32) {
+        let op = ProcOp::Write {
             addr,
             bytes: 4,
             value: v as u64,
-        });
+        };
+        self.port.call(op).await;
     }
 
     /// Reads a shared u64.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        self.port.call(ProcOp::Read { addr, bytes: 8 }).value()
+    pub async fn read_u64(&self, addr: u64) -> u64 {
+        self.port
+            .call(ProcOp::Read { addr, bytes: 8 })
+            .await
+            .value()
     }
 
     /// Writes a shared u64.
-    pub fn write_u64(&self, addr: u64, v: u64) {
-        self.port.call(ProcOp::Write {
+    pub async fn write_u64(&self, addr: u64, v: u64) {
+        let op = ProcOp::Write {
             addr,
             bytes: 8,
             value: v,
-        });
+        };
+        self.port.call(op).await;
     }
 
     /// Reads a shared i64 (fixed-point convention).
-    pub fn read_i64(&self, addr: u64) -> i64 {
-        self.read_u64(addr) as i64
+    pub async fn read_i64(&self, addr: u64) -> i64 {
+        self.read_u64(addr).await as i64
     }
 
     /// Writes a shared i64.
-    pub fn write_i64(&self, addr: u64, v: i64) {
-        self.write_u64(addr, v as u64);
+    pub async fn write_i64(&self, addr: u64, v: i64) {
+        self.write_u64(addr, v as u64).await;
     }
 
     /// Reads a shared f64 (bit pattern in a u64 cell).
-    pub fn read_f64(&self, addr: u64) -> f64 {
-        f64::from_bits(self.read_u64(addr))
+    pub async fn read_f64(&self, addr: u64) -> f64 {
+        f64::from_bits(self.read_u64(addr).await)
     }
 
     /// Writes a shared f64.
-    pub fn write_f64(&self, addr: u64, v: f64) {
-        self.write_u64(addr, v.to_bits());
+    pub async fn write_f64(&self, addr: u64, v: f64) {
+        self.write_u64(addr, v.to_bits()).await;
     }
 
     /// Acquires a DSM lock.
-    pub fn lock(&self, id: u32) {
-        self.port.call(ProcOp::Lock(id));
+    pub async fn lock(&self, id: u32) {
+        self.port.call(ProcOp::Lock(id)).await;
     }
 
     /// Releases a DSM lock.
-    pub fn unlock(&self, id: u32) {
-        self.port.call(ProcOp::Unlock(id));
+    pub async fn unlock(&self, id: u32) {
+        self.port.call(ProcOp::Unlock(id)).await;
     }
 
     /// Global barrier (all processors must call it the same number of
     /// times, in the same program order).
-    pub fn barrier(&self) {
-        self.port.call(ProcOp::Barrier(0));
+    pub async fn barrier(&self) {
+        self.port.call(ProcOp::Barrier(0)).await;
     }
 
     /// Reads this processor's current simulated clock (zero simulated
     /// cost). The open-loop service workload uses it to compute idle gaps
     /// and per-request response times in simulated cycles.
-    pub fn now(&self) -> Cycles {
-        self.port.call(ProcOp::Svc(SvcOp::Now)).value()
+    pub async fn now(&self) -> Cycles {
+        self.port.call(ProcOp::Svc(SvcOp::Now)).await.value()
     }
 
     /// Marks a service-request dequeue; `depth` is this node's backlog
     /// (arrived, not yet served) after the dequeue. Zero simulated cost;
     /// feeds the `svc_queue_depth` time-series gauge and the trace.
-    pub fn svc_dequeue(&self, depth: u64) {
-        self.port.call(ProcOp::Svc(SvcOp::Dequeue { depth }));
+    pub async fn svc_dequeue(&self, depth: u64) {
+        self.port.call(ProcOp::Svc(SvcOp::Dequeue { depth })).await;
     }
 
     /// Marks a service-request completion with its open-loop response time
     /// (completion − arrival, queueing included). Zero simulated cost;
     /// feeds the run's response-time histogram.
-    pub fn svc_reply(&self, class: SvcClass, response: Cycles) {
-        self.port
-            .call(ProcOp::Svc(SvcOp::Reply { class, response }));
+    pub async fn svc_reply(&self, class: SvcClass, response: Cycles) {
+        let op = ProcOp::Svc(SvcOp::Reply { class, response });
+        self.port.call(op).await;
     }
 
     /// The contiguous block `[lo, hi)` of `total` items owned by this
@@ -244,19 +259,16 @@ pub fn run_app_with<W: Workload>(
     configure: impl FnOnce(&mut Simulation),
 ) -> RunResult {
     let nprocs = params.nprocs;
-    let app = Arc::new(app);
-    let checksum = Arc::new(AtomicU64::new(0));
+    let checksum = Cell::new(0);
     let mut sim = Simulation::new(params, protocol);
     configure(&mut sim);
-    let app2 = Arc::clone(&app);
-    let ck = Arc::clone(&checksum);
-    let mut result = sim.run(move |pid, port| {
-        let mut ctx = Ctx::new(&port, pid, nprocs);
-        let v = app2.run(&mut ctx);
-        ck.fetch_xor(v, Ordering::SeqCst);
-        port.call(ProcOp::Finish);
+    let (app, ck) = (&app, &checksum);
+    let mut result = sim.run(move |pid, port| async move {
+        let mut ctx = Ctx::new(port, pid, nprocs);
+        let v = app.run(&mut ctx).await;
+        ck.set(ck.get() ^ v);
     });
-    result.checksum = checksum.load(Ordering::SeqCst);
+    result.checksum = checksum.get();
     result
 }
 
@@ -312,19 +324,21 @@ mod tests {
             fn name(&self) -> &'static str {
                 "W"
             }
-            fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
-                if ctx.pid == 0 {
-                    ctx.write_u64(0, 0xDEAD);
-                }
-                ctx.barrier();
-                let v = ctx.read_u64(0);
-                ctx.barrier();
-                if ctx.pid == 0 {
-                    v
-                } else {
-                    assert_eq!(v, 0xDEAD);
-                    0
-                }
+            fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+                Box::pin(async move {
+                    if ctx.pid == 0 {
+                        ctx.write_u64(0, 0xDEAD).await;
+                    }
+                    ctx.barrier().await;
+                    let v = ctx.read_u64(0).await;
+                    ctx.barrier().await;
+                    if ctx.pid == 0 {
+                        v
+                    } else {
+                        assert_eq!(v, 0xDEAD);
+                        0
+                    }
+                })
             }
         }
         let r = run_app(

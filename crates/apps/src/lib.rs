@@ -40,7 +40,7 @@ pub mod water;
 
 pub use barnes::Barnes;
 pub use em3d::Em3d;
-pub use framework::{run_app, run_app_with, sequential_baseline, Alloc, Ctx, Workload};
+pub use framework::{run_app, run_app_with, sequential_baseline, Alloc, Ctx, Program, Workload};
 pub use ocean::Ocean;
 pub use radix::Radix;
 pub use svc::Svc;

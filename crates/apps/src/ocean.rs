@@ -5,7 +5,7 @@
 //! pages are heavily write-shared — Ocean is the paper's worst performer
 //! (dominated by data-fetch and synchronization time).
 
-use crate::framework::{Alloc, Ctx, Workload};
+use crate::framework::{Alloc, Ctx, Program, Workload};
 
 /// Cycles of local floating-point work per stencil cell.
 const CELL_COMPUTE: u64 = 40;
@@ -68,19 +68,26 @@ impl Workload for Ocean {
         "Ocean"
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(self.program(ctx))
+    }
+}
+
+impl Ocean {
+    /// The per-processor program behind [`Workload::run`].
+    async fn program(&self, ctx: &Ctx) -> u64 {
         let n = self.grid as u64;
         let lay = Layout::new(self.grid);
         if ctx.pid == 0 {
             for i in 0..n {
                 for j in 0..n {
                     let v = Self::init_cell(i, j);
-                    ctx.write_f64(lay.cell(0, i, j), v);
-                    ctx.write_f64(lay.cell(1, i, j), v);
+                    ctx.write_f64(lay.cell(0, i, j), v).await;
+                    ctx.write_f64(lay.cell(1, i, j), v).await;
                 }
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         // Interior rows 1..n-1 are block-partitioned.
         let rows = n - 2;
         let (rlo, rhi) = ctx.block_range(rows);
@@ -102,24 +109,24 @@ impl Workload for Ocean {
             for i in order {
                 // Stream the row: read the full 5-point stencil.
                 for j in 1..n - 1 {
-                    let c = ctx.read_f64(lay.cell(src, i, j));
-                    let up = ctx.read_f64(lay.cell(src, i - 1, j));
-                    let down = ctx.read_f64(lay.cell(src, i + 1, j));
-                    let left = ctx.read_f64(lay.cell(src, i, j - 1));
-                    let right = ctx.read_f64(lay.cell(src, i, j + 1));
+                    let c = ctx.read_f64(lay.cell(src, i, j)).await;
+                    let up = ctx.read_f64(lay.cell(src, i - 1, j)).await;
+                    let down = ctx.read_f64(lay.cell(src, i + 1, j)).await;
+                    let left = ctx.read_f64(lay.cell(src, i, j - 1)).await;
+                    let right = ctx.read_f64(lay.cell(src, i, j + 1)).await;
                     let v = 0.2 * (c + up + down + left + right);
-                    ctx.write_f64(lay.cell(dst, i, j), v);
+                    ctx.write_f64(lay.cell(dst, i, j), v).await;
                 }
-                ctx.compute((n - 2) * CELL_COMPUTE);
+                ctx.compute((n - 2) * CELL_COMPUTE).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
         if ctx.pid == 0 {
             let fin = self.iters % 2;
             let mut ck = 0u64;
             for i in 0..n {
                 for j in 0..n {
-                    ck = ck.rotate_left(3) ^ ctx.read_f64(lay.cell(fin, i, j)).to_bits();
+                    ck = ck.rotate_left(3) ^ ctx.read_f64(lay.cell(fin, i, j)).await.to_bits();
                 }
             }
             ck

@@ -6,7 +6,7 @@
 //! destination array — the page-grain false-sharing firehose that gives
 //! Radix its >20% diff overhead in the paper.
 
-use crate::framework::{Alloc, Ctx, Workload};
+use crate::framework::{Alloc, Ctx, Program, Workload};
 
 /// Cycles of local work per key in the histogram/permutation loops.
 const KEY_COMPUTE: u64 = 200;
@@ -87,16 +87,23 @@ impl Workload for Radix {
         "Radix"
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(self.program(ctx))
+    }
+}
+
+impl Radix {
+    /// The per-processor program behind [`Workload::run`].
+    async fn program(&self, ctx: &Ctx) -> u64 {
         assert!(self.radix.is_power_of_two(), "radix must be a power of two");
         let lay = Layout::new(self.keys, self.radix, ctx.nprocs);
         let input = self.input();
         if ctx.pid == 0 {
             for (i, &k) in input.iter().enumerate() {
-                ctx.write_u32(lay.arrays[0] + 4 * i as u64, k);
+                ctx.write_u32(lay.arrays[0] + 4 * i as u64, k).await;
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         let (lo, hi) = ctx.block_range(self.keys as u64);
         let digit_bits = self.radix.trailing_zeros();
         for pass in 0..self.passes {
@@ -107,43 +114,43 @@ impl Workload for Radix {
             let mut counts = vec![0u32; self.radix];
             let mut local_keys = Vec::with_capacity((hi - lo) as usize);
             for i in lo..hi {
-                let k = ctx.read_u32(src + 4 * i);
+                let k = ctx.read_u32(src + 4 * i).await;
                 counts[((k >> shift) as usize) & (self.radix - 1)] += 1;
                 local_keys.push(k);
             }
-            ctx.compute((hi - lo) * KEY_COMPUTE);
+            ctx.compute((hi - lo) * KEY_COMPUTE).await;
             for (d, &c) in counts.iter().enumerate() {
-                ctx.write_u32(lay.hist_cell(ctx.pid, d as u64), c);
+                ctx.write_u32(lay.hist_cell(ctx.pid, d as u64), c).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
             // Phase 2: global offsets — digit-major scan over all rows.
             let mut offsets = vec![0u64; self.radix];
             let mut running = 0u64;
             for d in 0..self.radix as u64 {
                 for p in 0..ctx.nprocs {
-                    let c = ctx.read_u32(lay.hist_cell(p, d)) as u64;
+                    let c = ctx.read_u32(lay.hist_cell(p, d)).await as u64;
                     if p == ctx.pid {
                         offsets[d as usize] = running;
                     }
                     running += c;
                 }
             }
-            ctx.compute(self.radix as u64 * ctx.nprocs as u64 * 2);
+            ctx.compute(self.radix as u64 * ctx.nprocs as u64 * 2).await;
             // Phase 3: permutation — scattered writes over the whole array.
             for &k in &local_keys {
                 let d = ((k >> shift) as usize) & (self.radix - 1);
-                ctx.write_u32(dst + 4 * offsets[d], k);
+                ctx.write_u32(dst + 4 * offsets[d], k).await;
                 offsets[d] += 1;
             }
-            ctx.compute((hi - lo) * KEY_COMPUTE);
-            ctx.barrier();
+            ctx.compute((hi - lo) * KEY_COMPUTE).await;
+            ctx.barrier().await;
         }
         if ctx.pid == 0 {
             let final_arr = lay.arrays[self.passes % 2];
             let mut ck = 0u64;
             let mut prev = 0u32;
             for i in 0..self.keys as u64 {
-                let k = ctx.read_u32(final_arr + 4 * i);
+                let k = ctx.read_u32(final_arr + 4 * i).await;
                 assert!(k >= prev, "radix output not sorted at {i}");
                 prev = k;
                 ck = ck.rotate_left(7) ^ k as u64;

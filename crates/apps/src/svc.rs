@@ -28,7 +28,7 @@
 use ncp2_sim::Cycles;
 use ncp2_svc::{node_of, ArrivalStream, Keyspace, ReqMix};
 
-use crate::framework::{Alloc, Ctx, Workload};
+use crate::framework::{Alloc, Ctx, Program, Workload};
 
 /// Salt stream for the per-request key sampler.
 const KEY_SALT: u64 = 0xA076_1D64_78BD_642F;
@@ -167,21 +167,28 @@ impl Workload for Svc {
         "Svc"
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(self.program(ctx))
+    }
+}
+
+impl Svc {
+    /// The per-processor program behind [`Workload::run`].
+    async fn program(&self, ctx: &Ctx) -> u64 {
         assert!(self.keys > 0 && self.sessions > 0, "empty service state");
         let lay = Layout::new(self.keys, self.sessions);
         let keyspace = Keyspace::new(self.keys, self.skew_x100);
         let mix = self.mix();
         if ctx.pid == 0 {
             for k in 0..self.keys {
-                ctx.write_u64(lay.key_cell(k), 0x5EED ^ k as u64);
+                ctx.write_u64(lay.key_cell(k), 0x5EED ^ k as u64).await;
             }
             for s in 0..self.sessions as u64 {
-                ctx.write_u64(lay.sess_val_cell(s), 0);
-                ctx.write_u64(lay.sess_count_cell(s), 0);
+                ctx.write_u64(lay.sess_val_cell(s), 0).await;
+                ctx.write_u64(lay.sess_count_cell(s), 0).await;
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
 
         // This node's slice of the global stream, in arrival order.
         let mine: Vec<ncp2_svc::Arrival> = self
@@ -195,59 +202,61 @@ impl Workload for Svc {
             // Open loop: idle (simulated) until the request has arrived;
             // if the node is behind, serve immediately — the backlog is
             // exactly the queueing delay the study measures.
-            let now = ctx.now();
+            let now = ctx.now().await;
             if req.at > now {
-                ctx.compute(req.at - now);
+                ctx.compute(req.at - now).await;
             }
             // Backlog after taking this request off the queue.
-            let t = ctx.now();
+            let t = ctx.now().await;
             // arrival_times[served] = req.at ≤ t, so arrived ≥ served + 1.
             let arrived = arrival_times.partition_point(|&at| at <= t);
             let depth = (arrived - (served + 1)) as u64;
-            ctx.svc_dequeue(depth);
+            ctx.svc_dequeue(depth).await;
 
             let class = mix.class_of(self.seed, req.seq);
-            ctx.compute(self.service_compute);
+            ctx.compute(self.service_compute).await;
             match class {
                 ncp2_sim::SvcClass::Get => {
                     let key = self.key_of(&keyspace, req.seq);
-                    ctx.lock(self.key_lock(key));
+                    ctx.lock(self.key_lock(key)).await;
                     // The value is timing-dependent (it reflects whichever
                     // puts happened to finish first), so it must not feed
                     // the checksum — only the traffic matters.
-                    let _ = ctx.read_u64(lay.key_cell(key));
-                    ctx.unlock(self.key_lock(key));
+                    let _ = ctx.read_u64(lay.key_cell(key)).await;
+                    ctx.unlock(self.key_lock(key)).await;
                 }
                 ncp2_sim::SvcClass::Put => {
                     let key = self.key_of(&keyspace, req.seq);
-                    ctx.lock(self.key_lock(key));
-                    let old = ctx.read_u64(lay.key_cell(key));
-                    ctx.write_u64(lay.key_cell(key), old ^ self.value_of(req.seq));
-                    ctx.unlock(self.key_lock(key));
+                    ctx.lock(self.key_lock(key)).await;
+                    let old = ctx.read_u64(lay.key_cell(key)).await;
+                    ctx.write_u64(lay.key_cell(key), old ^ self.value_of(req.seq))
+                        .await;
+                    ctx.unlock(self.key_lock(key)).await;
                 }
                 ncp2_sim::SvcClass::Session => {
                     let s = self.session_of(req.seq);
-                    ctx.lock(self.session_lock(s));
-                    let old = ctx.read_u64(lay.sess_val_cell(s));
-                    ctx.write_u64(lay.sess_val_cell(s), old ^ self.value_of(req.seq));
-                    let n = ctx.read_u64(lay.sess_count_cell(s));
-                    ctx.write_u64(lay.sess_count_cell(s), n + 1);
-                    ctx.unlock(self.session_lock(s));
+                    ctx.lock(self.session_lock(s)).await;
+                    let old = ctx.read_u64(lay.sess_val_cell(s)).await;
+                    ctx.write_u64(lay.sess_val_cell(s), old ^ self.value_of(req.seq))
+                        .await;
+                    let n = ctx.read_u64(lay.sess_count_cell(s)).await;
+                    ctx.write_u64(lay.sess_count_cell(s), n + 1).await;
+                    ctx.unlock(self.session_lock(s)).await;
                 }
             }
-            let done = ctx.now();
-            ctx.svc_reply(class, done - req.at);
+            let done = ctx.now().await;
+            ctx.svc_reply(class, done - req.at).await;
         }
 
-        ctx.barrier();
+        ctx.barrier().await;
         if ctx.pid == 0 {
             let mut ck = 0u64;
             for k in 0..self.keys {
-                ck = ck.rotate_left(9) ^ ctx.read_u64(lay.key_cell(k));
+                ck = ck.rotate_left(9) ^ ctx.read_u64(lay.key_cell(k)).await;
             }
             for s in 0..self.sessions as u64 {
-                ck = ck.rotate_left(9) ^ ctx.read_u64(lay.sess_val_cell(s));
-                ck = ck.rotate_left(9) ^ ctx.read_u64(lay.sess_count_cell(s));
+                ck = ck.rotate_left(9) ^ ctx.read_u64(lay.sess_val_cell(s)).await;
+                ck = ck.rotate_left(9) ^ ctx.read_u64(lay.sess_count_cell(s)).await;
             }
             ck
         } else {

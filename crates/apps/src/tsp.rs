@@ -6,7 +6,7 @@
 //! optimistically during search). This is the paper's "reasonably good
 //! speedup" application: coarse tasks, tiny shared state, migratory locks.
 
-use crate::framework::{Alloc, Ctx, Workload};
+use crate::framework::{Alloc, Ctx, Program, Workload};
 
 /// Lock protecting the task queue head.
 const QUEUE_LOCK: u32 = 0;
@@ -171,42 +171,50 @@ impl Workload for Tsp {
         vec![best]
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(self.program(ctx))
+    }
+}
+
+impl Tsp {
+    /// The per-processor program behind [`Workload::run`].
+    async fn program(&self, ctx: &Ctx) -> u64 {
         let dist = self.distances();
         let tasks = self.tasks();
         let lay = Layout::new(self.cities, tasks.len());
         if ctx.pid == 0 {
-            ctx.write_u32(lay.best, u32::MAX);
-            ctx.write_u32(lay.queue_head, 0);
+            ctx.write_u32(lay.best, u32::MAX).await;
+            ctx.write_u32(lay.queue_head, 0).await;
             for (i, t) in tasks.iter().enumerate() {
                 let base = lay.task_addr(i as u64);
-                ctx.write_u32(base, t.len() as u32);
+                ctx.write_u32(base, t.len() as u32).await;
                 for (j, &c) in t.iter().enumerate() {
-                    ctx.write_u32(base + 4 * (1 + j as u64), c as u32);
+                    ctx.write_u32(base + 4 * (1 + j as u64), c as u32).await;
                 }
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         loop {
             // Pop one prefix task.
-            ctx.lock(QUEUE_LOCK);
-            let head = ctx.read_u32(lay.queue_head);
+            ctx.lock(QUEUE_LOCK).await;
+            let head = ctx.read_u32(lay.queue_head).await;
             let got = if (head as usize) < tasks.len() {
-                ctx.write_u32(lay.queue_head, head + 1);
+                ctx.write_u32(lay.queue_head, head + 1).await;
                 true
             } else {
                 false
             };
-            ctx.unlock(QUEUE_LOCK);
+            ctx.unlock(QUEUE_LOCK).await;
             if !got {
                 break;
             }
             // Read the prefix back from shared memory (it migrated here).
             let base = lay.task_addr(head as u64);
-            let len = ctx.read_u32(base) as usize;
-            let mut order: Vec<u8> = (0..len)
-                .map(|j| ctx.read_u32(base + 4 * (1 + j as u64)) as u8)
-                .collect();
+            let len = ctx.read_u32(base).await as usize;
+            let mut order: Vec<u8> = Vec::with_capacity(self.cities);
+            for j in 0..len as u64 {
+                order.push(ctx.read_u32(base + 4 * (1 + j)).await as u8);
+            }
             let mut visited = vec![false; self.cities];
             let mut cost = 0u32;
             for w in order.windows(2) {
@@ -215,104 +223,120 @@ impl Workload for Tsp {
             for &c in &order {
                 visited[c as usize] = true;
             }
-            self.dfs_shared(ctx, &lay, &dist, &mut visited, &mut order, cost);
+            self.dfs_shared(ctx, &lay, &dist, &mut visited, &mut order, cost)
+                .await;
         }
-        ctx.barrier();
+        ctx.barrier().await;
         if ctx.pid == 0 {
-            ctx.read_u32(lay.best) as u64
+            ctx.read_u32(lay.best).await as u64
         } else {
             0
         }
     }
 }
 
+/// A processor's view of the shared bound during one task's search.
+struct Search {
+    /// The bound as last read.
+    bound: u32,
+    /// DFS nodes entered since the last re-read.
+    since_check: u64,
+    /// Compute cycles not yet issued.
+    pending: u64,
+}
+
 impl Tsp {
     /// DFS with pruning against the shared bound. Compute cycles are
-    /// batched; the bound is re-read optimistically every few nodes.
-    fn dfs_shared(
+    /// batched; the bound is re-read optimistically every few nodes. The
+    /// search keeps an explicit stack of the nodes being expanded (an
+    /// async recursion would box a future per search node).
+    async fn dfs_shared(
         &self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx,
         lay: &Layout,
         dist: &[Vec<u32>],
         visited: &mut [bool],
         order: &mut Vec<u8>,
         cost: u32,
     ) {
-        let mut bound = ctx.read_u32(lay.best);
-        let mut nodes_since_check = 0u64;
-        let mut pending_compute = 0u64;
-        self.dfs_inner(
-            ctx,
-            lay,
-            dist,
-            visited,
-            order,
-            cost,
-            &mut bound,
-            &mut nodes_since_check,
-            &mut pending_compute,
-        );
-        ctx.compute(pending_compute);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs_inner(
-        &self,
-        ctx: &Ctx<'_>,
-        lay: &Layout,
-        dist: &[Vec<u32>],
-        visited: &mut [bool],
-        order: &mut Vec<u8>,
-        cost: u32,
-        bound: &mut u32,
-        since_check: &mut u64,
-        pending: &mut u64,
-    ) {
-        *pending += NODE_COMPUTE;
-        *since_check += 1;
-        if *since_check >= BOUND_CHECK_STRIDE {
-            *since_check = 0;
-            ctx.compute(std::mem::take(pending));
-            *bound = ctx.read_u32(lay.best);
-        }
-        if cost >= *bound {
-            return;
-        }
         let n = self.cities;
-        if order.len() == n {
-            let total = cost + dist[*order.last().expect("tour") as usize][0];
-            if total < *bound {
-                ctx.compute(std::mem::take(pending));
-                ctx.lock(BEST_LOCK);
-                let cur = ctx.read_u32(lay.best);
-                if total < cur {
-                    ctx.write_u32(lay.best, total);
-                }
-                ctx.unlock(BEST_LOCK);
-                *bound = (*bound).min(total);
-            }
-            return;
+        let mut s = Search {
+            bound: ctx.read_u32(lay.best).await,
+            since_check: 0,
+            pending: 0,
+        };
+        // The nodes being expanded, root first: (cost so far, next city
+        // to try). Every node but the root added the last city of `order`.
+        let mut stack = Vec::with_capacity(n);
+        if self.enter(ctx, lay, dist, order, cost, &mut s).await {
+            stack.push((cost, 1));
         }
-        for c in 1..n {
-            if !visited[c] {
-                let last = *order.last().expect("tour") as usize;
-                visited[c] = true;
-                order.push(c as u8);
-                self.dfs_inner(
-                    ctx,
-                    lay,
-                    dist,
-                    visited,
-                    order,
-                    cost + dist[last][c],
-                    bound,
-                    since_check,
-                    pending,
-                );
+        while let Some(top) = stack.last_mut() {
+            let (cost, c) = *top;
+            if c == n {
+                stack.pop();
+                if !stack.is_empty() {
+                    let city = order.pop().expect("tour") as usize;
+                    visited[city] = false;
+                }
+                continue;
+            }
+            top.1 += 1;
+            if visited[c] {
+                continue;
+            }
+            let last = *order.last().expect("tour") as usize;
+            visited[c] = true;
+            order.push(c as u8);
+            let cost = cost + dist[last][c];
+            if self.enter(ctx, lay, dist, order, cost, &mut s).await {
+                stack.push((cost, 1));
+            } else {
                 order.pop();
                 visited[c] = false;
             }
         }
+        ctx.compute(s.pending).await;
+    }
+
+    /// Enters the search node reached by `order` at `cost`: charges its
+    /// work, re-reads the bound when due, and records a complete tour that
+    /// beats the bound. Returns whether the node's children are to be
+    /// searched.
+    async fn enter(
+        &self,
+        ctx: &Ctx,
+        lay: &Layout,
+        dist: &[Vec<u32>],
+        order: &[u8],
+        cost: u32,
+        s: &mut Search,
+    ) -> bool {
+        s.pending += NODE_COMPUTE;
+        s.since_check += 1;
+        if s.since_check >= BOUND_CHECK_STRIDE {
+            s.since_check = 0;
+            ctx.compute(std::mem::take(&mut s.pending)).await;
+            s.bound = ctx.read_u32(lay.best).await;
+        }
+        if cost >= s.bound {
+            return false;
+        }
+        if order.len() < self.cities {
+            return true;
+        }
+        let total = cost + dist[*order.last().expect("tour") as usize][0];
+        if total < s.bound {
+            ctx.compute(std::mem::take(&mut s.pending)).await;
+            ctx.lock(BEST_LOCK).await;
+            let cur = ctx.read_u32(lay.best).await;
+            if total < cur {
+                ctx.write_u32(lay.best, total).await;
+            }
+            ctx.unlock(BEST_LOCK).await;
+            s.bound = s.bound.min(total);
+        }
+        false
     }
 }
 

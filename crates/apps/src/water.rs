@@ -10,7 +10,7 @@
 //! accumulation is commutative and associative, so the final checksum is
 //! bit-identical on any processor count.
 
-use crate::framework::{Alloc, Ctx, Workload};
+use crate::framework::{Alloc, Ctx, Program, Workload};
 
 /// Fixed-point scale (2^20).
 const FX: i64 = 1 << 20;
@@ -96,7 +96,14 @@ impl Workload for Water {
         "Water"
     }
 
-    fn run(&self, ctx: &mut Ctx<'_>) -> u64 {
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(self.program(ctx))
+    }
+}
+
+impl Water {
+    /// The per-processor program behind [`Workload::run`].
+    async fn program(&self, ctx: &Ctx) -> u64 {
         let m = self.molecules as u64;
         let lay = Layout::new(self.molecules);
         if ctx.pid == 0 {
@@ -104,31 +111,32 @@ impl Workload for Water {
             for i in 0..m {
                 for ax in 0..3u64 {
                     let p = crate::rng::centered_fx(&mut rng, 32, FX);
-                    ctx.write_i64(lay.pos3(i) + 8 * ax, p);
-                    ctx.write_i64(lay.vel3(i) + 8 * ax, 0);
-                    ctx.write_i64(lay.force3(i) + 8 * ax, 0);
+                    ctx.write_i64(lay.pos3(i) + 8 * ax, p).await;
+                    ctx.write_i64(lay.vel3(i) + 8 * ax, 0).await;
+                    ctx.write_i64(lay.force3(i) + 8 * ax, 0).await;
                 }
             }
         }
-        ctx.barrier();
+        ctx.barrier().await;
         let (lo, hi) = ctx.block_range(m);
         let half = m / 2;
         for _step in 0..self.steps {
             // Zero this block's forces.
             for i in lo..hi {
                 for ax in 0..3u64 {
-                    ctx.write_i64(lay.force3(i) + 8 * ax, 0);
+                    ctx.write_i64(lay.force3(i) + 8 * ax, 0).await;
                 }
             }
-            ctx.barrier();
+            ctx.barrier().await;
             // Pairwise forces: molecule i interacts with the next m/2
             // molecules (cyclic), the SPLASH pairing that touches each pair
             // exactly once. Contributions accumulate privately.
             let mut acc = vec![0i64; 3 * self.molecules];
             for i in lo..hi {
-                let pi: Vec<i64> = (0..3)
-                    .map(|ax| ctx.read_i64(lay.pos3(i) + 8 * ax))
-                    .collect();
+                let mut pi = [0i64; 3];
+                for (ax, p) in (0..).zip(&mut pi) {
+                    *p = ctx.read_i64(lay.pos3(i) + 8 * ax).await;
+                }
                 for k in 1..=half {
                     if m.is_multiple_of(2) && k == half && i >= m / 2 {
                         continue; // the mirrored half already covered it
@@ -136,10 +144,10 @@ impl Workload for Water {
                     let j = (i + k) % m;
                     let mut f = [0i64; 3];
                     for ax in 0..3usize {
-                        let pj = ctx.read_i64(lay.pos3(j) + 8 * ax as u64);
+                        let pj = ctx.read_i64(lay.pos3(j) + 8 * ax as u64).await;
                         f[ax] = Self::pair_force(pi[ax] - pj);
                     }
-                    ctx.compute(PAIR_COMPUTE);
+                    ctx.compute(PAIR_COMPUTE).await;
                     for ax in 0..3usize {
                         acc[3 * i as usize + ax] += f[ax];
                         acc[3 * j as usize + ax] -= f[ax];
@@ -153,33 +161,33 @@ impl Workload for Water {
                 if acc[base] == 0 && acc[base + 1] == 0 && acc[base + 2] == 0 {
                     continue;
                 }
-                ctx.lock(MOL_LOCK_BASE + (mol as u32) % MOL_LOCKS);
+                ctx.lock(MOL_LOCK_BASE + (mol as u32) % MOL_LOCKS).await;
                 for ax in 0..3usize {
                     let addr = lay.force3(mol) + 8 * ax as u64;
-                    let cur = ctx.read_i64(addr);
-                    ctx.write_i64(addr, cur + acc[base + ax]);
+                    let cur = ctx.read_i64(addr).await;
+                    ctx.write_i64(addr, cur + acc[base + ax]).await;
                 }
-                ctx.unlock(MOL_LOCK_BASE + (mol as u32) % MOL_LOCKS);
+                ctx.unlock(MOL_LOCK_BASE + (mol as u32) % MOL_LOCKS).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
             // Integrate owned molecules.
             for i in lo..hi {
                 for ax in 0..3u64 {
-                    let f = ctx.read_i64(lay.force3(i) + 8 * ax);
-                    let v = ctx.read_i64(lay.vel3(i) + 8 * ax) + f / 4;
-                    let p = ctx.read_i64(lay.pos3(i) + 8 * ax) + v / 4;
-                    ctx.write_i64(lay.vel3(i) + 8 * ax, v);
-                    ctx.write_i64(lay.pos3(i) + 8 * ax, p);
+                    let f = ctx.read_i64(lay.force3(i) + 8 * ax).await;
+                    let v = ctx.read_i64(lay.vel3(i) + 8 * ax).await + f / 4;
+                    let p = ctx.read_i64(lay.pos3(i) + 8 * ax).await + v / 4;
+                    ctx.write_i64(lay.vel3(i) + 8 * ax, v).await;
+                    ctx.write_i64(lay.pos3(i) + 8 * ax, p).await;
                 }
-                ctx.compute(UPDATE_COMPUTE);
+                ctx.compute(UPDATE_COMPUTE).await;
             }
-            ctx.barrier();
+            ctx.barrier().await;
         }
         if ctx.pid == 0 {
             let mut ck = 0u64;
             for i in 0..m {
                 for ax in 0..3u64 {
-                    ck = ck.rotate_left(9) ^ ctx.read_i64(lay.pos3(i) + 8 * ax) as u64;
+                    ck = ck.rotate_left(9) ^ ctx.read_i64(lay.pos3(i) + 8 * ax).await as u64;
                 }
             }
             ck

@@ -467,56 +467,37 @@ fn bench_svc_arrivals(s: &mut Suite) {
     });
 }
 
-/// Front-end handoffs: 4 workload threads issue 1,000 ops each, served
-/// round robin. Ack-only `Compute` ops run ahead in batches; `Read` ops are
-/// one blocking handoff each, unless the port holds a copy of their page:
-/// in the served variant the second read of the page fetches a copy and
-/// the rest are answered on the workload thread. Thread spawn and join are
-/// timed with them.
+/// Front-end handoffs: 4 workload coroutines issue 1,000 ops each,
+/// resumed round robin, as `Simulation::run` drives them. A `Compute` op
+/// completes when it is taken; a `Read` stays pending until its reply is
+/// stored. Building the coroutines is timed with them. Everything runs on
+/// one thread, so the allocation counts are exact.
 fn bench_proc_handoff(s: &mut Suite) {
-    use ncp2::sim::{ProcHarness, ProcOp, ProcPort, ProcReply};
+    use ncp2::sim::{Coroutines, ProcOp, ProcReply};
     const PROCS: usize = 4;
     const OPS: u64 = 1_000;
-    const PAGE: u64 = 4096;
-    let page = vec![0u8; PAGE as usize];
-    let serve = |op: ProcOp, cached: bool| {
-        let body = move |_, port: ProcPort| {
+    let serve = |op: ProcOp| {
+        let mut procs = Coroutines::new(PROCS, |_, port| async move {
             for _ in 0..OPS {
-                port.call(op);
+                port.call(op).await;
             }
-            port.call(ProcOp::Finish);
-        };
-        let h = if cached {
-            ProcHarness::spawn_with_pages(PROCS, PAGE, body)
-        } else {
-            ProcHarness::spawn(PROCS, body)
-        };
+        });
         for _ in 0..OPS {
             for pid in 0..PROCS {
-                if !h.next_op(pid).returns_value() {
-                    continue;
-                }
-                if h.wants_page(pid) {
-                    h.reply_page(pid, 0, &page);
-                } else {
-                    h.reply(pid, ProcReply::Value(0));
+                if procs.next_op(pid).returns_value() {
+                    procs.reply(pid, ProcReply::Value(0));
                 }
             }
         }
         for pid in 0..PROCS {
-            black_box(h.next_op(pid));
+            black_box(procs.next_op(pid));
         }
-        h.join();
     };
-    let read = ProcOp::Read { addr: 0, bytes: 4 };
     s.bench("sim/proc_handoff_ack_4", |b| {
-        b.iter(|| serve(ProcOp::Compute(1), false))
+        b.iter(|| serve(ProcOp::Compute(1)))
     });
     s.bench("sim/proc_handoff_value_4", |b| {
-        b.iter(|| serve(read, false))
-    });
-    s.bench("sim/proc_handoff_served_4", |b| {
-        b.iter(|| serve(read, true))
+        b.iter(|| serve(ProcOp::Read { addr: 0, bytes: 4 }))
     });
 }
 

@@ -23,6 +23,8 @@
 //! Automatic updates share the untransported wire send
 //! ([`Simulation::send_on_wire`]) and never enter the hardened transport.
 
+use std::rc::Rc;
+
 use ncp2_sim::{Category, Cycles, MemAccess, ProcReply};
 
 use crate::interval::IntervalAnnouncement;
@@ -240,7 +242,7 @@ impl Simulation {
         requester: usize,
         prefetch: bool,
     ) {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         // AURC has no protocol controller: the home processor services every
         // fetch — including useless prefetches, the paper's AURC+P poison.
         let c0 = self.interrupt_proc(dst, t, params.interrupt, Category::Ipc, SpanKind::Service);
@@ -271,7 +273,7 @@ impl Simulation {
         page: PageId,
         prefetch: bool,
     ) {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let (_, pci_end) = self.nodes[dst]
             .mem
             .pci
@@ -344,7 +346,7 @@ impl Simulation {
     pub(crate) fn on_aurc_update(&mut self, dst: usize, t: Cycles, page: PageId) {
         // The NI moves the line across the PCI bus into local memory
         // (both contended) and the per-page horizon advances.
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let (_, pci_end) = self.nodes[dst]
             .mem
             .pci

@@ -25,10 +25,10 @@
 //! use ncp2_sim::{ProcOp, SysParams};
 //!
 //! let sim = Simulation::new(SysParams::default(), Protocol::TreadMarks(OverlapMode::ID));
-//! let result = sim.run(|pid, port| {
-//!     port.call(ProcOp::Write { addr: 64 * pid as u64, bytes: 4, value: pid as u64 });
-//!     port.call(ProcOp::Barrier(0));
-//!     port.call(ProcOp::Finish);
+//! let result = sim.run(|pid, port| async move {
+//!     let value = pid as u64;
+//!     port.call(ProcOp::Write { addr: 64 * value, bytes: 4, value }).await;
+//!     port.call(ProcOp::Barrier(0)).await;
 //! });
 //! println!("{} took {} cycles", result.protocol, result.total_cycles);
 //! ```

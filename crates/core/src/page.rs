@@ -206,11 +206,6 @@ impl PageBuf {
         }
     }
 
-    /// The page's bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.data
-    }
-
     /// Number of 4-byte words in the page.
     pub fn words(&self) -> usize {
         self.data.len() / 4

@@ -649,9 +649,17 @@ impl ObsRecorder {
         }
     }
 
-    /// Finalizes the log.
+    /// Finalizes the log. A finished log lives as long as its run result,
+    /// and an engine grid holds every job's, so the slack the logs grew
+    /// with is returned here.
     pub fn into_log(mut self) -> ObsLog {
-        self.log.epochs = self.cur_epoch;
+        let log = &mut self.log;
+        log.epochs = self.cur_epoch;
+        log.spans.shrink_to_fit();
+        log.engine.shrink_to_fit();
+        log.flights.shrink_to_fit();
+        log.edges.shrink_to_fit();
+        log.prefetch_use.shrink_to_fit();
         self.log
     }
 }

@@ -1,23 +1,26 @@
 //! The simulated machine: 16 workstation nodes, their memory hierarchies,
 //! protocol controllers, the mesh interconnect and the DSM protocol glue.
 //!
-//! [`Simulation`] owns the deterministic back end. Workload threads (the
-//! front end) drive it through [`ncp2_sim::ProcHarness`]: the back end
-//! always resumes the runnable processor with the smallest local clock, or
-//! handles the earliest pending event, whichever comes first — so a run is
-//! a deterministic function of (parameters, protocol, workload).
+//! [`Simulation`] owns the deterministic back end. Workload futures (the
+//! coroutine front end, [`ncp2_sim::Coroutines`]) drive it from the same
+//! thread: the back end always resumes the runnable processor with the
+//! smallest local clock, or handles the earliest pending event, whichever
+//! comes first — so a run is a deterministic function of (parameters,
+//! protocol, workload).
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+use std::future::Future;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use ncp2_mem::NodeMemory;
 use ncp2_net::Network;
 use ncp2_sim::ops::LockId;
 use ncp2_sim::{
-    Breakdown, Category, Cycles, EventQueue, MemAccess, Priority, ProcHarness, ProcOp, ProcReply,
-    ProcStatus, SysParams,
+    Breakdown, Category, Coroutines, Cycles, EventQueue, MemAccess, Port, Priority, ProcOp,
+    ProcReply, ProcStatus, SysParams,
 };
 
 use crate::bitvec::DirtyVec;
@@ -414,7 +417,9 @@ impl RunQueue {
 
 /// The complete simulated machine for one run.
 pub struct Simulation {
-    pub(crate) params: SysParams,
+    /// Shared, so a handler can hold the parameters while it mutates the
+    /// machine.
+    pub(crate) params: Rc<SysParams>,
     pub(crate) protocol: Protocol,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) net: Network,
@@ -473,7 +478,7 @@ impl Simulation {
             drop_notice_armed: false,
             fault: None,
             silent_frame_loss_armed: false,
-            params,
+            params: Rc::new(params),
             protocol,
         }
     }
@@ -518,23 +523,22 @@ impl Simulation {
     /// Runs `body` on every simulated processor to completion and returns
     /// the run's statistics.
     ///
-    /// The body receives `(pid, port)` and must finish with
-    /// [`ProcOp::Finish`] (the `ncp2-apps` framework does this for you).
+    /// `body(pid, port)` is processor `pid`'s workload: a future awaiting
+    /// each op it issues through `port` ([`Port::call`]). Its return is
+    /// the processor's [`ProcOp::Finish`]. The futures run on this thread,
+    /// one step at a time (see [`ncp2_sim::Coroutines`]).
     ///
     /// # Panics
     ///
-    /// Panics on deadlock (blocked processors with no pending events) and on
-    /// workload panics.
-    pub fn run<F>(mut self, body: F) -> RunResult
+    /// Panics on deadlock (blocked processors with no pending events), and
+    /// with the workload's own message on a workload panic.
+    pub fn run<F, Fut>(mut self, body: F) -> RunResult
     where
-        F: Fn(usize, ncp2_sim::ProcPort) + Send + Sync + 'static,
+        F: Fn(usize, Port) -> Fut,
+        Fut: Future<Output = ()>,
     {
         let n = self.params.nprocs;
-        let harness = if self.ships_pages() {
-            ProcHarness::spawn_with_pages(n, self.params.page_bytes, body)
-        } else {
-            ProcHarness::spawn(n, body)
-        };
+        let mut procs = Coroutines::new(n, body);
         let mut runq = RunQueue::new(n);
         while self.done < n {
             let next_proc = runq.min(&self.nodes);
@@ -542,7 +546,7 @@ impl Simulation {
             // root; no payload is touched until the `pop` below.
             let next_ev = self.queue.peek_time();
             match (next_proc, next_ev) {
-                (Some((pid, pt)), Some(et)) if et > pt => self.step_proc(pid, &harness),
+                (Some((pid, pt)), Some(et)) if et > pt => self.step_proc(pid, &mut procs),
                 (_, Some(_)) => {
                     // invariant: peek returned Some just above
                     let ev = self.queue.pop().expect("peeked event");
@@ -552,12 +556,12 @@ impl Simulation {
                         Ev::Wake { pid } => Some(pid),
                         _ => None,
                     };
-                    self.handle_event(ev.time, ev.payload, &harness);
+                    self.handle_event(ev.time, ev.payload, &procs);
                     if let Some(pid) = woken {
                         runq.push(pid, &self.nodes);
                     }
                 }
-                (Some((pid, _)), None) => self.step_proc(pid, &harness),
+                (Some((pid, _)), None) => self.step_proc(pid, &mut procs),
                 (None, None) => {
                     let stuck: Vec<usize> = self
                         .nodes
@@ -572,17 +576,7 @@ impl Simulation {
                 }
             }
         }
-        harness.join();
         self.finish()
-    }
-
-    /// Whether read replies may carry page copies for the workload thread
-    /// to serve later reads from (see `ncp2_sim::proc`). Under TreadMarks a
-    /// page a node holds changes only through the node's own writes,
-    /// faults and acquires. AURC's master data plane changes under other
-    /// nodes' writes at any time, and the sequential run gains nothing.
-    fn ships_pages(&self) -> bool {
-        !self.seq && matches!(self.protocol, Protocol::TreadMarks(_))
     }
 
     fn finish(mut self) -> RunResult {
@@ -615,38 +609,16 @@ impl Simulation {
 
     // ----- processor stepping -------------------------------------------
 
-    /// Executes processor `pid`'s next op. Only value replies reach the
-    /// workload (the harness drops `Ack`s): every other op was acknowledged
-    /// when the workload issued it.
-    fn step_proc(&mut self, pid: usize, harness: &ProcHarness) {
-        let op = harness.next_op(pid);
+    /// Resumes processor `pid`'s workload and executes the op it issues.
+    /// Only value replies reach the workload (the front end drops `Ack`s):
+    /// every other op completes when it is taken.
+    fn step_proc(&mut self, pid: usize, procs: &mut Coroutines<'_>) {
+        let op = procs.next_op(pid);
         match op {
             ProcOp::Compute(c) => self.advance(pid, c, Category::Busy, SpanKind::Compute),
             ProcOp::Read { .. } | ProcOp::Write { .. } => {
                 self.nodes[pid].pending_op = Some(op);
-                self.complete_access(pid, harness);
-            }
-            ProcOp::ServedRead { addr, bytes, value } => {
-                // Replayed as the read it stands for, so cycles, spans and
-                // bookkeeping are those of a round-trip read.
-                let read = MemAccess {
-                    addr,
-                    bytes,
-                    store: None,
-                };
-                let replayed = self.access(pid, read);
-                if replayed != Some(ProcReply::Value(value)) {
-                    let got = match replayed {
-                        Some(ProcReply::Value(v)) => format!("returns {v:#x}"),
-                        _ => "blocks".to_string(),
-                    };
-                    // invariant: a page a node holds changes only through its
-                    // own writes and acquires, so its port's copy matches
-                    panic!(
-                        "served read cross-check failed: processor {pid} was served \
-                         {value:#x} at {addr:#x}, but the read it stands for {got}"
-                    );
-                }
+                self.complete_access(pid, procs);
             }
             ProcOp::Lock(l) => {
                 self.nodes[pid].pending_op = Some(op);
@@ -679,7 +651,7 @@ impl Simulation {
             }
             ProcOp::Svc(svc_op) => {
                 let reply = self.svc_op(pid, svc_op);
-                harness.reply(pid, reply);
+                procs.reply(pid, reply);
             }
         }
     }
@@ -723,9 +695,8 @@ impl Simulation {
     }
 
     /// Runs `pid`'s pending read or write and, when it completes, answers
-    /// it: with a copy of the page read when the port asked for one. A
-    /// blocked access is retried at wake.
-    fn complete_access(&mut self, pid: usize, harness: &ProcHarness) {
+    /// it. A blocked access is retried at wake.
+    fn complete_access(&mut self, pid: usize, procs: &Coroutines<'_>) {
         let a = self.nodes[pid]
             .pending_op
             .and_then(ProcOp::mem_access)
@@ -735,15 +706,7 @@ impl Simulation {
             return;
         };
         self.nodes[pid].pending_op = None;
-        match reply {
-            ProcReply::Value(value) if harness.wants_page(pid) => {
-                let page = page_of(a.addr, self.params.page_bytes);
-                // invariant: the read just completed on this node's copy
-                let tp = self.nodes[pid].pages.get(page).expect("read page exists");
-                harness.reply_page(pid, value, tp.data.bytes());
-            }
-            _ => harness.reply(pid, reply),
-        }
+        procs.reply(pid, reply);
     }
 
     /// Performs a read/write. Returns `Some(reply)` when it completed
@@ -777,12 +740,11 @@ impl Simulation {
     /// breakdown (1 busy cycle on a hit; TLB/stall cycles as Other).
     pub(crate) fn charge_mem(&mut self, pid: usize, addr: u64, write: bool) {
         let now = self.nodes[pid].time;
-        let params = self.params.clone();
         let nd = &mut self.nodes[pid];
         let out = if write {
-            nd.mem.write(now, addr, &params)
+            nd.mem.write(now, addr, &self.params)
         } else {
-            nd.mem.read(now, addr, &params)
+            nd.mem.read(now, addr, &self.params)
         };
         let hit_cycles = if out.cache_hit || write { 1 } else { 0 };
         // overflow: a same-cycle hit makes the window shorter than the
@@ -1005,9 +967,9 @@ impl Simulation {
 
     // ----- event handling -------------------------------------------------
 
-    fn handle_event(&mut self, t: Cycles, ev: Ev, harness: &ProcHarness) {
+    fn handle_event(&mut self, t: Cycles, ev: Ev, procs: &Coroutines<'_>) {
         match ev {
-            Ev::Wake { pid } => self.handle_wake(pid, t, harness),
+            Ev::Wake { pid } => self.handle_wake(pid, t, procs),
             Ev::Msg { dst, msg } => self.handle_msg(dst, t, msg),
             Ev::Frame(frame) => self.on_frame(t, frame),
             Ev::Ack { src, dst, cum } => self.on_ack(t, src, dst, cum),
@@ -1020,7 +982,7 @@ impl Simulation {
         }
     }
 
-    fn handle_wake(&mut self, pid: usize, t: Cycles, harness: &ProcHarness) {
+    fn handle_wake(&mut self, pid: usize, t: Cycles, procs: &Coroutines<'_>) {
         let cat = self.nodes[pid].wait.category();
         let stall_kind = match self.nodes[pid].wait {
             Wait::None => SpanKind::SyncOp,
@@ -1074,7 +1036,7 @@ impl Simulation {
         match op {
             // The access retries; it may block again (e.g. new notices
             // arrived for the page while a prefetch was in flight).
-            ProcOp::Read { .. } | ProcOp::Write { .. } => self.complete_access(pid, harness),
+            ProcOp::Read { .. } | ProcOp::Write { .. } => self.complete_access(pid, procs),
             ProcOp::Lock(_) | ProcOp::Barrier(_) => self.nodes[pid].pending_op = None,
             other => unreachable!("unexpected pending op {other:?}"),
         }

@@ -33,6 +33,7 @@
 //! law `ncp2-verify` checks.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use ncp2_fault::FaultPlan;
 use ncp2_sim::{Category, Cycles, Priority};
@@ -191,7 +192,7 @@ impl Simulation {
         msg: Msg,
         anchor: SpanId,
     ) {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let bytes = msg.bytes(params.page_bytes, params.page_words());
         let (kind, demand) = (msg.kind(), !msg.is_prefetch());
         let prio = if demand {
@@ -381,7 +382,7 @@ impl Simulation {
 
     /// Emits a cumulative ack for link `src → dst` (travelling `dst → src`).
     fn send_ack(&mut self, t: Cycles, src: usize, dst: usize) {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let (cum, lost) = {
             // invariant: only called from on_frame with the transport attached
             let ctx = self.fault.as_mut().expect("ack without fault ctx");

@@ -22,6 +22,7 @@
 //! Unlike AURC, TreadMarks clears a copy's sticky reference bit whenever
 //! diffs fill it.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use ncp2_sim::{Category, Cycles, MemAccess, ProcReply};
@@ -126,7 +127,7 @@ impl Simulation {
     /// Timing of twin creation starting at `t` (page copy: 5 cycles/word on
     /// the executing engine plus a read+write page pass over memory).
     fn tm_make_twin(&mut self, pid: usize, _page: PageId, t: Cycles) -> Cycles {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let cpu = Controller::twin_cost(&params);
         let words = 2 * params.page_words();
         self.nodes[pid].stats.twin_cycles += cpu;
@@ -148,7 +149,7 @@ impl Simulation {
     /// stored diff now. Returns the processor-visible completion time; DMA /
     /// controller work proceeds asynchronously under the I-modes.
     pub(crate) fn tm_force_diff(&mut self, pid: usize, page: PageId, t: Cycles) -> Cycles {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let mode = self.mode();
         if mode.hw_diffs() {
             let open = self.open_interval_id(pid);
@@ -224,7 +225,7 @@ impl Simulation {
     /// [`Simulation::close_interval`]): eager DMA diffs in hardware modes,
     /// write protection (for lazy diffs) in software modes.
     pub(crate) fn tm_close_pages(&mut self, pid: usize, id: IntervalId, pages: &[PageId]) {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let hw = self.mode().hw_diffs();
         for &page in pages {
             let tp = self.tm_page(pid, page);
@@ -400,7 +401,7 @@ impl Simulation {
         prefetch: bool,
         want_page: bool,
     ) {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let mode = self.mode();
         let k = intervals.len() as Cycles;
         // Interval processing: on the controller for prefetches under the
@@ -509,7 +510,7 @@ impl Simulation {
         t: Cycles,
         _prefetch: bool,
     ) -> Cycles {
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let (tivl, twin) = self
             .tm_page(dst, page)
             .twin
@@ -657,7 +658,7 @@ impl Simulation {
             ready_at: start,
             ..
         } = fill;
-        let params = self.params.clone();
+        let params = Rc::clone(&self.params);
         let mode = self.mode();
         let mut mem_words: u64 = 0;
         if let Some((data, pvt)) = &full {

@@ -2,38 +2,35 @@
 //! integration tests exercise only implicitly.
 
 use ncp2_core::{OverlapMode, Protocol, Simulation};
-use ncp2_sim::{ProcOp, ProcPort, SysParams};
+use ncp2_sim::{Port, ProcOp, SysParams};
 
-fn w(port: &ProcPort, addr: u64, v: u64) {
+async fn w(port: &Port, addr: u64, v: u64) {
     port.call(ProcOp::Write {
         addr,
         bytes: 4,
         value: v,
-    });
+    })
+    .await;
 }
-fn r(port: &ProcPort, addr: u64) -> u64 {
-    port.call(ProcOp::Read { addr, bytes: 4 }).value()
+async fn r(port: &Port, addr: u64) -> u64 {
+    port.call(ProcOp::Read { addr, bytes: 4 }).await.value()
 }
 
 /// Controller modes keep controller-busy accounting: I-modes use the
 /// controller, Base/P never touch it, AURC has none.
 #[test]
 fn controller_busy_accounting_by_mode() {
-    let body = |pid: usize, port: &ProcPort| {
+    async fn body(pid: usize, port: Port) {
         if pid == 0 {
             for i in 0..64 {
-                w(port, i * 4, i + 1);
+                w(&port, i * 4, i + 1).await;
             }
         }
-        port.call(ProcOp::Barrier(0));
-        let _ = r(port, 0);
-        port.call(ProcOp::Barrier(1));
-        port.call(ProcOp::Finish);
-    };
-    let run = |proto| {
-        Simulation::new(SysParams::default().with_nprocs(4), proto)
-            .run(move |pid, port| body(pid, &port))
-    };
+        port.call(ProcOp::Barrier(0)).await;
+        let _ = r(&port, 0).await;
+        port.call(ProcOp::Barrier(1)).await;
+    }
+    let run = |proto| Simulation::new(SysParams::default().with_nprocs(4), proto).run(body);
     let base = run(Protocol::TreadMarks(OverlapMode::Base));
     let id = run(Protocol::TreadMarks(OverlapMode::ID));
     let aurc = run(Protocol::Aurc { prefetch: false });
@@ -51,16 +48,15 @@ fn message_counts_scale_with_sharing() {
             SysParams::default().with_nprocs(4),
             Protocol::TreadMarks(OverlapMode::Base),
         )
-        .run(move |pid, port| {
+        .run(move |pid, port| async move {
             // Partitioned: each proc touches its own page. Shared: everyone
             // reads page 0 afterwards.
-            w(&port, 4096 * pid as u64, pid as u64 + 1);
-            port.call(ProcOp::Barrier(0));
+            w(&port, 4096 * pid as u64, pid as u64 + 1).await;
+            port.call(ProcOp::Barrier(0)).await;
             if share {
-                let _ = r(&port, 0);
+                let _ = r(&port, 0).await;
             }
-            port.call(ProcOp::Barrier(1));
-            port.call(ProcOp::Finish);
+            port.call(ProcOp::Barrier(1)).await;
         })
     };
     let partitioned = run(false);
@@ -82,10 +78,9 @@ fn barrier_manager_follows_object_id() {
             SysParams::default().with_nprocs(4),
             Protocol::TreadMarks(OverlapMode::Base),
         )
-        .run(move |pid, port| {
-            w(&port, 4 * pid as u64, 1);
-            port.call(ProcOp::Barrier(id));
-            port.call(ProcOp::Finish);
+        .run(move |pid, port| async move {
+            w(&port, 4 * pid as u64, 1).await;
+            port.call(ProcOp::Barrier(id)).await;
         })
     };
     let b1 = run(1);
@@ -103,21 +98,20 @@ fn token_survives_idle_periods() {
         SysParams::default().with_nprocs(4),
         Protocol::TreadMarks(OverlapMode::Base),
     )
-    .run(|pid, port| {
+    .run(move |pid, port| async move {
         if pid == 3 {
-            port.call(ProcOp::Lock(11));
-            w(&port, 0, 42);
-            port.call(ProcOp::Unlock(11));
+            port.call(ProcOp::Lock(11)).await;
+            w(&port, 0, 42).await;
+            port.call(ProcOp::Unlock(11)).await;
         }
-        port.call(ProcOp::Barrier(0));
-        port.call(ProcOp::Barrier(1));
-        port.call(ProcOp::Barrier(2));
+        port.call(ProcOp::Barrier(0)).await;
+        port.call(ProcOp::Barrier(1)).await;
+        port.call(ProcOp::Barrier(2)).await;
         if pid == 0 {
-            port.call(ProcOp::Lock(11));
-            assert_eq!(r(&port, 0), 42);
-            port.call(ProcOp::Unlock(11));
+            port.call(ProcOp::Lock(11)).await;
+            assert_eq!(r(&port, 0).await, 42);
+            port.call(ProcOp::Unlock(11)).await;
         }
-        port.call(ProcOp::Finish);
     });
 }
 
@@ -129,12 +123,13 @@ fn cold_pages_read_zero() {
         Protocol::TreadMarks(OverlapMode::IPD),
         Protocol::Aurc { prefetch: true },
     ] {
-        Simulation::new(SysParams::default().with_nprocs(2), proto).run(|_pid, port| {
-            for page in 0..4u64 {
-                assert_eq!(r(&port, page * 4096 + 128), 0);
-            }
-            port.call(ProcOp::Barrier(0));
-            port.call(ProcOp::Finish);
-        });
+        Simulation::new(SysParams::default().with_nprocs(2), proto).run(
+            move |_pid, port| async move {
+                for page in 0..4u64 {
+                    assert_eq!(r(&port, page * 4096 + 128).await, 0);
+                }
+                port.call(ProcOp::Barrier(0)).await;
+            },
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! bytes) and structural timing properties.
 
 use ncp2_core::{OverlapMode, Protocol, Simulation};
-use ncp2_sim::{ProcOp, SysParams};
+use ncp2_sim::{Port, ProcOp, SysParams};
 
 const ALL_PROTOCOLS: [Protocol; 8] = [
     Protocol::TreadMarks(OverlapMode::Base),
@@ -20,16 +20,17 @@ fn params(n: usize) -> SysParams {
     SysParams::default().with_nprocs(n)
 }
 
-fn read_u32(port: &ncp2_sim::ProcPort, addr: u64) -> u64 {
-    port.call(ProcOp::Read { addr, bytes: 4 }).value()
+async fn read_u32(port: &Port, addr: u64) -> u64 {
+    port.call(ProcOp::Read { addr, bytes: 4 }).await.value()
 }
 
-fn write_u32(port: &ncp2_sim::ProcPort, addr: u64, value: u64) {
+async fn write_u32(port: &Port, addr: u64, value: u64) {
     port.call(ProcOp::Write {
         addr,
         bytes: 4,
         value,
-    });
+    })
+    .await;
 }
 
 /// Producer/consumer through a barrier: proc 0 writes, everyone reads.
@@ -37,19 +38,18 @@ fn write_u32(port: &ncp2_sim::ProcPort, addr: u64, value: u64) {
 fn barrier_propagates_writes_under_every_protocol() {
     for proto in ALL_PROTOCOLS {
         let sim = Simulation::new(params(4), proto);
-        let result = sim.run(move |pid, port| {
+        let result = sim.run(move |pid, port| async move {
             if pid == 0 {
                 for i in 0..64u64 {
-                    write_u32(&port, i * 4, 1000 + i);
+                    write_u32(&port, i * 4, 1000 + i).await;
                 }
             }
-            port.call(ProcOp::Barrier(0));
+            port.call(ProcOp::Barrier(0)).await;
             for i in 0..64u64 {
-                let v = read_u32(&port, i * 4);
+                let v = read_u32(&port, i * 4).await;
                 assert_eq!(v, 1000 + i, "{proto:?}: proc {pid} read stale word {i}");
             }
-            port.call(ProcOp::Barrier(1));
-            port.call(ProcOp::Finish);
+            port.call(ProcOp::Barrier(1)).await;
         });
         assert!(result.total_cycles > 0);
         assert_eq!(result.nodes.len(), 4);
@@ -63,22 +63,21 @@ fn lock_protected_counter_is_coherent() {
         let n = 4;
         let rounds = 8u64;
         let sim = Simulation::new(params(n), proto);
-        let result = sim.run(move |pid, port| {
+        let result = sim.run(move |pid, port| async move {
             for _ in 0..rounds {
-                port.call(ProcOp::Lock(3));
-                let v = read_u32(&port, 0);
-                port.call(ProcOp::Compute(50));
-                write_u32(&port, 0, v + 1);
-                port.call(ProcOp::Unlock(3));
+                port.call(ProcOp::Lock(3)).await;
+                let v = read_u32(&port, 0).await;
+                port.call(ProcOp::Compute(50)).await;
+                write_u32(&port, 0, v + 1).await;
+                port.call(ProcOp::Unlock(3)).await;
             }
-            port.call(ProcOp::Barrier(0));
-            let total = read_u32(&port, 0);
+            port.call(ProcOp::Barrier(0)).await;
+            let total = read_u32(&port, 0).await;
             assert_eq!(
                 total,
                 n as u64 * rounds,
                 "{proto:?}: proc {pid} saw bad counter"
             );
-            port.call(ProcOp::Finish);
         });
         let acquires: u64 = result.nodes.iter().map(|s| s.lock_acquires).sum();
         assert_eq!(
@@ -96,24 +95,23 @@ fn false_sharing_within_one_page_merges() {
     for proto in ALL_PROTOCOLS {
         let n = 4;
         let sim = Simulation::new(params(n), proto);
-        sim.run(move |pid, port| {
+        sim.run(move |pid, port| async move {
             for round in 1..4u64 {
                 for i in 0..8u64 {
                     let word = pid as u64 * 8 + i;
-                    write_u32(&port, word * 4, round * 100 + word);
+                    write_u32(&port, word * 4, round * 100 + word).await;
                 }
-                port.call(ProcOp::Barrier(0));
+                port.call(ProcOp::Barrier(0)).await;
                 for word in 0..(n as u64 * 8) {
-                    let v = read_u32(&port, word * 4);
+                    let v = read_u32(&port, word * 4).await;
                     assert_eq!(
                         v,
                         round * 100 + word,
                         "{proto:?}: round {round} word {word}"
                     );
                 }
-                port.call(ProcOp::Barrier(1));
+                port.call(ProcOp::Barrier(1)).await;
             }
-            port.call(ProcOp::Finish);
         });
     }
 }
@@ -125,20 +123,22 @@ fn lock_chain_carries_notices() {
     for proto in ALL_PROTOCOLS {
         let n = 4;
         let sim = Simulation::new(params(n), proto);
-        sim.run(move |pid, port| {
+        sim.run(move |pid, port| async move {
             // Each proc appends its id to a log guarded by the lock.
-            port.call(ProcOp::Lock(0));
-            let len = read_u32(&port, 0);
-            write_u32(&port, 4 * (1 + len), pid as u64 + 77);
-            write_u32(&port, 0, len + 1);
-            port.call(ProcOp::Unlock(0));
-            port.call(ProcOp::Barrier(9));
-            let len = read_u32(&port, 0);
+            port.call(ProcOp::Lock(0)).await;
+            let len = read_u32(&port, 0).await;
+            write_u32(&port, 4 * (1 + len), pid as u64 + 77).await;
+            write_u32(&port, 0, len + 1).await;
+            port.call(ProcOp::Unlock(0)).await;
+            port.call(ProcOp::Barrier(9)).await;
+            let len = read_u32(&port, 0).await;
             assert_eq!(len, n as u64, "{proto:?}: log length");
-            let mut seen: Vec<u64> = (1..=n as u64).map(|i| read_u32(&port, 4 * i)).collect();
+            let mut seen = Vec::new();
+            for i in 1..=n as u64 {
+                seen.push(read_u32(&port, 4 * i).await);
+            }
             seen.sort_unstable();
             assert_eq!(seen, vec![77, 78, 79, 80], "{proto:?}: log contents");
-            port.call(ProcOp::Finish);
         });
     }
 }
@@ -154,16 +154,15 @@ fn runs_are_deterministic() {
     ] {
         let run = |_: usize| {
             let sim = Simulation::new(params(4), proto);
-            sim.run(|pid, port| {
+            sim.run(move |pid, port| async move {
                 for r in 0..6u64 {
-                    port.call(ProcOp::Lock(1));
-                    let v = read_u32(&port, 128);
-                    write_u32(&port, 128, v + pid as u64 + r);
-                    port.call(ProcOp::Unlock(1));
-                    port.call(ProcOp::Compute(200));
-                    port.call(ProcOp::Barrier(0));
+                    port.call(ProcOp::Lock(1)).await;
+                    let v = read_u32(&port, 128).await;
+                    write_u32(&port, 128, v + pid as u64 + r).await;
+                    port.call(ProcOp::Unlock(1)).await;
+                    port.call(ProcOp::Compute(200)).await;
+                    port.call(ProcOp::Barrier(0)).await;
                 }
-                port.call(ProcOp::Finish);
             })
         };
         let a = run(0);
@@ -183,17 +182,16 @@ fn runs_are_deterministic() {
 #[test]
 fn sequential_mode_is_protocol_free() {
     let sim = Simulation::new(params(1), Protocol::TreadMarks(OverlapMode::Base));
-    let result = sim.run(|_, port| {
+    let result = sim.run(move |_, port| async move {
         for i in 0..256u64 {
-            write_u32(&port, i * 4, i);
+            write_u32(&port, i * 4, i).await;
         }
         for i in 0..256u64 {
-            assert_eq!(read_u32(&port, i * 4), i);
+            assert_eq!(read_u32(&port, i * 4).await, i);
         }
-        port.call(ProcOp::Lock(0));
-        port.call(ProcOp::Unlock(0));
-        port.call(ProcOp::Barrier(0));
-        port.call(ProcOp::Finish);
+        port.call(ProcOp::Lock(0)).await;
+        port.call(ProcOp::Unlock(0)).await;
+        port.call(ProcOp::Barrier(0)).await;
     });
     let s = &result.nodes[0];
     assert_eq!(s.faults, 0);
@@ -205,23 +203,20 @@ fn sequential_mode_is_protocol_free() {
 /// Overlap-mode structure: hardware diffs eliminate twins; Base does not.
 #[test]
 fn hw_diffs_eliminate_twins() {
-    let worker = |pid: usize, port: &ncp2_sim::ProcPort| {
+    async fn worker(pid: usize, port: Port) {
         for r in 0..4u64 {
             if pid == 0 {
                 for i in 0..32u64 {
-                    write_u32(port, i * 4, r * 10 + i);
+                    write_u32(&port, i * 4, r * 10 + i).await;
                 }
             }
-            port.call(ProcOp::Barrier(0));
-            let _ = read_u32(port, 0);
-            port.call(ProcOp::Barrier(1));
+            port.call(ProcOp::Barrier(0)).await;
+            let _ = read_u32(&port, 0).await;
+            port.call(ProcOp::Barrier(1)).await;
         }
-        port.call(ProcOp::Finish);
-    };
-    let base = Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::Base))
-        .run(move |pid, port| worker(pid, &port));
-    let hw = Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::ID))
-        .run(move |pid, port| worker(pid, &port));
+    }
+    let base = Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::Base)).run(worker);
+    let hw = Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::ID)).run(worker);
     let base_twins: u64 = base.nodes.iter().map(|s| s.twin_cycles).sum();
     let hw_twins: u64 = hw.nodes.iter().map(|s| s.twin_cycles).sum();
     assert!(base_twins > 0, "Base should create twins");
@@ -236,42 +231,42 @@ fn hw_diffs_eliminate_twins() {
 /// and useless prefetches are detected.
 #[test]
 fn prefetch_heuristic_fires_and_tracks_uselessness() {
-    let result =
-        Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::IP)).run(|pid, port| {
+    let result = Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::IP)).run(
+        move |pid, port| async move {
             // Proc 0 repeatedly rewrites a block everyone reads, so readers'
             // pages are invalidated and re-referenced every round.
             for r in 1..6u64 {
                 if pid == 0 {
                     for i in 0..16u64 {
-                        write_u32(&port, i * 4, r + i);
+                        write_u32(&port, i * 4, r + i).await;
                     }
                 }
-                port.call(ProcOp::Barrier(0));
+                port.call(ProcOp::Barrier(0)).await;
                 if pid != 0 {
-                    let v = read_u32(&port, 0);
+                    let v = read_u32(&port, 0).await;
                     assert_eq!(v, r);
                 }
-                port.call(ProcOp::Barrier(1));
+                port.call(ProcOp::Barrier(1)).await;
             }
-            port.call(ProcOp::Finish);
-        });
+        },
+    );
     let (issued, _useless) = result.prefetch_totals();
     assert!(issued > 0, "prefetches should have been issued");
     // The same workload under Base issues none.
-    let base =
-        Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::Base)).run(|pid, port| {
+    let base = Simulation::new(params(4), Protocol::TreadMarks(OverlapMode::Base)).run(
+        move |pid, port| async move {
             for r in 1..6u64 {
                 if pid == 0 {
-                    write_u32(&port, 0, r);
+                    write_u32(&port, 0, r).await;
                 }
-                port.call(ProcOp::Barrier(0));
+                port.call(ProcOp::Barrier(0)).await;
                 if pid != 0 {
-                    let _ = read_u32(&port, 0);
+                    let _ = read_u32(&port, 0).await;
                 }
-                port.call(ProcOp::Barrier(1));
+                port.call(ProcOp::Barrier(1)).await;
             }
-            port.call(ProcOp::Finish);
-        });
+        },
+    );
     assert_eq!(base.prefetch_totals().0, 0);
 }
 
@@ -280,19 +275,20 @@ fn prefetch_heuristic_fires_and_tracks_uselessness() {
 #[test]
 fn aurc_pairwise_sharing_avoids_faults() {
     // Two processors ping-pong a flag page; the other two stay out of it.
-    let result = Simulation::new(params(4), Protocol::Aurc { prefetch: false }).run(|pid, port| {
-        if pid < 2 {
-            for r in 0..10u64 {
-                port.call(ProcOp::Lock(0));
-                let v = read_u32(&port, 0);
-                write_u32(&port, 0, v + 1);
-                port.call(ProcOp::Unlock(0));
-                port.call(ProcOp::Compute(100 + r));
+    let result = Simulation::new(params(4), Protocol::Aurc { prefetch: false }).run(
+        move |pid, port| async move {
+            if pid < 2 {
+                for r in 0..10u64 {
+                    port.call(ProcOp::Lock(0)).await;
+                    let v = read_u32(&port, 0).await;
+                    write_u32(&port, 0, v + 1).await;
+                    port.call(ProcOp::Unlock(0)).await;
+                    port.call(ProcOp::Compute(100 + r)).await;
+                }
             }
-        }
-        port.call(ProcOp::Barrier(0));
-        port.call(ProcOp::Finish);
-    });
+            port.call(ProcOp::Barrier(0)).await;
+        },
+    );
     // Pairwise: after the initial pairing fetch, no page fetches from locks.
     let fetches: u64 = result.nodes.iter().map(|s| s.page_fetches).sum();
     assert!(
@@ -307,20 +303,20 @@ fn aurc_pairwise_sharing_avoids_faults() {
 /// invalidation.
 #[test]
 fn aurc_home_mode_faults_after_invalidation() {
-    let result =
-        Simulation::new(params(4), Protocol::Aurc { prefetch: false }).run(|_pid, port| {
+    let result = Simulation::new(params(4), Protocol::Aurc { prefetch: false }).run(
+        move |_pid, port| async move {
             for r in 1..5u64 {
-                port.call(ProcOp::Lock(0));
-                let v = read_u32(&port, 0);
-                write_u32(&port, 0, v + 1);
-                port.call(ProcOp::Unlock(0));
-                port.call(ProcOp::Compute(50 + r));
+                port.call(ProcOp::Lock(0)).await;
+                let v = read_u32(&port, 0).await;
+                write_u32(&port, 0, v + 1).await;
+                port.call(ProcOp::Unlock(0)).await;
+                port.call(ProcOp::Compute(50 + r)).await;
             }
-            port.call(ProcOp::Barrier(0));
-            let total = read_u32(&port, 0);
+            port.call(ProcOp::Barrier(0)).await;
+            let total = read_u32(&port, 0).await;
             assert_eq!(total, 16);
-            port.call(ProcOp::Finish);
-        });
+        },
+    );
     let fetches: u64 = result.nodes.iter().map(|s| s.page_fetches).sum();
     assert!(
         fetches >= 3,
@@ -336,15 +332,14 @@ fn breakdown_sums_to_total_time() {
         Protocol::TreadMarks(OverlapMode::Base),
         Protocol::Aurc { prefetch: false },
     ] {
-        let result = Simulation::new(params(4), proto).run(|pid, port| {
+        let result = Simulation::new(params(4), proto).run(move |pid, port| async move {
             for _ in 0..4u64 {
-                port.call(ProcOp::Lock(0));
-                let v = read_u32(&port, 64);
-                write_u32(&port, 64, v + pid as u64);
-                port.call(ProcOp::Unlock(0));
-                port.call(ProcOp::Barrier(0));
+                port.call(ProcOp::Lock(0)).await;
+                let v = read_u32(&port, 64).await;
+                write_u32(&port, 64, v + pid as u64).await;
+                port.call(ProcOp::Unlock(0)).await;
+                port.call(ProcOp::Barrier(0)).await;
             }
-            port.call(ProcOp::Finish);
         });
         for (pid, s) in result.nodes.iter().enumerate() {
             let total = s.breakdown.total();

@@ -8,17 +8,17 @@ fn run_traced(proto: Protocol) -> ncp2_core::RunResult {
         trace: true,
         ..SysParams::default().with_nprocs(4)
     };
-    Simulation::new(params, proto).run(|pid, port| {
-        port.call(ProcOp::Lock(1));
-        let v = port.call(ProcOp::Read { addr: 0, bytes: 4 }).value();
+    Simulation::new(params, proto).run(move |pid, port| async move {
+        port.call(ProcOp::Lock(1)).await;
+        let v = port.call(ProcOp::Read { addr: 0, bytes: 4 }).await.value();
         port.call(ProcOp::Write {
             addr: 0,
             bytes: 4,
             value: v + pid as u64 + 1,
-        });
-        port.call(ProcOp::Unlock(1));
-        port.call(ProcOp::Barrier(0));
-        port.call(ProcOp::Finish);
+        })
+        .await;
+        port.call(ProcOp::Unlock(1)).await;
+        port.call(ProcOp::Barrier(0)).await;
     })
 }
 
@@ -48,14 +48,14 @@ fn trace_is_off_by_default() {
         SysParams::default().with_nprocs(2),
         Protocol::TreadMarks(OverlapMode::Base),
     )
-    .run(|_, port| {
+    .run(move |_, port| async move {
         port.call(ProcOp::Write {
             addr: 0,
             bytes: 4,
             value: 1,
-        });
-        port.call(ProcOp::Barrier(0));
-        port.call(ProcOp::Finish);
+        })
+        .await;
+        port.call(ProcOp::Barrier(0)).await;
     });
     assert!(r.trace.is_empty());
 }
@@ -77,18 +77,20 @@ fn traced_and_untraced_runs_have_identical_timing() {
             trace: false,
             ..SysParams::default().with_nprocs(4)
         };
-        Simulation::new(params, Protocol::TreadMarks(OverlapMode::ID)).run(|pid, port| {
-            port.call(ProcOp::Lock(1));
-            let v = port.call(ProcOp::Read { addr: 0, bytes: 4 }).value();
-            port.call(ProcOp::Write {
-                addr: 0,
-                bytes: 4,
-                value: v + pid as u64 + 1,
-            });
-            port.call(ProcOp::Unlock(1));
-            port.call(ProcOp::Barrier(0));
-            port.call(ProcOp::Finish);
-        })
+        Simulation::new(params, Protocol::TreadMarks(OverlapMode::ID)).run(
+            move |pid, port| async move {
+                port.call(ProcOp::Lock(1)).await;
+                let v = port.call(ProcOp::Read { addr: 0, bytes: 4 }).await.value();
+                port.call(ProcOp::Write {
+                    addr: 0,
+                    bytes: 4,
+                    value: v + pid as u64 + 1,
+                })
+                .await;
+                port.call(ProcOp::Unlock(1)).await;
+                port.call(ProcOp::Barrier(0)).await;
+            },
+        )
     };
     assert_eq!(
         traced.total_cycles, untraced.total_cycles,

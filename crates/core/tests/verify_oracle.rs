@@ -7,7 +7,9 @@
 //! The oracle itself is then mutation-tested: a protocol with an injected
 //! bug (a dropped write notice) must be caught, proving the checks are live.
 
-use ncp2_apps::{run_app, run_app_with, Barnes, Em3d, Ocean, Radix, Tsp, Water, Workload};
+use ncp2_apps::{
+    run_app, run_app_with, Barnes, Ctx, Em3d, Ocean, Program, Radix, Tsp, Water, Workload,
+};
 use ncp2_core::observe::Violation;
 use ncp2_core::{OverlapMode, Protocol, RunResult, Simulation};
 use ncp2_sim::SysParams;
@@ -156,18 +158,20 @@ impl Workload for ProducerConsumer {
         "ProducerConsumer"
     }
 
-    fn run(&self, ctx: &mut ncp2_apps::Ctx<'_>) -> u64 {
-        if ctx.pid == 0 {
-            ctx.write_u64(0, 0xFEED);
-        }
-        ctx.barrier();
-        let v = ctx.read_u64(0);
-        ctx.barrier();
-        if ctx.pid == 0 {
-            v
-        } else {
-            0
-        }
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(async move {
+            if ctx.pid == 0 {
+                ctx.write_u64(0, 0xFEED).await;
+            }
+            ctx.barrier().await;
+            let v = ctx.read_u64(0).await;
+            ctx.barrier().await;
+            if ctx.pid == 0 {
+                v
+            } else {
+                0
+            }
+        })
     }
 }
 
@@ -225,11 +229,13 @@ impl Workload for RacyCounter {
         "RacyCounter"
     }
 
-    fn run(&self, ctx: &mut ncp2_apps::Ctx<'_>) -> u64 {
-        let v = ctx.read_u64(0);
-        ctx.write_u64(0, v + 1);
-        ctx.barrier();
-        0
+    fn run<'a>(&'a self, ctx: &'a mut Ctx) -> Program<'a> {
+        Box::pin(async move {
+            let v = ctx.read_u64(0).await;
+            ctx.write_u64(0, v + 1).await;
+            ctx.barrier().await;
+            0
+        })
     }
 }
 

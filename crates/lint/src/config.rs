@@ -45,6 +45,15 @@ pub const SIMULATED_TIME_DIRS: &[&str] = &[
     "crates/svc/src",
 ];
 
+/// The workloads: they run as coroutines on the simulator thread, so they
+/// join the simulated-time crates under `os-thread-in-sim`.
+pub const WORKLOAD_DIRS: &[&str] = &["crates/apps/src"];
+
+/// Files exempt from `os-thread-in-sim`: the threaded op-stream adapter
+/// kept for the host benchmark's front-end probe, which the simulator does
+/// not use.
+pub const THREAD_ADAPTER_FILES: &[&str] = &["crates/sim/src/proc.rs"];
+
 /// Directory whose binaries must route every simulation through the
 /// experiment engine.
 pub const ENGINE_ONLY_DIR: &str = "crates/bench/src/bin";

@@ -1,3 +1,9 @@
+//! Determinism rules.
+//!
+//! `os-thread-in-sim`: the simulator runs every workload as a coroutine on
+//! one thread, so an OS thread in the simulated-time crates or the
+//! workloads would bring host scheduling back into a run.
+//!
 //! `nondeterministic-iteration`: hash-order iteration in crates whose
 //! output feeds checksums, metrics JSON, bench cache keys or committed
 //! golden files.
@@ -16,10 +22,69 @@
 
 use std::collections::BTreeSet;
 
-use crate::config::{in_dirs, DETERMINISTIC_OUTPUT_DIRS};
+use crate::config::{
+    in_dirs, DETERMINISTIC_OUTPUT_DIRS, SIMULATED_TIME_DIRS, THREAD_ADAPTER_FILES, WORKLOAD_DIRS,
+};
 use crate::diag::Diagnostic;
 use crate::engine::{FileCtx, Rule};
 use crate::lexer::{Tok, TokKind};
+
+/// `std::thread` items that start an OS thread.
+const THREAD_STARTERS: &[&str] = &["spawn", "Builder", "scope"];
+
+/// `os-thread-in-sim`: no `thread::spawn`/`Builder`/`scope` (by path or
+/// imported from `std::thread`) in the simulated-time crates or the
+/// workloads.
+pub struct OsThreadInSim;
+
+impl Rule for OsThreadInSim {
+    fn id(&self) -> &'static str {
+        "os-thread-in-sim"
+    }
+    fn summary(&self) -> &'static str {
+        "no `thread::spawn`/`Builder`/`scope` in simulated-time crates or workloads"
+    }
+    fn applies(&self, rel: &str) -> bool {
+        (in_dirs(rel, SIMULATED_TIME_DIRS) || in_dirs(rel, WORKLOAD_DIRS))
+            && !THREAD_ADAPTER_FILES.contains(&rel)
+    }
+    fn check(&self, ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
+        let code = &ctx.code;
+        for i in 0..code.len() {
+            let path = code[i].is_ident("thread")
+                && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                && code.get(i + 2).is_some_and(|t| t.is_punct(':'));
+            if !path {
+                continue;
+            }
+            // `thread::spawn` or `thread::{…, spawn, …}`.
+            let items = match code.get(i + 3) {
+                Some(t) if t.is_punct('{') => {
+                    let end = code[i + 3..]
+                        .iter()
+                        .position(|t| t.is_punct('}'))
+                        .map_or(code.len(), |k| i + 3 + k);
+                    &code[i + 4..end]
+                }
+                Some(_) => &code[i + 3..i + 4],
+                None => &[],
+            };
+            for t in items {
+                if t.kind == TokKind::Ident && THREAD_STARTERS.contains(&t.text.as_str()) {
+                    out.push(ctx.diag(
+                        t,
+                        self.id(),
+                        format!(
+                            "`thread::{}` in a crate that runs on the simulator thread \
+                             (workloads are coroutines)",
+                            t.text
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
 
 /// Methods whose results (or visit order) depend on hash order.
 const ORDER_DEPENDENT: &[&str] = &[

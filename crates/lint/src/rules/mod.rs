@@ -16,7 +16,7 @@ mod timing;
 use crate::engine::{Rule, META_MALFORMED, META_UNUSED};
 use crate::lexer::Tok;
 
-pub use determinism::NondeterministicIteration;
+pub use determinism::{NondeterministicIteration, OsThreadInSim};
 pub use panics::{ForbiddenPanic, UncheckedIndex, UndocumentedPanic};
 pub use perf::LinearScanInHotPath;
 pub use protocol::{EngineBypass, UnanchoredEdge, UnboundedRetry};
@@ -56,6 +56,7 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         }),
         Box::new(NondeterministicIteration),
         Box::new(OpenLoopClock),
+        Box::new(OsThreadInSim),
         Box::new(SaturatingCycleArith),
         Box::new(TruncatingCycleCast),
         Box::new(UnanchoredEdge),

@@ -425,6 +425,46 @@ fn stamp(now: u64) -> u64 {
 }
 
 #[test]
+fn os_thread_in_sim() {
+    for rel in ["crates/core/src/system.rs", "crates/apps/src/tsp.rs"] {
+        fires(
+            rel,
+            r#"
+use std::thread::{self, Builder};
+
+fn run(n: usize) {
+    let workers: Vec<_> = (0..n).map(|_| std::thread::spawn(work)).collect();
+    thread::scope(|s| s.spawn(work));
+}
+"#,
+            "os-thread-in-sim",
+        );
+        clean(
+            rel,
+            r#"
+fn run(procs: &mut Coroutines<'_>, n: usize) {
+    for pid in 0..n {
+        let op = procs.next_op(pid);
+        step(pid, op);
+    }
+}
+"#,
+            "os-thread-in-sim",
+        );
+    }
+    // The threaded adapter kept for the host benchmark is exempt.
+    clean(
+        "crates/sim/src/proc.rs",
+        r#"
+fn spawn(pid: usize) -> JoinHandle<()> {
+    std::thread::Builder::new().spawn(move || body(pid)).expect("spawn")
+}
+"#,
+        "os-thread-in-sim",
+    );
+}
+
+#[test]
 fn unjustified_saturating_cycle_arith() {
     let rel = "crates/mem/src/fifo.rs";
     fires(
@@ -575,6 +615,7 @@ fn every_registered_rule_has_a_fixture_here() {
         "malformed-suppression",
         "nondeterministic-iteration",
         "open-loop-clock",
+        "os-thread-in-sim",
         "truncating-cycle-cast",
         "unanchored-edge",
         "unbounded-retry",

@@ -3,10 +3,10 @@
 //! Building blocks for the NCP2 software-DSM simulation study (Bianchini et
 //! al., ASPLOS 1996): a deterministic event queue, FIFO resource reservation,
 //! the Table-1 system parameters, a seeded RNG, execution-time breakdown
-//! accounting, and the *run-ahead front end* that lets real Rust workload
-//! threads drive the simulated computation processors as ordered op
-//! streams, blocking only on clock reads and on shared reads of pages they
-//! hold no copy of (the role Mint played in the paper).
+//! accounting, and the *coroutine front end* that runs real Rust workloads
+//! as futures on the simulator thread, each suspending on every op it
+//! issues until the back end resumes it (the role Mint played in the
+//! paper).
 //!
 //! The back end (protocol simulation) lives in `ncp2-core`; it consumes these
 //! primitives. A minimal use of the engine:
@@ -25,6 +25,7 @@
 
 pub mod breakdown;
 pub mod config;
+pub mod coro;
 pub mod hash;
 pub mod ops;
 pub mod proc;
@@ -35,9 +36,10 @@ pub mod time;
 
 pub use breakdown::{Breakdown, Category};
 pub use config::{PrefetchStrategy, SysParams};
+pub use coro::{Coroutines, Port, ProcStatus};
 pub use hash::StableHasher;
 pub use ops::{MemAccess, ProcOp, ProcReply, SvcClass, SvcOp};
-pub use proc::{ProcHarness, ProcPort, ProcStatus};
+pub use proc::{ProcHarness, ProcPort};
 pub use queue::{Event, EventQueue, Priority};
 pub use resource::FifoResource;
 pub use rng::SimRng;

@@ -1,10 +1,10 @@
-//! The operation vocabulary between simulated processors (front end) and the
-//! protocol back end.
+//! The operation vocabulary between simulated processors (the coroutine
+//! front end) and the protocol back end.
 //!
 //! Every interaction a workload has with the simulated machine is one of
-//! these operations; the back end observes them in global simulated-time
-//! order, exactly like the paper's Mint front end calling the back end on
-//! every data reference.
+//! these operations, awaited through its [`crate::Port`]; the back end
+//! takes them in global simulated-time order, exactly like the paper's
+//! Mint front end calling the back end on every data reference.
 
 use crate::time::Cycles;
 
@@ -27,11 +27,6 @@ pub enum ProcOp {
     Read { addr: u64, bytes: u8 },
     /// Shared-memory write; `value` holds the raw little-endian bits.
     Write { addr: u64, bytes: u8, value: u64 },
-    /// A [`ProcOp::Read`] the workload thread's port answered from its
-    /// page cache; `value` is what it returned. Posted by
-    /// [`crate::ProcPort::call`], never by workloads: the back end replays
-    /// it as the read it stands for and checks that it yields `value`.
-    ServedRead { addr: u64, bytes: u8, value: u64 },
     /// Acquire a DSM lock.
     Lock(LockId),
     /// Release a DSM lock.
@@ -125,10 +120,9 @@ impl ProcOp {
     }
 
     /// Whether this operation returns a value the workload can use: a
-    /// shared read or a clock read. These are the ops the back end must
-    /// answer with [`ProcReply::Value`]; every other op is acknowledged when
-    /// issued. A read whose page the port holds is answered by the port
-    /// instead and reaches the back end as [`ProcOp::ServedRead`].
+    /// shared read or a clock read. The back end answers these with
+    /// [`ProcReply::Value`], and the workload stays suspended until it
+    /// does; every other op completes as soon as the back end takes it.
     pub fn returns_value(&self) -> bool {
         matches!(self, ProcOp::Read { .. } | ProcOp::Svc(SvcOp::Now))
     }
@@ -175,14 +169,6 @@ mod tests {
                 },
                 false,
             ),
-            (
-                ProcOp::ServedRead {
-                    addr: 0,
-                    bytes: 4,
-                    value: 1,
-                },
-                false,
-            ),
             (ProcOp::Lock(0), false),
             (ProcOp::Unlock(0), false),
             (ProcOp::Barrier(0), false),
@@ -213,12 +199,7 @@ mod tests {
         };
         let write = write.mem_access().unwrap();
         assert_eq!((write.store, write.is_write()), (Some(7), true));
-        let served = ProcOp::ServedRead {
-            addr: 8,
-            bytes: 4,
-            value: 1,
-        };
-        for op in [served, ProcOp::Compute(1), ProcOp::Lock(0), ProcOp::Finish] {
+        for op in [ProcOp::Compute(1), ProcOp::Lock(0), ProcOp::Finish] {
             assert_eq!(op.mem_access(), None, "{op:?}");
         }
     }

@@ -1,30 +1,22 @@
 //! Property-based tests for the simulation engine primitives.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 use ncp2_sim::{
-    Breakdown, Category, EventQueue, FifoResource, Priority, ProcHarness, ProcOp, ProcPort,
-    ProcReply, SimRng, SvcOp,
+    Breakdown, Category, Coroutines, EventQueue, FifoResource, Priority, ProcOp, ProcReply, SimRng,
+    SvcOp,
 };
 use proptest::prelude::*;
 
-/// Page size of the reference back end behind the op-stream property.
-const PAGE: u64 = 64;
-
-/// Pages the op scripts touch: few, so reads come back to cached pages.
-const PAGES: u64 = 2;
-
-/// One processor's random op script, ending in `Finish`. A value op is
-/// drawn at a per-script density of 0, 1, 100 or 500 per mille, so some
-/// scripts have Ack-only runs longer than a batch and some are read-heavy.
-/// Reads and writes go to [`PAGES`] small pages, so pages are read again
-/// within a sync epoch and served from the port's copies.
+/// One processor's random op script. A value op is drawn at a per-script
+/// density of 0, 1, 100 or 500 per mille, so some scripts are long
+/// Ack-only runs and some are read-heavy.
 fn op_script(rng: &mut SimRng, len: usize) -> Vec<ProcOp> {
     let per_mille = [0, 1, 100, 500][rng.next_below(4) as usize];
-    let mut ops: Vec<ProcOp> = (0..len)
+    (0..len)
         .map(|i| {
             let i = i as u64;
-            let addr = 8 * rng.next_below(PAGES * PAGE / 8);
+            let addr = 8 * rng.next_below(16);
             if rng.next_below(1000) < per_mille {
                 return match rng.next_below(3) {
                     0 => ProcOp::Read { addr, bytes: 8 },
@@ -48,79 +40,12 @@ fn op_script(rng: &mut SimRng, len: usize) -> Vec<ProcOp> {
                 _ => ProcOp::Svc(SvcOp::Dequeue { depth: i }),
             }
         })
-        .collect();
-    ops.push(ProcOp::Finish);
-    ops
+        .collect()
 }
 
 /// The value the back end replies to op `i` of processor `pid`.
 fn reply_value(pid: usize, i: usize) -> u64 {
     ((pid as u64) << 32) | i as u64
-}
-
-/// One node's memory as the reference back end holds it: its own writes,
-/// plus other nodes' writes made visible at its acquires.
-struct PageModel {
-    bytes: Vec<u8>,
-}
-
-impl PageModel {
-    fn new() -> Self {
-        PageModel {
-            bytes: vec![0; (PAGES * PAGE) as usize],
-        }
-    }
-
-    fn read(&self, addr: u64, bytes: u8) -> u64 {
-        let mut le = [0u8; 8];
-        let at = addr as usize;
-        le[..bytes as usize].copy_from_slice(&self.bytes[at..at + bytes as usize]);
-        u64::from_le_bytes(le)
-    }
-
-    fn write(&mut self, addr: u64, bytes: u8, value: u64) {
-        let at = addr as usize;
-        self.bytes[at..at + bytes as usize].copy_from_slice(&value.to_le_bytes()[..bytes as usize]);
-    }
-
-    fn page(&self, addr: u64) -> &[u8] {
-        let base = (addr - addr % PAGE) as usize;
-        &self.bytes[base..base + PAGE as usize]
-    }
-}
-
-/// The port's caching rule, replayed in issue order: which pages one port
-/// holds a copy of, and which it read by round trip, this sync epoch.
-#[derive(Default)]
-struct CacheRule {
-    held: Vec<u64>,
-    read: Vec<u64>,
-}
-
-impl CacheRule {
-    /// Whether a read of `addr` is served from a copy.
-    fn serves(&self, addr: u64) -> bool {
-        self.held.contains(&(addr / PAGE))
-    }
-
-    /// A round-trip read of `addr`: returns whether it asks for a copy (its
-    /// page was read by round trip before this epoch), which it then holds.
-    fn round_trip(&mut self, addr: u64) -> bool {
-        let page = addr / PAGE;
-        let again = self.read.contains(&page);
-        if again {
-            self.held.push(page);
-        } else {
-            self.read.push(page);
-        }
-        again
-    }
-
-    /// An acquire starts the next epoch.
-    fn acquire(&mut self) {
-        self.held.clear();
-        self.read.clear();
-    }
 }
 
 proptest! {
@@ -217,42 +142,35 @@ proptest! {
         }
     }
 
-    /// The run-ahead front end delivers each processor's exact op sequence
-    /// to the back end, across batch boundaries, through full streams and
-    /// under any service order, with reads of cached pages arriving as
-    /// served reads in their issue slot. Every served value equals the
-    /// reference page model's, and every value the workload gets is the one
-    /// the back end replied or checked.
+    /// The coroutine front end delivers each processor's exact op
+    /// sequence to the back end, ending in `Finish`, under any service
+    /// order. Every value op gets the value the back end replied, and every
+    /// other op is acknowledged.
     #[test]
     fn op_streams_arrive_in_issue_order(
         nprocs in 1usize..5,
         seed in any::<u64>(),
-        max_len in 0usize..8 * ProcPort::BATCH_CAP
+        max_len in 0usize..4096
     ) {
         let mut rng = SimRng::new(seed);
-        let scripts: Arc<Vec<Vec<ProcOp>>> = Arc::new(
-            (0..nprocs)
-                .map(|_| {
-                    let len = rng.next_below(max_len as u64 + 1) as usize;
-                    op_script(&mut rng, len)
-                })
-                .collect(),
-        );
-        let got: Arc<Mutex<Vec<Vec<u64>>>> = Arc::new(Mutex::new(vec![Vec::new(); nprocs]));
-        let issued = Arc::clone(&scripts);
-        let workload_got = Arc::clone(&got);
-        let harness = ProcHarness::spawn_with_pages(nprocs, PAGE, move |pid, port| {
+        let scripts: Vec<Vec<ProcOp>> = (0..nprocs)
+            .map(|_| {
+                let len = rng.next_below(max_len as u64 + 1) as usize;
+                op_script(&mut rng, len)
+            })
+            .collect();
+        let got: RefCell<Vec<Vec<u64>>> = RefCell::new(vec![Vec::new(); nprocs]);
+        let (issued, workload_got) = (&scripts, &got);
+        let mut procs = Coroutines::new(nprocs, |pid, port| async move {
             let mut values = Vec::new();
             for &op in &issued[pid] {
-                match port.call(op) {
+                match port.call(op).await {
                     ProcReply::Value(v) => values.push(v),
                     ProcReply::Ack => assert!(!op.returns_value(), "{op:?} acknowledged"),
                 }
             }
-            workload_got.lock().expect("no workload panicked")[pid] = values;
+            workload_got.borrow_mut()[pid] = values;
         });
-        let mut models: Vec<PageModel> = (0..nprocs).map(|_| PageModel::new()).collect();
-        let mut rules: Vec<CacheRule> = (0..nprocs).map(|_| CacheRule::default()).collect();
         let mut sent: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
         let mut done = vec![0usize; nprocs];
         let mut live: Vec<usize> = (0..nprocs).collect();
@@ -260,55 +178,23 @@ proptest! {
             let k = rng.next_below(live.len() as u64) as usize;
             let pid = live[k];
             let i = done[pid];
-            let op = harness.next_op(pid);
-            let (model, rule) = (&mut models[pid], &mut rules[pid]);
-            match scripts[pid][i] {
-                ProcOp::Read { addr, bytes } if rule.serves(addr) => {
-                    let value = model.read(addr, bytes);
-                    prop_assert_eq!(
-                        op,
-                        ProcOp::ServedRead { addr, bytes, value },
-                        "processor {} op {}",
-                        pid,
-                        i
-                    );
-                    sent[pid].push(value);
-                }
-                ProcOp::Read { addr, bytes } => {
-                    prop_assert_eq!(op, ProcOp::Read { addr, bytes }, "processor {} op {}", pid, i);
-                    prop_assert_eq!(harness.wants_page(pid), rule.round_trip(addr), "op {}", i);
-                    let value = model.read(addr, bytes);
-                    if harness.wants_page(pid) {
-                        harness.reply_page(pid, value, model.page(addr));
-                    } else {
-                        harness.reply(pid, ProcReply::Value(value));
-                    }
-                    sent[pid].push(value);
-                }
-                script_op => {
+            let op = procs.next_op(pid);
+            match scripts[pid].get(i) {
+                Some(&script_op) => {
                     prop_assert_eq!(op, script_op, "processor {} op {}", pid, i);
-                    match op {
-                        ProcOp::Write { addr, bytes, value } => model.write(addr, bytes, value),
-                        // Another node's write becomes visible at the acquire.
-                        ProcOp::Lock(_) | ProcOp::Barrier(_) => {
-                            rule.acquire();
-                            let addr = 8 * rng.next_below(PAGES * PAGE / 8);
-                            model.write(addr, 8, rng.next_u64());
-                        }
-                        ProcOp::Svc(SvcOp::Now) => {
-                            harness.reply(pid, ProcReply::Value(reply_value(pid, i)));
-                            sent[pid].push(reply_value(pid, i));
-                        }
-                        _ => {}
+                    if op.returns_value() {
+                        procs.reply(pid, ProcReply::Value(reply_value(pid, i)));
+                        sent[pid].push(reply_value(pid, i));
                     }
+                }
+                None => {
+                    prop_assert_eq!(op, ProcOp::Finish, "processor {} op {}", pid, i);
+                    live.swap_remove(k);
                 }
             }
             done[pid] += 1;
-            if op == ProcOp::Finish {
-                live.swap_remove(k);
-            }
         }
-        harness.join();
-        prop_assert_eq!(&*got.lock().expect("workloads joined"), &sent);
+        drop(procs);
+        prop_assert_eq!(got.into_inner(), sent);
     }
 }
