@@ -24,6 +24,7 @@
 use std::process::ExitCode;
 
 use ncp2::prelude::*;
+use ncp2::sim::config::RETRANSMIT_TIMEOUT;
 use ncp2_bench::engine::{tier1_workloads, Grid, Job, RunRecord, WorkloadSpec};
 use ncp2_bench::gate::{self, Gate};
 use ncp2_bench::harness::{protocol_from_label, write_file, Opts, TIER1_APPS};
@@ -224,7 +225,7 @@ fn check(o: &Opts) -> ExitCode {
     let top_k = o.top_k.unwrap_or(TOP_K);
     let records = o.engine().run(&check_grid(o));
     let assertion = Assertion::parse(TIMELINE_CHECK_ASSERTION).expect("built-in assertion");
-    let horizon = CHECK_FAULT_END + 2 * SysParams::default().retransmit_timeout;
+    let horizon = CHECK_FAULT_END + 2 * RETRANSMIT_TIMEOUT;
 
     let mut gate = Gate::default();
     let mut total_firings = 0;

@@ -42,20 +42,11 @@ use ncp2_prof::PhaseClock;
 use ncp2_verify::VerifyOracle;
 
 use crate::cache;
-use crate::harness::build_app;
 
 /// Fully declarative workload description — everything the engine needs to
 /// rebuild (and hash) the exact workload of a grid point.
 #[derive(Debug, Clone)]
 pub enum WorkloadSpec {
-    /// One of the six applications by figure name, at the scaled default or
-    /// paper size (see `harness::build_app`).
-    Named {
-        /// Application name ("TSP", "Water", ...).
-        name: String,
-        /// Run the paper's original problem size.
-        paper_size: bool,
-    },
     /// Explicitly configured TSP.
     Tsp(Tsp),
     /// Explicitly configured Water.
@@ -73,18 +64,36 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Spec for a named app at default or paper size.
+    /// Spec for an application by figure name ("TSP", "Water", ...), at the
+    /// scaled default or the paper's problem size. The service workload has
+    /// no separate paper size: the paper's closed-loop kernels don't cover
+    /// it, so both sizes are tier-1.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown name.
     pub fn named(name: &str, paper_size: bool) -> WorkloadSpec {
-        WorkloadSpec::Named {
-            name: name.to_string(),
-            paper_size,
+        match (name, paper_size) {
+            ("TSP", false) => WorkloadSpec::Tsp(Tsp::default()),
+            ("TSP", true) => WorkloadSpec::Tsp(Tsp::paper()),
+            ("Water", false) => WorkloadSpec::Water(Water::default()),
+            ("Water", true) => WorkloadSpec::Water(Water::paper()),
+            ("Radix", false) => WorkloadSpec::Radix(Radix::default()),
+            ("Radix", true) => WorkloadSpec::Radix(Radix::paper()),
+            ("Barnes", false) => WorkloadSpec::Barnes(Barnes::default()),
+            ("Barnes", true) => WorkloadSpec::Barnes(Barnes::paper()),
+            ("Em3d", false) => WorkloadSpec::Em3d(Em3d::default()),
+            ("Em3d", true) => WorkloadSpec::Em3d(Em3d::paper()),
+            ("Ocean", false) => WorkloadSpec::Ocean(Ocean::default()),
+            ("Ocean", true) => WorkloadSpec::Ocean(Ocean::paper()),
+            ("Svc", _) => WorkloadSpec::Svc(Svc::default()),
+            _ => panic!("unknown application {name}"),
         }
     }
 
     /// Instantiates the workload.
     pub fn build(&self) -> Box<dyn Workload> {
         match self {
-            WorkloadSpec::Named { name, paper_size } => build_app(name, *paper_size),
             WorkloadSpec::Tsp(w) => Box::new(w.clone()),
             WorkloadSpec::Water(w) => Box::new(w.clone()),
             WorkloadSpec::Radix(w) => Box::new(w.clone()),
@@ -101,11 +110,6 @@ impl WorkloadSpec {
     /// "added a workload knob but forgot the cache key" a compile error.
     pub fn stable_hash(&self, h: &mut StableHasher) {
         match self {
-            WorkloadSpec::Named { name, paper_size } => {
-                h.write_str("named");
-                h.write_str(name);
-                h.write_bool(*paper_size);
-            }
             WorkloadSpec::Tsp(Tsp {
                 cities,
                 prefix_depth,

@@ -19,32 +19,6 @@ pub const MODES: [OverlapMode; 6] = [
     OverlapMode::IPD,
 ];
 
-/// Builds an application by name, at the default (scaled) or paper size.
-///
-/// # Panics
-///
-/// Panics on an unknown name.
-pub fn build_app(name: &str, paper_size: bool) -> Box<dyn Workload> {
-    match (name, paper_size) {
-        ("TSP", false) => Box::new(Tsp::default()),
-        ("TSP", true) => Box::new(Tsp::paper()),
-        ("Water", false) => Box::new(Water::default()),
-        ("Water", true) => Box::new(Water::paper()),
-        ("Radix", false) => Box::new(Radix::default()),
-        ("Radix", true) => Box::new(Radix::paper()),
-        ("Barnes", false) => Box::new(Barnes::default()),
-        ("Barnes", true) => Box::new(Barnes::paper()),
-        ("Em3d", false) => Box::new(Em3d::default()),
-        ("Em3d", true) => Box::new(Em3d::paper()),
-        ("Ocean", false) => Box::new(Ocean::default()),
-        ("Ocean", true) => Box::new(Ocean::paper()),
-        // The service workload has no separate paper size: the paper's
-        // closed-loop kernels don't cover it, so both sizes are tier-1.
-        ("Svc", _) => Box::new(Svc::default()),
-        _ => panic!("unknown application {name}"),
-    }
-}
-
 /// The seven tier-1 workloads: the six applications plus the open-loop
 /// service, in [`crate::engine::tier1_workloads`] order.
 pub const TIER1_APPS: [&str; 7] = ["TSP", "Water", "Radix", "Barnes", "Em3d", "Ocean", "Svc"];
@@ -406,18 +380,20 @@ pub fn print_breakdown(title: &str, rows: &[(String, u64, Breakdown, f64)]) {
 mod tests {
     use super::*;
 
+    use crate::engine::WorkloadSpec;
+
     #[test]
     fn all_apps_buildable_at_both_sizes() {
         for name in APP_NAMES.into_iter().chain(["Svc"]) {
-            assert_eq!(build_app(name, false).name(), name);
-            assert_eq!(build_app(name, true).name(), name);
+            assert_eq!(WorkloadSpec::named(name, false).build().name(), name);
+            assert_eq!(WorkloadSpec::named(name, true).build().name(), name);
         }
     }
 
     #[test]
     #[should_panic(expected = "unknown application")]
     fn unknown_app_panics() {
-        let _ = build_app("Linpack", false);
+        let _ = WorkloadSpec::named("Linpack", false);
     }
 
     /// Every flag a binary can accept.

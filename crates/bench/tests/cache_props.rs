@@ -21,38 +21,20 @@ use proptest::prelude::*;
 /// just one hand-picked alternative.
 type Mutator = (&'static str, fn(&mut SysParams, u64));
 
-const MUTATORS: [Mutator; 31] = [
+const MUTATORS: [Mutator; 14] = [
     ("nprocs", |p, d| p.nprocs += d as usize),
-    ("tlb_entries", |p, d| p.tlb_entries += d as usize),
-    ("tlb_fill", |p, d| p.tlb_fill += d),
-    ("interrupt", |p, d| p.interrupt += d),
-    ("page_bytes", |p, d| p.page_bytes <<= 1 + d % 2),
-    ("cache_bytes", |p, d| p.cache_bytes <<= 1 + d % 2),
-    ("write_buffer_entries", |p, d| {
-        p.write_buffer_entries += d as usize
-    }),
     ("write_cache_entries", |p, d| {
         p.write_cache_entries += d as usize
     }),
-    ("line_bytes", |p, d| p.line_bytes <<= 1 + d % 2),
     ("mem_setup", |p, d| p.mem_setup += d),
     ("mem_cycles_per_word", |p, d| {
         p.mem_cycles_per_word += d as f64
-    }),
-    ("pci_setup", |p, d| p.pci_setup += d),
-    ("pci_cycles_per_word", |p, d| {
-        p.pci_cycles_per_word += d as f64
     }),
     ("net_cycles_per_byte", |p, d| {
         p.net_cycles_per_byte += d as f64
     }),
     ("messaging_overhead", |p, d| p.messaging_overhead += d),
     ("au_messaging_overhead", |p, d| p.au_messaging_overhead += d),
-    ("switch_latency", |p, d| p.switch_latency += d),
-    ("wire_latency", |p, d| p.wire_latency += d),
-    ("list_processing", |p, d| p.list_processing += d),
-    ("twin_cycles_per_word", |p, d| p.twin_cycles_per_word += d),
-    ("diff_cycles_per_word", |p, d| p.diff_cycles_per_word += d),
     ("dma_scan_base", |p, d| p.dma_scan_base += d),
     ("dma_scan_full", |p, d| p.dma_scan_full += d),
     ("aurc_pairwise", |p, _| p.aurc_pairwise = !p.aurc_pairwise),
@@ -66,9 +48,6 @@ const MUTATORS: [Mutator; 31] = [
         }
     }),
     ("trace", |p, _| p.trace = !p.trace),
-    ("seed", |p, d| p.seed ^= d),
-    ("ack_overhead", |p, d| p.ack_overhead += d),
-    ("retransmit_timeout", |p, d| p.retransmit_timeout += d),
     ("ts_window", |p, d| p.ts_window += d),
 ];
 
@@ -79,38 +58,21 @@ const MUTATORS: [Mutator; 31] = [
 fn assert_mutators_cover_every_field(p: &SysParams) -> usize {
     let SysParams {
         nprocs: _,
-        tlb_entries: _,
-        tlb_fill: _,
-        interrupt: _,
-        page_bytes: _,
-        cache_bytes: _,
-        write_buffer_entries: _,
         write_cache_entries: _,
-        line_bytes: _,
         mem_setup: _,
         mem_cycles_per_word: _,
-        pci_setup: _,
-        pci_cycles_per_word: _,
         net_cycles_per_byte: _,
         messaging_overhead: _,
         au_messaging_overhead: _,
-        switch_latency: _,
-        wire_latency: _,
-        list_processing: _,
-        twin_cycles_per_word: _,
-        diff_cycles_per_word: _,
         dma_scan_base: _,
         dma_scan_full: _,
         aurc_pairwise: _,
         page_req_threshold: _,
         prefetch_strategy: _,
         trace: _,
-        seed: _,
-        ack_overhead: _,
-        retransmit_timeout: _,
         ts_window: _,
     } = p;
-    31
+    14
 }
 
 /// One mutator per `FaultPlan` field, mirroring [`MUTATORS`]: a faulted run

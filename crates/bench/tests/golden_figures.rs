@@ -2,10 +2,11 @@
 //! pinned exactly.
 //!
 //! These are the repository's oracle for "did a protocol change move the
-//! results?" — they re-derive Figure 1 (Base speedups for 2..16 processors)
-//! and Figure 2 (the 16-processor execution-time breakdown) through the
-//! parallel experiment engine and compare against the committed tables at
-//! full output precision. Any intentional protocol change must update both
+//! results?" — they pin Table 1 as `table1_params` prints it, and re-derive
+//! Figure 1 (Base speedups for 2..16 processors) and Figure 2 (the
+//! 16-processor execution-time breakdown) through the parallel experiment
+//! engine and compare against the committed tables at full output
+//! precision. Any intentional protocol change must update both
 //! this file and EXPERIMENTS.md in the same commit.
 //!
 //! The engine runs with the cache disabled: the cache key cannot see source
@@ -17,6 +18,27 @@ use ncp2_bench::harness::APP_NAMES;
 
 fn engine() -> Engine {
     Engine::new().no_cache().silent()
+}
+
+/// Table 1 end to end: the `table1_params` binary prints every knob default
+/// and constant, and its output must equal the committed
+/// `results/table1.txt` byte for byte.
+#[test]
+fn table1_params_matches_results_table1() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table1_params"))
+        .output()
+        .expect("table1_params runs");
+    assert!(out.status.success(), "table1_params failed: {out:?}");
+    let want = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/table1.txt"
+    ))
+    .expect("results/table1.txt is readable");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        want,
+        "table1_params drifted from results/table1.txt"
+    );
 }
 
 /// EXPERIMENTS.md Fig 1: speedups over the 1-processor protocol-free run,

@@ -25,6 +25,9 @@
 
 use std::rc::Rc;
 
+use ncp2_sim::config::{
+    INTERRUPT, LINE_BYTES, LINE_WORDS, LIST_PROCESSING, PAGE_BYTES, PAGE_WORDS,
+};
 use ncp2_sim::{Category, Cycles, MemAccess, ProcReply};
 
 use crate::interval::IntervalAnnouncement;
@@ -40,7 +43,7 @@ impl Simulation {
     /// Handles one read/write under AURC. `None` means the processor blocked
     /// on a page fetch.
     pub(crate) fn aurc_access(&mut self, pid: usize, acc: MemAccess) -> Option<ProcReply> {
-        let page = page_of(acc.addr, self.params.page_bytes);
+        let page = page_of(acc.addr);
         // Sharing-mode transition on first access by a new processor.
         let mode = self.aurc_modes.get(page).copied();
         let (new_mode, fetch_from) = match mode {
@@ -167,7 +170,7 @@ impl Simulation {
                 AurcMode::Home(_) => None,
             };
             if let Some(dst) = update_dst {
-                let line = acc.addr / self.params.line_bytes;
+                let line = acc.addr / LINE_BYTES;
                 match self.nodes[pid].wcache.insert(line, dst) {
                     InsertOutcome::Combined => self.nodes[pid].stats.au_combined += 1,
                     InsertOutcome::Inserted {
@@ -193,9 +196,8 @@ impl Simulation {
         self.advance(pid, oh, cat, SpanKind::UpdateFlush);
         // The outgoing line crosses the sender's PCI bus to the NI.
         let now = self.nodes[pid].time;
-        let words = self.params.line_words();
-        let (_, t) = self.nodes[pid].mem.pci.burst(now, words, &self.params);
-        let page = line * self.params.line_bytes / self.params.page_bytes;
+        let (_, t) = self.nodes[pid].mem.pci.burst(now, LINE_WORDS);
+        let page = line * LINE_BYTES / PAGE_BYTES;
         let arrival = self.send_on_wire(t, pid, dst, Msg::AurcUpdate { page, from: pid });
         let horizon = &mut self.nodes[pid].out_horizon[dst];
         *horizon = (*horizon).max(arrival);
@@ -217,12 +219,7 @@ impl Simulation {
             let now = self.nodes[pid].time;
             self.sinks
                 .note(now, pid, ProtocolEvent::Fault { pid, page });
-            self.advance(
-                pid,
-                self.params.interrupt,
-                Category::Other,
-                SpanKind::Interrupt,
-            );
+            self.advance(pid, INTERRUPT, Category::Other, SpanKind::Interrupt);
         }
         let msg = Msg::AurcPageReq {
             page,
@@ -245,17 +242,11 @@ impl Simulation {
         let params = Rc::clone(&self.params);
         // AURC has no protocol controller: the home processor services every
         // fetch — including useless prefetches, the paper's AURC+P poison.
-        let c0 = self.interrupt_proc(dst, t, params.interrupt, Category::Ipc, SpanKind::Service);
+        let c0 = self.interrupt_proc(dst, t, INTERRUPT, Category::Ipc, SpanKind::Service);
         let horizon = self.nodes[dst].home_horizon.get(page).copied().unwrap_or(0);
         let start = c0.max(horizon);
-        let (_, mem_read) = self.nodes[dst]
-            .mem
-            .dram
-            .access(start, params.page_words(), &params);
-        let (_, mem_end) = self.nodes[dst]
-            .mem
-            .pci
-            .burst(mem_read, params.page_words(), &params);
+        let (_, mem_read) = self.nodes[dst].mem.dram.access(start, PAGE_WORDS, &params);
+        let (_, mem_end) = self.nodes[dst].mem.pci.burst(mem_read, PAGE_WORDS);
         let c1 = self.interrupt_proc(
             dst,
             mem_end,
@@ -274,19 +265,13 @@ impl Simulation {
         prefetch: bool,
     ) {
         let params = Rc::clone(&self.params);
-        let (_, pci_end) = self.nodes[dst]
-            .mem
-            .pci
-            .burst(t, params.page_words(), &params);
+        let (_, pci_end) = self.nodes[dst].mem.pci.burst(t, PAGE_WORDS);
         let (_, mem_end) = self.nodes[dst]
             .mem
             .dram
-            .access(pci_end, params.page_words(), &params);
-        let base = page * params.page_bytes;
-        self.nodes[dst]
-            .mem
-            .cache
-            .invalidate_page(base, params.page_bytes);
+            .access(pci_end, PAGE_WORDS, &params);
+        let base = page * PAGE_BYTES;
+        self.nodes[dst].mem.cache.invalidate_page(base, PAGE_BYTES);
         self.sinks
             .note(t, dst, ProtocolEvent::PageFetched { pid: dst, page });
         let joined = {
@@ -347,14 +332,11 @@ impl Simulation {
         // The NI moves the line across the PCI bus into local memory
         // (both contended) and the per-page horizon advances.
         let params = Rc::clone(&self.params);
-        let (_, pci_end) = self.nodes[dst]
-            .mem
-            .pci
-            .burst(t, params.line_words(), &params);
+        let (_, pci_end) = self.nodes[dst].mem.pci.burst(t, LINE_WORDS);
         let (_, mem_end) = self.nodes[dst]
             .mem
             .dram
-            .access(pci_end, params.line_words(), &params);
+            .access(pci_end, LINE_WORDS, &params);
         let h = self.nodes[dst].home_horizon.get_or_default(page);
         *h = (*h).max(mem_end);
     }
@@ -373,7 +355,7 @@ impl Simulation {
         page: PageId,
         c: Cycles,
     ) -> Cycles {
-        let c = c + self.params.list_processing;
+        let c = c + LIST_PROCESSING;
         if self.aurc_remote_home(pid, page).is_none() {
             return c;
         }

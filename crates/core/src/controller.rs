@@ -11,6 +11,7 @@
 //! single-word PCI write. Priorities (urgent vs. prefetch) are realized in
 //! the system event queue, which orders same-time work by priority.
 
+use ncp2_sim::config::{pci_access, DIFF_CYCLES_PER_WORD, PAGE_WORDS, TWIN_CYCLES_PER_WORD};
 use ncp2_sim::{Cycles, FifoResource, SysParams};
 
 /// One node's protocol controller (timing side).
@@ -31,6 +32,19 @@ pub struct Controller {
 }
 
 impl Controller {
+    /// Cost of the processor issuing one command to the controller: a
+    /// single-word PCI write.
+    pub const ISSUE_COST: Cycles = pci_access(1);
+
+    /// Instruction cost of *software* diff creation or application over a
+    /// whole page scan (≈7 K cycles for a 4-KB page — §3.1's "in a standard
+    /// software DSM these operations take about 7K cycles just for
+    /// processor instructions").
+    pub const SW_DIFF_SCAN: Cycles = DIFF_CYCLES_PER_WORD * PAGE_WORDS;
+
+    /// Instruction cost of twin creation (page copy).
+    pub const TWIN_COST: Cycles = TWIN_CYCLES_PER_WORD * PAGE_WORDS;
+
     /// An idle controller.
     pub fn new() -> Self {
         Self::default()
@@ -53,29 +67,10 @@ impl Controller {
         self.core.busy_cycles() + self.io.busy_cycles()
     }
 
-    /// Cost of the processor issuing one command to the controller: a
-    /// single-word PCI write.
-    pub fn issue_cost(params: &SysParams) -> Cycles {
-        params.pci_access(1)
-    }
-
-    /// Instruction cost of *software* diff creation or application over a
-    /// whole page scan (≈7 K cycles for a 4-KB page — §3.1's "in a standard
-    /// software DSM these operations take about 7K cycles just for
-    /// processor instructions").
-    pub fn sw_diff_scan(params: &SysParams) -> Cycles {
-        params.diff_cycles_per_word * params.page_words()
-    }
-
     /// Instruction cost of *software* diff application of `words` modified
     /// words (no full-page scan needed: the diff lists its words).
-    pub fn sw_diff_apply(params: &SysParams, words: u64) -> Cycles {
-        params.diff_cycles_per_word * words.max(1)
-    }
-
-    /// Instruction cost of twin creation (page copy).
-    pub fn twin_cost(params: &SysParams) -> Cycles {
-        params.twin_cycles_per_word * params.page_words()
+    pub fn sw_diff_apply(words: u64) -> Cycles {
+        DIFF_CYCLES_PER_WORD * words.max(1)
     }
 
     /// DMA engine cost to generate or apply a diff of `words` dirty words
@@ -91,16 +86,15 @@ mod tests {
 
     #[test]
     fn software_scan_is_about_7k_cycles() {
-        let p = SysParams::default();
-        assert_eq!(Controller::sw_diff_scan(&p), 7168);
-        assert_eq!(Controller::twin_cost(&p), 5120);
+        assert_eq!(Controller::SW_DIFF_SCAN, 7168);
+        assert_eq!(Controller::TWIN_COST, 5120);
     }
 
     #[test]
     fn dma_is_much_cheaper_than_software() {
         let p = SysParams::default();
         for words in [0, 1, 128, 512, 1024] {
-            assert!(Controller::dma_cost(&p, words) < Controller::sw_diff_scan(&p));
+            assert!(Controller::dma_cost(&p, words) < Controller::SW_DIFF_SCAN);
         }
         assert_eq!(Controller::dma_cost(&p, 0), 200);
         assert_eq!(Controller::dma_cost(&p, 1024), 2100);
@@ -117,7 +111,6 @@ mod tests {
 
     #[test]
     fn issue_cost_is_one_pci_word() {
-        let p = SysParams::default();
-        assert_eq!(Controller::issue_cost(&p), 13);
+        assert_eq!(Controller::ISSUE_COST, 13);
     }
 }

@@ -8,6 +8,8 @@
 
 use std::sync::Arc;
 
+use ncp2_sim::config::PAGE_WORDS;
+
 use crate::bitvec::DirtyVec;
 use crate::page::{PageBuf, PageId};
 use crate::vtime::IntervalId;
@@ -159,8 +161,8 @@ impl Diff {
     /// Wire size: header + bit vector (one bit per page word) + the words
     /// themselves, matching the paper's "returns the words and the bit
     /// vector as the page's diff".
-    pub fn encoded_bytes(&self, page_words: u64) -> u64 {
-        DIFF_HEADER_BYTES + page_words.div_ceil(8) + 4 * self.word_count()
+    pub fn encoded_bytes(&self) -> u64 {
+        DIFF_HEADER_BYTES + PAGE_WORDS.div_ceil(8) + 4 * self.word_count()
     }
 
     /// The recorded `(word index, value)` pairs.
@@ -306,7 +308,7 @@ mod tests {
         let twin = PageBuf::new(4096);
         let cur = page_with(&[(0, 1), (1, 2)]);
         let d = Diff::from_twin(0, 0, 1, &cur, &twin);
-        assert_eq!(d.encoded_bytes(1024), 16 + 128 + 8);
+        assert_eq!(d.encoded_bytes(), 16 + 128 + 8);
     }
 
     #[test]

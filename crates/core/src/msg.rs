@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use ncp2_sim::config::PAGE_BYTES;
 use ncp2_sim::ops::{BarrierId, LockId};
 use ncp2_sim::Cycles;
 
@@ -133,7 +134,7 @@ pub enum Msg {
 
 impl Msg {
     /// Wire size in bytes, used for network serialization and congestion.
-    pub fn bytes(&self, page_bytes: u64, page_words: u64) -> u64 {
+    pub fn bytes(&self) -> u64 {
         let anns_bytes = |anns: &[Arc<IntervalAnnouncement>]| {
             anns.iter().map(|a| a.encoded_bytes()).sum::<u64>()
         };
@@ -149,8 +150,8 @@ impl Msg {
                 Msg::DiffReply {
                     diffs, full_page, ..
                 } => {
-                    let d: u64 = diffs.iter().map(|d| d.encoded_bytes(page_words)).sum();
-                    let p = full_page.as_ref().map_or(0, |_| page_bytes + 8);
+                    let d: u64 = diffs.iter().map(|d| d.encoded_bytes()).sum();
+                    let p = full_page.as_ref().map_or(0, |_| PAGE_BYTES + 8);
                     d + p
                 }
                 Msg::BarrierArrive {
@@ -159,7 +160,7 @@ impl Msg {
                 Msg::BarrierRelease { vt, anns, .. } => 12 + 4 * vt.len() as u64 + anns_bytes(anns),
                 Msg::AurcUpdate { .. } => 32, // one combined write-cache line
                 Msg::AurcPageReq { .. } => 8,
-                Msg::AurcPageReply { .. } => page_bytes + 8,
+                Msg::AurcPageReply { .. } => PAGE_BYTES + 8,
             }
     }
 
@@ -188,7 +189,7 @@ mod tests {
             acquirer: 1,
             vt: vt.clone(),
         };
-        assert_eq!(small.bytes(4096, 1024), 16 + 4 + 64);
+        assert_eq!(small.bytes(), 16 + 4 + 64);
 
         let ann = IntervalAnnouncement {
             owner: 0,
@@ -203,7 +204,7 @@ mod tests {
             anns,
             update_horizon: 0,
         };
-        assert_eq!(grant.bytes(4096, 1024), 16 + 8 + 24 + 16);
+        assert_eq!(grant.bytes(), 16 + 8 + 24 + 16);
 
         let reply = Msg::DiffReply {
             page: 0,
@@ -211,7 +212,7 @@ mod tests {
             full_page: Some((PageBuf::new(4096), vt)),
             prefetch: false,
         };
-        assert_eq!(reply.bytes(4096, 1024), 16 + 4096 + 8);
+        assert_eq!(reply.bytes(), 16 + 4096 + 8);
     }
 
     #[test]
@@ -247,6 +248,6 @@ mod tests {
     #[test]
     fn update_message_is_one_line() {
         let u = Msg::AurcUpdate { page: 3, from: 1 };
-        assert_eq!(u.bytes(4096, 1024), 48);
+        assert_eq!(u.bytes(), 48);
     }
 }

@@ -6,19 +6,20 @@
 //! computes real results, which end-to-end tests compare against sequential
 //! executions — validating the coherence protocol itself.
 
+use ncp2_sim::config::{PAGE_BYTES, WORD_BYTES};
 use ncp2_sim::{MemAccess, PrefetchStrategy, ProcReply};
 
 /// Identifier of a 4-KB shared page (byte address / page size).
 pub type PageId = u64;
 
 /// Page id containing byte address `addr`.
-pub fn page_of(addr: u64, page_bytes: u64) -> PageId {
-    addr / page_bytes
+pub fn page_of(addr: u64) -> PageId {
+    addr / PAGE_BYTES
 }
 
 /// Word index (4-byte granularity) of `addr` within its page.
-pub fn word_index(addr: u64, page_bytes: u64) -> usize {
-    ((addr % page_bytes) / 4) as usize
+pub fn word_index(addr: u64) -> usize {
+    ((addr % PAGE_BYTES) / WORD_BYTES) as usize
 }
 
 /// Virtual-memory protection state of one node's copy of a page, as driven
@@ -245,11 +246,11 @@ mod tests {
 
     #[test]
     fn address_helpers() {
-        assert_eq!(page_of(0, 4096), 0);
-        assert_eq!(page_of(4095, 4096), 0);
-        assert_eq!(page_of(4096, 4096), 1);
-        assert_eq!(word_index(4, 4096), 1);
-        assert_eq!(word_index(4096 + 8, 4096), 2);
+        assert_eq!(page_of(0), 0);
+        assert_eq!(page_of(4095), 0);
+        assert_eq!(page_of(4096), 1);
+        assert_eq!(word_index(4), 1);
+        assert_eq!(word_index(4096 + 8), 2);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use ncp2_sim::config::{INTERRUPT, LIST_PROCESSING};
 use ncp2_sim::ops::{BarrierId, LockId};
 use ncp2_sim::{Category, Cycles, PrefetchStrategy};
 
@@ -29,12 +30,7 @@ impl Simulation {
 
     pub(crate) fn op_lock(&mut self, pid: usize, lock: LockId) {
         let manager = lock as usize % self.params.nprocs;
-        self.advance(
-            pid,
-            self.params.list_processing,
-            Category::Synch,
-            SpanKind::NoticeMgmt,
-        );
+        self.advance(pid, LIST_PROCESSING, Category::Synch, SpanKind::NoticeMgmt);
         let msg = Msg::LockReq {
             lock,
             acquirer: pid,
@@ -78,7 +74,7 @@ impl Simulation {
         let anns = node.store.missing_for(&node.last_barrier_vt);
         self.advance(
             pid,
-            self.params.list_processing * (anns.len() as Cycles + 1),
+            LIST_PROCESSING * (anns.len() as Cycles + 1),
             Category::Synch,
             SpanKind::NoticeMgmt,
         );
@@ -153,7 +149,7 @@ impl Simulation {
         let c = self.interrupt_proc(
             manager,
             t,
-            self.params.interrupt + self.params.list_processing,
+            INTERRUPT + LIST_PROCESSING,
             Category::Ipc,
             SpanKind::Service,
         );
@@ -204,13 +200,7 @@ impl Simulation {
     ) {
         let can_grant = self.nodes[holder].owned_locks.contains(lock)
             && !self.nodes[holder].held_locks.contains(lock);
-        let c = self.interrupt_proc(
-            holder,
-            t,
-            self.params.interrupt,
-            Category::Ipc,
-            SpanKind::Service,
-        );
+        let c = self.interrupt_proc(holder, t, INTERRUPT, Category::Ipc, SpanKind::Service);
         if can_grant {
             self.nodes[holder].owned_locks.remove(lock);
             self.grant_lock(holder, c, lock, acquirer, &vt, true);
@@ -240,7 +230,7 @@ impl Simulation {
         servicing: bool,
     ) {
         let anns = self.nodes[holder].store.missing_for(acquirer_vt);
-        let work = self.params.list_processing * (anns.len() as Cycles + 1);
+        let work = LIST_PROCESSING * (anns.len() as Cycles + 1);
         let (mut t, cat) = if servicing {
             (
                 self.interrupt_proc(holder, t, work, Category::Ipc, SpanKind::Service),
@@ -315,7 +305,7 @@ impl Simulation {
         let mut c = self.interrupt_proc(
             manager,
             t,
-            self.params.interrupt + self.params.list_processing * (anns.len() as Cycles + 1),
+            INTERRUPT + LIST_PROCESSING * (anns.len() as Cycles + 1),
             Category::Ipc,
             SpanKind::Service,
         );
@@ -433,7 +423,7 @@ impl Simulation {
         anns: &[Arc<IntervalAnnouncement>],
         t: Cycles,
     ) -> Cycles {
-        let mut c = t + self.params.list_processing * (anns.len() as Cycles + 1);
+        let mut c = t + LIST_PROCESSING * (anns.len() as Cycles + 1);
         for ann in anns {
             let nd = &mut self.nodes[pid];
             if nd.vt.covers_interval(ann.owner, ann.id) {

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use ncp2_mem::NodeMemory;
 use ncp2_net::Network;
+use ncp2_sim::config::{PAGE_BYTES, PAGE_WORDS};
 use ncp2_sim::ops::LockId;
 use ncp2_sim::{
     Breakdown, Category, Coroutines, Cycles, EventQueue, MemAccess, Port, Priority, ProcOp,
@@ -156,12 +157,12 @@ pub(crate) struct TmPage {
 }
 
 impl TmPage {
-    fn new(page_bytes: u64, page_words: u64) -> Self {
+    fn new() -> Self {
         TmPage {
-            data: PageBuf::new(page_bytes),
+            data: PageBuf::new(PAGE_BYTES),
             state: PageState::ReadOnly,
             twin: None,
-            dirty: DirtyVec::new(page_words as usize),
+            dirty: DirtyVec::new(PAGE_WORDS as usize),
             refs: PageRefs::default(),
             pending: Vec::new(),
             own_intervals: Vec::new(),
@@ -716,7 +717,7 @@ impl Simulation {
     fn access(&mut self, pid: usize, a: MemAccess) -> Option<ProcReply> {
         if self.seq {
             self.charge_mem(pid, a.addr, a.is_write());
-            let page = page_of(a.addr, self.params.page_bytes);
+            let page = page_of(a.addr);
             return Some(self.master_page(page).perform(a));
         }
         match self.protocol {
@@ -789,7 +790,7 @@ impl Simulation {
             },
         );
         self.charge_mem(pid, addr, write);
-        let page = page_of(addr, self.params.page_bytes);
+        let page = page_of(addr);
         let nd = &mut self.nodes[pid];
         let r = refs(nd, page);
         let used_prefetch = r.touch();
@@ -861,7 +862,7 @@ impl Simulation {
     /// dependency edge, and queues the delivery (prefetch traffic at low
     /// priority). Returns the arrival time.
     pub(crate) fn send_on_wire(&mut self, t: Cycles, src: usize, dst: usize, msg: Msg) -> Cycles {
-        let bytes = self.msg_bytes(&msg);
+        let bytes = msg.bytes();
         let wire = self.net.transfer_timed(t, src, dst, bytes, &self.params);
         self.note_sent(t, src, dst, &msg, Some(wire));
         self.sinks.obs_edge(
@@ -892,7 +893,7 @@ impl Simulation {
         msg: &Msg,
         wire: Option<ncp2_net::Transfer>,
     ) {
-        let bytes = self.msg_bytes(msg);
+        let bytes = msg.bytes();
         let (kind, demand) = (msg.kind(), !msg.is_prefetch());
         let sent = ProtocolEvent::MsgSent {
             src,
@@ -903,11 +904,6 @@ impl Simulation {
             wire,
         };
         self.sinks.note(t, src, sent);
-    }
-
-    /// Size of `msg` on the wire.
-    fn msg_bytes(&self, msg: &Msg) -> u64 {
-        msg.bytes(self.params.page_bytes, self.params.page_words())
     }
 
     /// Sends a message with the setup performed by the **protocol
@@ -1126,7 +1122,7 @@ impl Simulation {
     ) {
         let offload = matches!(self.protocol, Protocol::TreadMarks(m) if m.offload());
         let setup = if offload {
-            Controller::issue_cost(&self.params)
+            Controller::ISSUE_COST
         } else {
             self.params.messaging_overhead
         };
@@ -1165,17 +1161,14 @@ impl Simulation {
         pid: usize,
         page: PageId,
     ) -> (&mut TmPage, &mut Sinks) {
-        let (pb, pw) = (self.params.page_bytes, self.params.page_words());
-        let tp = self.nodes[pid]
-            .pages
-            .get_or_insert_with(page, || TmPage::new(pb, pw));
+        let tp = self.nodes[pid].pages.get_or_insert_with(page, TmPage::new);
         (tp, &mut self.sinks)
     }
 
     /// Lazily materializes the AURC master copy of `page`.
     pub(crate) fn master_page(&mut self, page: PageId) -> &mut PageBuf {
-        let pb = self.params.page_bytes;
-        self.master.get_or_insert_with(page, || PageBuf::new(pb))
+        self.master
+            .get_or_insert_with(page, || PageBuf::new(PAGE_BYTES))
     }
 
     /// Aggregated breakdown over every node (testing aid).
@@ -1334,7 +1327,7 @@ mod tests {
     #[should_panic(expected = "invalid system parameters")]
     fn bad_params_are_rejected() {
         let p = SysParams {
-            page_bytes: 3000,
+            mem_cycles_per_word: 0.0,
             ..SysParams::default()
         };
         let _ = Simulation::new(p, Protocol::TreadMarks(OverlapMode::Base));

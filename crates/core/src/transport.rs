@@ -13,7 +13,7 @@
 //!
 //! Sender: each [`Msg`] gets the link's next sequence number and is kept in
 //! an `unacked` map until a cumulative ack covers it. Every transmission
-//! schedules a retransmit check at `retransmit_timeout << min(attempt,
+//! schedules a retransmit check at `RETRANSMIT_TIMEOUT << min(attempt,
 //! MAX_BACKOFF_EXP)`; a check that finds its frame still unacked at the same
 //! attempt bumps the attempt, charges the messaging overhead (controller
 //! under the I-modes, processor interrupt otherwise) and re-sends.
@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use ncp2_fault::FaultPlan;
+use ncp2_sim::config::{ACK_OVERHEAD, RETRANSMIT_TIMEOUT};
 use ncp2_sim::{Category, Cycles, Priority};
 
 use crate::controller::Controller;
@@ -53,7 +54,7 @@ use crate::system::{Ev, Simulation};
 /// error rather than silently giving up on a message.
 pub const MAX_RETX_ATTEMPTS: u32 = 64;
 
-/// Exponential backoff saturates at `retransmit_timeout << MAX_BACKOFF_EXP`.
+/// Exponential backoff saturates at `RETRANSMIT_TIMEOUT << MAX_BACKOFF_EXP`.
 pub const MAX_BACKOFF_EXP: u32 = 6;
 
 /// Degradation threshold: a node with at least this many unacked frames in
@@ -193,7 +194,7 @@ impl Simulation {
         anchor: SpanId,
     ) {
         let params = Rc::clone(&self.params);
-        let bytes = msg.bytes(params.page_bytes, params.page_words());
+        let bytes = msg.bytes();
         let (kind, demand) = (msg.kind(), !msg.is_prefetch());
         let prio = if demand {
             Priority::Normal
@@ -255,7 +256,7 @@ impl Simulation {
                 })),
             );
         }
-        let rto = params.retransmit_timeout << attempt.min(MAX_BACKOFF_EXP);
+        let rto = RETRANSMIT_TIMEOUT << attempt.min(MAX_BACKOFF_EXP);
         self.queue.push(
             t + rto,
             Priority::Normal,
@@ -270,7 +271,6 @@ impl Simulation {
 
     /// A frame reached its destination's network interface at `t`.
     pub(crate) fn on_frame(&mut self, t: Cycles, frame: Box<Frame>) {
-        let ack_oh = self.params.ack_overhead;
         let (src, dst, seq, attempt) = (frame.src, frame.dst, frame.seq, frame.attempt);
         if frame.lost {
             self.sinks.note(
@@ -317,8 +317,13 @@ impl Simulation {
                         attempt,
                     },
                 );
-                let done =
-                    self.interrupt_proc(dst, t, ack_oh, Category::Ipc, SpanKind::DuplicateDropped);
+                let done = self.interrupt_proc(
+                    dst,
+                    t,
+                    ACK_OVERHEAD,
+                    Category::Ipc,
+                    SpanKind::DuplicateDropped,
+                );
                 // Re-ack so a lost ack cannot make the sender retry forever.
                 self.send_ack(done, src, dst);
             }
@@ -339,7 +344,8 @@ impl Simulation {
                     let Some(frame) = next else { break };
                     self.deliver_frame(t, *frame);
                 }
-                let done = self.interrupt_proc(dst, t, ack_oh, Category::Ipc, SpanKind::MsgSetup);
+                let done =
+                    self.interrupt_proc(dst, t, ACK_OVERHEAD, Category::Ipc, SpanKind::MsgSetup);
                 self.send_ack(done, src, dst);
             }
         }
@@ -433,8 +439,7 @@ impl Simulation {
                 frames: retired,
             },
         );
-        let ack_oh = self.params.ack_overhead;
-        self.interrupt_proc(src, t, ack_oh, Category::Ipc, SpanKind::MsgSetup);
+        self.interrupt_proc(src, t, ACK_OVERHEAD, Category::Ipc, SpanKind::MsgSetup);
     }
 
     /// A retransmit timer fired: if its frame is still unacked at the same
@@ -447,7 +452,6 @@ impl Simulation {
         seq: u64,
         attempt: u32,
     ) {
-        let ack_oh = self.params.ack_overhead;
         let resend = {
             // invariant: retx events only exist with the transport attached
             let ctx = self.fault.as_mut().expect("retx without fault ctx");
@@ -487,12 +491,16 @@ impl Simulation {
         // The timeout decision is receive-path-sized work; the resend itself
         // pays the full messaging overhead on the controller (I-modes) or
         // the processor.
-        let decided =
-            self.interrupt_proc(src, t, ack_oh, Category::Ipc, SpanKind::RetransmitTimeout);
+        let decided = self.interrupt_proc(
+            src,
+            t,
+            ACK_OVERHEAD,
+            Category::Ipc,
+            SpanKind::RetransmitTimeout,
+        );
         let offload = matches!(self.protocol, Protocol::TreadMarks(m) if m.offload());
         let injected = if offload {
-            let oh = Controller::issue_cost(&self.params);
-            let (s, end) = self.nodes[src].ctrl.run_io(decided, oh);
+            let (s, end) = self.nodes[src].ctrl.run_io(decided, Controller::ISSUE_COST);
             self.note_ctrl(src, Engine::CtrlIo, CtrlCmd::Send, s, end);
             end
         } else {

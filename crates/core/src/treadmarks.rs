@@ -25,6 +25,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
+use ncp2_sim::config::{INTERRUPT, LIST_PROCESSING, PAGE_BYTES, PAGE_WORDS};
 use ncp2_sim::{Category, Cycles, MemAccess, ProcReply};
 
 use crate::controller::Controller;
@@ -42,7 +43,7 @@ impl Simulation {
 
     /// Handles one read/write. `None` means the processor blocked (fault).
     pub(crate) fn tm_access(&mut self, pid: usize, a: MemAccess) -> Option<ProcReply> {
-        let page = page_of(a.addr, self.params.page_bytes);
+        let page = page_of(a.addr);
         let state = self.tm_page(pid, page).state;
         match state {
             PageState::Invalid => {
@@ -76,14 +77,14 @@ impl Simulation {
             // invariant: `tm_access` materialized the copy before this
             &mut nd.pages.get_mut(page).expect("accessed copy").refs
         });
-        let (page_bytes, hw) = (self.params.page_bytes, self.mode().hw_diffs());
+        let hw = self.mode().hw_diffs();
         let tp = self.tm_page(pid, page);
         let reply = tp.data.perform(a);
         if a.is_write() {
             debug_assert_eq!(tp.state, PageState::ReadWrite, "write to protected page");
             if hw {
                 // The snoop sets one bit per 4-byte word touched.
-                let widx = word_index(a.addr, page_bytes);
+                let widx = word_index(a.addr);
                 for w in 0..(a.bytes as usize).div_ceil(4) {
                     tp.dirty.set(widx + w);
                 }
@@ -95,12 +96,7 @@ impl Simulation {
     /// Software write fault: trap, settle any stale twin into its diff,
     /// create the new twin, unprotect.
     fn tm_write_fault(&mut self, pid: usize, page: PageId) {
-        self.advance(
-            pid,
-            self.params.interrupt,
-            Category::Other,
-            SpanKind::Interrupt,
-        );
+        self.advance(pid, INTERRUPT, Category::Other, SpanKind::Interrupt);
         self.nodes[pid].stats.write_faults += 1;
         let t0 = self.nodes[pid].time;
         let after_old_diff = self.tm_force_diff(pid, page, t0);
@@ -128,14 +124,14 @@ impl Simulation {
     /// the executing engine plus a read+write page pass over memory).
     fn tm_make_twin(&mut self, pid: usize, _page: PageId, t: Cycles) -> Cycles {
         let params = Rc::clone(&self.params);
-        let cpu = Controller::twin_cost(&params);
-        let words = 2 * params.page_words();
+        let cpu = Controller::TWIN_COST;
+        let words = 2 * PAGE_WORDS;
         self.nodes[pid].stats.twin_cycles += cpu;
         if self.mode().offload() {
             let (s, e) = self.nodes[pid].ctrl.run(t, cpu);
             self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::Twin, s, e);
             let (_, me) = self.nodes[pid].mem.dram.access(s, words, &params);
-            let (_, pe) = self.nodes[pid].mem.pci.burst(s, words, &params);
+            let (_, pe) = self.nodes[pid].mem.pci.burst(s, words);
             e.max(me).max(pe)
         } else {
             self.nodes[pid].stats.diff_proc_cycles += cpu;
@@ -165,32 +161,28 @@ impl Simulation {
             self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
             let gather = params.mem_scattered(words.max(1));
             let (_, _me) = self.nodes[pid].mem.dram.resource.reserve(s, gather);
-            let (_, _pe) = self.nodes[pid].mem.pci.burst(s, words.max(1), &params);
+            let (_, _pe) = self.nodes[pid].mem.pci.burst(s, words.max(1));
             self.nodes[pid].stats.diff_create_cycles += cpu;
-            t + Controller::issue_cost(&params)
+            t + Controller::ISSUE_COST
         } else {
             let Some((tivl, twin)) = self.tm_page(pid, page).twin.take() else {
                 return t;
             };
             let diff = Diff::from_twin(page, pid, tivl, &self.tm_page(pid, page).data, &twin);
             self.tm_store_diff(t, pid, diff);
-            let cpu = Controller::sw_diff_scan(&params);
+            let cpu = Controller::SW_DIFF_SCAN;
             self.nodes[pid].stats.diff_create_cycles += cpu;
             if mode.offload() {
                 let (s, e) = self.nodes[pid].ctrl.run(t, cpu);
                 self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
-                let (_, _me) = self.nodes[pid]
-                    .mem
-                    .dram
-                    .access(s, params.page_words(), &params);
-                t + Controller::issue_cost(&params)
+                let (_, _me) = self.nodes[pid].mem.dram.access(s, PAGE_WORDS, &params);
+                t + Controller::ISSUE_COST
             } else {
                 self.nodes[pid].stats.diff_proc_cycles += cpu;
-                let (_, me) =
-                    self.nodes[pid]
-                        .mem
-                        .dram
-                        .access(t + cpu, params.page_words(), &params);
+                let (_, me) = self.nodes[pid]
+                    .mem
+                    .dram
+                    .access(t + cpu, PAGE_WORDS, &params);
                 me
             }
         }
@@ -242,7 +234,7 @@ impl Simulation {
                 tp.dirty.clear();
                 self.advance(
                     pid,
-                    Controller::issue_cost(&params),
+                    Controller::ISSUE_COST,
                     Category::Synch,
                     SpanKind::MsgSetup,
                 );
@@ -253,18 +245,13 @@ impl Simulation {
                 self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
                 let gather = params.mem_scattered(words.max(1));
                 let (_, _me) = self.nodes[pid].mem.dram.resource.reserve(s, gather);
-                let (_, _pe) = self.nodes[pid].mem.pci.burst(s, words.max(1), &params);
+                let (_, _pe) = self.nodes[pid].mem.pci.burst(s, words.max(1));
                 self.nodes[pid].stats.diff_create_cycles += cpu;
             } else {
                 // Write-protect so the next interval's writes re-fault and
                 // settle this twin lazily.
                 tp.state = PageState::ReadOnly;
-                self.advance(
-                    pid,
-                    params.list_processing,
-                    Category::Synch,
-                    SpanKind::NoticeMgmt,
-                );
+                self.advance(pid, LIST_PROCESSING, Category::Synch, SpanKind::NoticeMgmt);
             }
         }
     }
@@ -276,12 +263,7 @@ impl Simulation {
         let now = self.nodes[pid].time;
         self.sinks
             .note(now, pid, ProtocolEvent::Fault { pid, page });
-        self.advance(
-            pid,
-            self.params.interrupt,
-            Category::Other,
-            SpanKind::Interrupt,
-        );
+        self.advance(pid, INTERRUPT, Category::Other, SpanKind::Interrupt);
         let mut pending = crate::pool::take_pairs();
         pending.extend_from_slice(&self.tm_page(pid, page).pending);
         assert!(
@@ -290,7 +272,7 @@ impl Simulation {
         );
         self.advance(
             pid,
-            self.params.list_processing * pending.len() as Cycles,
+            LIST_PROCESSING * pending.len() as Cycles,
             Category::Data,
             SpanKind::NoticeMgmt,
         );
@@ -407,14 +389,14 @@ impl Simulation {
         // Interval processing: on the controller for prefetches under the
         // I-modes (simple table lookups), on the processor otherwise.
         let mut c = if prefetch && mode.offload() {
-            let (s, e) = self.nodes[dst].ctrl.run(t, params.list_processing * k);
+            let (s, e) = self.nodes[dst].ctrl.run(t, LIST_PROCESSING * k);
             self.note_ctrl(dst, Engine::CtrlCore, CtrlCmd::ListWalk, s, e);
             e
         } else {
             self.interrupt_proc(
                 dst,
                 t,
-                params.interrupt + params.list_processing * k,
+                INTERRUPT + LIST_PROCESSING * k,
                 Category::Ipc,
                 SpanKind::Service,
             )
@@ -445,10 +427,7 @@ impl Simulation {
             })
         };
         if need_full {
-            let (_, e) = self.nodes[dst]
-                .mem
-                .dram
-                .access(c, params.page_words(), &params);
+            let (_, e) = self.nodes[dst].mem.dram.access(c, PAGE_WORDS, &params);
             c = e;
             let data = self.nodes[dst]
                 .pages
@@ -521,27 +500,18 @@ impl Simulation {
         debug_assert_eq!(tivl, ivl, "twin interval mismatch");
         let diff = Diff::from_twin(page, dst, tivl, &self.tm_page(dst, page).data, &twin);
         self.tm_store_diff(t, dst, diff);
-        let cpu = Controller::sw_diff_scan(&params);
+        let cpu = Controller::SW_DIFF_SCAN;
         self.nodes[dst].stats.diff_create_cycles += cpu;
         if self.mode().offload() {
             let (s, e) = self.nodes[dst].ctrl.run(t, cpu);
             self.note_ctrl(dst, Engine::CtrlCore, CtrlCmd::DiffCreate, s, e);
-            let (_, me) = self.nodes[dst]
-                .mem
-                .dram
-                .access(s, params.page_words(), &params);
-            let (_, pe) = self.nodes[dst]
-                .mem
-                .pci
-                .burst(s, params.page_words(), &params);
+            let (_, me) = self.nodes[dst].mem.dram.access(s, PAGE_WORDS, &params);
+            let (_, pe) = self.nodes[dst].mem.pci.burst(s, PAGE_WORDS);
             e.max(me).max(pe)
         } else {
             self.nodes[dst].stats.diff_proc_cycles += cpu;
             let c = self.interrupt_proc(dst, t, cpu, Category::Ipc, SpanKind::DiffCreate);
-            let (_, me) = self.nodes[dst]
-                .mem
-                .dram
-                .access(c, params.page_words(), &params);
+            let (_, me) = self.nodes[dst].mem.dram.access(c, PAGE_WORDS, &params);
             me
         }
     }
@@ -680,7 +650,7 @@ impl Simulation {
             crate::pool::put_clock(own);
             diffs.retain(|d| d.owner == pid || !pvt.covers_interval(d.owner, d.interval));
             self.tm_page(pid, page).data.copy_from(data);
-            mem_words += params.page_words();
+            mem_words += PAGE_WORDS;
             self.sinks
                 .note(start, pid, ProtocolEvent::PageFetched { pid, page });
         }
@@ -694,7 +664,7 @@ impl Simulation {
             cpu += if mode.hw_diffs() {
                 Controller::dma_cost(&params, words)
             } else {
-                Controller::sw_diff_apply(&params, words)
+                Controller::sw_diff_apply(words)
             };
         }
         {
@@ -730,18 +700,15 @@ impl Simulation {
         self.nodes[pid].stats.diff_apply_cycles += cpu;
         // The controller (or NI) wrote main memory: the processor snoop
         // invalidates its stale cache lines.
-        let base = page * params.page_bytes;
-        self.nodes[pid]
-            .mem
-            .cache
-            .invalidate_page(base, params.page_bytes);
+        let base = page * PAGE_BYTES;
+        self.nodes[pid].mem.cache.invalidate_page(base, PAGE_BYTES);
         // Timing.
         let scattered = params.mem_scattered(mem_words.max(1));
         let end = if mode.offload() {
             let (s, e) = self.nodes[pid].ctrl.run(start, cpu);
             self.note_ctrl(pid, Engine::CtrlCore, CtrlCmd::DiffApply, s, e);
             let (_, me) = self.nodes[pid].mem.dram.resource.reserve(s, scattered);
-            let (_, pe) = self.nodes[pid].mem.pci.burst(s, mem_words.max(1), &params);
+            let (_, pe) = self.nodes[pid].mem.pci.burst(s, mem_words.max(1));
             e.max(me).max(pe)
         } else if prefetch_ctx {
             // P mode: the processor is interrupted to apply the prefetch.
@@ -749,7 +716,7 @@ impl Simulation {
             let c = self.interrupt_proc(
                 pid,
                 start,
-                params.interrupt + cpu,
+                INTERRUPT + cpu,
                 Category::Other,
                 SpanKind::DiffApply,
             );
@@ -798,7 +765,7 @@ impl Simulation {
             tp.pending.push(key);
         }
         self.note_notice(c, pid, ann, page, invalidated, wasted);
-        c + self.params.list_processing
+        c + LIST_PROCESSING
     }
 
     /// TreadMarks prefetch candidates ([`Simulation::issue_prefetches`]):
@@ -827,7 +794,7 @@ impl Simulation {
     pub(crate) fn tm_prefetch(&mut self, pid: usize, page: PageId, mut c: Cycles) -> Cycles {
         let offload = self.mode().offload();
         let setup = if offload {
-            Controller::issue_cost(&self.params)
+            Controller::ISSUE_COST
         } else {
             self.params.messaging_overhead
         };

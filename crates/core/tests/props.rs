@@ -53,7 +53,7 @@ proptest! {
         }
         let d = Diff::from_dirty_vec(0, 0, 1, &page, &dv);
         prop_assert_eq!(d.word_count(), dirty.len() as u64);
-        prop_assert_eq!(d.encoded_bytes(1024), 16 + 128 + 4 * dirty.len() as u64);
+        prop_assert_eq!(d.encoded_bytes(), 16 + 128 + 4 * dirty.len() as u64);
         let mut target = PageBuf::new(4096);
         d.apply(&mut target);
         for &i in &dirty {

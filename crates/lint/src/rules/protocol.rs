@@ -107,7 +107,7 @@ impl Rule for UnanchoredEdge {
 }
 
 /// `unbounded-retry`: every retransmission/backoff site — a
-/// `retransmit_timeout` shifted for exponential backoff, or an `attempt`
+/// `RETRANSMIT_TIMEOUT` shifted for exponential backoff, or an `attempt`
 /// counter being advanced — must reference a compile-time `MAX_`-prefixed
 /// cap constant within [`RETRY_CAP_WINDOW`] lines. An uncapped retry loop
 /// under a fault plan that keeps dropping frames is a livelock; an
@@ -128,7 +128,7 @@ impl Rule for UnboundedRetry {
         let code = &ctx.code;
         for i in 0..code.len() {
             let t = &code[i];
-            let backoff_shift = t.is_ident("retransmit_timeout")
+            let backoff_shift = t.is_ident("RETRANSMIT_TIMEOUT")
                 && ctx
                     .code_on_line(t.line)
                     .windows(2)

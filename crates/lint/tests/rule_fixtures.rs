@@ -306,7 +306,7 @@ fn unbounded_retry() {
         rel,
         r#"
 fn backoff(&mut self, frame: &Frame) -> u64 {
-    self.retransmit_timeout << frame.attempt
+    RETRANSMIT_TIMEOUT << frame.attempt
 }
 "#,
         "unbounded-retry",
@@ -316,7 +316,7 @@ fn backoff(&mut self, frame: &Frame) -> u64 {
         r#"
 fn backoff(&mut self, frame: &Frame) -> u64 {
     let shift = frame.attempt.min(MAX_BACKOFF_SHIFT);
-    self.retransmit_timeout << shift
+    RETRANSMIT_TIMEOUT << shift
 }
 "#,
         "unbounded-retry",

@@ -38,6 +38,7 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncp2_sim::config::PAGE_WORDS;
 
     #[test]
     fn serializes_concurrent_accesses() {
@@ -52,7 +53,7 @@ mod tests {
     fn page_transfer_cost() {
         let p = SysParams::default();
         let mut d = Dram::new();
-        let (s, e) = d.access(0, p.page_words(), &p);
+        let (s, e) = d.access(0, PAGE_WORDS, &p);
         assert_eq!(e - s, 10 + 3 * 1024);
     }
 }

@@ -3,8 +3,9 @@
 //! Finite-size structures of one workstation node in the NCP2 study: the
 //! 128-entry TLB, the 128-KB direct-mapped first-level data cache, the
 //! 4-entry write buffer, the local DRAM and the PCI bus (both contended
-//! single servers). All constants come from [`ncp2_sim::SysParams`]
-//! (Table 1 of the paper) and every one can be swept.
+//! single servers). Their sizes and the TLB and PCI timings are Table 1
+//! constants (`ncp2_sim::config`); the memory timings come from
+//! [`ncp2_sim::SysParams`], whose §5.3 sweeps vary them.
 //!
 //! These models are *timing* models: the DSM data plane (actual page
 //! contents) lives in `ncp2-core`; this crate answers "how long does this
@@ -34,6 +35,8 @@ pub use pci::PciBus;
 pub use tlb::Tlb;
 pub use write_buffer::WriteBuffer;
 
+use ncp2_sim::config::{CACHE_LINES, LINE_BYTES, LINE_WORDS, TLB_ENTRIES, TLB_FILL};
+use ncp2_sim::config::{PAGE_BYTES, WRITE_BUFFER_ENTRIES};
 use ncp2_sim::{Cycles, SysParams};
 
 /// Outcome of one processor data reference through the node hierarchy.
@@ -67,12 +70,13 @@ pub struct NodeMemory {
 }
 
 impl NodeMemory {
-    /// Builds a hierarchy sized by `params`.
-    pub fn new(params: &SysParams) -> Self {
+    /// Builds a hierarchy of the Table 1 sizes. Every size is a constant,
+    /// so `_params` is not read.
+    pub fn new(_params: &SysParams) -> Self {
         NodeMemory {
-            tlb: Tlb::new(params.tlb_entries),
-            cache: Cache::new(params.cache_lines(), params.line_bytes),
-            wb: WriteBuffer::new(params.write_buffer_entries),
+            tlb: Tlb::new(TLB_ENTRIES),
+            cache: Cache::new(CACHE_LINES, LINE_BYTES),
+            wb: WriteBuffer::new(WRITE_BUFFER_ENTRIES),
             dram: Dram::new(),
             pci: PciBus::new(),
         }
@@ -82,13 +86,13 @@ impl NodeMemory {
     /// valid page: TLB check, cache lookup, line fill from DRAM on miss.
     pub fn read(&mut self, now: Cycles, addr: u64, params: &SysParams) -> AccessOutcome {
         let mut t = now;
-        let (tlb_hit, tlb_cycles) = self.translate(addr, params);
+        let (tlb_hit, tlb_cycles) = self.translate(addr);
         t += tlb_cycles;
         let cache_hit = self.cache.read(addr);
         let mut stall = 0;
         if !cache_hit {
             // Fetch the whole line from local DRAM, paying contention.
-            let (_, end) = self.dram.access(t, params.line_words(), params);
+            let (_, end) = self.dram.access(t, LINE_WORDS, params);
             stall = end - t;
             t = end;
         } else {
@@ -108,7 +112,7 @@ impl NodeMemory {
     /// drains through DRAM. Returns the stall if the buffer is full.
     pub fn write(&mut self, now: Cycles, addr: u64, params: &SysParams) -> AccessOutcome {
         let mut t = now;
-        let (tlb_hit, tlb_cycles) = self.translate(addr, params);
+        let (tlb_hit, tlb_cycles) = self.translate(addr);
         t += tlb_cycles;
         let cache_hit = self.cache.write(addr);
         t += 1; // the store itself
@@ -125,12 +129,11 @@ impl NodeMemory {
         }
     }
 
-    fn translate(&mut self, addr: u64, params: &SysParams) -> (bool, Cycles) {
-        let page = addr / params.page_bytes;
-        if self.tlb.access(page) {
+    fn translate(&mut self, addr: u64) -> (bool, Cycles) {
+        if self.tlb.access(addr / PAGE_BYTES) {
             (true, 0)
         } else {
-            (false, params.tlb_fill)
+            (false, TLB_FILL)
         }
     }
 }
@@ -196,6 +199,6 @@ mod tests {
         }
         let r = n.read(t, 512, &p);
         // The line fill must queue behind pending drains.
-        assert!(r.stall_cycles >= p.mem_access(p.line_words()) - p.mem_setup);
+        assert!(r.stall_cycles >= p.mem_access(LINE_WORDS) - p.mem_setup);
     }
 }

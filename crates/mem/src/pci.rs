@@ -1,7 +1,8 @@
 //! PCI bus: the path between main memory, the protocol controller and the
 //! network interface (Fig 3 of the paper).
 
-use ncp2_sim::{Cycles, FifoResource, SysParams};
+use ncp2_sim::config::pci_access;
+use ncp2_sim::{Cycles, FifoResource};
 
 /// The node's PCI bus, a contended single server with setup + burst timing.
 ///
@@ -11,11 +12,9 @@ use ncp2_sim::{Cycles, FifoResource, SysParams};
 /// automatic updates.
 ///
 /// ```
-/// use ncp2_sim::SysParams;
 /// use ncp2_mem::PciBus;
-/// let p = SysParams::default();
 /// let mut bus = PciBus::new();
-/// let (start, end) = bus.burst(100, 8, &p);
+/// let (start, end) = bus.burst(100, 8);
 /// assert_eq!((start, end), (100, 134));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -32,8 +31,8 @@ impl PciBus {
 
     /// Reserves a `words`-word burst starting no earlier than `now`;
     /// returns the granted `(start, end)` slot.
-    pub fn burst(&mut self, now: Cycles, words: u64, params: &SysParams) -> (Cycles, Cycles) {
-        self.resource.reserve(now, params.pci_access(words))
+    pub fn burst(&mut self, now: Cycles, words: u64) -> (Cycles, Cycles) {
+        self.resource.reserve(now, pci_access(words))
     }
 }
 
@@ -43,10 +42,9 @@ mod tests {
 
     #[test]
     fn bursts_serialize() {
-        let p = SysParams::default();
         let mut bus = PciBus::new();
-        let (_, e1) = bus.burst(0, 1024, &p);
-        let (s2, _) = bus.burst(5, 8, &p);
+        let (_, e1) = bus.burst(0, 1024);
+        let (s2, _) = bus.burst(5, 8);
         assert_eq!(s2, e1);
         assert!(bus.resource.busy_cycles() > 0);
     }

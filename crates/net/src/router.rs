@@ -1,5 +1,6 @@
 //! Wormhole transfer timing with per-link contention.
 
+use ncp2_sim::config::HOP_LATENCY;
 use ncp2_sim::{Cycles, SysParams};
 
 use crate::topology::Mesh;
@@ -146,7 +147,7 @@ impl Network {
             .max()
             .unwrap_or(0);
         let start = now.max(ready);
-        let head = self.mesh.hops(src, dst) * params.hop_latency();
+        let head = self.mesh.hops(src, dst) * HOP_LATENCY;
         let arrival = start + head + serialization;
         for l in self.mesh.route_iter(src, dst) {
             self.link_free[l] = arrival;

@@ -1,6 +1,7 @@
 //! Property-based tests for the mesh network model.
 
 use ncp2_net::{Mesh, Network};
+use ncp2_sim::config::HOP_LATENCY;
 use ncp2_sim::SysParams;
 use proptest::prelude::*;
 
@@ -46,7 +47,7 @@ proptest! {
             now += gap;
             let arrival = net.transfer(now, src, dst, bytes, &params);
             let min = now
-                + net.mesh().hops(src, dst) * params.hop_latency()
+                + net.mesh().hops(src, dst) * HOP_LATENCY
                 + params.net_serialize(bytes);
             prop_assert!(arrival >= min, "arrival {arrival} beats physics {min}");
             total_bytes += bytes;

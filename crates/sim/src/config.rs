@@ -1,4 +1,6 @@
-//! System parameters — Table 1 of the paper, plus the sweep knobs of §5.3.
+//! System parameters — Table 1 of the paper: the values no experiment varies
+//! as constants, and the knobs the §5.3 sweeps and the ablations turn as
+//! [`SysParams`].
 //!
 //! All times are in 10-ns processor cycles. The protocol controller's RISC
 //! core and DMA engine run at the computation-processor clock (paper §4.1).
@@ -27,47 +29,103 @@ pub enum PrefetchStrategy {
 /// Word size used for diff bit vectors and memory-transfer accounting (bytes).
 pub const WORD_BYTES: u64 = 4;
 
-/// Full simulated-system parameter set.
+// The Table 1 values that no experiment varies. The paper's §5.3 sweeps and
+// this reproduction's ablations turn only the fields of [`SysParams`].
+
+/// TLB entries per processor.
+pub const TLB_ENTRIES: usize = 128;
+/// TLB fill service time (cycles).
+pub const TLB_FILL: Cycles = 100;
+/// Cost of any interrupt delivered to the computation processor (cycles).
+pub const INTERRUPT: Cycles = 400;
+/// Page size in bytes.
+pub const PAGE_BYTES: u64 = 4096;
+/// Total first-level data cache per processor (bytes); direct mapped.
+pub const CACHE_BYTES: u64 = 128 * 1024;
+/// Write buffer entries.
+pub const WRITE_BUFFER_ENTRIES: usize = 4;
+/// Cache line size in bytes.
+pub const LINE_BYTES: u64 = 32;
+/// PCI setup time (cycles).
+pub const PCI_SETUP: Cycles = 10;
+/// PCI burst access time after setup, cycles per word.
+pub const PCI_CYCLES_PER_WORD: Cycles = 3;
+/// Receive-side cost of transport acknowledgement processing (generating or
+/// absorbing an ack / discarding a duplicate frame), cycles. Only charged
+/// when a fault plan activates the hardened transport.
+pub const ACK_OVERHEAD: Cycles = 100;
+/// Base retransmission timeout for unacknowledged transport frames, cycles;
+/// doubles per attempt up to the backoff cap.
+pub const RETRANSMIT_TIMEOUT: Cycles = 20_000;
+/// Mesh switch latency per hop (cycles).
+pub const SWITCH_LATENCY: Cycles = 4;
+/// Wire latency per hop (cycles).
+pub const WIRE_LATENCY: Cycles = 2;
+/// Protocol list processing (cycles per element).
+pub const LIST_PROCESSING: Cycles = 6;
+/// Software page twinning cost, cycles per word (plus memory accesses).
+pub const TWIN_CYCLES_PER_WORD: Cycles = 5;
+/// Software diff creation/application, cycles per word (plus memory).
+pub const DIFF_CYCLES_PER_WORD: Cycles = 7;
+
+/// Words per page.
+pub const PAGE_WORDS: u64 = PAGE_BYTES / WORD_BYTES;
+/// Words per cache line.
+pub const LINE_WORDS: u64 = LINE_BYTES / WORD_BYTES;
+/// Number of direct-mapped cache lines.
+pub const CACHE_LINES: u64 = CACHE_BYTES / LINE_BYTES;
+/// Per-hop head latency (switch + wire).
+pub const HOP_LATENCY: Cycles = SWITCH_LATENCY + WIRE_LATENCY;
+
+const _: () = {
+    assert!(PAGE_BYTES.is_power_of_two(), "page size not a power of two");
+    assert!(LINE_BYTES.is_power_of_two(), "line size not a power of two");
+    assert!(LINE_WORDS >= 1, "a line must hold at least one word");
+    assert!(
+        PAGE_BYTES.is_multiple_of(LINE_BYTES),
+        "page size must be a multiple of line size"
+    );
+    assert!(
+        CACHE_BYTES.is_multiple_of(LINE_BYTES),
+        "cache size must be a multiple of line size"
+    );
+    assert!(
+        RETRANSMIT_TIMEOUT != 0,
+        "retransmit timeout must be nonzero"
+    );
+};
+
+/// PCI occupancy of a `words`-word burst.
+pub const fn pci_access(words: u64) -> Cycles {
+    PCI_SETUP + PCI_CYCLES_PER_WORD * words
+}
+
+/// The simulated system's knobs: every parameter that the §5.3 sweeps, the
+/// ablation binaries or the CI gates set to more than one value. The rest of
+/// Table 1 is the constants above ([`PAGE_BYTES`], [`INTERRUPT`], ...).
 ///
-/// `SysParams::default()` reproduces Table 1 exactly; the `with_*` builders
-/// implement the §5.3 sweeps.
+/// `SysParams::default()` together with those constants reproduces Table 1
+/// exactly; the `with_*` builders implement the §5.3 sweeps.
 ///
 /// ```
+/// use ncp2_sim::config::PAGE_BYTES;
 /// use ncp2_sim::SysParams;
 /// let p = SysParams::default();
 /// assert_eq!(p.nprocs, 16);
-/// assert_eq!(p.page_bytes, 4096);
 /// assert_eq!(p.messaging_overhead, 200);
+/// assert_eq!(PAGE_BYTES, 4096);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SysParams {
     /// Number of workstation nodes (computation processors).
     pub nprocs: usize,
-    /// TLB entries per processor.
-    pub tlb_entries: usize,
-    /// TLB fill service time (cycles).
-    pub tlb_fill: Cycles,
-    /// Cost of any interrupt delivered to the computation processor (cycles).
-    pub interrupt: Cycles,
-    /// Page size in bytes.
-    pub page_bytes: u64,
-    /// Total first-level data cache per processor (bytes); direct mapped.
-    pub cache_bytes: u64,
-    /// Write buffer entries.
-    pub write_buffer_entries: usize,
     /// AURC network-interface write cache entries.
     pub write_cache_entries: usize,
-    /// Cache line size in bytes.
-    pub line_bytes: u64,
     /// Memory setup time (cycles) before the first word of an access.
     pub mem_setup: Cycles,
     /// Memory access time after setup, cycles per 4-byte word (may be
     /// fractional when swept to a target bandwidth).
     pub mem_cycles_per_word: f64,
-    /// PCI setup time (cycles).
-    pub pci_setup: Cycles,
-    /// PCI burst access time after setup, cycles per word.
-    pub pci_cycles_per_word: f64,
     /// Network serialization: cycles per byte on a link (8-bit path moving
     /// one flit per 2-cycle wire hop = 2.0 = 50 MB/s).
     pub net_cycles_per_byte: f64,
@@ -77,23 +135,6 @@ pub struct SysParams {
     /// default optimistically charges a single cycle; §5.3 shows AURC
     /// degrading when updates pay the full messaging overhead.
     pub au_messaging_overhead: Cycles,
-    /// Receive-side cost of transport acknowledgement processing (generating
-    /// or absorbing an ack / discarding a duplicate frame), cycles. Only
-    /// charged when a fault plan activates the hardened transport.
-    pub ack_overhead: Cycles,
-    /// Base retransmission timeout for unacknowledged transport frames,
-    /// cycles; doubles per attempt up to the backoff cap.
-    pub retransmit_timeout: Cycles,
-    /// Mesh switch latency per hop (cycles).
-    pub switch_latency: Cycles,
-    /// Wire latency per hop (cycles).
-    pub wire_latency: Cycles,
-    /// Protocol list processing (cycles per element).
-    pub list_processing: Cycles,
-    /// Software page twinning cost, cycles per word (plus memory accesses).
-    pub twin_cycles_per_word: Cycles,
-    /// Software diff creation/application, cycles per word (plus memory).
-    pub diff_cycles_per_word: Cycles,
     /// DMA bit-vector scan: cycles for an all-clean 4-KB page.
     pub dma_scan_base: Cycles,
     /// DMA bit-vector scan: cycles for an all-dirty 4-KB page.
@@ -116,36 +157,18 @@ pub struct SysParams {
     /// Only read when time-series recording is enabled; never affects
     /// simulated timing.
     pub ts_window: Cycles,
-    /// Master seed for workload randomness.
-    pub seed: u64,
 }
 
 impl Default for SysParams {
     fn default() -> Self {
         SysParams {
             nprocs: 16,
-            tlb_entries: 128,
-            tlb_fill: 100,
-            interrupt: 400,
-            page_bytes: 4096,
-            cache_bytes: 128 * 1024,
-            write_buffer_entries: 4,
             write_cache_entries: 4,
-            line_bytes: 32,
             mem_setup: 10,
             mem_cycles_per_word: 3.0,
-            pci_setup: 10,
-            pci_cycles_per_word: 3.0,
             net_cycles_per_byte: 2.0,
             messaging_overhead: 200,
             au_messaging_overhead: 1,
-            ack_overhead: 100,
-            retransmit_timeout: 20_000,
-            switch_latency: 4,
-            wire_latency: 2,
-            list_processing: 6,
-            twin_cycles_per_word: 5,
-            diff_cycles_per_word: 7,
             dma_scan_base: 200,
             dma_scan_full: 2100,
             aurc_pairwise: true,
@@ -153,35 +176,14 @@ impl Default for SysParams {
             prefetch_strategy: PrefetchStrategy::AllReferenced,
             trace: false,
             ts_window: 0,
-            seed: 0x4E43_5032, // "NCP2"
         }
     }
 }
 
 impl SysParams {
-    /// Words per page.
-    pub fn page_words(&self) -> u64 {
-        self.page_bytes / WORD_BYTES
-    }
-
-    /// Words per cache line.
-    pub fn line_words(&self) -> u64 {
-        self.line_bytes / WORD_BYTES
-    }
-
-    /// Number of direct-mapped cache lines.
-    pub fn cache_lines(&self) -> u64 {
-        self.cache_bytes / self.line_bytes
-    }
-
     /// Memory occupancy of a `words`-word access: setup plus per-word cycles.
     pub fn mem_access(&self, words: u64) -> Cycles {
         self.mem_setup + (self.mem_cycles_per_word * words as f64).round() as Cycles
-    }
-
-    /// PCI occupancy of a `words`-word burst.
-    pub fn pci_access(&self, words: u64) -> Cycles {
-        self.pci_setup + (self.pci_cycles_per_word * words as f64).round() as Cycles
     }
 
     /// Memory occupancy of `words` *scattered* words (diff scatter/gather):
@@ -190,29 +192,22 @@ impl SysParams {
     /// whole-page bursts — the §5.3 asymmetry between the diff-based
     /// TreadMarks and AURC's page copies.
     pub fn mem_scattered(&self, words: u64) -> Cycles {
-        let chunk = self.line_words().max(1);
-        words.div_ceil(chunk) * self.mem_access(chunk)
+        words.div_ceil(LINE_WORDS) * self.mem_access(LINE_WORDS)
     }
 
     /// DMA diff-engine bit-vector scan time for a page with `dirty_words`
     /// set bits: linear interpolation between the paper's endpoints
     /// (~200 cycles all-clean, ~2100 cycles all-dirty for a 4-KB page).
     pub fn dma_scan(&self, dirty_words: u64) -> Cycles {
-        let full = self.page_words();
         // overflow: a degenerate config may set full <= base; treat the
         // scan as flat instead of underflowing.
         let span = self.dma_scan_full.saturating_sub(self.dma_scan_base);
-        self.dma_scan_base + span * dirty_words.min(full) / full
+        self.dma_scan_base + span * dirty_words.min(PAGE_WORDS) / PAGE_WORDS
     }
 
     /// Network serialization time for a message body of `bytes`.
     pub fn net_serialize(&self, bytes: u64) -> Cycles {
         (self.net_cycles_per_byte * bytes as f64).ceil() as Cycles
-    }
-
-    /// Per-hop head latency (switch + wire).
-    pub fn hop_latency(&self) -> Cycles {
-        self.switch_latency + self.wire_latency
     }
 
     /// Network link bandwidth implied by `net_cycles_per_byte`, in MB/s.
@@ -280,28 +275,12 @@ impl SysParams {
     pub fn stable_hash(&self, h: &mut StableHasher) {
         let SysParams {
             nprocs,
-            tlb_entries,
-            tlb_fill,
-            interrupt,
-            page_bytes,
-            cache_bytes,
-            write_buffer_entries,
             write_cache_entries,
-            line_bytes,
             mem_setup,
             mem_cycles_per_word,
-            pci_setup,
-            pci_cycles_per_word,
             net_cycles_per_byte,
             messaging_overhead,
             au_messaging_overhead,
-            ack_overhead,
-            retransmit_timeout,
-            switch_latency,
-            wire_latency,
-            list_processing,
-            twin_cycles_per_word,
-            diff_cycles_per_word,
             dma_scan_base,
             dma_scan_full,
             aurc_pairwise,
@@ -309,32 +288,15 @@ impl SysParams {
             prefetch_strategy,
             trace,
             ts_window,
-            seed,
         } = self;
         h.write_str("SysParams");
         h.write_usize(*nprocs);
-        h.write_usize(*tlb_entries);
-        h.write_u64(*tlb_fill);
-        h.write_u64(*interrupt);
-        h.write_u64(*page_bytes);
-        h.write_u64(*cache_bytes);
-        h.write_usize(*write_buffer_entries);
         h.write_usize(*write_cache_entries);
-        h.write_u64(*line_bytes);
         h.write_u64(*mem_setup);
         h.write_f64(*mem_cycles_per_word);
-        h.write_u64(*pci_setup);
-        h.write_f64(*pci_cycles_per_word);
         h.write_f64(*net_cycles_per_byte);
         h.write_u64(*messaging_overhead);
         h.write_u64(*au_messaging_overhead);
-        h.write_u64(*ack_overhead);
-        h.write_u64(*retransmit_timeout);
-        h.write_u64(*switch_latency);
-        h.write_u64(*wire_latency);
-        h.write_u64(*list_processing);
-        h.write_u64(*twin_cycles_per_word);
-        h.write_u64(*diff_cycles_per_word);
         h.write_u64(*dma_scan_base);
         h.write_u64(*dma_scan_full);
         h.write_bool(*aurc_pairwise);
@@ -349,35 +311,20 @@ impl SysParams {
         }
         h.write_bool(*trace);
         h.write_u64(*ts_window);
-        h.write_u64(*seed);
     }
 
-    /// Validates internal consistency (powers of two, divisibility).
+    /// Validates the knobs' internal consistency (the constants' checks run
+    /// at compile time).
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if !self.page_bytes.is_power_of_two() {
-            return Err(format!("page size {} not a power of two", self.page_bytes));
-        }
-        if !self.line_bytes.is_power_of_two() {
-            return Err(format!("line size {} not a power of two", self.line_bytes));
-        }
-        if !self.page_bytes.is_multiple_of(self.line_bytes) {
-            return Err("page size must be a multiple of line size".into());
-        }
-        if !self.cache_bytes.is_multiple_of(self.line_bytes) {
-            return Err("cache size must be a multiple of line size".into());
-        }
         if self.nprocs == 0 {
             return Err("nprocs must be at least 1".into());
         }
         if self.mem_cycles_per_word <= 0.0 || self.net_cycles_per_byte <= 0.0 {
             return Err("bandwidth parameters must be positive".into());
-        }
-        if self.retransmit_timeout == 0 {
-            return Err("retransmit_timeout must be nonzero".into());
         }
         Ok(())
     }
@@ -391,23 +338,17 @@ mod tests {
     fn defaults_match_table_1() {
         let p = SysParams::default();
         assert_eq!(p.nprocs, 16);
-        assert_eq!(p.tlb_entries, 128);
-        assert_eq!(p.tlb_fill, 100);
-        assert_eq!(p.interrupt, 400);
-        assert_eq!(p.page_bytes, 4096);
-        assert_eq!(p.cache_bytes, 128 * 1024);
-        assert_eq!(p.write_buffer_entries, 4);
         assert_eq!(p.write_cache_entries, 4);
-        assert_eq!(p.line_bytes, 32);
         assert_eq!(p.mem_setup, 10);
         assert_eq!(p.mem_cycles_per_word, 3.0);
-        assert_eq!(p.pci_setup, 10);
-        assert_eq!(p.switch_latency, 4);
-        assert_eq!(p.wire_latency, 2);
         assert_eq!(p.messaging_overhead, 200);
-        assert_eq!(p.list_processing, 6);
-        assert_eq!(p.twin_cycles_per_word, 5);
-        assert_eq!(p.diff_cycles_per_word, 7);
+        assert_eq!(
+            (TLB_ENTRIES, TLB_FILL, INTERRUPT, PAGE_BYTES, CACHE_BYTES),
+            (128, 100, 400, 4096, 128 * 1024)
+        );
+        assert_eq!((WRITE_BUFFER_ENTRIES, LINE_BYTES, PCI_SETUP), (4, 32, 10));
+        assert_eq!((SWITCH_LATENCY, WIRE_LATENCY, LIST_PROCESSING), (4, 2, 6));
+        assert_eq!((TWIN_CYCLES_PER_WORD, DIFF_CYCLES_PER_WORD), (5, 7));
         assert!(p.validate().is_ok());
     }
 
@@ -435,17 +376,12 @@ mod tests {
     #[test]
     fn validate_catches_bad_configs() {
         let p = SysParams {
-            page_bytes: 3000,
-            ..SysParams::default()
-        };
-        assert!(p.validate().is_err());
-        let p = SysParams {
-            line_bytes: 48,
-            ..SysParams::default()
-        };
-        assert!(p.validate().is_err());
-        let p = SysParams {
             mem_cycles_per_word: 0.0,
+            ..SysParams::default()
+        };
+        assert!(p.validate().is_err());
+        let p = SysParams {
+            nprocs: 0,
             ..SysParams::default()
         };
         assert!(p.validate().is_err());
@@ -463,10 +399,6 @@ mod tests {
         for p in [
             SysParams::default().with_nprocs(8),
             SysParams::default().with_net_bandwidth_mbps(20.0),
-            SysParams {
-                seed: 1,
-                ..SysParams::default()
-            },
             SysParams {
                 prefetch_strategy: PrefetchStrategy::Capped(4),
                 ..SysParams::default()

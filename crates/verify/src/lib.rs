@@ -39,6 +39,7 @@ use ncp2_core::observe::{MsgKind, Observer, ProtocolEvent, Violation};
 use ncp2_core::page::{PageBuf, PageId};
 use ncp2_core::vtime::{IntervalId, VectorTime};
 use ncp2_core::Protocol;
+use ncp2_sim::config::PAGE_BYTES;
 use ncp2_sim::ops::{BarrierId, LockId};
 use ncp2_sim::SysParams;
 
@@ -234,7 +235,6 @@ type Tally = [[u64; 2]; MsgKind::COUNT];
 
 /// The full shadow oracle: race detector plus LRC protocol invariants.
 pub struct VerifyOracle {
-    page_bytes: u64,
     /// Write-notice coverage applies (TreadMarks modes only).
     check_notices: bool,
     race: RaceDetector,
@@ -270,7 +270,6 @@ impl VerifyOracle {
     pub fn new(params: &SysParams, protocol: &Protocol) -> Self {
         let n = params.nprocs;
         VerifyOracle {
-            page_bytes: params.page_bytes,
             check_notices: matches!(protocol, Protocol::TreadMarks(_)),
             race: RaceDetector::new(n),
             violations: Vec::new(),
@@ -388,11 +387,10 @@ impl VerifyOracle {
         diff: &ncp2_core::Diff,
         data: &PageBuf,
     ) {
-        let pb = self.page_bytes;
         let baseline = self
             .baselines
             .entry((pid, page))
-            .or_insert_with(|| PageBuf::new(pb));
+            .or_insert_with(|| PageBuf::new(PAGE_BYTES));
         let mut expect = baseline.clone();
         diff.apply(&mut expect);
         let bad_words = if expect == *data {
