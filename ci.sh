@@ -83,15 +83,6 @@ cargo xtask bench-diff BENCH_tier1.json "$OBS_OUT/bench_new.json" --update
 cargo run --release --features prof --bin obs_report -- \
     --app TSP --mode I+P+D --nprocs 4 --selfcheck --prof --quiet
 
-# Wall-clock trajectory: the microbench suite over the host hot paths, in
-# the fast smoke configuration, gated against the committed baseline —
-# median time may not double, exact allocation counts may not grow past
-# 10%. Archived next to the other artifacts; refreshed in place after a
-# pass so the baseline tracks the host the gate runs on.
-cargo run --release --features prof --bin wall_bench -- \
-    --fast --out "$OBS_OUT/wall_report.json"
-cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json" --update
-
 # Allocation gate: with the counting allocator in, pooling must still cut
 # Ocean@64's steady-state event-loop allocations, and the pooled count may
 # not exceed its recorded ceiling. The plain `cargo test` above builds
@@ -101,3 +92,14 @@ cargo test --release --features prof -p ncp2-bench --test arena_inert
 # The counting branches of ncp2-prof's own unit tests (counters, peak reset)
 # run only with the allocator in; the plain `cargo test` runs the zero ones.
 cargo test -q --release -p ncp2-prof --features prof
+
+# Wall-clock trajectory: the microbench suite over the host hot paths, in
+# the fast smoke configuration, gated against the committed baseline —
+# median time may not double, exact allocation counts may not grow past
+# 10%. Archived next to the other artifacts; refreshed in place after a
+# pass so the baseline tracks the host the gate runs on. It runs last: its
+# time gate depends on the host's speed, and a failure here must not keep
+# the exact gates above from running.
+cargo run --release --features prof --bin wall_bench -- \
+    --fast --out "$OBS_OUT/wall_report.json"
+cargo xtask wall-diff BENCH_WALL.json "$OBS_OUT/wall_report.json" --update

@@ -148,12 +148,9 @@ fn main() -> ExitCode {
     gate::parity(&mut gate, "selfcheck: trace.json", &trace, &trace2);
     // 3. The deterministic JSON must parse back to the same report.
     match parse_metrics(&report.to_json()) {
-        Ok(parsed) => gate.ensure(
-            parsed.total_cycles == report.total_cycles
-                && parsed.name == report.name
-                && parsed.conservation_ok,
-            || "selfcheck: parsed metrics disagree with the report".into(),
-        ),
+        Ok(parsed) => gate.ensure(parsed == report, || {
+            "selfcheck: parsed metrics disagree with the report".into()
+        }),
         Err(e) => gate.fail(format!("selfcheck: metrics.json does not parse: {e}")),
     }
     gate.verdict(|| "\nselfcheck passed: conservation ok, exports deterministic".into())

@@ -6,10 +6,13 @@
 //! binary consumes from a finished run — total cycles, checksum, per-node
 //! counters, network traffic, and (for observed runs) the derived
 //! [`MetricsReport`] — with the same hand-written deterministic JSON
-//! discipline as `ncp2-obs`: fixed key order, ordered arrays for every
-//! sequence whose order matters, and the checksum as a hex string because
-//! it is the one value that genuinely uses all 64 bits (the parser's `f64`
-//! numbers are exact only below 2^53).
+//! discipline as `ncp2-obs`: fixed key order, positional arrays for the
+//! run's counter rows, and the checksum as a hex string because it is the
+//! one value that genuinely uses all 64 bits (the parser's `f64` numbers
+//! are exact only below 2^53). The report is embedded exactly as
+//! `metrics.json` writes it and read back by the same reader; parsed
+//! objects keep their member order, so a restored report serializes to
+//! the bytes of the fresh one.
 //!
 //! The raw observability span log and the protocol event trace are **not**
 //! persisted: they are large, and every consumer of an engine run reads
@@ -27,11 +30,12 @@ use ncp2::core::NodeStats;
 use ncp2::net::TrafficStats;
 use ncp2::prelude::*;
 use ncp2_obs::json::{esc, parse, JVal};
-use ncp2_obs::{HistSummary, MetricsReport};
+use ncp2_obs::report::report_from_jval;
+use ncp2_obs::MetricsReport;
 
 /// Bumped whenever the serialized layout changes; part of every cache key,
 /// so stale layouts can never be misread as current ones.
-pub const FORMAT_VERSION: u64 = 5;
+pub const FORMAT_VERSION: u64 = 6;
 
 /// Number of scalar columns in a serialized node row.
 const NODE_COLS: usize = 27;
@@ -204,118 +208,8 @@ fn u64_list(vals: impl IntoIterator<Item = u64>) -> String {
         .join(", ")
 }
 
-/// Serializes a report with ordered `[name, value]` arrays, unlike the
-/// `metrics.json` object encoding, so a cache round trip preserves the
-/// original `Vec` order exactly and re-serialized reports stay
-/// byte-identical to freshly generated ones.
-fn report_json(r: &MetricsReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("    \"name\": \"{}\",\n", esc(&r.name)));
-    out.push_str(&format!("    \"protocol\": \"{}\",\n", esc(&r.protocol)));
-    out.push_str(&format!("    \"nprocs\": {},\n", r.nprocs));
-    out.push_str(&format!("    \"total_cycles\": {},\n", r.total_cycles));
-    out.push_str(&format!(
-        "    \"conservation_ok\": {},\n",
-        r.conservation_ok
-    ));
-    let pairs = |items: &[(String, u64)]| -> String {
-        items
-            .iter()
-            .map(|(n, v)| format!("[\"{}\", {v}]", esc(n)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    out.push_str(&format!(
-        "    \"categories\": [{}],\n",
-        pairs(&r.categories)
-    ));
-    out.push_str(&format!("    \"exposed\": [{}],\n", pairs(&r.exposed)));
-    out.push_str(&format!("    \"counters\": [{}],\n", pairs(&r.counters)));
-    let hists = r
-        .hists
-        .iter()
-        .map(|(n, h)| {
-            format!(
-                "[\"{}\", [{}]]",
-                esc(n),
-                u64_list([h.count, h.p50, h.p90, h.p99, h.max])
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!("    \"hists\": [{hists}],\n"));
-    let epochs = r
-        .epochs
-        .iter()
-        .map(|row| format!("[{}]", u64_list(row.iter().copied())))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!("    \"epochs\": [{epochs}]\n"));
-    out.push_str("  }");
-    out
-}
-
-fn pairs_from(v: &JVal, key: &str) -> Option<Vec<(String, u64)>> {
-    v.get(key)?
-        .as_arr()?
-        .iter()
-        .map(|pair| {
-            let p = pair.as_arr()?;
-            let [name, val] = p else { return None };
-            Some((name.as_str()?.to_string(), val.as_u64()?))
-        })
-        .collect()
-}
-
 fn u64s_from(v: &JVal) -> Option<Vec<u64>> {
     v.as_arr()?.iter().map(|x| x.as_u64()).collect()
-}
-
-fn report_from(v: &JVal) -> Option<MetricsReport> {
-    let hists = v
-        .get("hists")?
-        .as_arr()?
-        .iter()
-        .map(|pair| {
-            let p = pair.as_arr()?;
-            let [name, vals] = p else { return None };
-            let vals = u64s_from(vals)?;
-            let [count, p50, p90, p99, max] = vals.as_slice() else {
-                return None;
-            };
-            Some((
-                name.as_str()?.to_string(),
-                HistSummary {
-                    count: *count,
-                    p50: *p50,
-                    p90: *p90,
-                    p99: *p99,
-                    max: *max,
-                },
-            ))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(MetricsReport {
-        name: v.get("name")?.as_str()?.to_string(),
-        protocol: v.get("protocol")?.as_str()?.to_string(),
-        nprocs: v.get("nprocs")?.as_u64()? as usize,
-        total_cycles: v.get("total_cycles")?.as_u64()?,
-        conservation_ok: v.get("conservation_ok")?.as_bool()?,
-        categories: pairs_from(v, "categories")?,
-        exposed: pairs_from(v, "exposed")?,
-        counters: pairs_from(v, "counters")?,
-        hists,
-        epochs: v
-            .get("epochs")?
-            .as_arr()?
-            .iter()
-            .map(u64s_from)
-            .collect::<Option<Vec<_>>>()?,
-        // Host attribution is measurement about one particular execution,
-        // never part of the cached result (see `Engine::run_one`).
-        host: Vec::new(),
-    })
 }
 
 /// Serializes a finished run (and its optional report) as a cache entry.
@@ -349,7 +243,10 @@ pub fn encode(label: &str, result: &RunResult, report: Option<&MetricsReport>) -
         u64_list(fault_row(&result.fault))
     ));
     match report {
-        Some(r) => out.push_str(&format!("  \"report\": {}\n", report_json(r))),
+        Some(r) => out.push_str(&format!(
+            "  \"report\": {}\n",
+            r.to_json_indented(2).trim_start()
+        )),
         None => out.push_str("  \"report\": null\n"),
     }
     out.push_str("}\n");
@@ -380,7 +277,7 @@ pub fn decode(text: &str) -> Option<(RunResult, Option<MetricsReport>)> {
     let fault = fault_from_row(&u64s_from(v.get("fault")?)?)?;
     let report = match v.get("report")? {
         JVal::Null => None,
-        r => Some(report_from(r)?),
+        r => Some(report_from_jval(r).ok()?),
     };
     let result = RunResult {
         protocol: v.get("protocol")?.as_str()?.to_string(),
@@ -442,6 +339,7 @@ pub fn store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncp2_obs::HistSummary;
 
     fn sample_result() -> RunResult {
         RunResult {
@@ -495,7 +393,12 @@ mod tests {
             total_cycles: 123_456,
             conservation_ok: true,
             // Non-alphabetical order must survive the round trip.
-            categories: vec![("busy".into(), 1), ("data".into(), 2), ("ipc".into(), 4)],
+            categories: vec![
+                ("busy".into(), 1),
+                ("data".into(), 2),
+                ("synch".into(), 3),
+                ("ipc".into(), 4),
+            ],
             exposed: vec![("busy".into(), 1), ("ipc".into(), 4)],
             counters: vec![("faults".into(), 7)],
             hists: vec![(
@@ -531,6 +434,8 @@ mod tests {
         let r = sample_result();
         let rep = sample_report();
         let text = encode("TSP/I+P+D", &r, Some(&rep));
+        // The report is embedded in its `metrics.json` encoding.
+        assert!(text.contains(rep.to_json_indented(2).trim_start()));
         let (r2, rep2) = decode(&text).expect("decode");
         assert_same_result(&r, &r2);
         assert_eq!(rep2.as_ref(), Some(&rep));
@@ -577,7 +482,7 @@ mod tests {
         }
         for bad in ["2.5", "1e999"] {
             for (good, damaged) in [
-                ("[\"faults\", 7]", format!("[\"faults\", {bad}]")),
+                ("\"faults\": 7", format!("\"faults\": {bad}")),
                 (
                     "\"total_cycles\": 123456",
                     format!("\"total_cycles\": {bad}"),

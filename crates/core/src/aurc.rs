@@ -63,10 +63,7 @@ impl Simulation {
             Some(AurcMode::Pairwise(a, b, false)) => {
                 // Third sharer replaces the first (§3.3); the replaced node
                 // re-joins through the home path if it comes back.
-                self.nodes[a]
-                    .aurc_pages
-                    .get_or_default(page)
-                    .set_valid(false);
+                self.nodes[a].aurc_pages.get_or_default(page).valid = false;
                 (AurcMode::Pairwise(b, pid, true), Some(b))
             }
             Some(AurcMode::Pairwise(a, _, true)) => {
@@ -86,17 +83,17 @@ impl Simulation {
             let lp = self.nodes[pid].aurc_pages.get_or_default(page);
             match new_mode {
                 AurcMode::Single(a) if a == pid => {
-                    lp.set_valid(true);
+                    lp.valid = true;
                     true
                 }
                 AurcMode::Pairwise(a, b, _) if (a == pid || b == pid) && fetch_from.is_none() => {
-                    lp.valid()
+                    lp.valid
                 }
                 AurcMode::Home(h) if h == pid => {
-                    lp.set_valid(true);
+                    lp.valid = true;
                     true
                 }
-                _ => lp.valid() && fetch_from.is_none(),
+                _ => lp.valid && fetch_from.is_none(),
             }
         };
         if !local_valid {
@@ -115,14 +112,14 @@ impl Simulation {
             if self.nodes[pid]
                 .aurc_pages
                 .get(page)
-                .is_some_and(|lp| lp.prefetching())
+                .is_some_and(|lp| lp.prefetching)
             {
                 self.nodes[pid]
                     .aurc_pages
                     .get_mut(page)
                     // invariant: the joining access created the entry above
                     .expect("entry")
-                    .set_joined(true);
+                    .joined = true;
                 self.nodes[pid].stats.prefetch_joins += 1;
                 self.block(pid, Wait::AurcFault { page });
             } else {
@@ -277,16 +274,16 @@ impl Simulation {
         let joined = {
             let lp = self.nodes[dst].aurc_pages.get_or_default(page);
             if prefetch {
-                lp.set_prefetching(false);
-                let stale = lp.take_prefetch_stale();
+                lp.prefetching = false;
+                let stale = std::mem::take(&mut lp.prefetch_stale);
                 if !stale {
-                    lp.set_valid(true);
+                    lp.valid = true;
                 }
-                let joined = lp.take_joined();
+                let joined = std::mem::take(&mut lp.joined);
                 lp.refs.prefetched_unused = !stale && !joined;
                 joined
             } else {
-                lp.set_valid(true);
+                lp.valid = true;
                 true
             }
         };
@@ -360,10 +357,10 @@ impl Simulation {
             return c;
         }
         let lp = self.nodes[pid].aurc_pages.get_or_default(page);
-        let had_copy = lp.valid();
-        lp.set_valid(false);
-        if lp.prefetching() {
-            lp.set_prefetch_stale(true);
+        let had_copy = lp.valid;
+        lp.valid = false;
+        if lp.prefetching {
+            lp.prefetch_stale = true;
         }
         let wasted = lp.refs.invalidate();
         self.note_notice(c, pid, ann, page, had_copy, wasted);
@@ -382,9 +379,9 @@ impl Simulation {
             .aurc_pages
             .iter()
             .filter(|&(page, lp)| {
-                !lp.valid()
+                !lp.valid
                     && lp.refs.wanted(strategy)
-                    && !lp.prefetching()
+                    && !lp.prefetching
                     && self.aurc_remote_home(pid, page).is_some()
             })
             .map(|(page, _)| page)
@@ -405,9 +402,9 @@ impl Simulation {
         self.dispatch(c, pid, home, msg);
         // invariant: the candidate scan read this entry just above
         let lp = self.nodes[pid].aurc_pages.get_mut(page).expect("entry");
-        lp.set_prefetching(true);
-        lp.set_prefetch_stale(false);
-        lp.set_joined(false);
+        lp.prefetching = true;
+        lp.prefetch_stale = false;
+        lp.joined = false;
         c
     }
 }

@@ -180,58 +180,21 @@ pub(crate) struct PrefetchState {
     pub joined: bool,
 }
 
-/// AURC per-node view of one page: four protocol flags packed into one
-/// byte, beside the reference history both protocols keep.
+/// AURC per-node view of one page: four protocol flags beside the
+/// reference history both protocols keep.
 #[derive(Debug, Default)]
 pub(crate) struct AurcLocal {
-    flags: u8,
-    /// Reference history and the open interval's dirty mark.
-    pub refs: PageRefs,
-}
-
-/// Generates `name()` / `set_name()` (and optionally `take_name()`)
-/// accessors for one packed flag bit.
-macro_rules! aurc_flags {
-    ($($(#[$doc:meta])* $bit:literal => $get:ident, $set:ident $(, $take:ident)?;)+) => {
-        impl AurcLocal {
-            $(
-                $(#[$doc])*
-                pub fn $get(&self) -> bool {
-                    self.flags & (1 << $bit) != 0
-                }
-
-                /// Sets the flag read by the same-named accessor.
-                pub fn $set(&mut self, v: bool) {
-                    if v {
-                        self.flags |= 1 << $bit;
-                    } else {
-                        self.flags &= !(1 << $bit);
-                    }
-                }
-
-                $(
-                    /// Returns the flag and clears it.
-                    pub fn $take(&mut self) -> bool {
-                        let v = self.$get();
-                        self.$set(false);
-                        v
-                    }
-                )?
-            )+
-        }
-    };
-}
-
-aurc_flags! {
     /// The local copy (or home/pairwise mapping) is up to date.
-    0 => valid, set_valid;
+    pub valid: bool,
     /// A prefetch for this page is in flight.
-    1 => prefetching, set_prefetching;
+    pub prefetching: bool,
     /// The page was invalidated again while a prefetch was in flight; the
     /// reply must not re-validate it.
-    2 => prefetch_stale, set_prefetch_stale, take_prefetch_stale;
+    pub prefetch_stale: bool,
     /// A fault is blocked waiting for an in-flight prefetch of this page.
-    3 => joined, set_joined, take_joined;
+    pub joined: bool,
+    /// Reference history and the open interval's dirty mark.
+    pub refs: PageRefs,
 }
 
 /// AURC global sharing mode of one page.

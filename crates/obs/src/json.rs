@@ -7,16 +7,21 @@
 //! through this parser. The subset supported is exactly what our writers
 //! emit: objects, arrays, strings, finite numbers, booleans and null.
 //!
+//! Parsed objects keep their members in source order, so a reader that
+//! rebuilds a list of named entries (a report's categories, counters,
+//! histograms) gets them back in the order the writer emitted them, and
+//! writing the result again reproduces the same bytes.
+//!
 //! The parser also reads files from outside the process (cache entries,
 //! bench files, wall reports), so malformed input of any shape is an
-//! `Err`, never a panic: nesting is capped at [`MAX_DEPTH`] and every step
-//! is linear in the bytes it consumes.
+//! `Err`, never a panic: nesting is capped at [`MAX_DEPTH`], a key that
+//! appears twice in one object is rejected, and every step is at most
+//! `n log n` in the bytes it consumes.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Object keys keep a sorted map — our readers look
-/// fields up by name and never depend on source order.
+/// A parsed JSON value. Objects keep their members in source order, and
+/// no two members of one object share a key.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JVal {
     /// `null`.
@@ -30,17 +35,18 @@ pub enum JVal {
     Str(String),
     /// An array.
     Arr(Vec<JVal>),
-    /// An object.
-    Obj(BTreeMap<String, JVal>),
+    /// An object: its members in source order, keys unique.
+    Obj(Vec<(String, JVal)>),
 }
 
 impl JVal {
-    /// Member lookup on an object; `None` for other variants.
+    /// The member named `key` of an object; `None` if there is none or
+    /// this is not an object.
     pub fn get(&self, key: &str) -> Option<&JVal> {
-        match self {
-            JVal::Obj(m) => m.get(key),
-            _ => None,
-        }
+        self.as_obj()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     /// The elements if this is an array.
@@ -51,8 +57,8 @@ impl JVal {
         }
     }
 
-    /// The map if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, JVal>> {
+    /// The members, in source order, if this is an object.
+    pub fn as_obj(&self) -> Option<&[(String, JVal)]> {
         match self {
             JVal::Obj(m) => Some(m),
             _ => None,
@@ -265,11 +271,11 @@ fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, String> {
 
 fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, String> {
     expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
+    let mut members = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(JVal::Obj(map));
+        return Ok(JVal::Obj(members));
     }
     loop {
         skip_ws(b, pos);
@@ -277,13 +283,20 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JVal, String> {
         skip_ws(b, pos);
         expect(b, pos, b':')?;
         let val = parse_value(b, pos, depth)?;
-        map.insert(key, val);
+        members.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(JVal::Obj(map));
+                // One sort of the key references per object: a linear scan
+                // per member would make a wide object quadratic.
+                let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+                keys.sort_unstable();
+                if let Some(w) = keys.windows(2).find(|w| w[0] == w[1]) {
+                    return Err(format!("duplicate key '{}' before offset {pos}", w[0]));
+                }
+                return Ok(JVal::Obj(members));
             }
             _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
         }
@@ -314,6 +327,43 @@ mod tests {
         );
         assert_eq!(v.get("d").and_then(|d| d.as_bool()), Some(true));
         assert_eq!(v.get("e"), Some(&JVal::Null));
+    }
+
+    #[test]
+    fn objects_keep_source_member_order() {
+        let v = parse(r#"{"z": 1, "a": 2, "m": {"y": 3, "b": 4}}"#).expect("parse");
+        let keys = |v: &JVal| -> Vec<String> {
+            v.as_obj()
+                .expect("object")
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        assert_eq!(keys(&v), ["z", "a", "m"]);
+        assert_eq!(keys(v.get("m").expect("m")), ["y", "b"]);
+        assert_eq!(v.get("a").and_then(JVal::as_u64), Some(2));
+    }
+
+    #[test]
+    fn duplicated_keys_are_errors() {
+        assert!(parse(r#"{"a": 1, "a": 2}"#).is_err());
+        assert!(parse(r#"{"a": 1, "b": 2, "a": 1}"#).is_err());
+        assert!(parse(r#"[{"x": {"k": [], "k": null}}]"#).is_err());
+        // The same key in sibling or nested objects is fine.
+        assert!(parse(r#"{"a": {"a": 1}, "b": {"a": 2}}"#).is_ok());
+    }
+
+    #[test]
+    fn wide_objects_parse_in_n_log_n_time() {
+        // 200,000 distinct keys: a pairwise duplicate check needs about
+        // 2 * 10^10 comparisons, the sorted one about 4 * 10^6.
+        let members: Vec<String> = (0..200_000).map(|i| format!("\"k{i}\": {i}")).collect();
+        let doc = format!("{{{}}}", members.join(", "));
+        let start = std::time::Instant::now();
+        let v = parse(&doc).expect("parse");
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+        assert_eq!(v.get("k199999").and_then(JVal::as_u64), Some(199_999));
     }
 
     #[test]

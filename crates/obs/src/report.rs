@@ -10,7 +10,7 @@
 
 use ncp2_core::hist::LogHistogram;
 use ncp2_core::span::{CtrlCmd, SpanKind};
-use ncp2_core::RunResult;
+use ncp2_core::{RunResult, Violation};
 use ncp2_sim::Category;
 
 use crate::json::{esc, JVal};
@@ -80,11 +80,14 @@ pub struct MetricsReport {
     pub nprocs: usize,
     /// End-to-end running time, cycles.
     pub total_cycles: u64,
-    /// Whether the span-conservation invariant held (vacuously true when
-    /// the run carried no observability log).
+    /// Whether the span-conservation invariant held (no
+    /// [`Violation::SpanConservation`] in the run) and, for an observed
+    /// run, the critical-path walk succeeded. Vacuously true when the run
+    /// carried no observability log.
     pub conservation_ok: bool,
     /// Aggregate breakdown per category, in [`Category::ALL`] order when
-    /// generated from a run (alphabetical after a JSON round trip).
+    /// generated from a run. Every list below keeps its order through a
+    /// JSON round trip.
     pub categories: Vec<(String, u64)>,
     /// Critical-path exposed cycles per category (the cycles of each kind
     /// the run's longest dependency path actually waits on; sums to
@@ -140,10 +143,14 @@ impl MetricsReport {
         let mut hs: Vec<LogHistogram> =
             (0..HIST_NAMES.len()).map(|_| LogHistogram::new()).collect();
         let mut epochs: Vec<Vec<u64>> = Vec::new();
-        let mut conservation_ok = true;
+        // The run's sinks already checked span conservation and filed any
+        // failure as a violation; the report reads that verdict.
+        let mut conservation_ok = !r
+            .violations
+            .iter()
+            .any(|v| matches!(v, Violation::SpanConservation { .. }));
         let mut exposed: Vec<(String, u64)> = Vec::new();
         if let Some(log) = &r.obs {
-            conservation_ok = log.conservation_errors(&r.nodes).is_empty();
             // Exposed cycles come from the critical-path walk over the
             // dependency graph; a build/walk failure is an invariant
             // violation and flips the conservation flag.
@@ -411,9 +418,10 @@ impl MetricsReport {
     }
 }
 
-/// Reconstructs a report from a parsed JSON object (field order is lost:
-/// categories/counters/hists come back alphabetical).
-pub(crate) fn report_from_jval(v: &JVal) -> Result<MetricsReport, String> {
+/// Reconstructs a report from a parsed JSON object written by
+/// [`MetricsReport::to_json_indented`]. Every name/value list comes back in
+/// the order it was written, so the result serializes to the same bytes.
+pub fn report_from_jval(v: &JVal) -> Result<MetricsReport, String> {
     let str_field = |k: &str| -> Result<String, String> {
         v.get(k)
             .and_then(|x| x.as_str())
@@ -476,8 +484,7 @@ pub(crate) fn report_from_jval(v: &JVal) -> Result<MetricsReport, String> {
                 .collect::<Result<Vec<u64>, String>>()
         })
         .collect::<Result<Vec<Vec<u64>>, String>>()?;
-    // Absent unless the run was profiled (`--prof`); order comes back
-    // alphabetical, like every other pair list.
+    // Absent unless the run was profiled (`--prof`).
     let mut host = Vec::new();
     if let Some(obj) = v.get("host").and_then(|x| x.as_obj()) {
         for (n, h) in obj {
@@ -595,6 +602,42 @@ mod tests {
         stripped.host.clear();
         assert_eq!(stripped, plain);
         assert!(profiled.render_table().contains("host phase"));
+    }
+
+    #[test]
+    fn profiled_report_keeps_non_alphabetical_order() {
+        let hist = |count| HistSummary {
+            count,
+            p50: 1,
+            p90: 2,
+            p99: 3,
+            max: 4,
+        };
+        let phase = |wall_ns| HostPhase {
+            wall_ns,
+            allocs: 5,
+            alloc_bytes: 64,
+        };
+        let mut r = sample();
+        r.categories = Category::ALL
+            .iter()
+            .zip(1..)
+            .map(|(c, v)| (c.label().to_string(), v))
+            .collect();
+        r.counters = vec![
+            ("write_faults".into(), 3),
+            ("faults".into(), 7),
+            ("bytes".into(), 9),
+        ];
+        r.hists = vec![
+            ("msg_latency".into(), hist(2)),
+            ("fault_stall".into(), hist(1)),
+        ];
+        r.host = vec![("sim".into(), phase(900)), ("cache_io".into(), phase(40))];
+        let text = r.to_json();
+        let parsed = parse_metrics(&text).expect("parse");
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), text);
     }
 
     #[test]

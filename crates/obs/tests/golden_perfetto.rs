@@ -234,6 +234,7 @@ fn exports_are_well_formed_for_all_six_applications() {
         assert!(report.conservation_ok, "{name}: conservation failed");
         let back = ncp2_obs::report::parse_metrics(&report.to_json())
             .unwrap_or_else(|e| panic!("{name}: metrics.json unparseable: {e}"));
+        assert_eq!(back, report, "{name}");
         assert_eq!(back.total_cycles, r.total_cycles, "{name}");
         assert_eq!(back.nprocs, 4, "{name}");
     }

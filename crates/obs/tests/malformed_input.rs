@@ -21,6 +21,12 @@ fn parse_json_both_ways(text: &str) {
 }
 
 #[test]
+fn metrics_json_round_trips_byte_for_byte() {
+    let report = parse_metrics(METRICS).expect("the committed metrics.json parses");
+    assert_eq!(report.to_json(), METRICS);
+}
+
+#[test]
 fn metrics_json_survives_every_truncation() {
     assert!(METRICS.is_ascii(), "byte offsets below are char boundaries");
     assert!(parse_metrics(METRICS).is_ok());
