@@ -324,7 +324,8 @@ fn bench_obs_emit(s: &mut Suite) {
     });
 }
 
-/// Router hot paths: a full 4 KiB page transfer and all-pairs mesh routing.
+/// Router hot paths: a full 4 KiB page transfer, all-pairs mesh routing and
+/// all-pairs transfer booking at 256 nodes.
 fn bench_network(s: &mut Suite) {
     let params = SysParams::default();
     s.bench("network/transfer_4k_page", |b| {
@@ -346,8 +347,8 @@ fn bench_network(s: &mut Suite) {
         })
     });
     // The 256-node variant walks every pair through the allocation-free
-    // `route_iter` — the path `transfer_timed` takes — so the gate watches
-    // the cost that actually scales with the cluster, not `Vec` building.
+    // `route_iter`, the hop-by-hop reference walk, so the gate watches the
+    // cost of a walk that scales with the cluster, not `Vec` building.
     s.bench("network/route_iter_all_pairs_256", |b| {
         let net = Network::new(256);
         b.iter(|| {
@@ -358,6 +359,22 @@ fn bench_network(s: &mut Suite) {
                 }
             }
             h
+        })
+    });
+    // The per-message booking `transfer_timed` does at 256 nodes, over
+    // every pair (loopbacks included). One network serves every iteration,
+    // so later messages book behind earlier ones, as in a long run.
+    s.bench("network/transfer_all_pairs_256", |b| {
+        let mut net = Network::new(256);
+        b.iter(|| {
+            let mut last = 0;
+            for s in 0..256 {
+                for d in 0..256 {
+                    let t = net.transfer_timed(0, s, d, 64, black_box(&params));
+                    last = last.max(t.arrival);
+                }
+            }
+            last
         })
     });
 }

@@ -39,9 +39,25 @@ pub struct IntervalAnnouncement {
     pub vt: VectorTime,
     /// Pages dirtied during the interval.
     pub pages: Vec<PageId>,
+    /// Component sum of `vt`, computed once by [`Self::new`] for every
+    /// store that records the interval (see [`IntervalStore::vt_sum`]).
+    vt_sum: u64,
 }
 
 impl IntervalAnnouncement {
+    /// The announcement of `owner`'s interval `id`, closed at `vt`, which
+    /// dirtied `pages`.
+    pub fn new(owner: usize, id: IntervalId, vt: VectorTime, pages: Vec<PageId>) -> Self {
+        let vt_sum = vt.iter().map(|(_, v)| u64::from(v)).sum();
+        IntervalAnnouncement {
+            owner,
+            id,
+            vt,
+            pages,
+            vt_sum,
+        }
+    }
+
     /// The write notices this interval induces.
     pub fn notices(&self) -> impl Iterator<Item = Notice> + '_ {
         self.pages.iter().map(|&page| Notice {
@@ -209,7 +225,7 @@ impl IntervalStore {
         if sums.len() <= idx {
             sums.resize(idx + 1, 0);
         }
-        sums[idx] = ann.vt.iter().map(|(_, v)| v as u64).sum();
+        sums[idx] = ann.vt_sum;
         let run = &mut self.by_owner[ann.owner];
         if run.back().is_none_or(|last| last.id < ann.id) {
             run.push_back(ann);
@@ -294,12 +310,7 @@ mod tests {
     fn ann(owner: usize, id: IntervalId, pages: &[PageId], n: usize) -> Arc<IntervalAnnouncement> {
         let mut vt = VectorTime::new(n);
         vt.observe(owner, id);
-        Arc::new(IntervalAnnouncement {
-            owner,
-            id,
-            vt,
-            pages: pages.to_vec(),
-        })
+        Arc::new(IntervalAnnouncement::new(owner, id, vt, pages.to_vec()))
     }
 
     #[test]
@@ -322,6 +333,26 @@ mod tests {
         s.record(ann(2, 5, &[99], 4)); // ignored duplicate
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(2, 5).unwrap().pages, vec![1, 2]);
+    }
+
+    #[test]
+    fn vt_sum_is_the_recorded_component_sum() {
+        let mut vt = VectorTime::new(4);
+        for (p, id) in [(0, 3), (1, 7), (3, 11)] {
+            vt.observe(p, id);
+        }
+        let mut s = IntervalStore::new();
+        s.record(Arc::new(IntervalAnnouncement::new(1, 7, vt, vec![4])));
+        let a = s.get(1, 7).expect("recorded");
+        let sum: u64 = a.vt.iter().map(|(_, v)| u64::from(v)).sum();
+        assert_eq!(sum, 21);
+        assert_eq!(s.vt_sum(1, 7), sum);
+        // The side table outlives the announcement's collection.
+        let mut floor = VectorTime::new(4);
+        floor.observe(1, 7);
+        assert_eq!(s.gc_covered(&floor), 1);
+        assert_eq!(s.vt_sum(1, 7), sum);
+        assert_eq!(s.vt_sum(1, 8), 0);
     }
 
     #[test]

@@ -191,12 +191,7 @@ mod tests {
         };
         assert_eq!(small.bytes(), 16 + 4 + 64);
 
-        let ann = IntervalAnnouncement {
-            owner: 0,
-            id: 1,
-            vt: vt.clone(),
-            pages: vec![1, 2],
-        };
+        let ann = IntervalAnnouncement::new(0, 1, vt.clone(), vec![1, 2]);
         let mut anns = AnnList::new();
         anns.push(Arc::new(ann));
         let grant = Msg::LockGrant {

@@ -127,12 +127,12 @@ impl Simulation {
         );
         // The one copy of this announcement: every store and message that
         // learns the interval from here on holds a handle to it.
-        let ann = Arc::new(IntervalAnnouncement {
-            owner: pid,
+        let ann = Arc::new(IntervalAnnouncement::new(
+            pid,
             id,
-            vt: self.nodes[pid].vt.clone(),
+            self.nodes[pid].vt.clone(),
             pages,
-        });
+        ));
         self.nodes[pid].store.record(ann);
     }
 

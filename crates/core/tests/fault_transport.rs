@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use ncp2_apps::{run_app_with, Em3d, Tsp, Workload};
 use ncp2_core::observe::Violation;
 use ncp2_core::trace::TraceKind;
-use ncp2_core::{FaultPlan, Observer, OverlapMode, Protocol, ProtocolEvent, RunResult};
+use ncp2_core::{FaultPlan, FaultStats, Observer, OverlapMode, Protocol, ProtocolEvent, RunResult};
 use ncp2_fault::{LinkWindow, TargetedDrop, Window};
 use ncp2_sim::SysParams;
 use ncp2_verify::VerifyOracle;
@@ -45,7 +45,17 @@ fn em3d() -> Em3d {
 
 /// A run with the oracle attached and (optionally) a fault plan.
 fn run<W: Workload>(app: W, protocol: Protocol, plan: Option<FaultPlan>) -> RunResult {
-    let params = SysParams::default().with_nprocs(4);
+    run_on(4, app, protocol, plan)
+}
+
+/// [`run`] on `nprocs` nodes.
+fn run_on<W: Workload>(
+    nprocs: usize,
+    app: W,
+    protocol: Protocol,
+    plan: Option<FaultPlan>,
+) -> RunResult {
+    let params = SysParams::default().with_nprocs(nprocs);
     let racy = app.racy_ranges();
     run_app_with(params.clone(), protocol, app, move |sim| {
         let mut oracle = VerifyOracle::new(&params, &protocol);
@@ -118,6 +128,45 @@ fn em3d_survives_chaos_under_full_overlap() {
         assert_eq!(clean.checksum, faulted.checksum, "{protocol}");
         assert!(faulted.violations.is_empty(), "{:#?}", faulted.violations);
     }
+}
+
+#[test]
+fn fault_free_run_drains_no_frames() {
+    // Under I+P+D prefetch traffic can still be queued when the run ends,
+    // but without a plan no message travels as a transport frame, so the
+    // drain finds none (and every other transport counter stays zero).
+    let clean = run_on(16, em3d(), Protocol::TreadMarks(OverlapMode::IPD), None);
+    assert!(clean.violations.is_empty(), "{:#?}", clean.violations);
+    assert_eq!(clean.fault, FaultStats::default());
+}
+
+#[test]
+fn chaos_plan_at_16_nodes_pins_every_fault_counter() {
+    // The end-of-run drain must hand every frame still in flight its
+    // terminal event: a lost or doubled one moves `frames_drained` and
+    // trips the oracle's frame conservation law.
+    let faulted = run_on(
+        16,
+        em3d(),
+        Protocol::TreadMarks(OverlapMode::IPD),
+        Some(chaos_plan()),
+    );
+    assert_eq!(faulted.violations, Vec::new());
+    assert_eq!(
+        faulted.fault,
+        FaultStats {
+            frames_sent: 4793,
+            acks_sent: 4295,
+            retransmits: 2637,
+            drops_injected: 41,
+            corrupts_injected: 25,
+            dups_injected: 28,
+            dup_frames_dropped: 2314,
+            frames_drained: 431,
+            prefetch_shed: 5,
+            retx_by_attempt: [1784, 847, 6, 0, 0, 0, 0, 0],
+        }
+    );
 }
 
 #[test]

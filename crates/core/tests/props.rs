@@ -152,7 +152,7 @@ proptest! {
         for &(owner, id) in &ivls {
             let mut vt = VectorTime::new(4);
             vt.observe(owner, id);
-            let ann = Arc::new(IntervalAnnouncement { owner, id, vt, pages: vec![id as u64] });
+            let ann = Arc::new(IntervalAnnouncement::new(owner, id, vt, vec![id as u64]));
             store.record(Arc::clone(&ann));
             store.record(ann); // idempotent
         }

@@ -4,7 +4,8 @@
 //! an 8-bit bidirectional path, 4-cycle switch latency, 2-cycle wire latency
 //! and full contention modeling. This crate provides:
 //!
-//! * [`Mesh`] — near-square 2-D topology with dimension-order (XY) routing;
+//! * [`Mesh`] — near-square 2-D topology with dimension-order (XY) routing,
+//!   each route two straight [`Leg`]s of the link table;
 //! * [`Network`] — per-directed-link reservation implementing a wormhole
 //!   approximation: a message claims every link of its path from the moment
 //!   its head can advance until its tail drains, so messages on overlapping
@@ -32,4 +33,4 @@ pub mod router;
 pub mod topology;
 
 pub use router::{Network, TrafficStats, Transfer};
-pub use topology::Mesh;
+pub use topology::{Leg, Mesh};

@@ -117,6 +117,9 @@ impl Network {
     /// Like [`transfer`](Network::transfer) but also reports when the head
     /// entered the network, so observers can separate link-contention
     /// blocking from flight time.
+    ///
+    /// The route is read and booked as the two legs of [`Mesh::legs`],
+    /// which name the same links as the hop-by-hop [`Mesh::route_iter`].
     pub fn transfer_timed(
         &mut self,
         now: Cycles,
@@ -136,21 +139,23 @@ impl Network {
                 arrival,
             };
         }
-        // Walk the path twice with the allocation-free iterator (reserve
-        // lookup, then booking) instead of materializing it; transfers are
-        // the single hottest operation at 256 nodes.
-        let link_free = &self.link_free;
-        let ready = self
-            .mesh
-            .route_iter(src, dst)
-            .map(|l| link_free[l])
+        // Transfers are the single hottest operation at 256 nodes, so the
+        // route is booked as its two straight legs, each a strided slice of
+        // the reservation table (`Mesh::legs`), instead of hop by hop.
+        let legs = self.mesh.legs(src, dst);
+        let ready = legs
+            .iter()
+            .flat_map(|leg| self.link_free[leg.span()].iter().step_by(leg.stride))
+            .copied()
             .max()
             .unwrap_or(0);
         let start = now.max(ready);
-        let head = self.mesh.hops(src, dst) * HOP_LATENCY;
+        let head = (legs[0].len + legs[1].len) as u64 * HOP_LATENCY;
         let arrival = start + head + serialization;
-        for l in self.mesh.route_iter(src, dst) {
-            self.link_free[l] = arrival;
+        for leg in &legs {
+            for free in self.link_free[leg.span()].iter_mut().step_by(leg.stride) {
+                *free = arrival;
+            }
         }
         // A fault-plan latency spike delays *this* message's delivery but
         // does not extend its link occupancy: the links were booked to the

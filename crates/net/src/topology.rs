@@ -117,12 +117,58 @@ impl Mesh {
         }
     }
 
+    /// The dimension-order route from `src` to `dst` as its two straight
+    /// legs, `[x, y]`: the same links as [`Mesh::route`], named without a
+    /// hop-by-hop walk. This is the router's hot-path form.
+    ///
+    /// The [`Mesh::link_id`] layout makes each leg one arithmetic run. The X
+    /// leg stays in row `sy` and crosses consecutive east (or west) links, so
+    /// its ids are contiguous. The Y leg stays in column `dx` and steps one
+    /// row per hop through the south (or north) block, so its ids are
+    /// `width` apart. A leg with no hops is `len == 0` at `start == 0`, so
+    /// every leg's [`Leg::span`] lies inside the link table.
+    ///
+    /// ```
+    /// use ncp2_net::Mesh;
+    /// let m = Mesh::new(16);
+    /// let [x, y] = m.legs(0, 15);
+    /// assert_eq!((x.len, x.stride, y.len, y.stride), (3, 1, 3, 4));
+    /// let links: Vec<usize> = x.links().chain(y.links()).collect();
+    /// assert_eq!(links, m.route(0, 15));
+    /// ```
+    pub fn legs(&self, src: usize, dst: usize) -> [Leg; 2] {
+        let (sx, sy) = self.coords(src);
+        let (dx, dy) = self.coords(dst);
+        let horiz = (self.width - 1) * self.height;
+        let vert = self.width * (self.height - 1);
+        let row = sy * (self.width - 1);
+        // East link `fx → fx + 1` is `row + fx`; west link `tx + 1 → tx`
+        // is `horiz + row + tx`. Either way the leg's lowest id belongs to
+        // its smaller x.
+        let x = Leg::new(
+            if dx >= sx { row + sx } else { horiz + row + dx },
+            sx.abs_diff(dx),
+            1,
+        );
+        // South link `fy → fy + 1` is `2·horiz + fy·width + dx`; north link
+        // `ty + 1 → ty` is `2·horiz + vert + ty·width + dx`.
+        let y = Leg::new(
+            if dy >= sy {
+                2 * horiz + sy * self.width + dx
+            } else {
+                2 * horiz + vert + dy * self.width + dx
+            },
+            sy.abs_diff(dy),
+            self.width,
+        );
+        [x, y]
+    }
+
     /// The dimension-order (X then Y) route from `src` to `dst`, one
     /// directed link id per hop, computed on the fly with no allocation.
-    /// Yields nothing when `src == dst`. This is the hot-path form: the
-    /// router walks every path twice per transfer (reservation lookup, then
-    /// booking) and a per-transfer `Vec` would dominate the allocator
-    /// profile at 256 nodes.
+    /// Yields nothing when `src == dst`. It walks the route hop by hop
+    /// through [`Mesh::link_id`], independently of [`Mesh::legs`], which
+    /// makes it the reference the router's booking is tested against.
     pub fn route_iter(&self, src: usize, dst: usize) -> RouteIter<'_> {
         let (x, y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
@@ -143,6 +189,41 @@ impl Mesh {
         let mut hops = Vec::with_capacity(it.len());
         hops.extend(it);
         hops
+    }
+}
+
+/// One straight leg of a dimension-order route (see [`Mesh::legs`]): the
+/// `len` directed links `start, start + stride, …`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leg {
+    /// Lowest link id on the leg; 0 when the leg is empty.
+    pub start: LinkId,
+    /// Hops on the leg.
+    pub len: usize,
+    /// Distance between consecutive link ids (never zero).
+    pub stride: usize,
+}
+
+impl Leg {
+    /// A leg of `len` links from `start`; an empty one starts at 0, since
+    /// the formula's start for a leg with no hops can lie past the table.
+    fn new(start: LinkId, len: usize, stride: usize) -> Leg {
+        let start = if len == 0 { 0 } else { start };
+        Leg { start, len, stride }
+    }
+
+    /// The smallest id range holding every link of the leg; the links are
+    /// every `stride`-th id of it, from the first.
+    pub fn span(&self) -> std::ops::Range<LinkId> {
+        match self.len {
+            0 => self.start..self.start,
+            n => self.start..self.start + (n - 1) * self.stride + 1,
+        }
+    }
+
+    /// The leg's link ids in ascending order.
+    pub fn links(&self) -> impl Iterator<Item = LinkId> {
+        self.span().step_by(self.stride)
     }
 }
 

@@ -1,9 +1,158 @@
 //! Property-based tests for the mesh network model.
 
-use ncp2_net::{Mesh, Network};
+use ncp2_fault::{FaultPlan, LinkWindow};
+use ncp2_net::{Mesh, Network, TrafficStats, Transfer};
 use ncp2_sim::config::HOP_LATENCY;
-use ncp2_sim::SysParams;
+use ncp2_sim::{Cycles, SimRng, SysParams};
 use proptest::prelude::*;
+
+/// Every `(src, dst)` pair: `Mesh::legs` names exactly the links of the
+/// hop-by-hop reference walk, as a multiset. Covers every mesh of 1..=64
+/// nodes (among them 1×1, prime n×1, 4×2 and 4×3) and the 16×16 mesh.
+#[test]
+fn legs_name_exactly_the_route_links() {
+    let shapes: Vec<Mesh> = (1..=64).chain([256]).map(Mesh::new).collect();
+    for (w, h) in [(1, 1), (7, 1), (61, 1), (4, 2), (4, 3), (16, 16)] {
+        assert!(
+            shapes.iter().any(|m| (m.width(), m.height()) == (w, h)),
+            "shape {w}x{h} not covered"
+        );
+    }
+    for m in &shapes {
+        for src in 0..m.nodes() {
+            for dst in 0..m.nodes() {
+                let [x, y] = m.legs(src, dst);
+                assert_eq!((x.stride, y.stride), (1, m.width()));
+                assert!(x.span().end <= m.link_count() && y.span().end <= m.link_count());
+                let mut legs: Vec<usize> = x.links().chain(y.links()).collect();
+                let mut walk = m.route(src, dst);
+                legs.sort_unstable();
+                walk.sort_unstable();
+                assert_eq!(
+                    legs,
+                    walk,
+                    "{}x{} mesh, {src} -> {dst}",
+                    m.width(),
+                    m.height()
+                );
+            }
+        }
+    }
+}
+
+/// The router's booking as it was before routes were split into legs: the
+/// reservation table read and written hop by hop along `route_iter`. Kept
+/// here as the reference `Network::transfer_timed` must match exactly.
+struct WalkNetwork {
+    mesh: Mesh,
+    link_free: Vec<Cycles>,
+    stats: TrafficStats,
+    plan: FaultPlan,
+}
+
+impl WalkNetwork {
+    fn new(n: usize, plan: FaultPlan) -> Self {
+        let mesh = Mesh::new(n);
+        let link_free = vec![0; mesh.link_count().max(1)];
+        WalkNetwork {
+            mesh,
+            link_free,
+            stats: TrafficStats::default(),
+            plan,
+        }
+    }
+
+    fn transfer_timed(
+        &mut self,
+        now: Cycles,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+        params: &SysParams,
+    ) -> Transfer {
+        let serialization = params.net_serialize(bytes);
+        self.stats.messages += 1;
+        self.stats.bytes += bytes;
+        if src == dst {
+            self.stats.total_latency += serialization;
+            return Transfer {
+                start: now,
+                arrival: now + serialization,
+            };
+        }
+        let ready = self
+            .mesh
+            .route_iter(src, dst)
+            .map(|l| self.link_free[l])
+            .max()
+            .unwrap_or(0);
+        let start = now.max(ready);
+        let arrival = start + self.mesh.hops(src, dst) * HOP_LATENCY + serialization;
+        for l in self.mesh.route_iter(src, dst) {
+            self.link_free[l] = arrival;
+        }
+        let arrival = arrival + self.plan.extra_latency(src, dst, now);
+        self.stats.total_blocking += start - now;
+        self.stats.total_latency += arrival - now;
+        Transfer { start, arrival }
+    }
+}
+
+/// A random 256-node message sequence, with loopback sends and latency
+/// spikes, books identically through `Network::transfer_timed` and the
+/// hop-by-hop reference: every `Transfer` and the final `stats()` agree.
+#[test]
+fn leg_booking_matches_the_hop_walk_at_256_nodes() {
+    const N: u64 = 256;
+    let params = SysParams::default();
+    for seed in 0..4 {
+        let mut rng = SimRng::new(seed);
+        let mut now = 0;
+        let msgs: Vec<(Cycles, usize, usize, u64)> = (0..5_000)
+            .map(|_| {
+                now += rng.next_below(64);
+                let src = rng.next_below(N) as usize;
+                // One send in sixteen is a loopback.
+                let dst = if rng.next_below(16) == 0 {
+                    src
+                } else {
+                    rng.next_below(N) as usize
+                };
+                (now, src, dst, 1 + rng.next_below(4096))
+            })
+            .collect();
+        // Spikes on the links of some of the messages, over windows that
+        // hold their departures.
+        let mut plan = FaultPlan::none();
+        for _ in 0..64 {
+            let (at, src, dst, _) = msgs[rng.next_below(msgs.len() as u64) as usize];
+            plan.spikes.push(LinkWindow {
+                src,
+                dst,
+                start: at.saturating_sub(rng.next_below(2_000)),
+                end: at + 1 + rng.next_below(2_000),
+                extra: 1 + rng.next_below(5_000),
+            });
+        }
+        let mut net = Network::new(N as usize);
+        net.set_fault_plan(plan.clone());
+        let mut walk = WalkNetwork::new(N as usize, plan);
+        let (mut spiked, mut loopbacks) = (0, 0);
+        for &(at, src, dst, bytes) in &msgs {
+            let got = net.transfer_timed(at, src, dst, bytes, &params);
+            let want = walk.transfer_timed(at, src, dst, bytes, &params);
+            assert_eq!(got, want, "seed {seed}: {src} -> {dst} at {at}");
+            spiked += u32::from(src != dst && walk.plan.extra_latency(src, dst, at) > 0);
+            loopbacks += u32::from(src == dst);
+        }
+        assert_eq!(net.stats(), walk.stats, "seed {seed}");
+        assert!(
+            spiked > 0 && loopbacks > 0,
+            "seed {seed}: {spiked} spiked, {loopbacks} loopbacks"
+        );
+        assert!(walk.stats.total_blocking > 0, "seed {seed}: no contention");
+    }
+}
 
 proptest! {
     /// Routes are minimal (Manhattan length), start/end correctly, and the

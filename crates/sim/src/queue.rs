@@ -182,6 +182,17 @@ impl<T> EventQueue<T> {
         })
     }
 
+    /// Empties the queue, yielding every pending payload in slab-slot
+    /// order rather than pop order, without sifting the heap. For callers
+    /// that only collect what is left, such as an end-of-run drain. The
+    /// queue is empty as soon as this returns, whether or not the iterator
+    /// is consumed, and keeps its capacity.
+    pub fn drain_unordered(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.keys.clear();
+        self.free.clear();
+        self.slab.drain(..).flatten()
+    }
+
     /// The earliest pending event as `(time, priority, seq, payload)`.
     pub fn peek(&self) -> Option<(Cycles, Priority, u64, &T)> {
         let top = self.keys.first()?;
@@ -478,7 +489,66 @@ mod tests {
         }
     }
 
+    /// Drives the queue and the reference model through `ops` as
+    /// [`check_equivalence`] does, then empties the queue with
+    /// `drain_unordered` and the model by popping: the payloads agree as a
+    /// multiset, and the drained queue then pushes and pops like a new one.
+    fn check_drain(ops: &[(u8, u64, u8)]) {
+        let mut q = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        for (payload, &(kind, t, p)) in ops.iter().enumerate() {
+            if kind % 3 == 0 {
+                assert_eq!(observe_pop(&mut q), heap.pop());
+            } else {
+                q.push(t % 64, prio(p), payload as u64);
+                heap.push(t % 64, prio(p), payload as u64);
+            }
+        }
+        let mut drained: Vec<u64> = q.drain_unordered().collect();
+        let mut popped: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|e| e.3)).collect();
+        drained.sort_unstable();
+        popped.sort_unstable();
+        assert_eq!(drained, popped, "drain lost or invented a payload");
+        assert!(q.is_empty() && q.peek().is_none() && q.pop().is_none());
+        // The drained queue keeps working: a fresh push/pop sequence
+        // observes what the reference model does, sequence numbers aside.
+        for &(_, t, p) in ops.iter().take(50) {
+            q.push(t % 64, prio(p), t);
+            heap.push(t % 64, prio(p), t);
+        }
+        loop {
+            let a = q.pop().map(|e| (e.time, e.priority, e.payload));
+            assert_eq!(a, heap.pop().map(|e| (e.0, e.1, e.3)));
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn drain_unordered_empties_even_if_not_consumed() {
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.push(i % 7, Priority::Normal, i);
+        }
+        assert_eq!(q.drain_unordered().take(3).count(), 3);
+        assert!(q.is_empty() && q.pop().is_none());
+        q.push(5, Priority::Low, 1);
+        q.push(5, Priority::Urgent, 2);
+        assert_eq!(q.pop().map(|e| e.payload), Some(2));
+        assert_eq!(q.len(), 1);
+    }
+
     proptest! {
+        /// `drain_unordered` yields exactly the payloads repeated `pop`
+        /// would, leaves the queue empty, and the queue stays usable.
+        #[test]
+        fn drain_unordered_yields_what_pop_would(
+            ops in prop::collection::vec((0u8..3, 0u64..1000, 0u8..3), 0..400)
+        ) {
+            check_drain(&ops);
+        }
+
         /// Random interleaved push/pop/peek sequences with heavily colliding
         /// times and priorities observe identical behavior from the queue
         /// and the `BinaryHeap` reference model.
