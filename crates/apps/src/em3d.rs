@@ -53,37 +53,42 @@ impl Em3d {
     /// on every simulated processor count.
     pub const ZONES: usize = 16;
 
-    /// Deterministic neighbour lists for one side of the bipartite graph.
+    /// Deterministic neighbour table for one side of the bipartite graph:
+    /// every node has exactly `degree` neighbours, so node `i`'s are the
+    /// `degree` entries from `i * degree` on (see [`Self::adjacent`]).
     /// Ownership zones shape where the `remote_pct` remote edges land.
-    fn neighbours(&self, salt: u64) -> Vec<Vec<u32>> {
+    fn neighbours(&self, salt: u64) -> Vec<u32> {
         let nprocs = Self::ZONES;
         let mut rng = crate::rng::salted(self.seed, salt);
         let n = self.nodes as u64;
         let per = n.div_ceil(nprocs as u64);
-        (0..n)
-            .map(|i| {
-                let owner = i / per;
-                (0..self.degree)
-                    .map(|_| {
-                        let remote = rng.next_below(100) < self.remote_pct as u64;
-                        if remote {
-                            // Any node owned by a different processor.
-                            loop {
-                                let cand = rng.next_below(n);
-                                if cand / per != owner {
-                                    break cand as u32;
-                                }
-                            }
-                        } else {
-                            // A node on the same processor.
-                            let lo = owner * per;
-                            let hi = ((owner + 1) * per).min(n);
-                            (lo + rng.next_below(hi - lo)) as u32
+        let mut table = Vec::with_capacity(self.nodes * self.degree);
+        for i in 0..n {
+            let owner = i / per;
+            table.extend((0..self.degree).map(|_| {
+                let remote = rng.next_below(100) < self.remote_pct as u64;
+                if remote {
+                    // Any node owned by a different processor.
+                    loop {
+                        let cand = rng.next_below(n);
+                        if cand / per != owner {
+                            break cand as u32;
                         }
-                    })
-                    .collect()
-            })
-            .collect()
+                    }
+                } else {
+                    // A node on the same processor.
+                    let lo = owner * per;
+                    let hi = ((owner + 1) * per).min(n);
+                    (lo + rng.next_below(hi - lo)) as u32
+                }
+            }));
+        }
+        table
+    }
+
+    /// Node `i`'s neighbours in a table built by [`Self::neighbours`].
+    fn adjacent<'g>(&self, table: &'g [u32], i: u64) -> &'g [u32] {
+        &table[i as usize * self.degree..][..self.degree]
     }
 }
 
@@ -135,12 +140,16 @@ impl Em3d {
         // order within a phase does not change the result (each phase only
         // reads the other side's values).
         let per = (self.nodes as u64).div_ceil(Self::ZONES as u64);
-        let order_for = |g: &[Vec<u32>]| -> Vec<u64> {
+        let order_for = |g: &[u32]| -> Vec<u64> {
             let zone = |i: u64| i / per;
             let mut local: Vec<u64> = Vec::new();
             let mut remote: Vec<u64> = Vec::new();
             for i in lo..hi {
-                if g[i as usize].iter().all(|&nb| zone(nb as u64) == zone(i)) {
+                if self
+                    .adjacent(g, i)
+                    .iter()
+                    .all(|&nb| zone(nb as u64) == zone(i))
+                {
                     local.push(i);
                 } else {
                     remote.push(i);
@@ -155,7 +164,7 @@ impl Em3d {
             // E phase: e[i] -= weighted sum of its H neighbours.
             for &i in &e_order {
                 let mut acc = ctx.read_f64(lay.e_vals + 8 * i).await;
-                for &nb in &e_from_h[i as usize] {
+                for &nb in self.adjacent(&e_from_h, i) {
                     acc -= 0.4 * ctx.read_f64(lay.h_vals + 8 * nb as u64).await;
                 }
                 ctx.write_f64(lay.e_vals + 8 * i, acc).await;
@@ -165,7 +174,7 @@ impl Em3d {
             // H phase: h[i] -= weighted sum of its E neighbours.
             for &i in &h_order {
                 let mut acc = ctx.read_f64(lay.h_vals + 8 * i).await;
-                for &nb in &h_from_e[i as usize] {
+                for &nb in self.adjacent(&h_from_e, i) {
                     acc -= 0.4 * ctx.read_f64(lay.e_vals + 8 * nb as u64).await;
                 }
                 ctx.write_f64(lay.h_vals + 8 * i, acc).await;
@@ -210,7 +219,7 @@ mod tests {
         let g = e.neighbours(0);
         let mut remote = 0usize;
         let mut total = 0usize;
-        for (i, nbs) in g.iter().enumerate() {
+        for (i, nbs) in g.chunks_exact(e.degree).enumerate() {
             let owner = i as u64 / per;
             for &nb in nbs {
                 total += 1;
@@ -230,8 +239,7 @@ mod tests {
     fn graph_has_requested_shape() {
         let e = Em3d::default();
         let g = e.neighbours(0);
-        assert_eq!(g.len(), e.nodes);
-        assert!(g.iter().all(|nbs| nbs.len() == e.degree));
-        assert!(g.iter().flatten().all(|&nb| (nb as usize) < e.nodes));
+        assert_eq!(g.len(), e.nodes * e.degree);
+        assert!(g.iter().all(|&nb| (nb as usize) < e.nodes));
     }
 }

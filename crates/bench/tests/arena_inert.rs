@@ -74,11 +74,12 @@ fn ocean64(params: &SysParams, iters: usize) -> (RunResult, u64) {
     (r, a1 - a0)
 }
 
-/// Pooled allocations per Ocean@64 iteration with the keyed event heap
-/// (1,746–1,751 over ten runs; the count varies by a few). The heap's slab
+/// Pooled allocations per Ocean@64 iteration: 1,577 in every run since
+/// diff requests and replies carry their lists inline (1,746–1,751 before,
+/// with the keyed event heap; the count varies by a few). The heap's slab
 /// and free list stop allocating once the queue has been at its deepest, so
 /// the pooled count may not exceed this.
-const POOLED_ALLOCS_PER_ITER_CEILING: u64 = 1_751;
+const POOLED_ALLOCS_PER_ITER_CEILING: u64 = 1_590;
 
 #[test]
 fn pooling_cuts_ocean_hot_path_allocations() {
@@ -158,4 +159,85 @@ fn simulation_setup_at_256_nodes_allocates_no_cache_tags() {
         // Without the counting allocator nothing writes the counters.
         assert_eq!((a1 - a0, bytes), (0, 0));
     }
+}
+
+/// Allocations the current thread makes while running `f` (0 without the
+/// counting allocator, which alone writes the counters).
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let (a0, _) = ncp2_prof::prof_thread_counts();
+    f();
+    let (a1, _) = ncp2_prof::prof_thread_counts();
+    a1 - a0
+}
+
+#[test]
+fn one_interval_diff_traffic_allocates_nothing() {
+    use std::sync::Arc;
+
+    use ncp2::core::diff::{Diff, DiffList};
+    use ncp2::core::interval::IvlList;
+    use ncp2::core::msg::Msg;
+    use ncp2::core::PageBuf;
+
+    let _guard = POOLING.lock().unwrap();
+    let vt = Arc::new(ncp2::core::VectorTime::new(256));
+    let page = PageBuf::new(4096);
+    let diff = Arc::new(Diff::from_twin(3, 1, 7, &page, &page));
+
+    let req = allocs_during(|| {
+        let mut intervals = IvlList::new();
+        intervals.push(7);
+        let msg = Msg::DiffReq {
+            page: 3,
+            intervals,
+            requester: 0,
+            requester_vt: Arc::clone(&vt),
+            prefetch: true,
+            want_page: false,
+        };
+        let copy = msg.clone();
+        drop((msg, copy));
+    });
+    assert_eq!(req, 0, "a one-interval DiffReq allocated");
+
+    let reply = allocs_during(|| {
+        let mut diffs = DiffList::new();
+        diffs.push(Arc::clone(&diff));
+        let msg = Msg::DiffReply {
+            page: 3,
+            diffs,
+            full_page: None,
+            prefetch: true,
+        };
+        let copy = msg.clone();
+        drop((msg, copy));
+    });
+    assert_eq!(reply, 0, "a one-diff DiffReply allocated");
+}
+
+#[test]
+fn vector_times_do_not_inherit_spilled_interval_lists() {
+    use ncp2::core::interval::{IvlList, IVL_INLINE};
+    use ncp2::core::VectorTime;
+
+    let _guard = POOLING.lock().unwrap();
+    // Park one 256-node vector time's buffer, then spill and drop many
+    // interval lists at once: a vector time built next must find a buffer
+    // of its own size, not one of theirs to reallocate.
+    drop(VectorTime::new(256));
+    let lists: Vec<IvlList> = (0..64)
+        .map(|_| {
+            let mut l = IvlList::new();
+            for id in 0..=IVL_INLINE as u32 {
+                l.push(id);
+            }
+            l
+        })
+        .collect();
+    drop(lists);
+    let allocs = allocs_during(|| drop(VectorTime::new(256)));
+    assert_eq!(
+        allocs, 0,
+        "a VectorTime reallocated a spilled list's buffer"
+    );
 }

@@ -171,66 +171,136 @@ impl Diff {
     }
 }
 
-/// A pooled list of shared diffs — the payload of diff replies and the
-/// accumulator a faulting node collects them in. The backing storage
-/// recycles through [`crate::pool`]; the diffs are handles to the copies
-/// their writers store, so a reply copies no diff.
-#[derive(Debug, PartialEq, Eq)]
-pub struct DiffList(Vec<Arc<Diff>>);
+/// A list of shared diffs — the payload of diff replies and the
+/// accumulator a fill collects them in. The diffs are handles to the
+/// copies their writers store, so a reply copies no diff.
+///
+/// A reply mostly carries one diff (its request mostly names one
+/// interval), so one handle is stored in the value itself; a longer list
+/// spills into a buffer from [`crate::pool`]. Equality and `Debug` see
+/// only the diffs, never which form holds them.
+pub struct DiffList(DiffRepr);
+
+enum DiffRepr {
+    Inline(Option<Arc<Diff>>),
+    Spill(Vec<Arc<Diff>>),
+}
+
+// Carried inline in every pending `DiffReply` event.
+const _: () = assert!(std::mem::size_of::<DiffList>() == 24);
 
 impl Default for DiffList {
     fn default() -> Self {
-        DiffList(crate::pool::take_diffs())
+        DiffList(DiffRepr::Inline(None))
     }
 }
 
 impl Clone for DiffList {
     fn clone(&self) -> Self {
-        let mut v = crate::pool::take_diffs();
-        v.extend(self.0.iter().cloned());
-        DiffList(v)
+        match &self.0 {
+            DiffRepr::Inline(d) => DiffList(DiffRepr::Inline(d.clone())),
+            DiffRepr::Spill(v) => {
+                let mut w = crate::pool::take_diffs();
+                w.extend(v.iter().cloned());
+                DiffList(DiffRepr::Spill(w))
+            }
+        }
     }
 }
 
 impl Drop for DiffList {
     fn drop(&mut self) {
-        crate::pool::put_diffs(std::mem::take(&mut self.0));
+        if let DiffRepr::Spill(v) = &mut self.0 {
+            crate::pool::put_diffs(std::mem::take(v));
+        }
     }
 }
 
 impl std::ops::Deref for DiffList {
     type Target = [Arc<Diff>];
     fn deref(&self) -> &[Arc<Diff>] {
-        &self.0
+        match &self.0 {
+            DiffRepr::Inline(d) => d.as_slice(),
+            DiffRepr::Spill(v) => v,
+        }
     }
 }
 
 impl std::ops::DerefMut for DiffList {
     fn deref_mut(&mut self) -> &mut [Arc<Diff>] {
-        &mut self.0
+        match &mut self.0 {
+            DiffRepr::Inline(d) => d.as_mut_slice(),
+            DiffRepr::Spill(v) => v,
+        }
+    }
+}
+
+impl PartialEq for DiffList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DiffList {}
+
+impl std::fmt::Debug for DiffList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("DiffList").field(&&**self).finish()
     }
 }
 
 impl DiffList {
-    /// An empty, pool-backed list.
+    /// An empty list (no buffer until it outgrows the inline form).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Appends one diff.
     pub fn push(&mut self, diff: Arc<Diff>) {
-        self.0.push(diff);
+        match &mut self.0 {
+            DiffRepr::Inline(slot @ None) => *slot = Some(diff),
+            DiffRepr::Inline(first) => {
+                let mut v = crate::pool::take_diffs();
+                v.extend(first.take());
+                v.push(diff);
+                self.0 = DiffRepr::Spill(v);
+            }
+            DiffRepr::Spill(v) => v.push(diff),
+        }
     }
 
-    /// Moves every diff out, leaving the container empty (and still
-    /// pool-backed).
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Arc<Diff>> {
-        self.0.drain(..)
+    /// Moves every diff of `other` to the end of this list. Into an empty
+    /// list, `other` moves whole, buffer and all.
+    pub fn append(&mut self, mut other: DiffList) {
+        if self.is_empty() {
+            std::mem::swap(self, &mut other);
+        } else {
+            for d in other.drain() {
+                self.push(d);
+            }
+        }
+    }
+
+    /// Moves every diff out, leaving the list empty (a spilled list keeps
+    /// its buffer).
+    pub fn drain(&mut self) -> impl Iterator<Item = Arc<Diff>> + '_ {
+        let (one, rest) = match &mut self.0 {
+            DiffRepr::Inline(d) => (d.take(), None),
+            DiffRepr::Spill(v) => (None, Some(v.drain(..))),
+        };
+        one.into_iter().chain(rest.into_iter().flatten())
     }
 
     /// Keeps only the diffs matching `keep`, preserving order.
-    pub fn retain(&mut self, keep: impl FnMut(&Arc<Diff>) -> bool) {
-        self.0.retain(keep);
+    pub fn retain(&mut self, mut keep: impl FnMut(&Arc<Diff>) -> bool) {
+        match &mut self.0 {
+            DiffRepr::Inline(d) => {
+                if d.as_ref().is_some_and(|d| !keep(d)) {
+                    *d = None;
+                }
+            }
+            DiffRepr::Spill(v) => v.retain(keep),
+        }
     }
 }
 
@@ -327,6 +397,23 @@ mod tests {
         let mut d1 = Diff::from_twin(0, 0, 1, &base, &base);
         let d2 = Diff::from_twin(1, 0, 1, &base, &base);
         d1.merge(&d2);
+    }
+
+    #[test]
+    fn list_equality_ignores_the_representation() {
+        let p = PageBuf::new(4096);
+        let (a, b) = (
+            Arc::new(Diff::from_twin(0, 0, 1, &p, &p)),
+            Arc::new(Diff::from_twin(0, 1, 1, &p, &p)),
+        );
+        let mut spilled = DiffList::new();
+        spilled.push(Arc::clone(&a));
+        spilled.push(Arc::clone(&b));
+        spilled.retain(|d| d.owner == 0);
+        let mut inline = DiffList::new();
+        inline.push(a);
+        assert_eq!(spilled, inline);
+        assert_eq!(format!("{spilled:?}"), format!("{inline:?}"));
     }
 
     #[test]

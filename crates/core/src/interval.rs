@@ -135,47 +135,107 @@ impl AnnList {
     }
 }
 
-/// A pooled list of interval ids — the per-writer payload of a diff
-/// request.
-#[derive(Debug, PartialEq, Eq)]
-pub struct IvlList(Vec<IntervalId>);
+/// Interval ids an [`IvlList`] holds without a heap buffer.
+pub const IVL_INLINE: usize = 3;
+
+/// A list of interval ids — the per-writer payload of a diff request.
+///
+/// Most requests name one interval (a writer seldom closes more than one
+/// between two fills of a page), so up to [`IVL_INLINE`] ids are stored in
+/// the value itself; a longer list spills into a buffer from
+/// [`crate::pool`]'s interval-id class. Equality and `Debug` see only the
+/// ids, never which form holds them.
+pub struct IvlList(IvlRepr);
+
+enum IvlRepr {
+    Inline {
+        len: u8,
+        ids: [IntervalId; IVL_INLINE],
+    },
+    Spill(Vec<IntervalId>),
+}
+
+// Carried inline in every pending `DiffReq` event.
+const _: () = assert!(std::mem::size_of::<IvlList>() == 24);
 
 impl Default for IvlList {
     fn default() -> Self {
-        IvlList(crate::pool::take_clock())
+        IvlList(IvlRepr::Inline {
+            len: 0,
+            ids: [0; IVL_INLINE],
+        })
     }
 }
 
 impl Clone for IvlList {
     fn clone(&self) -> Self {
-        let mut v = crate::pool::take_clock();
-        v.extend_from_slice(&self.0);
-        IvlList(v)
+        match &self.0 {
+            IvlRepr::Inline { len, ids } => IvlList(IvlRepr::Inline {
+                len: *len,
+                ids: *ids,
+            }),
+            IvlRepr::Spill(v) => {
+                let mut w = crate::pool::take_ivls();
+                w.extend_from_slice(v);
+                IvlList(IvlRepr::Spill(w))
+            }
+        }
     }
 }
 
 impl Drop for IvlList {
     fn drop(&mut self) {
-        crate::pool::put_clock(std::mem::take(&mut self.0));
+        if let IvlRepr::Spill(v) = &mut self.0 {
+            crate::pool::put_ivls(std::mem::take(v));
+        }
     }
 }
 
 impl std::ops::Deref for IvlList {
     type Target = [IntervalId];
     fn deref(&self) -> &[IntervalId] {
-        &self.0
+        match &self.0 {
+            IvlRepr::Inline { len, ids } => &ids[..*len as usize],
+            IvlRepr::Spill(v) => v,
+        }
+    }
+}
+
+impl PartialEq for IvlList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for IvlList {}
+
+impl std::fmt::Debug for IvlList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("IvlList").field(&&**self).finish()
     }
 }
 
 impl IvlList {
-    /// An empty, pool-backed list.
+    /// An empty list (no buffer until it outgrows the inline form).
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Appends one interval id.
     pub fn push(&mut self, ivl: IntervalId) {
-        self.0.push(ivl);
+        match &mut self.0 {
+            IvlRepr::Inline { len, ids } if (*len as usize) < IVL_INLINE => {
+                ids[*len as usize] = ivl;
+                *len += 1;
+            }
+            IvlRepr::Inline { ids, .. } => {
+                let mut v = crate::pool::take_ivls();
+                v.extend_from_slice(ids);
+                v.push(ivl);
+                self.0 = IvlRepr::Spill(v);
+            }
+            IvlRepr::Spill(v) => v.push(ivl),
+        }
     }
 }
 

@@ -12,8 +12,20 @@
 //! announcements, stored diffs, a diff request's vector-time snapshot —
 //! are not pooled but shared: each exists once, and stores and messages
 //! hold `Arc` handles to it. The pools hold what is written per use: page
-//! and twin bytes, diff word lists, vector-time components, and the handle
-//! lists and interval-id lists that messages carry.
+//! and twin bytes, diff word lists, vector-time components, announcement
+//! handle lists, spilled diff and interval lists, and the scratch of page
+//! fills (pending-notice copies, causal sort keys).
+//!
+//! Diff requests and replies mostly carry one interval id or one diff, so
+//! their lists ([`crate::interval::IvlList`], [`crate::diff::DiffList`])
+//! hold a few elements inline and take a pooled buffer only when they
+//! outgrow that. At 256 nodes tens of thousands of them are in flight after
+//! a barrier, far more than a class's `POOL_CAP` parked buffers could cover.
+//!
+//! Each class holds buffers of one use, so a buffer popped for a use has
+//! about the capacity that use needs: a spilled interval list never holds
+//! a 1 KiB vector-time array, and a vector time never pops a small
+//! interval-id buffer that it must then reallocate.
 //!
 //! **Inertness invariant**: pooling changes *where host memory comes from*
 //! and nothing else. Every `take_*` hands back an empty vector (length 0)
@@ -91,11 +103,20 @@ pool_class!(
     (u32, u32)
 );
 pool_class!(
-    /// Vector-time component arrays.
+    /// Vector-time component arrays, and nothing else: every buffer here
+    /// was sized for a vector time.
     CLOCKS,
     take_clock,
     put_clock,
     u32
+);
+pool_class!(
+    /// Interval-id lists: spilled [`crate::interval::IvlList`]s and the
+    /// own-interval scratch of a whole-page fill.
+    IVLS,
+    take_ivls,
+    put_ivls,
+    crate::vtime::IntervalId
 );
 pool_class!(
     /// Announcement-handle lists (lock-grant and barrier payloads).
@@ -106,14 +127,23 @@ pool_class!(
     std::sync::Arc<crate::interval::IntervalAnnouncement>
 );
 pool_class!(
-    /// Diff-handle lists (diff-reply payloads and fault accumulators).
+    /// Diff-handle lists: spilled [`crate::diff::DiffList`]s (diff-reply
+    /// payloads and fill accumulators).
     DIFFS,
     take_diffs,
     put_diffs,
     std::sync::Arc<crate::diff::Diff>
 );
 pool_class!(
-    /// `(owner, interval)` scratch pairs (pending-notice grouping).
+    /// Diffs keyed by their causal apply order (fill application scratch).
+    KEYED,
+    take_keyed,
+    put_keyed,
+    (u64, std::sync::Arc<crate::diff::Diff>)
+);
+pool_class!(
+    /// `(owner, interval)` pairs: sorted copies of a page's pending notices
+    /// (request grouping, and a prefetch's record of what it requested).
     PAIRS,
     take_pairs,
     put_pairs,

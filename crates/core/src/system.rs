@@ -90,12 +90,10 @@ impl Fill {
     pub fn absorb(
         &mut self,
         t: Cycles,
-        mut diffs: DiffList,
+        diffs: DiffList,
         full_page: Option<(PageBuf, VectorTime)>,
     ) -> bool {
-        for d in diffs.drain() {
-            self.diffs.push(d);
-        }
+        self.diffs.append(diffs);
         if full_page.is_some() {
             self.full_page = full_page;
         }
@@ -174,7 +172,7 @@ impl TmPage {
 #[derive(Debug, Default)]
 pub(crate) struct PrefetchState {
     pub fill: Fill,
-    /// Notices the prefetch will satisfy.
+    /// Notices the prefetch will satisfy, sorted.
     pub requested: Vec<(usize, IntervalId)>,
     /// A fault is blocked waiting for this prefetch.
     pub joined: bool,

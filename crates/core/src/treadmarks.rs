@@ -266,6 +266,7 @@ impl Simulation {
         self.advance(pid, INTERRUPT, Category::Other, SpanKind::Interrupt);
         let mut pending = crate::pool::take_pairs();
         pending.extend_from_slice(&self.tm_page(pid, page).pending);
+        pending.sort_unstable();
         assert!(
             !pending.is_empty(),
             "fault on page {page} with no pending notices"
@@ -291,9 +292,9 @@ impl Simulation {
         );
     }
 
-    /// Groups pending notices into per-writer requests and hands each to
-    /// `send` with its writer, in ascending writer order; flips to a whole
-    /// page fetch from the most recent writer when the chain is long.
+    /// Groups pending notices, sorted, into per-writer requests and hands
+    /// each to `send` with its writer, in ascending writer order; flips to a
+    /// whole page fetch from the most recent writer when the chain is long.
     /// Returns how many requests were sent.
     fn tm_send_requests(
         &mut self,
@@ -303,13 +304,7 @@ impl Simulation {
         prefetch: bool,
         mut send: impl FnMut(&mut Self, usize, Msg),
     ) -> usize {
-        // Sorting `(owner, interval)` pairs groups them by ascending owner
-        // with ascending intervals inside each group — the same deterministic
-        // order the previous `BTreeMap<owner, Vec<_>>` grouping produced,
-        // without its per-node allocations.
-        let mut by_owner = crate::pool::take_pairs();
-        by_owner.extend_from_slice(pending);
-        by_owner.sort_unstable();
+        debug_assert!(pending.is_sorted(), "pending notices must be sorted");
         let want_page_from = if pending.len() > self.params.page_req_threshold {
             pending
                 .iter()
@@ -320,17 +315,17 @@ impl Simulation {
         };
         let requester_vt = self.vt_snapshot(pid);
         let mut sent = 0;
-        let mut i = 0;
-        while i < by_owner.len() {
-            let owner = by_owner[i].0;
-            let mut ivls = IvlList::new();
-            while i < by_owner.len() && by_owner[i].0 == owner {
-                ivls.push(by_owner[i].1);
-                i += 1;
+        // Sorted `(owner, interval)` pairs run by ascending owner, with
+        // ascending intervals inside each run.
+        for run in pending.chunk_by(|a, b| a.0 == b.0) {
+            let owner = run[0].0;
+            let mut intervals = IvlList::new();
+            for &(_, ivl) in run {
+                intervals.push(ivl);
             }
             let msg = Msg::DiffReq {
                 page,
-                intervals: ivls,
+                intervals,
                 requester: pid,
                 requester_vt: Arc::clone(&requester_vt),
                 prefetch,
@@ -339,7 +334,6 @@ impl Simulation {
             send(self, owner, msg);
             sent += 1;
         }
-        crate::pool::put_pairs(by_owner);
         sent
     }
 
@@ -543,8 +537,10 @@ impl Simulation {
             }
             std::mem::take(&mut f.fill)
         };
-        let requested = std::mem::take(&mut self.tm_page(dst, page).pending);
-        let (end, cpu) = self.tm_apply_collected(dst, page, fill, &requested, false);
+        // A demand fill satisfies every notice the page has queued: it asked
+        // for all of them, and the blocked processor queues no new ones.
+        self.tm_page(dst, page).pending.clear();
+        let (end, cpu) = self.tm_apply_collected(dst, page, fill, &[], false);
         self.sinks.obs_edge(
             crate::span::EdgeKind::FaultFill,
             dst,
@@ -611,7 +607,8 @@ impl Simulation {
 
     /// Applies a completed fill's diffs (and optionally a whole page) to
     /// `pid`'s copy in causal order, starting at the fill's `ready_at` and
-    /// charging the right engine. Returns the completion time and the
+    /// charging the right engine, and drops the notices in `satisfied`
+    /// (sorted) from the page's queue. Returns the completion time and the
     /// diff-apply work (cycles) folded into it — the portion a "hardware
     /// diffs" what-if scenario deletes from the fill.
     fn tm_apply_collected(
@@ -634,7 +631,7 @@ impl Simulation {
         if let Some((data, pvt)) = &full {
             // Words this node wrote concurrently with the page's view must
             // survive the copy: re-apply own uncovered diffs on top.
-            let mut own = crate::pool::take_clock();
+            let mut own = crate::pool::take_ivls();
             own.extend(
                 self.tm_page(pid, page)
                     .own_intervals
@@ -647,14 +644,30 @@ impl Simulation {
                     diffs.push(Arc::clone(d));
                 }
             }
-            crate::pool::put_clock(own);
+            crate::pool::put_ivls(own);
             diffs.retain(|d| d.owner == pid || !pvt.covers_interval(d.owner, d.interval));
             self.tm_page(pid, page).data.copy_from(data);
             mem_words += PAGE_WORDS;
             self.sinks
                 .note(start, pid, ProtocolEvent::PageFetched { pid, page });
         }
-        diffs.sort_by_key(|d| (self.vt_sum(pid, d.owner, d.interval), d.owner, d.interval));
+        if diffs.len() > 1 {
+            // Causal order. Each diff's key is looked up once, not once per
+            // comparison. A fill holds at most one diff per (owner,
+            // interval), so keys are unique and an unstable sort is exact.
+            let mut keyed = crate::pool::take_keyed();
+            let store = &self.nodes[pid].store;
+            keyed.extend(
+                diffs
+                    .drain()
+                    .map(|d| (store.vt_sum(d.owner, d.interval), d)),
+            );
+            keyed.sort_unstable_by_key(|(sum, d)| (*sum, d.owner, d.interval));
+            for (_, d) in keyed.drain(..) {
+                diffs.push(d);
+            }
+            crate::pool::put_keyed(keyed);
+        }
         let mut cpu: Cycles = 0;
         let mut apply_words: u64 = 0;
         for d in diffs.iter() {
@@ -672,7 +685,8 @@ impl Simulation {
             for d in diffs.iter() {
                 d.apply(&mut tp.data);
             }
-            tp.pending.retain(|n| !satisfied.contains(n));
+            debug_assert!(satisfied.is_sorted(), "satisfied notices must be sorted");
+            tp.pending.retain(|n| satisfied.binary_search(n).is_err());
             // Notices that arrived while the diffs were in flight keep the
             // page invalid: validating it here would let stale data be read
             // without a fault.
@@ -760,10 +774,12 @@ impl Simulation {
             tp.twin = None;
             wasted = tp.refs.invalidate();
         }
+        // Never already queued: the notice loop skips intervals this node
+        // has covered and observes the rest, and an announcement names each
+        // page once, so one (owner, interval) reaches a page only once.
         let key = (ann.owner, ann.id);
-        if !tp.pending.contains(&key) {
-            tp.pending.push(key);
-        }
+        debug_assert!(!tp.pending.contains(&key), "notice {key:?} queued twice");
+        tp.pending.push(key);
         self.note_notice(c, pid, ann, page, invalidated, wasted);
         c + LIST_PROCESSING
     }
@@ -800,6 +816,7 @@ impl Simulation {
         };
         let mut pending = crate::pool::take_pairs();
         pending.extend_from_slice(&self.tm_page(pid, page).pending);
+        pending.sort_unstable();
         let outstanding = self.tm_send_requests(pid, page, &pending, true, |s, owner, msg| {
             c += setup;
             if offload {

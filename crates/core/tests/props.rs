@@ -1,9 +1,9 @@
 //! Property-based tests on the protocol data structures: diffs, vector
-//! timestamps, dirty vectors and intervals.
+//! timestamps, dirty vectors, intervals, and the message payload lists.
 
 use ncp2_core::bitvec::DirtyVec;
-use ncp2_core::diff::Diff;
-use ncp2_core::interval::{IntervalAnnouncement, IntervalStore};
+use ncp2_core::diff::{Diff, DiffList};
+use ncp2_core::interval::{IntervalAnnouncement, IntervalStore, IvlList, IVL_INLINE};
 use ncp2_core::page::PageBuf;
 use ncp2_core::vtime::VectorTime;
 use proptest::prelude::*;
@@ -16,6 +16,21 @@ fn page_from(words: &BTreeMap<u16, u32>) -> PageBuf {
         p.set_word(i as usize % 1024, v);
     }
     p
+}
+
+/// A distinct (empty) diff per `interval`, as a writer's store shares it.
+fn shared_diff(interval: u32) -> Arc<Diff> {
+    let p = PageBuf::new(4096);
+    Arc::new(Diff::from_twin(0, interval as usize % 4, interval, &p, &p))
+}
+
+/// A `DiffList` holding `diffs`, built by pushes.
+fn diff_list(diffs: &[Arc<Diff>]) -> DiffList {
+    let mut l = DiffList::new();
+    for d in diffs {
+        l.push(Arc::clone(d));
+    }
+    l
 }
 
 proptest! {
@@ -184,5 +199,70 @@ proptest! {
         prop_assert_eq!(dv.iter_set().collect::<Vec<_>>(), set.iter().copied().collect::<Vec<_>>());
         dv.clear();
         prop_assert!(dv.is_clean());
+    }
+
+    /// `IvlList` behaves as a `Vec` across its inline/spill boundary: the
+    /// same ids in the same order, whichever form holds them.
+    #[test]
+    fn ivl_list_matches_a_vec(ids in prop::collection::vec(any::<u32>(), 0..3 * IVL_INLINE)) {
+        let mut list = IvlList::new();
+        let mut model: Vec<u32> = Vec::new();
+        prop_assert_eq!(&*list, &model[..]);
+        for &id in &ids {
+            list.push(id);
+            model.push(id);
+            prop_assert_eq!(&*list, &model[..]);
+            let copy = list.clone();
+            prop_assert_eq!(&copy, &list);
+            prop_assert_eq!(&*copy, &model[..]);
+            prop_assert_eq!(format!("{copy:?}"), format!("IvlList({model:?})"));
+        }
+        let mut longer = list.clone();
+        longer.push(7);
+        prop_assert_ne!(&longer, &list);
+    }
+
+    /// `DiffList` behaves as a `Vec` across its inline/spill boundary under
+    /// push, append, retain, drain and clone. Equality and `Debug` see the
+    /// diffs only: a spilled list cut back to one diff equals (and prints
+    /// as) a list that never spilled.
+    #[test]
+    fn diff_list_matches_a_vec(ops in prop::collection::vec((0u8..6, 0u32..8), 0..40)) {
+        let pool: Vec<Arc<Diff>> = (0..8).map(shared_diff).collect();
+        let mut list = DiffList::new();
+        let mut model: Vec<Arc<Diff>> = Vec::new();
+        for &(op, x) in &ops {
+            match op {
+                0 | 1 => {
+                    list.push(Arc::clone(&pool[x as usize]));
+                    model.push(Arc::clone(&pool[x as usize]));
+                }
+                2 => {
+                    let tail = &pool[..x as usize % 3];
+                    list.append(diff_list(tail));
+                    model.extend(tail.iter().cloned());
+                }
+                3 => {
+                    list.retain(|d| d.interval != x);
+                    model.retain(|d| d.interval != x);
+                }
+                4 => {
+                    let drained: Vec<Arc<Diff>> = list.drain().collect();
+                    prop_assert_eq!(drained, std::mem::take(&mut model));
+                }
+                _ => {
+                    // Reverse through `DerefMut`, as a causal sort reorders.
+                    list.reverse();
+                    model.reverse();
+                }
+            }
+            prop_assert_eq!(&*list, &model[..]);
+            prop_assert_eq!(list.len(), model.len());
+            let copy = list.clone();
+            prop_assert_eq!(&copy, &list);
+            let fresh = diff_list(&model);
+            prop_assert_eq!(&fresh, &list);
+            prop_assert_eq!(format!("{fresh:?}"), format!("{list:?}"));
+        }
     }
 }
