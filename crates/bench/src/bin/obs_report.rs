@@ -1,7 +1,7 @@
 //! `obs_report` — run one application with observability enabled and render
 //! the metrics report; optionally export Perfetto/CSV artifacts, run the
-//! determinism/conservation self-check, or produce the bench file consumed
-//! by `cargo xtask bench-diff`.
+//! determinism/conservation self-check, or produce the tier-1 bench file
+//! (`BENCH_tier1.json`, which `cargo test` pins byte for byte).
 //!
 //! ```sh
 //! # Print the report table for one run.
@@ -13,9 +13,9 @@
 //! # CI self-check: byte-determinism + conservation + parse-back.
 //! cargo run --release --bin obs_report -- --app TSP --mode I+P+D --nprocs 4 --selfcheck
 //!
-//! # Regenerate the tier-1 bench trajectory file (runs through the parallel
-//! # engine; always cache-bypassing so the baseline reflects current code).
-//! cargo run --release --bin obs_report -- --bench bench_new.json --jobs 4
+//! # Re-seed the tier-1 bench file after an intended change to simulated
+//! # output (runs through the parallel engine, always cache-bypassing).
+//! cargo run --release --bin obs_report -- --bench BENCH_tier1.json
 //! ```
 
 use std::process::ExitCode;
@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use ncp2::prelude::*;
 use ncp2_bench::engine::{tier1_grid, Grid, Job, RunRecord, WorkloadSpec};
 use ncp2_bench::gate::{self, Gate};
-use ncp2_bench::harness::{write_file, Opts, TIER1_APPS};
+use ncp2_bench::harness::{write_file, Opts, ALL_MODE_LABELS, TIER1_APPS};
 use ncp2_obs::report::parse_metrics;
 use ncp2_obs::{perfetto_json, write_bench, MetricsReport};
 
@@ -53,14 +53,13 @@ fn observed_job(o: &Opts) -> Job {
     }
 }
 
-/// The tier-1 bench suite: the six applications at oracle-test sizes, under
-/// a representative protocol spread, on 4 processors. Small enough for CI,
-/// broad enough that a protocol-wide slowdown cannot hide. Runs through the
-/// parallel engine with the cache forced off: the baseline file must always
-/// reflect the code as built, never a stale cached result.
+/// The tier-1 bench suite: the tier-1 workloads at oracle-test sizes, under
+/// every protocol mode, on 4 processors. Small enough for `cargo test`,
+/// broad enough that no mode's change can hide. Runs through the parallel
+/// engine with the cache forced off: the file must always reflect the code
+/// as built, never a stale cached result.
 fn bench_reports(o: &Opts) -> Vec<MetricsReport> {
-    const BENCH_MODES: [&str; 3] = ["Base", "I+P+D", "AURC+P"];
-    let grid = tier1_grid(&BENCH_MODES);
+    let grid = tier1_grid(&ALL_MODE_LABELS);
     let records = o.engine().no_cache().run(&grid);
     records
         .into_iter()

@@ -2,12 +2,13 @@
 //! pinned exactly.
 //!
 //! These are the repository's oracle for "did a protocol change move the
-//! results?" — they pin Table 1 as `table1_params` prints it, and re-derive
-//! Figure 1 (Base speedups for 2..16 processors) and Figure 2 (the
+//! results?" — they pin Table 1 as `table1_params` prints it and the tier-1
+//! bench file (`BENCH_tier1.json`) as `obs_report --bench` writes it, and
+//! re-derive Figure 1 (Base speedups for 2..16 processors) and Figure 2 (the
 //! 16-processor execution-time breakdown) through the parallel experiment
 //! engine and compare against the committed tables at full output
-//! precision. Any intentional protocol change must update both
-//! this file and EXPERIMENTS.md in the same commit.
+//! precision. Any intentional protocol change must update this file,
+//! EXPERIMENTS.md and `BENCH_tier1.json` in the same commit.
 //!
 //! The engine runs with the cache disabled: the cache key cannot see source
 //! edits, and a golden test served from a stale cache would be a tautology.
@@ -39,6 +40,38 @@ fn table1_params_matches_results_table1() {
         want,
         "table1_params drifted from results/table1.txt"
     );
+}
+
+/// The tier-1 bench file end to end: `obs_report --bench` re-simulates every
+/// tier-1 workload under every mode, and its output must equal the
+/// committed `BENCH_tier1.json` byte for byte — every cycle, counter,
+/// percentile and epoch of all 56 runs.
+#[test]
+fn obs_report_bench_matches_bench_tier1() {
+    let dir = std::env::temp_dir().join(format!("ncp2-bench-tier1-{}", std::process::id()));
+    let path = dir.join("bench.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_obs_report"))
+        .arg("--bench")
+        .arg(&path)
+        .arg("--quiet")
+        .output()
+        .expect("obs_report runs");
+    assert!(out.status.success(), "obs_report --bench failed: {out:?}");
+    let fresh = std::fs::read_to_string(&path).expect("obs_report wrote the bench file");
+    let _ = std::fs::remove_dir_all(&dir);
+    let want = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_tier1.json"
+    ))
+    .expect("BENCH_tier1.json is readable");
+    if let Some(diff) = ncp2_obs::first_difference(&want, &fresh) {
+        panic!(
+            "obs_report --bench drifted from BENCH_tier1.json at {diff}\n\
+             If the change is intended, re-seed the file with \
+             `cargo run --release --bin obs_report -- --bench BENCH_tier1.json` \
+             and say why in CHANGES.md."
+        );
+    }
 }
 
 /// EXPERIMENTS.md Fig 1: speedups over the 1-processor protocol-free run,

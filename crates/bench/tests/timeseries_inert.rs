@@ -44,8 +44,8 @@ fn recorder_leaves_all_simulated_output_byte_identical() {
         assert_eq!(r1.net.messages, r2.net.messages, "{label}");
         assert_eq!(r1.net.bytes, r2.net.bytes, "{label}");
         assert_eq!(r1.net.total_latency, r2.net.total_latency, "{label}");
-        // The BENCH_tier1 metrics (the regression-gated artifact) agree byte
-        // for byte.
+        // The BENCH_tier1 metrics (the golden-file artifact) agree byte for
+        // byte.
         assert_eq!(rep1.to_json(), rep2.to_json(), "{label}");
     }
 }

@@ -8,8 +8,8 @@
 //! quantile error at ~6% while covering all of `u64` in 976 buckets.
 //!
 //! Everything is integer arithmetic over simulated cycles — quantiles are
-//! deterministic and merge is exact, which the bench-diff regression gate
-//! relies on.
+//! deterministic and merge is exact, which the byte-exact golden bench file
+//! (`BENCH_tier1.json`) relies on.
 //!
 //! Lives in `ncp2-core` (rather than `ncp2-obs`, which re-exports it) so
 //! the simulation itself can accumulate the open-loop service response-time

@@ -4,8 +4,8 @@
 //! each one is a hazard a human argued away. `LINT_BASELINE.json` pins the
 //! per-rule suppression counts; CI fails when any rule's count grows, so
 //! new debt needs a conscious `cargo xtask lint --update-baseline` in the
-//! same change — the same trajectory discipline `BENCH_tier1.json` applies
-//! to performance.
+//! same change — the same discipline `BENCH_tier1.json` applies to
+//! simulated output, which changes only with a conscious re-seed.
 
 use std::fmt::Write as _;
 

@@ -1,49 +1,17 @@
-//! The bench-regression pipeline behind `cargo xtask bench-diff`.
+//! Bench files: the tier-1 suite's metrics as one text, and where two of
+//! them part.
 //!
 //! A *bench file* is a JSON document holding one [`MetricsReport`] per
-//! benchmark run (`BENCH_tier1.json` in the repo root is the committed
-//! trajectory baseline). [`compare`] diffs two bench files and flags every
-//! metric that got meaningfully worse: total cycles, any breakdown
-//! category, critical-path exposed cycles per category, or a
-//! latency-histogram percentile.
-//!
-//! "Meaningfully" means both a *relative* threshold (default 5%) and an
-//! *absolute* floor of 100 cycles, so single-cycle jitter on near-zero
-//! metrics doesn't fail CI. A run present in only one file is not a
-//! regression: [`membership_changes`] lists such runs, and the `bench-diff`
-//! and `wall-diff` gates fail on any.
+//! benchmark run, written by [`write_bench`]. `BENCH_tier1.json` in the repo
+//! root is `obs_report --bench`'s output committed as a golden file: the
+//! bench crate's `golden_figures` test requires a fresh run to equal it
+//! byte for byte, so a change to any simulated cycle, counter, percentile
+//! or epoch fails `cargo test`. [`first_difference`] says where: the first
+//! differing line from each side, the run it falls in, and the runs only
+//! one side holds. [`membership_changes`] finds those runs, and the
+//! `cargo xtask wall-diff` gate applies the same rule to its benches.
 
-use crate::json::parse;
-use crate::report::{report_from_jval, MetricsReport};
-
-/// Absolute growth (cycles) below which a metric change is never flagged.
-pub const ABS_FLOOR: u64 = 100;
-
-/// One flagged metric regression.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Run name (`"APP/MODE"`).
-    pub run: String,
-    /// Metric path (e.g. `"total_cycles"`, `"category/ipc"`,
-    /// `"hist/msg_latency/p99"`).
-    pub metric: String,
-    /// Baseline value.
-    pub old: u64,
-    /// Current value.
-    pub new: u64,
-    /// Relative growth in percent.
-    pub pct: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} {} -> {} (+{:.1}%)",
-            self.run, self.metric, self.old, self.new, self.pct
-        )
-    }
-}
+use crate::report::MetricsReport;
 
 /// Serializes reports as a bench file (`{"runs": [...]}`), deterministic
 /// byte-for-byte.
@@ -57,76 +25,62 @@ pub fn write_bench(runs: &[MetricsReport]) -> String {
     out
 }
 
-/// Parses a bench file back into its reports.
-pub fn parse_bench(text: &str) -> Result<Vec<MetricsReport>, String> {
-    let v = parse(text)?;
-    let runs = v
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .ok_or("bench file has no 'runs' array")?;
-    runs.iter().map(report_from_jval).collect()
-}
-
-fn worse(old: u64, new: u64, threshold_pct: f64) -> Option<f64> {
-    if new <= old || new - old < ABS_FLOOR {
+/// The first line at which `fresh` departs from the `baseline` bench file,
+/// quoted from both sides and named by the run it falls in, followed by the
+/// runs only one side holds; `None` when the two texts are equal.
+pub fn first_difference(baseline: &str, fresh: &str) -> Option<String> {
+    if baseline == fresh {
         return None;
     }
-    if old == 0 {
-        // Growth from zero past the absolute floor is always suspicious.
-        return Some(f64::INFINITY);
+    let (mut old_lines, mut new_lines) = (baseline.split('\n'), fresh.split('\n'));
+    let (mut old_run, mut new_run) = ("", "");
+    let mut line_no = 0;
+    let (old, new) = loop {
+        line_no += 1;
+        let (old, new) = (old_lines.next(), new_lines.next());
+        old_run = old.and_then(run_name).unwrap_or(old_run);
+        new_run = new.and_then(run_name).unwrap_or(new_run);
+        if old != new {
+            break (old, new);
+        }
+    };
+    let run = if old_run == new_run {
+        format!("run '{old_run}'")
+    } else {
+        format!("run '{old_run}' (fresh: '{new_run}')")
+    };
+    let quote = |line: Option<&str>| line.map_or("<end of file>".into(), |l| l.trim().to_string());
+    let mut out = format!(
+        "{run}, line {line_no}:\n  baseline: {}\n  fresh:    {}",
+        quote(old),
+        quote(new)
+    );
+    let names = |text: &str| {
+        text.lines()
+            .filter_map(run_name)
+            .map(String::from)
+            .collect::<Vec<_>>()
+    };
+    let (removed, added) = membership_changes(&names(baseline), &names(fresh));
+    for (list, side) in [(removed, "fresh"), (added, "baseline")] {
+        if !list.is_empty() {
+            out.push_str(&format!("\n  missing from {side}: {}", list.join(", ")));
+        }
     }
-    let pct = 100.0 * (new - old) as f64 / old as f64;
-    (pct > threshold_pct).then_some(pct)
+    Some(out)
 }
 
-/// Compares two bench files and returns every flagged regression, in
-/// baseline order. `threshold_pct` is the relative growth above which a
-/// metric is flagged (subject to the [`ABS_FLOOR`] absolute floor).
-pub fn compare(
-    old: &[MetricsReport],
-    new: &[MetricsReport],
-    threshold_pct: f64,
-) -> Vec<Regression> {
-    let mut out = Vec::new();
-    for o in old {
-        let Some(n) = new.iter().find(|n| n.name == o.name) else {
-            continue; // a membership change, the caller's to judge
-        };
-        let mut push = |metric: String, ov: u64, nv: u64| {
-            if let Some(pct) = worse(ov, nv, threshold_pct) {
-                out.push(Regression {
-                    run: o.name.clone(),
-                    metric,
-                    old: ov,
-                    new: nv,
-                    pct,
-                });
-            }
-        };
-        push("total_cycles".into(), o.total_cycles, n.total_cycles);
-        for (cat, ov) in &o.categories {
-            if let Some(nv) = n.category(cat) {
-                push(format!("category/{cat}"), *ov, nv);
-            }
-        }
-        for (cat, ov) in &o.exposed {
-            if let Some(&(_, nv)) = n.exposed.iter().find(|(c, _)| c == cat) {
-                push(format!("exposed/{cat}"), *ov, nv);
-            }
-        }
-        for (hname, oh) in &o.hists {
-            if let Some(nh) = n.hist(hname) {
-                push(format!("hist/{hname}/p50"), oh.p50, nh.p50);
-                push(format!("hist/{hname}/p99"), oh.p99, nh.p99);
-            }
-        }
-    }
-    out
+/// The run a bench-file line names, if it is a run's `"name"` line.
+fn run_name(line: &str) -> Option<&str> {
+    line.trim()
+        .strip_prefix("\"name\": \"")?
+        .strip_suffix("\",")
 }
 
 /// `(removed, added)`: the names in `old` but not in `new`, and the names in
-/// `new` but not in `old`, each in input order. The regression gates fail
-/// on either, so a renamed or new entry never slips past its baseline.
+/// `new` but not in `old`, each in input order. [`first_difference`] and
+/// the `wall-diff` gate report both, so a renamed or new entry never slips
+/// past its baseline.
 pub fn membership_changes(old: &[String], new: &[String]) -> (Vec<String>, Vec<String>) {
     let missing_from = |names: &[String], other: &[String]| {
         names
@@ -143,24 +97,24 @@ mod tests {
     use super::*;
     use crate::report::HistSummary;
 
-    fn report(name: &str, total: u64, ipc: u64, p99: u64) -> MetricsReport {
+    fn report(name: &str, total: u64, messages: u64) -> MetricsReport {
         MetricsReport {
             name: name.into(),
             protocol: "Base".into(),
             nprocs: 4,
             total_cycles: total,
             conservation_ok: true,
-            categories: vec![("busy".into(), 10_000), ("ipc".into(), ipc)],
-            exposed: vec![("busy".into(), 9_000), ("ipc".into(), ipc)],
-            counters: vec![("faults".into(), 3)],
+            categories: vec![("busy".into(), 10_000), ("ipc".into(), 5_000)],
+            exposed: vec![("busy".into(), 9_000), ("ipc".into(), 5_000)],
+            counters: vec![("faults".into(), 3), ("messages".into(), messages)],
             hists: vec![(
                 "msg_latency".into(),
                 HistSummary {
                     count: 10,
                     p50: 200,
                     p90: 400,
-                    p99,
-                    max: p99,
+                    p99: 500,
+                    max: 500,
                 },
             )],
             epochs: Vec::new(),
@@ -168,51 +122,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn five_percent_total_cycle_growth_is_flagged() {
-        let old = vec![report("TSP/Base", 100_000, 5_000, 500)];
-        let new = vec![report("TSP/Base", 106_000, 5_000, 500)];
-        let regs = compare(&old, &new, 5.0);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "total_cycles");
-        assert!((regs[0].pct - 6.0).abs() < 1e-9);
+    fn baseline() -> String {
+        write_bench(&[
+            report("TSP/Base", 545_780, 243),
+            report("Water/Base", 401_003, 203),
+        ])
     }
 
     #[test]
-    fn growth_below_threshold_or_floor_passes() {
-        let old = vec![report("TSP/Base", 100_000, 5_000, 500)];
-        // +4% total, +50 absolute cycles on ipc: both under the gates.
-        let new = vec![report("TSP/Base", 104_000, 5_050, 500)];
-        assert!(compare(&old, &new, 5.0).is_empty());
-        // Improvements never flag.
-        let faster = vec![report("TSP/Base", 50_000, 100, 100)];
-        assert!(compare(&old, &faster, 5.0).is_empty());
+    fn identical_texts_have_no_difference() {
+        assert_eq!(first_difference(&baseline(), &baseline()), None);
     }
 
     #[test]
-    fn category_and_percentile_regressions_are_flagged() {
-        let old = vec![report("TSP/Base", 100_000, 5_000, 500)];
-        let new = vec![report("TSP/Base", 100_000, 6_000, 1_200)];
-        let regs = compare(&old, &new, 5.0);
-        let metrics: Vec<&str> = regs.iter().map(|r| r.metric.as_str()).collect();
-        assert!(metrics.contains(&"category/ipc"), "{metrics:?}");
-        assert!(metrics.contains(&"exposed/ipc"), "{metrics:?}");
-        assert!(metrics.contains(&"hist/msg_latency/p99"), "{metrics:?}");
+    fn a_lower_total_is_reported_with_its_run_and_line() {
+        let fresh = write_bench(&[
+            report("TSP/Base", 545_780, 243),
+            report("Water/Base", 400_003, 203),
+        ]);
+        let diff = first_difference(&baseline(), &fresh).expect("totals differ");
+        let line = baseline()
+            .lines()
+            .position(|l| l.contains("401003"))
+            .expect("baseline holds the total")
+            + 1;
+        assert_eq!(
+            diff,
+            format!(
+                "run 'Water/Base', line {line}:\n  \
+                 baseline: \"total_cycles\": 401003,\n  \
+                 fresh:    \"total_cycles\": 400003,"
+            )
+        );
+    }
+
+    #[test]
+    fn a_changed_counter_is_reported_with_its_run_and_line() {
+        let fresh = write_bench(&[
+            report("TSP/Base", 545_780, 300),
+            report("Water/Base", 401_003, 203),
+        ]);
+        let diff = first_difference(&baseline(), &fresh).expect("counters differ");
+        let (head, quoted) = diff.split_once('\n').expect("a header and the quotes");
+        assert!(head.starts_with("run 'TSP/Base', line "), "{diff}");
+        assert!(quoted.contains("\"messages\": 243"), "{diff}");
+        assert!(quoted.contains("\"messages\": 300"), "{diff}");
+    }
+
+    #[test]
+    fn a_run_missing_from_one_side_is_reported() {
+        let tsp_only = write_bench(&[report("TSP/Base", 545_780, 243)]);
+        let diff = first_difference(&baseline(), &tsp_only).expect("a run is gone");
+        assert!(diff.starts_with("run 'TSP/Base', line "), "{diff}");
+        assert!(
+            diff.ends_with("\n  missing from fresh: Water/Base"),
+            "{diff}"
+        );
+
+        let water_only = write_bench(&[report("Water/Base", 401_003, 203)]);
+        let diff = first_difference(&water_only, &baseline()).expect("a run is new");
+        assert!(
+            diff.starts_with("run 'Water/Base' (fresh: 'TSP/Base'), line 3:"),
+            "{diff}"
+        );
+        assert!(
+            diff.ends_with("\n  missing from baseline: TSP/Base"),
+            "{diff}"
+        );
     }
 
     #[test]
     fn bench_file_roundtrips() {
-        let runs = vec![
-            report("TSP/Base", 100_000, 5_000, 500),
-            report("Water/AURC+P", 90_000, 4_000, 400),
-        ];
-        let text = write_bench(&runs);
-        let back = parse_bench(&text).expect("parse");
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].name, "TSP/Base");
-        assert_eq!(back[1].total_cycles, 90_000);
-        // Deterministic bytes.
-        assert_eq!(text, write_bench(&runs));
+        // Deterministic bytes, one run after another in input order.
+        let text = baseline();
+        assert_eq!(text, baseline());
+        let names: Vec<&str> = text.lines().filter_map(run_name).collect();
+        assert_eq!(names, ["TSP/Base", "Water/Base"]);
     }
 
     #[test]

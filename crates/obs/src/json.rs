@@ -3,8 +3,8 @@
 //!
 //! The workspace has no serialization dependency. All exporters in this
 //! crate therefore *write* JSON by hand (which also guarantees key order,
-//! hence byte determinism), and `bench-diff` / self-checks *read* it back
-//! through this parser. The subset supported is exactly what our writers
+//! hence byte determinism), and the cache, self-checks and gates *read* it
+//! back through this parser. The subset supported is exactly what our writers
 //! emit: objects, arrays, strings, finite numbers, booleans and null.
 //!
 //! Parsed objects keep their members in source order, so a reader that

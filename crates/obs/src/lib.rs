@@ -17,9 +17,9 @@
 //! * [`critpath`] — critical-path extraction (whose length provably equals
 //!   the run's total cycles), per-span slack, and the causal what-if
 //!   re-executor predicting ablation speedups;
-//! * [`diff`] — the `cargo xtask bench-diff` regression pipeline: write a
-//!   bench file of reports, compare two files, flag regressions (including
-//!   per-category exposed-cycle growth on the critical path);
+//! * [`diff`] — bench files: write one report per run, and name the first
+//!   run and line at which a fresh file departs from the golden
+//!   `BENCH_tier1.json`;
 //! * [`timeseries::TimelineReport`] — deterministic JSON/CSV serialization
 //!   of the windowed time-series log ([`ncp2_core::TsLog`]);
 //! * [`hotspot`] — ranked hot-page / hot-lock attribution tables and the
@@ -49,7 +49,7 @@ pub use assertions::{
     default_check_assertions, evaluate_all, Assertion, Firing, TIMELINE_CHECK_ASSERTION,
 };
 pub use critpath::{critical_path, slack, what_if, CritPath, CritSegment, Scenario, WhatIf};
-pub use diff::{compare, parse_bench, write_bench, Regression};
+pub use diff::{first_difference, write_bench};
 pub use graph::ExecGraph;
 pub use hotspot::{render_hotspots, render_node_table, top_locks, top_pages};
 pub use ncp2_core::hist::LogHistogram;

@@ -228,14 +228,6 @@ impl MetricsReport {
         }
     }
 
-    /// Looks a category total up by label.
-    pub fn category(&self, label: &str) -> Option<u64> {
-        self.categories
-            .iter()
-            .find(|(n, _)| n == label)
-            .map(|&(_, v)| v)
-    }
-
     /// Looks a histogram summary up by name.
     pub fn hist(&self, name: &str) -> Option<&HistSummary> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)

@@ -1,7 +1,7 @@
 //! Golden tests for the exporters: the Perfetto trace and metrics JSON must
 //! be well-formed for every application and byte-identical across repeated
 //! runs of the same configuration — the property `ci.sh` and the committed
-//! `BENCH_tier1.json` trajectory depend on.
+//! golden `BENCH_tier1.json` depend on.
 
 use ncp2_apps::{run_app_with, Barnes, Em3d, Ocean, Radix, Tsp, Water, Workload};
 use ncp2_core::{OverlapMode, Protocol, RunResult};

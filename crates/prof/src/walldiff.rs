@@ -14,8 +14,8 @@
 //!   path is precisely the kind of creep this gate exists to catch.
 //!
 //! Shrinkage never fails: the baseline is refreshed in place after a pass
-//! (`--update`), so improvements ratchet in the same way `BENCH_tier1.json`
-//! tracks simulated cycles.
+//! (`--update`), so improvements ratchet. (Simulated cycles need no such
+//! tolerance: `BENCH_tier1.json` pins them exactly in `cargo test`.)
 
 use std::collections::BTreeMap;
 

@@ -21,39 +21,32 @@
 //! * `--update-baseline` — rewrite `LINT_BASELINE.json` with the current
 //!   per-rule suppression counts after a passing scan.
 //!
-//! # `cargo xtask bench-diff old.json new.json`
-//!
-//! Compares two bench files produced by `obs_report --bench` and fails when
-//! any run's total cycles, breakdown category or latency percentile grew
-//! past the threshold (default 5%, with a 100-cycle absolute floor). With
-//! `--update`, a passing (or missing) baseline is rewritten with the new
-//! numbers, which is how `BENCH_tier1.json` tracks the trajectory.
-//!
 //! # `cargo xtask wall-diff old.json new.json`
 //!
-//! The host-side twin of `bench-diff`: compares two wall reports produced
-//! by `wall_bench --out` and fails when any bench's median wall time more
-//! than doubled (noisy CI hosts get a generous gate) or its allocation
-//! count/bytes grew past 10% (exact counters get a tight one) — thresholds
-//! overridable with `--time-threshold` / `--alloc-threshold`. With
-//! `--update`, a passing (or missing) baseline is rewritten, which is how
-//! `BENCH_WALL.json` tracks the trajectory.
+//! Compares two wall reports produced by `wall_bench --out` and fails when
+//! any bench's median wall time more than doubled (noisy CI hosts get a
+//! generous gate) or its allocation count/bytes grew past 10% (exact
+//! counters get a tight one) — thresholds overridable with
+//! `--time-threshold` / `--alloc-threshold`. With `--update`, a passing (or
+//! missing) baseline is rewritten, which is how `BENCH_WALL.json` tracks
+//! the trajectory.
 //!
-//! Both gates also fail on a membership change: a run or bench that
-//! disappeared from the new file, or that the baseline lacks. Admitting or
-//! retiring one is a deliberate baseline refresh — delete the baseline and
-//! re-seed it with `--update`.
+//! The gate also fails on a membership change: a bench that disappeared
+//! from the new file, or that the baseline lacks. Admitting or retiring one
+//! is a deliberate baseline refresh — delete the baseline and re-seed it
+//! with `--update`. (The simulated twin, `BENCH_tier1.json`, needs no gate
+//! here: `cargo test` requires `obs_report --bench` to reproduce it byte
+//! for byte.)
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
 use ncp2_lint::baseline::Baseline;
-use ncp2_prof::walldiff::{WallDiffCfg, WallReport};
+use ncp2_prof::walldiff::{compare_wall, parse_wall, WallDiffCfg, WallReport};
 
 const BASELINE_FILE: &str = "LINT_BASELINE.json";
 
 const USAGE: &str = "usage: cargo xtask lint [--scan-only] [--json] [--update-baseline]\n\
-     \x20      cargo xtask bench-diff OLD.json NEW.json [--threshold PCT] [--update]\n\
      \x20      cargo xtask wall-diff OLD.json NEW.json [--time-threshold PCT]\n\
      \x20                            [--alloc-threshold PCT] [--update]";
 
@@ -68,10 +61,9 @@ fn main() -> ExitCode {
     };
     match cmd {
         "lint" => lint(flags),
-        "bench-diff" => bench_diff(flags),
         "wall-diff" => wall_diff(flags),
         _ => {
-            eprintln!("unknown xtask `{cmd}`; available: lint, bench-diff, wall-diff\n{USAGE}");
+            eprintln!("unknown xtask `{cmd}`; available: lint, wall-diff\n{USAGE}");
             ExitCode::FAILURE
         }
     }
@@ -186,70 +178,8 @@ fn lint(flags: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One regression gate's file format and comparison: all that `bench-diff`
-/// and `wall-diff` do differently. Reading, seeding on `--update`, the
-/// membership rule, reporting and the baseline refresh are [`run_gate`]'s.
-struct Gate<R> {
-    /// Subcommand name; prefixes every line the gate prints.
-    name: &'static str,
-    /// What one file holds, for error messages.
-    file: &'static str,
-    /// What one entry is, for the membership failures and the summary.
-    entry: &'static str,
-    /// The thresholds in force, for the verdict lines.
-    limits: String,
-    parse: fn(&str) -> Result<R, String>,
-    /// Entry names, whose set the membership rule pins.
-    names: fn(&R) -> Vec<String>,
-    /// Regressions of the new file against the baseline, over the entries
-    /// both hold.
-    compare: Compare<R>,
-}
-
-/// A gate's comparison of `(baseline, new)`, closed over its thresholds.
-type Compare<R> = Box<dyn Fn(&R, &R) -> Vec<String>>;
-
-/// The `bench-diff` gate: simulated cycles, breakdowns and latency
-/// percentiles of `obs_report --bench` files, at `threshold` percent.
-fn bench_gate(threshold: f64) -> Gate<Vec<ncp2_obs::report::MetricsReport>> {
-    Gate {
-        name: "bench-diff",
-        file: "bench file",
-        entry: "run",
-        limits: format!("{threshold}%"),
-        parse: ncp2_obs::parse_bench,
-        names: |runs| runs.iter().map(|r| r.name.clone()).collect(),
-        compare: Box::new(move |old, new| {
-            let regressions = ncp2_obs::compare(old, new, threshold);
-            regressions.iter().map(ToString::to_string).collect()
-        }),
-    }
-}
-
-/// The `wall-diff` gate: the asymmetric host-side gates over `wall_bench`
-/// reports (loose on time, tight on allocation counts).
-fn wall_gate(cfg: WallDiffCfg) -> Gate<WallReport> {
-    Gate {
-        name: "wall-diff",
-        file: "wall report",
-        entry: "bench",
-        limits: format!("time {:.0}%, alloc {:.0}%", cfg.time_pct, cfg.alloc_pct),
-        parse: ncp2_prof::walldiff::parse_wall,
-        names: |report| report.benches.keys().cloned().collect(),
-        compare: Box::new(move |old, new| ncp2_prof::walldiff::compare_wall(old, new, &cfg)),
-    }
-}
-
-/// The `bench-diff` subcommand.
-fn bench_diff(flags: &[String]) -> ExitCode {
-    let mut threshold = 5.0f64;
-    match parse_diff_args(flags, &mut [("--threshold", &mut threshold)]) {
-        Ok(args) => run_gate(&bench_gate(threshold), args),
-        Err(e) => usage_error(&e),
-    }
-}
-
-/// The `wall-diff` subcommand.
+/// The `wall-diff` subcommand: the asymmetric host-side gates over
+/// `wall_bench` reports (loose on time, tight on allocation counts).
 fn wall_diff(flags: &[String]) -> ExitCode {
     let mut cfg = WallDiffCfg::default();
     let parsed = parse_diff_args(
@@ -260,55 +190,54 @@ fn wall_diff(flags: &[String]) -> ExitCode {
         ],
     );
     match parsed {
-        Ok(args) => run_gate(&wall_gate(cfg), args),
-        Err(e) => usage_error(&e),
+        Ok(args) => run_gate(&cfg, args),
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn usage_error(e: &str) -> ExitCode {
-    eprintln!("{e}\n{USAGE}");
-    ExitCode::FAILURE
-}
-
 /// Every failure of `new` against the `old` baseline: first the membership
-/// rule — an entry that disappeared from the new file, or that the baseline
-/// lacks, fails the gate — then the gate's own comparison.
-fn gate_failures<R>(gate: &Gate<R>, old: &R, new: &R) -> Vec<String> {
-    let (old_names, new_names) = ((gate.names)(old), (gate.names)(new));
-    let (removed, added) = ncp2_obs::diff::membership_changes(&old_names, &new_names);
-    let entry = gate.entry;
+/// rule — a bench that disappeared from the new file, or that the baseline
+/// lacks, fails the gate — then the time and allocation comparison.
+fn gate_failures(cfg: &WallDiffCfg, old: &WallReport, new: &WallReport) -> Vec<String> {
+    let names = |report: &WallReport| report.benches.keys().cloned().collect::<Vec<_>>();
+    let (removed, added) = ncp2_obs::diff::membership_changes(&names(old), &names(new));
     let mut failures: Vec<String> = removed
         .iter()
-        .map(|r| format!("{entry} '{r}' disappeared from the suite"))
+        .map(|r| format!("bench '{r}' disappeared from the suite"))
         .collect();
-    failures.extend(added.iter().map(|a| {
-        format!("{entry} '{a}' is not in the baseline (re-seed it to admit a new {entry})")
-    }));
-    failures.extend((gate.compare)(old, new));
+    failures.extend(
+        added.iter().map(|a| {
+            format!("bench '{a}' is not in the baseline (re-seed it to admit a new bench)")
+        }),
+    );
+    failures.extend(compare_wall(old, new, cfg));
     failures
 }
 
-/// Compares the new file against the baseline and fails on any regression
-/// or membership change. With `--update`, a missing baseline is seeded from
-/// the new file and a passing one is refreshed with it.
-fn run_gate<R>(gate: &Gate<R>, args: DiffArgs) -> ExitCode {
-    let name = gate.name;
+/// Compares the new report against the baseline and fails on any
+/// regression or membership change. With `--update`, a missing baseline is
+/// seeded from the new report and a passing one is refreshed with it.
+fn run_gate(cfg: &WallDiffCfg, args: DiffArgs) -> ExitCode {
+    const NAME: &str = "wall-diff";
     let DiffArgs {
         old: old_path,
         new: new_path,
         update,
     } = args;
     let parse = |path: &str, text: &str| {
-        let parsed = (gate.parse)(text);
-        parsed
-            .map_err(|e| eprintln!("{name}: {path} is not a {}: {e}", gate.file))
+        parse_wall(text)
+            .map_err(|e| eprintln!("{NAME}: {path} is not a wall report: {e}"))
             .ok()
     };
+    let limits = format!("time {:.0}%, alloc {:.0}%", cfg.time_pct, cfg.alloc_pct);
 
     let new_text = match std::fs::read_to_string(new_path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("{name}: cannot read {new_path}: {e}");
+            eprintln!("{NAME}: cannot read {new_path}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -320,14 +249,14 @@ fn run_gate<R>(gate: &Gate<R>, args: DiffArgs) -> ExitCode {
         Err(_) if update => {
             // No baseline yet: seed it from the new numbers.
             if let Err(e) = std::fs::write(old_path, &new_text) {
-                eprintln!("{name}: cannot seed baseline {old_path}: {e}");
+                eprintln!("{NAME}: cannot seed baseline {old_path}: {e}");
                 return ExitCode::FAILURE;
             }
-            println!("{name}: no baseline at {old_path}; seeded from {new_path}");
+            println!("{NAME}: no baseline at {old_path}; seeded from {new_path}");
             return ExitCode::SUCCESS;
         }
         Err(e) => {
-            eprintln!("{name}: cannot read baseline {old_path}: {e} (pass --update to seed)");
+            eprintln!("{NAME}: cannot read baseline {old_path}: {e} (pass --update to seed)");
             return ExitCode::FAILURE;
         }
     };
@@ -335,12 +264,11 @@ fn run_gate<R>(gate: &Gate<R>, args: DiffArgs) -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let failures = gate_failures(gate, &old, &new);
+    let failures = gate_failures(cfg, &old, &new);
     if !failures.is_empty() {
         eprintln!(
-            "{name}: {} failure(s) against the baseline (gates: {}):",
-            failures.len(),
-            gate.limits
+            "{NAME}: {} failure(s) against the baseline (gates: {limits}):",
+            failures.len()
         );
         for f in &failures {
             eprintln!("  {f}");
@@ -348,22 +276,20 @@ fn run_gate<R>(gate: &Gate<R>, args: DiffArgs) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "{name}: {} {}(s) within the gates ({})",
-        (gate.names)(&new).len(),
-        gate.entry,
-        gate.limits
+        "{NAME}: {} bench(s) within the gates ({limits})",
+        new.benches.len()
     );
     if update {
         if let Err(e) = std::fs::write(old_path, &new_text) {
-            eprintln!("{name}: cannot update baseline {old_path}: {e}");
+            eprintln!("{NAME}: cannot update baseline {old_path}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("{name}: baseline {old_path} updated");
+        println!("{NAME}: baseline {old_path} updated");
     }
     ExitCode::SUCCESS
 }
 
-/// The arguments both regression gates share besides their thresholds.
+/// The gate's arguments besides its thresholds.
 #[derive(Debug, PartialEq)]
 struct DiffArgs<'a> {
     old: &'a str,
@@ -415,29 +341,10 @@ fn workspace_root() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncp2_obs::report::MetricsReport;
     use ncp2_prof::walldiff::WallBench;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
-    }
-
-    /// A bench file with one identical run per name.
-    fn runs(names: &[&str]) -> Vec<MetricsReport> {
-        let run = |name: &&str| MetricsReport {
-            name: name.to_string(),
-            protocol: "Base".into(),
-            nprocs: 4,
-            total_cycles: 10_000,
-            conservation_ok: true,
-            categories: Vec::new(),
-            exposed: Vec::new(),
-            counters: Vec::new(),
-            hists: Vec::new(),
-            epochs: Vec::new(),
-            host: Vec::new(),
-        };
-        names.iter().map(run).collect()
     }
 
     /// A wall report with one identical bench per name.
@@ -454,17 +361,11 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_gone_from_the_new_file_fails_both_gates() {
-        let bench = bench_gate(5.0);
-        let old = runs(&["TSP/Base", "Svc/I+P+D"]);
-        assert!(gate_failures(&bench, &old, &old).is_empty());
-        let failures = gate_failures(&bench, &old, &runs(&["TSP/Base"]));
-        assert_eq!(failures, ["run 'Svc/I+P+D' disappeared from the suite"]);
-
-        let wall = wall_gate(WallDiffCfg::default());
+    fn an_entry_gone_from_the_new_file_fails_the_gate() {
+        let cfg = WallDiffCfg::default();
         let old = benches(&["diff/apply_256", "sim/proc_handoff_served_4"]);
-        assert!(gate_failures(&wall, &old, &old).is_empty());
-        let failures = gate_failures(&wall, &old, &benches(&["diff/apply_256"]));
+        assert!(gate_failures(&cfg, &old, &old).is_empty());
+        let failures = gate_failures(&cfg, &old, &benches(&["diff/apply_256"]));
         assert_eq!(
             failures,
             ["bench 'sim/proc_handoff_served_4' disappeared from the suite"]
@@ -472,17 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn an_entry_missing_from_the_baseline_fails_both_gates() {
+    fn an_entry_missing_from_the_baseline_fails_the_gate() {
         let failures = gate_failures(
-            &bench_gate(5.0),
-            &runs(&["TSP/Base"]),
-            &runs(&["TSP/Base", "Svc/I+P+D"]),
-        );
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("run 'Svc/I+P+D' is not in the baseline"));
-
-        let failures = gate_failures(
-            &wall_gate(WallDiffCfg::default()),
+            &WallDiffCfg::default(),
             &benches(&["diff/apply_256"]),
             &benches(&["diff/apply_256", "sim/proc_handoff_served_4"]),
         );
@@ -515,18 +408,18 @@ mod tests {
     #[test]
     fn thresholds_must_be_finite_and_non_negative() {
         let parse = |value: &str| {
-            let flags = args(&["a.json", "b.json", "--threshold", value]);
-            let mut t = 5.0;
-            parse_diff_args(&flags, &mut [("--threshold", &mut t)]).map(|_| t)
+            let flags = args(&["a.json", "b.json", "--time-threshold", value]);
+            let mut t = 100.0;
+            parse_diff_args(&flags, &mut [("--time-threshold", &mut t)]).map(|_| t)
         };
         assert_eq!(parse("0"), Ok(0.0));
         assert_eq!(parse("12.5"), Ok(12.5));
         for bad in ["NaN", "nan", "inf", "-inf", "infinity", "-1", "-0.5", "x"] {
             let err = parse(bad).expect_err(bad);
-            assert!(err.starts_with("--threshold needs"), "{err}");
+            assert!(err.starts_with("--time-threshold needs"), "{err}");
         }
-        let flags = args(&["a.json", "b.json", "--threshold"]);
-        assert!(parse_diff_args(&flags, &mut [("--threshold", &mut 5.0)]).is_err());
+        let flags = args(&["a.json", "b.json", "--time-threshold"]);
+        assert!(parse_diff_args(&flags, &mut [("--time-threshold", &mut 100.0)]).is_err());
     }
 
     #[test]
@@ -537,7 +430,7 @@ mod tests {
             &[][..],
         ] {
             let flags = args(list);
-            assert!(parse_diff_args(&flags, &mut [("--threshold", &mut 5.0)]).is_err());
+            assert!(parse_diff_args(&flags, &mut [("--time-threshold", &mut 100.0)]).is_err());
         }
     }
 }
