@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# CI gate: static checks first (fast fail), then build, then the full test
-# suite (which pins BENCH_tier1.json byte for byte), then the observability
-# smokes and the wall-clock trajectory.
+# CI gate: fmt and clippy first (fast fail), then build, then the full test
+# suite (which runs the ncp2-lint gate, with every suppression pinned, and
+# pins BENCH_tier1.json byte for byte), then the observability smokes and
+# the wall-clock trajectory.
 set -eux
 
 cargo fmt --all -- --check
@@ -9,7 +10,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The counting allocator is the only code behind the `prof` feature and the
 # only writer of the allocation counters: lint that build too.
 cargo clippy --workspace --all-targets --features ncp2-bench/prof -- -D warnings
-cargo xtask lint --scan-only --json > target/lint_report.json
 cargo build --release
 # hostbench/ (the pinned host benchmark) is its own cargo workspace linking
 # ncp2-bench by path, so `cargo test` never compiles it: build it here so a
@@ -67,8 +67,9 @@ cargo run --release --bin chaos_report -- --check --no-cache --quiet
 # Scale smoke: the 2..=256 doubling sweep of one scale workload (Ocean,
 # under Base and I+P+D) with the verify oracle on proves the event heap,
 # flat tables and indexed routing hold up at the full cluster size on every
-# CI run. Cache disabled: a cached record carries no observation, so the
-# critical-path tiling check would run on no run at all.
+# CI run. The sweep never reads the cache (a cached record carries no span
+# log, and a run without one fails the tiling check); its last line says how
+# many runs passed all three laws.
 cargo run --release --bin fig01b_doubling -- --scale --app Ocean --no-cache --quiet
 
 # Host-side profiling demo: one observed run with `--prof` (counting

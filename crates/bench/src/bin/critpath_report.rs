@@ -22,8 +22,9 @@
 //! ```
 //!
 //! The Base run carries the raw span/edge log, which the result cache does
-//! not persist, so it always executes fresh; the measured ablation runs are
-//! plain grid points and hit the cache unless `--no-cache` is given.
+//! not persist, so it always runs on an engine without the cache; the
+//! measured ablation runs are plain grid points and hit the cache unless
+//! `--no-cache` is given.
 
 use std::process::ExitCode;
 
@@ -72,29 +73,29 @@ fn analyze(o: &Opts) -> Vec<AppAnalysis> {
         .filter(|(n, _)| o.only_app.as_deref().is_none_or(|want| want == *n))
         .collect();
     let params = o.params(4);
-    let mut grid = Grid::new();
-    // Per app: one observed+traced Base run (never cached — the graph needs
-    // the raw log), then the measured ablations as plain cacheable points.
+    // Per app: one observed Base run, which never touches the cache (a
+    // cached record carries no span log, and the graph needs it), and the
+    // measured ablations as plain cacheable points.
+    let (mut base_grid, mut ablation_grid) = (Grid::new(), Grid::new());
     for (name, spec) in &apps {
-        let mut obs_params = params.clone();
-        obs_params.trace = true;
         let base = Protocol::TreadMarks(OverlapMode::Base);
-        grid.add(Job {
+        base_grid.add(Job {
             obs: true,
-            ..Job::new(format!("{name}/Base"), obs_params, base, spec.clone())
+            ..Job::new(format!("{name}/Base"), params.clone(), base, spec.clone())
         });
         for mode in MEASURED_MODES {
             // invariant: every MEASURED_MODES entry is a known label.
             let protocol = protocol_from_label(mode).expect("known mode label");
             let label = format!("{name}/{mode}");
-            grid.add(Job::new(label, params.clone(), protocol, spec.clone()));
+            ablation_grid.add(Job::new(label, params.clone(), protocol, spec.clone()));
         }
     }
-    let mut records = o.engine().run(&grid).into_iter();
+    let mut bases = o.engine().no_cache().run(&base_grid).into_iter();
+    let mut records = o.engine().run(&ablation_grid).into_iter();
 
     let mut out = Vec::new();
     for (name, _) in &apps {
-        let base = records.next().expect("grid order: Base record").result;
+        let base = bases.next().expect("grid order: Base record").result;
         let log = base.obs.as_ref().expect("Base job was observed");
         let g = ExecGraph::build(log, base.nprocs, base.total_cycles)
             .unwrap_or_else(|e| panic!("{name}: graph build failed: {e}"));

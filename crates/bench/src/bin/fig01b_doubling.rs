@@ -18,11 +18,13 @@ use ncp2_bench::harness::{Opts, APP_NAMES};
 use ncp2_obs::{critical_path, ExecGraph};
 
 /// The `--scale` sweep: 2..=256 processors x scale workloads x {Base, I+P+D}.
+/// It never touches the cache: a cached record carries no span log, and
+/// Law 3 needs one from every run.
 fn run_scale(opts: &Opts) {
     let modes = ["Base", "I+P+D"];
     let only = opts.only_app.as_deref();
     let grid = scale_grid(&SCALE_NPROCS, &modes, only);
-    let records = opts.engine().run(&grid);
+    let records = opts.engine().no_cache().run(&grid);
     let apps: Vec<_> = scale_workloads()
         .into_iter()
         .filter(|(name, _)| only.is_none_or(|o| o.eq_ignore_ascii_case(name)))
@@ -38,6 +40,8 @@ fn run_scale(opts: &Opts) {
         "procs", "app", "Base Mcyc", "I+P+D Mcyc", "ratio"
     );
     let mut checksums: Vec<Option<u64>> = vec![None; napps];
+    // Runs that passed all three laws.
+    let mut checked = 0usize;
     for (ni, &np) in SCALE_NPROCS.iter().enumerate() {
         for (ai, (name, _)) in apps.iter().enumerate() {
             let base = &records[ix(ni, 0, ai)].result;
@@ -66,19 +70,23 @@ fn run_scale(opts: &Opts) {
                     ),
                 }
                 // Law 3: the span graph tiles the run and the critical path
-                // walks it end to end. Cache hits carry no ObsLog (the law
-                // held when the entry was recorded fresh), so check fresh
-                // runs only.
-                if let Some(log) = r.obs.as_ref() {
-                    let g = ExecGraph::build(log, r.nprocs, r.total_cycles)
-                        .unwrap_or_else(|e| panic!("{name}@{np}: span tiling broken: {e}"));
-                    critical_path(&g)
-                        .unwrap_or_else(|e| panic!("{name}@{np}: critical-path walk failed: {e}"));
-                }
+                // walks it end to end.
+                let log = r
+                    .obs
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{name}@{np}: no span log recorded"));
+                let g = ExecGraph::build(log, r.nprocs, r.total_cycles)
+                    .unwrap_or_else(|e| panic!("{name}@{np}: span tiling broken: {e}"));
+                critical_path(&g)
+                    .unwrap_or_else(|e| panic!("{name}@{np}: critical-path walk failed: {e}"));
+                checked += 1;
             }
         }
     }
-    println!("\nscale sweep clean: oracle silent, checksums size-invariant, critpath conserved");
+    println!(
+        "\nscale sweep clean: oracle silent, checksums size-invariant, critpath conserved \
+         in each of {checked} runs"
+    );
 }
 
 fn main() {

@@ -371,3 +371,39 @@ fn warm_grid_runs_are_served_entirely_from_cache() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A gate binary on a warm cache: `critpath_report --check` run twice with
+/// the cache on (cold, then warm) and once with `--no-cache` must pass all
+/// three times and write the same bytes. Its observed Base run bypasses the
+/// cache; the three measured ablations are served from it on the second run.
+#[test]
+fn critpath_report_gate_is_cache_transparent() {
+    let dir = std::env::temp_dir().join(format!("ncp2-critpath-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the working dir");
+    let run = |out: &str, extra: &[&str]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_critpath_report"))
+            .args(["--app", "TSP", "--quiet", "--check", "--out", out])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .expect("critpath_report runs");
+        assert!(
+            output.status.success(),
+            "critpath_report {extra:?} failed: {output:?}"
+        );
+        std::fs::read_to_string(dir.join(out)).expect("critpath_report wrote its JSON")
+    };
+    let cold = run("cold.json", &[]);
+    let cached = std::fs::read_dir(dir.join(engine::DEFAULT_CACHE_DIR))
+        .map(|entries| entries.count())
+        .unwrap_or(0);
+    assert_eq!(
+        cached, 3,
+        "the cold run caches its three measured ablations, not the observed Base run"
+    );
+    let warm = run("warm.json", &[]);
+    let fresh = run("fresh.json", &["--no-cache"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(cold, warm, "a warm cache changed critpath.json");
+    assert_eq!(cold, fresh, "--no-cache changed critpath.json");
+}

@@ -752,8 +752,9 @@ impl Sinks {
     }
 
     /// The most recent span recorded on `node` — the anchor every dependency
-    /// edge must reference (enforced by the `xtask lint` edge-site rule and
-    /// by [`crate::span::ObsRecorder::edge`] dropping unanchored edges).
+    /// edge must reference (enforced by the `ncp2-lint` `unanchored-edge`
+    /// rule and by [`crate::span::ObsRecorder::edge`] dropping unanchored
+    /// edges).
     pub(crate) fn obs_last_span(&self, node: usize) -> SpanId {
         self.obs
             .as_ref()

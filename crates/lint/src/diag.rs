@@ -2,10 +2,8 @@
 //!
 //! Every finding carries a `file:line:col`, a stable rule ID, a message and
 //! the offending source snippet. Reports sort all entries by
-//! `(file, line, col, rule)` before rendering, and the JSON writer emits
-//! keys in a fixed order with no timestamps, so two runs over the same tree
-//! produce byte-identical output — the same discipline the rest of the
-//! workspace applies to metrics and bench files.
+//! `(file, line, col, rule)`, so two runs over the same tree list the same
+//! findings and suppressions in the same order.
 
 use std::fmt::Write as _;
 
@@ -26,8 +24,8 @@ pub struct Diagnostic {
     pub snippet: String,
 }
 
-/// A finding that an inline `lint: allow` comment silenced, retained so the
-/// baseline ratchet can count (and bound) the suppression debt.
+/// A finding that an inline `lint: allow` comment silenced, retained so
+/// `tests/selflint.rs` can pin every suppression by file and rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Suppressed {
     /// Workspace-relative path, forward slashes.
@@ -50,7 +48,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Sorts both lists into the canonical order; call before rendering.
+    /// Sorts both lists into the canonical order; call before reading them.
     pub fn normalize(&mut self) {
         self.findings.sort_by(|a, b| {
             (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
@@ -59,69 +57,6 @@ impl Report {
         self.suppressed
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
         self.suppressed.dedup();
-    }
-
-    /// Suppression count per rule ID, in rule-ID order.
-    pub fn suppressed_by_rule(&self) -> Vec<(&'static str, usize)> {
-        let mut out: Vec<(&'static str, usize)> = Vec::new();
-        for s in &self.suppressed {
-            match out.iter_mut().find(|(r, _)| *r == s.rule) {
-                Some((_, n)) => *n += 1,
-                None => out.push((s.rule, 1)),
-            }
-        }
-        out.sort_by_key(|&(r, _)| r);
-        out
-    }
-
-    /// Byte-deterministic JSON rendering (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"format\": 1,\n  \"findings\": [");
-        for (i, d) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \
-                 \"message\": {}, \"snippet\": {}}}",
-                json_str(&d.file),
-                d.line,
-                d.col,
-                json_str(d.rule),
-                json_str(&d.message),
-                json_str(&d.snippet)
-            );
-        }
-        if !self.findings.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n  \"suppressed\": [");
-        for (i, d) in self.suppressed.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"reason\": {}}}",
-                json_str(&d.file),
-                d.line,
-                json_str(d.rule),
-                json_str(&d.reason)
-            );
-        }
-        if !self.suppressed.is_empty() {
-            s.push_str("\n  ");
-        }
-        let _ = write!(
-            s,
-            "],\n  \"summary\": {{\"files\": {}, \"findings\": {}, \"suppressed\": {}}}\n}}\n",
-            self.files_scanned,
-            self.findings.len(),
-            self.suppressed.len()
-        );
-        s
     }
 
     /// Human rendering for terminal output.
@@ -143,25 +78,4 @@ impl Report {
         );
         s
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -17,10 +17,11 @@
 //!   `#[cfg(test)]` boundary, parsed suppressions) and the rule driver;
 //! * [`rules`] — the registry. Every rule has a stable kebab-case ID, a
 //!   file scope from [`config`], and firing/clean fixture tests;
-//! * [`diag`] — structured `file:line:col` diagnostics and the
-//!   byte-deterministic JSON report;
-//! * [`baseline`] — the suppression-debt ratchet behind
-//!   `LINT_BASELINE.json`.
+//! * [`diag`] — structured `file:line:col` diagnostics and the report
+//!   that collects them in a deterministic order.
+//!
+//! `tests/selflint.rs` is the workspace's lint gate: `cargo test` requires
+//! zero unsuppressed findings and pins every suppression by file and rule.
 //!
 //! Suppressions are inline comments that must justify themselves:
 //!
@@ -32,7 +33,6 @@
 //! finding is itself a finding. Test modules (`#[cfg(test)]` onward) are
 //! exempt from all rules.
 
-pub mod baseline;
 pub mod config;
 pub mod diag;
 pub mod engine;
@@ -63,8 +63,8 @@ pub fn lint_source(rel: &str, src: &str) -> Report {
 
 /// Lints every non-test Rust source in the workspace (each `crates/*/src`
 /// tree, `bin/` included; `tests/`, `benches/` and `examples/` are test
-/// surface and exempt). File order is sorted, so reports are
-/// byte-deterministic across platforms and reruns.
+/// surface and exempt). File order is sorted, so reports are identical
+/// across platforms and reruns.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let rules = rules::registry();
     let ids = rules::rule_ids();

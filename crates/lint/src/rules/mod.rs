@@ -1,8 +1,9 @@
 //! The rule registry.
 //!
 //! Every rule has a stable kebab-case ID (used in diagnostics, `lint:
-//! allow(…)` comments and the baseline ratchet), a one-line catalog
-//! summary, a file scope from [`crate::config`], and a token-level check.
+//! allow(…)` comments and the suppression pin in `tests/selflint.rs`), a
+//! one-line catalog summary, a file scope from [`crate::config`], and a
+//! token-level check.
 //! [`registry`] returns the rules in stable ID order; adding a rule means
 //! writing the struct, registering it here, and giving it a firing and a
 //! clean fixture in `tests/rule_fixtures.rs`.

@@ -1,25 +1,7 @@
-//! Workspace automation — a thin driver over the in-tree tooling crates.
-//!
-//! # `cargo xtask lint`
-//!
-//! Runs the `ncp2-lint` static analyzer (see `crates/lint` and DESIGN.md
-//! §13) over the whole workspace: a token-level lexer feeding a
-//! rule-registry engine that enforces the determinism, panic,
-//! cycle-arithmetic and protocol-hazard rules, with justified inline
-//! suppressions (`// lint: allow(rule-id) -- reason`) and the
-//! `LINT_BASELINE.json` suppression-debt ratchet. Zero unsuppressed
-//! findings is the gate; growth in suppressed findings fails the build
-//! until the baseline is consciously refreshed. Without `--scan-only`, the
-//! workspace-wide `cargo fmt --check` and `cargo clippy -- -D warnings` run
-//! afterwards.
-//!
-//! Flags:
-//!
-//! * `--json` — print the byte-deterministic JSON report to stdout
-//!   (exit status still reflects findings and the ratchet);
-//! * `--scan-only` — skip fmt/clippy (CI runs them separately);
-//! * `--update-baseline` — rewrite `LINT_BASELINE.json` with the current
-//!   per-rule suppression counts after a passing scan.
+//! Workspace automation: `cargo xtask wall-diff`, the host-side regression
+//! gate. The workspace's exact gates need no subcommand here; `cargo test` runs
+//! them: the static analyzer's (`crates/lint/tests/selflint.rs`) and the
+//! tier-1 bench file's (`crates/bench/tests/golden_figures.rs`).
 //!
 //! # `cargo xtask wall-diff old.json new.json`
 //!
@@ -34,20 +16,13 @@
 //! The gate also fails on a membership change: a bench that disappeared
 //! from the new file, or that the baseline lacks. Admitting or retiring one
 //! is a deliberate baseline refresh — delete the baseline and re-seed it
-//! with `--update`. (The simulated twin, `BENCH_tier1.json`, needs no gate
-//! here: `cargo test` requires `obs_report --bench` to reproduce it byte
-//! for byte.)
+//! with `--update`.
 
-use std::path::PathBuf;
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
-use ncp2_lint::baseline::Baseline;
 use ncp2_prof::walldiff::{compare_wall, parse_wall, WallDiffCfg, WallReport};
 
-const BASELINE_FILE: &str = "LINT_BASELINE.json";
-
-const USAGE: &str = "usage: cargo xtask lint [--scan-only] [--json] [--update-baseline]\n\
-     \x20      cargo xtask wall-diff OLD.json NEW.json [--time-threshold PCT]\n\
+const USAGE: &str = "usage: cargo xtask wall-diff OLD.json NEW.json [--time-threshold PCT]\n\
      \x20                            [--alloc-threshold PCT] [--update]";
 
 fn main() -> ExitCode {
@@ -60,122 +35,12 @@ fn main() -> ExitCode {
         }
     };
     match cmd {
-        "lint" => lint(flags),
         "wall-diff" => wall_diff(flags),
         _ => {
-            eprintln!("unknown xtask `{cmd}`; available: lint, wall-diff\n{USAGE}");
+            eprintln!("unknown xtask `{cmd}`; available: wall-diff\n{USAGE}");
             ExitCode::FAILURE
         }
     }
-}
-
-/// The `lint` subcommand: run the analyzer, apply the suppression ratchet,
-/// then (unless `--scan-only`) fmt and clippy.
-fn lint(flags: &[String]) -> ExitCode {
-    let scan_only = flags.iter().any(|f| f == "--scan-only");
-    let json = flags.iter().any(|f| f == "--json");
-    let update_baseline = flags.iter().any(|f| f == "--update-baseline");
-
-    let root = workspace_root();
-    let report = match ncp2_lint::lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("xtask lint: cannot scan workspace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    if !report.findings.is_empty() {
-        eprintln!(
-            "xtask lint: {} unsuppressed finding(s)",
-            report.findings.len()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Suppression-debt ratchet against the committed baseline.
-    let current = Baseline::from_report(&report);
-    let baseline_path = root.join(BASELINE_FILE);
-    if update_baseline {
-        if let Err(e) = std::fs::write(&baseline_path, current.to_json()) {
-            eprintln!("xtask lint: cannot write {BASELINE_FILE}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "xtask lint: {BASELINE_FILE} updated ({} suppression(s))",
-            current.total()
-        );
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(pinned) => {
-                    let regressions = pinned.regressions(&current);
-                    if !regressions.is_empty() {
-                        for r in &regressions {
-                            eprintln!("xtask lint: {r}");
-                        }
-                        return ExitCode::FAILURE;
-                    }
-                    if !json {
-                        println!(
-                            "xtask lint: suppression ratchet ok ({}/{} of baseline)",
-                            current.total(),
-                            pinned.total()
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("xtask lint: cannot parse {BASELINE_FILE}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) => {
-                eprintln!(
-                    "xtask lint: no {BASELINE_FILE}; run `cargo xtask lint --update-baseline` \
-                     to pin the suppression ratchet"
-                );
-            }
-        }
-    }
-
-    if scan_only {
-        return ExitCode::SUCCESS;
-    }
-    for (what, cmdline) in [
-        ("cargo fmt --check", &["fmt", "--all", "--", "--check"][..]),
-        (
-            "cargo clippy -D warnings",
-            &[
-                "clippy",
-                "--workspace",
-                "--all-targets",
-                "--",
-                "-D",
-                "warnings",
-            ][..],
-        ),
-    ] {
-        let status = Command::new(env!("CARGO"))
-            .args(cmdline)
-            .current_dir(&root)
-            .status();
-        match status {
-            Ok(s) if s.success() => println!("xtask lint: {what} clean"),
-            Ok(_) => {
-                eprintln!("xtask lint: {what} failed");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("xtask lint: could not run {what}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// The `wall-diff` subcommand: the asymmetric host-side gates over
@@ -326,16 +191,6 @@ fn parse_diff_args<'a>(
         &[old, new] => Ok(DiffArgs { old, new, update }),
         _ => Err("expected exactly two report files, OLD.json and NEW.json".into()),
     }
-}
-
-/// Walks up from the xtask manifest to the workspace root.
-fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .find(|p| p.join("Cargo.toml").is_file() && p.join("crates").is_dir())
-        .unwrap_or(&manifest)
-        .to_path_buf()
 }
 
 #[cfg(test)]
